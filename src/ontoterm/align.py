@@ -17,6 +17,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -73,6 +74,80 @@ class AlignmentResult:
     candidates: tuple[str, ...] = ()
 
 
+@lru_cache(maxsize=4)
+def _concept_index(
+    names: tuple[str, ...], stopwords: frozenset[str]
+) -> tuple[dict[str, tuple[tuple[str, int], ...]], dict[str, tuple[str, ...]]]:
+    """Each concept's content bag, and the concepts holding each content
+    token, in declaration order.
+
+    A bag is sorted ``(token, count)`` pairs shared across concepts, which
+    keeps the index smaller than one ``Counter`` per concept would be.  The
+    memo key is the full input, so an ontology edited in place gets a fresh
+    index on its next alignment, never a stale one.
+    """
+    shared: dict[tuple[str, int], tuple[str, int]] = {}
+    bags = {}
+    holders: dict[str, list[str]] = {}
+    for name in names:
+        bag = tuple(
+            shared.setdefault(pair, pair)
+            for pair in sorted(Counter(_content_tokens(name, stopwords)).items())
+        )
+        bags[name] = bag
+        for token, _ in bag:
+            holders.setdefault(token, []).append(name)
+    return bags, {token: tuple(names) for token, names in holders.items()}
+
+
+def _aligner(ontology: OkOntology, stopwords: frozenset[str]):
+    """``align(term, head)`` over the memoised index of ``ontology``."""
+    bags, holders_of = _concept_index(tuple(ontology.concepts), stopwords)
+    declared = {concept_id(t): c for t, c in ontology.denotation.items()}
+
+    def align(term: str, head: str | None) -> AlignmentResult:
+        target = declared.get(concept_id(term))
+        if target is not None and target in ontology.concepts:
+            return AlignmentResult(term, AlignKind.DECLARED, target)
+
+        tokens = _content_tokens(term, stopwords)
+        if not tokens:
+            return AlignmentResult(term, AlignKind.UNMATCHED)
+        bag = tuple(sorted(Counter(tokens).items()))
+        if head is None:
+            head = tokens[0]
+        else:
+            head = unicodedata.normalize("NFC", head).lower()
+
+        # an exact or elliptical match holds every token of the term, so
+        # the holders of its rarest token are all the candidates there are
+        holders = min((holders_of.get(token, ()) for token, _ in bag), key=len)
+        exact = [name for name in holders if bags[name] == bag]
+        if len(exact) == 1:
+            return AlignmentResult(term, AlignKind.EXACT, exact[0])
+
+        sub = []
+        for name in holders:
+            cbag = bags[name]
+            counts = dict(cbag)
+            if cbag != bag and head in counts and all(counts.get(t, 0) >= n for t, n in bag):
+                sub.append(name)
+        sub.sort()
+        if len(sub) == 1:
+            return AlignmentResult(term, AlignKind.ELLIPSIS, sub[0])
+        if len(sub) > 1:
+            chain = sorted(sub, key=ontology.depth)
+            on_one_chain = all(
+                subsumes(ontology, chain[i], chain[i + 1]) for i in range(len(chain) - 1)
+            )
+            if on_one_chain:
+                return AlignmentResult(term, AlignKind.ELLIPSIS, chain[-1])
+            return AlignmentResult(term, AlignKind.AMBIGUOUS, candidates=tuple(sub))
+        return AlignmentResult(term, AlignKind.UNMATCHED)
+
+    return align
+
+
 def align_term(
     term: str,
     ontology: OkOntology,
@@ -88,42 +163,15 @@ def align_term(
     specific one is chosen; otherwise the term stays AMBIGUOUS.  ``head``
     defaults to the first content token, which is the head position of the
     noun phrases this pipeline extracts.
+
+    Concept bags come from an index memoised on the concept names, in
+    declaration order, and the stopwords; it is built in O(concepts) once
+    per key.  A call costs O(concepts) to form that key, O(declared terms)
+    to read the denotation, and O(holders) for the concepts holding the
+    term's rarest content token; denotation, depths and subsumption are
+    read from the live ontology on every call.
     """
-    declared = {concept_id(t): c for t, c in ontology.denotation.items()}
-    target = declared.get(concept_id(term))
-    if target is not None and target in ontology.concepts:
-        return AlignmentResult(term, AlignKind.DECLARED, target)
-
-    tokens = _content_tokens(term, stopwords)
-    if not tokens:
-        return AlignmentResult(term, AlignKind.UNMATCHED)
-    bag = Counter(tokens)
-    if head is None:
-        head = tokens[0]
-    else:
-        head = unicodedata.normalize("NFC", head).lower()
-
-    bags = {name: normalize_label(name, stopwords) for name in ontology.concepts}
-    exact = [name for name, cbag in bags.items() if cbag == bag]
-    if len(exact) == 1:
-        return AlignmentResult(term, AlignKind.EXACT, exact[0])
-
-    sub = sorted(
-        name
-        for name, cbag in bags.items()
-        if bag != cbag and bag <= cbag and head in cbag
-    )
-    if len(sub) == 1:
-        return AlignmentResult(term, AlignKind.ELLIPSIS, sub[0])
-    if len(sub) > 1:
-        chain = sorted(sub, key=ontology.depth)
-        on_one_chain = all(
-            subsumes(ontology, chain[i], chain[i + 1]) for i in range(len(chain) - 1)
-        )
-        if on_one_chain:
-            return AlignmentResult(term, AlignKind.ELLIPSIS, chain[-1])
-        return AlignmentResult(term, AlignKind.AMBIGUOUS, candidates=tuple(sub))
-    return AlignmentResult(term, AlignKind.UNMATCHED)
+    return _aligner(ontology, stopwords)(term, head)
 
 
 def ontology_alignments(
@@ -132,8 +180,10 @@ def ontology_alignments(
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
     heads: Mapping[str, str] | None = None,
 ) -> dict[str, AlignmentResult]:
+    """``align_term`` for every term, sharing one index and denotation map."""
     heads = heads or {}
-    return {t: align_term(t, ontology, stopwords, heads.get(t)) for t in terms}
+    align = _aligner(ontology, stopwords)
+    return {t: align(t, heads.get(t)) for t in terms}
 
 
 def taxonomy_alignments(taxonomy: Taxonomy) -> dict[str, AlignmentResult]:

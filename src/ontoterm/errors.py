@@ -59,14 +59,6 @@ class BadValueError(OntoTermError):
     code = "E_BAD_VALUE"
 
 
-class UnsupportedError(OntoTermError):
-    code = "E_UNSUPPORTED"
-
-
-class MultipleGenusError(OntoTermError):
-    code = "E_MULTIPLE_GENUS"
-
-
 class TypeMismatchError(OntoTermError):
     code = "E_TYPE"
 

@@ -50,15 +50,17 @@ def mangle_labels(labels: Iterable[str]) -> dict[str, str]:
 
 
 def _preorder(ontology: OkOntology) -> list[str]:
+    """Concepts depth-first from each root, children in declaration order."""
+    children: dict[str, list[str]] = {}
+    for concept in ontology.concepts.values():
+        if concept.genus is not None:
+            children.setdefault(concept.genus, []).append(concept.name)
     order = []
-
-    def visit(name: str) -> None:
+    stack = list(reversed(ontology.roots()))
+    while stack:
+        name = stack.pop()
         order.append(name)
-        for child in ontology.children(name):
-            visit(child)
-
-    for root in ontology.roots():
-        visit(root)
+        stack.extend(reversed(children.get(name, ())))
     return order
 
 

@@ -135,42 +135,49 @@ def copula_relations(
 
     Matching is surface-level over lemma sequences with an optional
     determiner before the second term; the longest known term wins at each
-    position and self-loops are dropped.
+    position (a label's lemmas are its whitespace-split words, and labels
+    sharing one lemma sequence resolve to the smallest) and self-loops are
+    dropped.  Terms are indexed by lemma sequence once, so each position
+    costs one lookup per distinct term length: O(tokens × lengths).
     """
-    term_seqs = sorted(
-        {label: tuple(label.split()) for label in known_terms}.items(),
-        key=lambda kv: (-len(kv[1]), kv[0]),
-    )
+    by_lemmas: dict[tuple[str, ...], str] = {}
+    for label in known_terms:
+        seq = tuple(label.split())
+        if seq not in by_lemmas or label < by_lemmas[seq]:
+            by_lemmas[seq] = label
+    lengths = sorted({len(seq) for seq in by_lemmas}, reverse=True)
     by_doc: dict[str, list[AnnotatedToken]] = {}
     for t in tokens:
         by_doc.setdefault(t.doc_id, []).append(t)
 
-    def term_at(ts: list[AnnotatedToken], i: int) -> tuple[str, int] | None:
-        for label, seq in term_seqs:
-            k = len(seq)
-            if i + k <= len(ts) and all(ts[i + j].lemma == seq[j] for j in range(k)):
-                return label, i + k
-        return None
-
     found = set()
     for doc_id in sorted(by_doc):
         ts = by_doc[doc_id]
+        lemmas = [t.lemma for t in ts]
+        n = len(ts)
+
+        def term_at(i: int, stop: int):
+            """Labels starting at ``i`` and ending at or before ``stop``,
+            longest first, with their end positions."""
+            for k in lengths:
+                if i + k <= stop:
+                    label = by_lemmas.get(tuple(lemmas[i:i + k]))
+                    if label is not None:
+                        yield label, i + k
+
         i = 0
-        while i < len(ts):
+        while i < n:
             hit = None
-            for label_a, seq_a in term_seqs:
-                k = len(seq_a)
-                if i + k >= len(ts) or not all(ts[i + j].lemma == seq_a[j] for j in range(k)):
-                    continue
-                j = i + k
+            # the first term must leave room for the copula after it
+            for label_a, j in term_at(i, n - 1):
                 if ts[j].surface.lower() not in _COPULA_SURFACES:
                     continue
                 j += 1
-                if j < len(ts) and ts[j].pos is POS.DET:
+                if j < n and ts[j].pos is POS.DET:
                     j += 1
-                second = term_at(ts, j)
+                second = next(term_at(j, n), None)
                 if second is not None:
-                    hit = (label_a, second[0], second[1])
+                    hit = (label_a, *second)
                     break
             if hit is None:
                 i += 1
@@ -300,34 +307,46 @@ def apply_validation(net: LexNet, decisions: Sequence[tuple[str, ...]]) -> LexNe
     return LexNet(terms, relations)
 
 
+def find_cycle(edges: Iterable[tuple[str, str]]) -> list[str] | None:
+    """Return the nodes of one cycle of a directed edge set, first node
+    repeated at the end, or None.
+
+    Depth-first in sorted order of nodes and successors, so the cycle
+    reported is deterministic; iterative, so long paths cannot exhaust the
+    interpreter's recursion limit.
+    """
+    successors: dict[str, list[str]] = {}
+    for source, target in sorted(edges):
+        successors.setdefault(source, []).append(target)
+    done: set[str] = set()
+    for start in successors:
+        if start in done:
+            continue
+        path = [start]
+        on_path = {start}
+        pending = [iter(successors[start])]
+        while pending:
+            for nxt in pending[-1]:
+                if nxt in on_path:
+                    return path[path.index(nxt):] + [nxt]
+                if nxt not in done:
+                    path.append(nxt)
+                    on_path.add(nxt)
+                    pending.append(iter(successors.get(nxt, ())))
+                    break
+            else:
+                node = path.pop()
+                on_path.discard(node)
+                done.add(node)
+                pending.pop()
+    return None
+
+
 def find_validated_hyponymy_cycle(net: LexNet) -> list[str] | None:
     """Return the labels of one cycle in validated hyponymy, if any."""
-    children: dict[str, list[str]] = {}
-    for r in net.relations_of(RelationKind.HYPONYMY, Status.VALIDATED):
-        children.setdefault(r.source, []).append(r.target)
-    color: dict[str, int] = {}
-    stack_path: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        color[node] = 1
-        stack_path.append(node)
-        for nxt in children.get(node, ()):
-            if color.get(nxt, 0) == 1:
-                return stack_path[stack_path.index(nxt):] + [nxt]
-            if color.get(nxt, 0) == 0:
-                cycle = visit(nxt)
-                if cycle:
-                    return cycle
-        stack_path.pop()
-        color[node] = 2
-        return None
-
-    for start in sorted(children):
-        if color.get(start, 0) == 0:
-            cycle = visit(start)
-            if cycle:
-                return cycle
-    return None
+    return find_cycle(
+        (r.source, r.target) for r in net.relations_of(RelationKind.HYPONYMY, Status.VALIDATED)
+    )
 
 
 def lexnet_to_json(net: LexNet) -> str:

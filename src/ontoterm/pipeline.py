@@ -284,6 +284,18 @@ class PipelineResult:
         return [self.output_dir / outcome.artifact for outcome in self.stages.values()]
 
 
+def _previous_stages(manifest_path: Path) -> dict[str, dict]:
+    """Stage records of the last run; a missing or unreadable manifest, or
+    one of another shape, means a cold cache."""
+    try:
+        stages = json.loads(manifest_path.read_text(encoding="utf-8"))["stages"]
+    except (OSError, ValueError, TypeError, KeyError):
+        return {}
+    if not isinstance(stages, dict):
+        return {}
+    return {stage: record for stage, record in stages.items() if isinstance(record, dict)}
+
+
 def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
     """Run all stages, reusing cached artifacts whose inputs are unchanged.
 
@@ -294,9 +306,7 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
     out = config.output
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
-    previous = {}
-    if manifest_path.exists():
-        previous = json.loads(manifest_path.read_text(encoding="utf-8")).get("stages", {})
+    previous = _previous_stages(manifest_path)
 
     result = PipelineResult(out)
 

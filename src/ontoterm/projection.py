@@ -14,7 +14,7 @@ import unicodedata
 from dataclasses import dataclass, field
 
 from .errors import CycleError, UnknownConceptError
-from .lexnet import LexNet, RelationKind, Status, find_validated_hyponymy_cycle
+from .lexnet import LexNet, RelationKind, Status, find_cycle, find_validated_hyponymy_cycle
 
 
 def concept_id(label: str) -> str:
@@ -88,35 +88,6 @@ def _synonym_groups(net: LexNet, validated_labels: set[str]) -> dict[str, list[s
     return {rep: sorted(members) for rep, members in groups.items()}
 
 
-def _find_cycle(edges: set[tuple[str, str]]) -> list[str] | None:
-    adjacency: dict[str, list[str]] = {}
-    for child, parent_ in sorted(edges):
-        adjacency.setdefault(child, []).append(parent_)
-    color: dict[str, int] = {}
-    path: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        color[node] = 1
-        path.append(node)
-        for nxt in adjacency.get(node, ()):
-            if color.get(nxt, 0) == 1:
-                return path[path.index(nxt):] + [nxt]
-            if color.get(nxt, 0) == 0:
-                found = visit(nxt)
-                if found:
-                    return found
-        path.pop()
-        color[node] = 2
-        return None
-
-    for start in sorted(adjacency):
-        if color.get(start, 0) == 0:
-            found = visit(start)
-            if found:
-                return found
-    return None
-
-
 def project(net: LexNet) -> Taxonomy:
     """Project validated material into a taxonomy.
 
@@ -146,15 +117,11 @@ def project(net: LexNet) -> Taxonomy:
         if child != parent:
             edges.add((child, parent))
 
-    post_cycle = _find_cycle(edges)
+    post_cycle = find_cycle(edges)
     if post_cycle:
         labels = [concepts[cid].label for cid in post_cycle]
         raise CycleError("subsumption cycle after synonym collapse: " + " -> ".join(labels))
     return Taxonomy(concepts, edges)
-
-
-def subsumed_closure(taxonomy: Taxonomy, cid: str) -> set[str]:
-    return taxonomy.subsumed_closure(cid)
 
 
 def taxonomy_to_json(taxonomy: Taxonomy) -> str:

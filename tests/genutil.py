@@ -2,18 +2,22 @@
 
 The oracles deliberately use different mechanics than the implementations
 they check: closure/ancestry are computed by fixpoint iteration over raw
-edge lists, and pattern-match counting re-runs the scan as a regular
-expression over a POS-code string.
+edge lists, pattern-match counting re-runs the scan as a regular
+expression over a POS-code string, and copula mining and alignment are
+per-call brute-force scans over every known term or concept.  The cycle
+oracle is the recursive depth-first search the iterative one replaced.
 """
 
 from __future__ import annotations
 
 import random
 import re
+import unicodedata
 
+from ontoterm.align import AlignKind, AlignmentResult, normalize_label
 from ontoterm.corpus import POS, AnnotatedToken, PatternDef
-from ontoterm.okmodel import Axis, Differentia, OkConcept, OkOntology
-from ontoterm.projection import Concept, Taxonomy
+from ontoterm.okmodel import Axis, Differentia, OkConcept, OkOntology, subsumes
+from ontoterm.projection import Concept, Taxonomy, concept_id
 
 
 def closure_oracle(edges: set[tuple[str, str]], nodes: set[str], start: str) -> set[str]:
@@ -123,3 +127,209 @@ def regex_match_count(tokens: list[AnnotatedToken], patterns: list[PatternDef]) 
         for pattern in sorted(patterns, key=lambda p: -len(p.sequence))
     )
     return sum(1 for _ in re.finditer(alternation, code))
+
+
+def copula_oracle(
+    tokens: list[AnnotatedToken], known_terms: list[str]
+) -> set[tuple[str, str]]:
+    """(source, target) pairs of ``TermA est/sont [DET] TermB`` sentences,
+    by trying every known term at every position: O(tokens × terms)."""
+    term_seqs = sorted(
+        {label: tuple(label.split()) for label in known_terms}.items(),
+        key=lambda kv: (-len(kv[1]), kv[0]),
+    )
+    by_doc: dict[str, list[AnnotatedToken]] = {}
+    for t in tokens:
+        by_doc.setdefault(t.doc_id, []).append(t)
+
+    def term_at(ts: list[AnnotatedToken], i: int) -> tuple[str, int] | None:
+        for label, seq in term_seqs:
+            k = len(seq)
+            if i + k <= len(ts) and all(ts[i + j].lemma == seq[j] for j in range(k)):
+                return label, i + k
+        return None
+
+    found = set()
+    for doc_id in sorted(by_doc):
+        ts = by_doc[doc_id]
+        i = 0
+        while i < len(ts):
+            hit = None
+            for label_a, seq_a in term_seqs:
+                k = len(seq_a)
+                if i + k >= len(ts) or not all(ts[i + j].lemma == seq_a[j] for j in range(k)):
+                    continue
+                j = i + k
+                if ts[j].surface.lower() not in ("est", "sont"):
+                    continue
+                j += 1
+                if j < len(ts) and ts[j].pos is POS.DET:
+                    j += 1
+                second = term_at(ts, j)
+                if second is not None:
+                    hit = (label_a, second[0], second[1])
+                    break
+            if hit is None:
+                i += 1
+            else:
+                source, target, end = hit
+                if source != target:
+                    found.add((source, target))
+                i = end
+    return found
+
+
+def align_oracle(
+    term: str, ontology: OkOntology, stopwords: frozenset[str], head: str | None = None
+) -> AlignmentResult:
+    """Resolve ``term`` by comparing its content bag with every concept's,
+    rebuilt on each call."""
+    declared = {concept_id(t): c for t, c in ontology.denotation.items()}
+    target = declared.get(concept_id(term))
+    if target is not None and target in ontology.concepts:
+        return AlignmentResult(term, AlignKind.DECLARED, target)
+    bag = normalize_label(term, stopwords)
+    if not bag:
+        return AlignmentResult(term, AlignKind.UNMATCHED)
+    if head is None:
+        head = next(iter(bag))
+    else:
+        head = unicodedata.normalize("NFC", head).lower()
+    bags = {name: normalize_label(name, stopwords) for name in ontology.concepts}
+    exact = [name for name, cbag in bags.items() if cbag == bag]
+    if len(exact) == 1:
+        return AlignmentResult(term, AlignKind.EXACT, exact[0])
+    sub = sorted(
+        name
+        for name, cbag in bags.items()
+        if cbag != bag and all(cbag[t] >= n for t, n in bag.items()) and cbag[head] > 0
+    )
+    if not sub:
+        return AlignmentResult(term, AlignKind.UNMATCHED)
+    if len(sub) == 1:
+        return AlignmentResult(term, AlignKind.ELLIPSIS, sub[0])
+    chain = sorted(sub, key=ontology.depth)
+    if all(subsumes(ontology, chain[i], chain[i + 1]) for i in range(len(chain) - 1)):
+        return AlignmentResult(term, AlignKind.ELLIPSIS, chain[-1])
+    return AlignmentResult(term, AlignKind.AMBIGUOUS, candidates=tuple(sub))
+
+
+def recursive_cycle_oracle(edges: set[tuple[str, str]]) -> list[str] | None:
+    """One cycle of a directed edge set by recursive depth-first search in
+    sorted order; the first node is repeated at the end."""
+    adjacency: dict[str, list[str]] = {}
+    for source, target in sorted(edges):
+        adjacency.setdefault(source, []).append(target)
+    color: dict[str, int] = {}
+    path: list[str] = []
+
+    def visit(node: str) -> list[str] | None:
+        color[node] = 1
+        path.append(node)
+        for nxt in adjacency.get(node, ()):
+            if color.get(nxt, 0) == 1:
+                return path[path.index(nxt):] + [nxt]
+            if color.get(nxt, 0) == 0:
+                found = visit(nxt)
+                if found:
+                    return found
+        path.pop()
+        color[node] = 2
+        return None
+
+    for start in sorted(adjacency):
+        if color.get(start, 0) == 0:
+            found = visit(start)
+            if found:
+                return found
+    return None
+
+
+def random_copula_case(rng: random.Random) -> tuple[list[AnnotatedToken], list[str]]:
+    """Token streams dense in copula sentences over a tiny vocabulary, so
+    that terms overlap, prefix one another, end documents and hold the
+    copula's lemma, with labels that share a lemma sequence (extra spaces,
+    the empty label)."""
+    words = ["a", "b", "c", "d", "être"]  # «être» is the copulas' lemma
+    labels = set()
+    for _ in range(rng.randint(0, 8)):
+        label = " ".join(rng.choice(words) for _ in range(rng.randint(1, 4)))
+        labels.add(label)
+        if rng.random() < 0.2:
+            labels.add(label.replace(" ", "  ", 1) + rng.choice(("", " ")))
+    if rng.random() < 0.1:
+        labels.add(rng.choice(("", " ")))
+    verbs = [("est", "être"), ("Est", "être"), ("sont", "être"), ("SONT", "être"), ("été", "être")]
+    determiners = [("un", "un"), ("les", "le"), ("b", "b")]  # «b» is also a term word
+    tokens = []
+    for doc in range(rng.randint(1, 3)):
+        stream: list[tuple[str, str, POS]] = []
+        for _ in range(rng.randint(0, 12)):
+            roll = rng.random()
+            if roll < 0.3 and labels:
+                stream.extend((w, w, POS.NOUN) for w in rng.choice(sorted(labels)).split())
+            elif roll < 0.45:
+                word = rng.choice(words)
+                stream.append((word, word, POS.NOUN))
+            elif roll < 0.75:
+                stream.append((*rng.choice(verbs), POS.VERB))
+            elif roll < 0.9:
+                stream.append((*rng.choice(determiners), POS.DET))
+            else:
+                stream.append(("de", "de", POS.PREP))
+        tokens.extend(
+            AnnotatedToken(surface, lemma, pos, f"doc{doc}", offset)
+            for offset, (surface, lemma, pos) in enumerate(stream)
+        )
+    return tokens, sorted(labels, key=lambda _: rng.random())
+
+
+def random_align_case(
+    rng: random.Random,
+) -> tuple[OkOntology, frozenset[str], list[tuple[str, str | None]]]:
+    """A ``random_ok_tree`` relabelled with short multi-word labels, a few
+    declared terms and a stopword set, plus (term, explicit head or None)
+    queries: labels of the tree, their sub-bags, reordered and stopword-laden
+    variants and unknown words."""
+    tree = random_ok_tree(rng, max_nodes=40)
+    words = ["relais", "seuil", "tension", "courant", "tout", "rien", "de", "à"]
+    stopwords = frozenset(rng.sample(["de", "à", "la", "tout"], rng.randint(0, 3)))
+    rename = {"n0": "relais"}
+    for name, concept in tree.concepts.items():
+        if concept.genus is None:
+            continue
+        base = rename[concept.genus]
+        for _ in range(10):
+            label = base + " " + " ".join(rng.choice(words) for _ in range(rng.randint(1, 2)))
+            if rng.random() < 0.2:
+                label = " ".join(rng.sample(label.split(), len(label.split())))
+            if label not in rename.values():
+                break
+        else:
+            label = f"{base} {name}"
+        rename[name] = label
+    ontology = OkOntology(name="random", axes=dict(tree.axes))
+    for name, concept in tree.concepts.items():
+        genus = rename[concept.genus] if concept.genus is not None else None
+        ontology.concepts[rename[name]] = OkConcept(rename[name], genus, concept.differentia)
+    labels = list(ontology.concepts)
+    for _ in range(rng.randint(0, 3)):
+        term = " ".join(rng.choice(words) for _ in range(rng.randint(1, 3)))
+        ontology.denotation[term.upper() if rng.random() < 0.3 else term] = (
+            rng.choice(labels) if rng.random() < 0.8 else "ghost"
+        )
+    queries: list[tuple[str, str | None]] = []
+    for _ in range(12):
+        kind = rng.random()
+        if kind < 0.3:
+            term = rng.choice(labels)
+        elif kind < 0.6:
+            tokens = rng.choice(labels).split()
+            term = " ".join(rng.sample(tokens, rng.randint(1, len(tokens))))
+        elif kind < 0.7 and ontology.denotation:
+            term = rng.choice(list(ontology.denotation)).lower()
+        else:
+            term = " ".join(rng.choice(words + ["bobine"]) for _ in range(rng.randint(1, 3)))
+        head = rng.choice(words + ["bobine"]) if rng.random() < 0.2 else None
+        queries.append((term, head))
+    return ontology, stopwords, queries

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -17,8 +18,11 @@ from ontoterm.align import (
     taxonomy_alignments,
 )
 from ontoterm.fixtures import data_path
-from ontoterm.okmodel import load_dsl, parse_dsl
+from ontoterm.okmodel import Differentia, OkConcept, load_dsl, parse_dsl
 from ontoterm.projection import Concept, Taxonomy
+from ontoterm.retrieval import resolve_label
+
+from genutil import align_oracle, random_align_case
 
 RAST = "relais à seuil de tension"
 
@@ -162,6 +166,34 @@ def test_exact_is_a_subcase_of_relaxed_ellipsis(relay):
         result = align_term(term, relay)
         assert result.kind is AlignKind.EXACT
         assert normalize_label(term) <= normalize_label(result.concept)
+
+
+def test_align_matches_brute_force_oracle():
+    rng = random.Random(20100214)
+    kinds = Counter()
+    for _ in range(1000):
+        ontology, stopwords, queries = random_align_case(rng)
+        heads = {term: head for term, head in queries if head is not None}
+        batch = ontology_alignments([term for term, _ in queries], ontology, stopwords, heads)
+        for term, head in queries:
+            expected = align_oracle(term, ontology, stopwords, head)
+            assert align_term(term, ontology, stopwords, head) == expected, (term, head)
+            if term not in heads or heads[term] == head:
+                assert batch[term] == expected
+            kinds[expected.kind] += 1
+    assert all(kinds[kind] >= 100 for kind in AlignKind), kinds
+
+
+def test_align_sees_a_concept_added_in_place(relay):
+    ontology = relay.copy()
+    assert align_term("relais de courant", ontology).kind is AlignKind.UNMATCHED
+    assert resolve_label(ontology, "relais de courant") is None
+    ontology.concepts["relais à seuil de courant"] = OkConcept(
+        "relais à seuil de courant", "relais à seuil", Differentia("grandeur_seuillée", "courant")
+    )
+    result = align_term("relais de courant", ontology)
+    assert (result.kind, result.concept) == (AlignKind.ELLIPSIS, "relais à seuil de courant")
+    assert resolve_label(ontology, "relais de courant") == "relais à seuil de courant"
 
 
 # --- head-match necessity property --------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from genutil import random_ok_tree
 from ontoterm.errors import InconsistentOntologyError
 from ontoterm.fixtures import data_path
-from ontoterm.okmodel import load_dsl, parse_dsl
-from ontoterm.export import mangle_labels, to_kif, to_owl
+from ontoterm.okmodel import Axis, Differentia, OkConcept, OkOntology, load_dsl, parse_dsl
+from ontoterm.export import _preorder, mangle_labels, to_kif, to_owl
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +160,54 @@ def test_axiom_counts_on_random_consistent_ontologies():
         assert count_axioms(owl, "DisjointClasses(") == len(groups)
         sentences = [line for line in kif.splitlines() if line]
         assert len(sentences) == non_root + pairs
+
+
+# --- traversal order and depth -------------------------------------------------
+
+
+def recursive_preorder(ontology):
+    order = []
+
+    def visit(name):
+        order.append(name)
+        for child in ontology.children(name):
+            visit(child)
+
+    for root in ontology.roots():
+        visit(root)
+    return order
+
+
+def declared_classes(owl):
+    return re.findall(r"^Declaration\(Class\(:(\w+)\)\)$", owl, re.M)
+
+
+def test_owl_declares_classes_in_preorder():
+    rng = random.Random(20100215)
+    for _ in range(100):
+        ontology = random_ok_tree(rng, max_nodes=60)
+        names = mangle_labels(ontology.concepts)
+        assert declared_classes(to_owl(ontology)) == [
+            names[n] for n in recursive_preorder(ontology)
+        ]
+
+
+def deep_chain(depth):
+    ontology = OkOntology(name="deep", concepts={"c0": OkConcept("c0")})
+    for i in range(1, depth):
+        ontology.axes[f"a{i}"] = Axis(f"a{i}", ("x", "y"))
+        ontology.concepts[f"c{i}"] = OkConcept(f"c{i}", f"c{i - 1}", Differentia(f"a{i}", "x"))
+    return ontology
+
+
+def test_owl_exports_a_chain_deeper_than_the_recursion_limit():
+    # the consistency check export runs first walks every genus chain, which
+    # is quadratic in depth, so this stays just past the recursion limit
+    depth = sys.getrecursionlimit() + 200
+    owl = to_owl(deep_chain(depth))
+    assert declared_classes(owl) == [f"C{i}" for i in range(depth)]
+    assert count_axioms(owl, "SubClassOf(") == depth - 1
+
+
+def test_preorder_of_a_10k_deep_tree():
+    assert _preorder(deep_chain(10_000)) == [f"c{i}" for i in range(10_000)]

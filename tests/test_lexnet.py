@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +16,7 @@ from ontoterm.lexnet import (
     apply_validation,
     build_network,
     copula_relations,
+    find_cycle,
     find_validated_hyponymy_cycle,
     lexnet_from_json,
     lexnet_to_json,
@@ -21,6 +24,8 @@ from ontoterm.lexnet import (
     same_head_hyponyms,
     terms_from_candidates,
 )
+
+from genutil import copula_oracle, random_copula_case, recursive_cycle_oracle
 
 HYP, SYN = RelationKind.HYPONYMY, RelationKind.SYNONYMY
 
@@ -110,6 +115,34 @@ def test_copula_without_determiner():
     tokens = copula_tokens("relais de tension est relais")
     edges = copula_relations(tokens, ["relais de tension", "relais"])
     assert [(e.source, e.target) for e in edges] == [("relais de tension", "relais")]
+
+
+@pytest.mark.parametrize(
+    "text, terms, expected",
+    [
+        # the lemmas of «tension est» make a longer term, but no copula follows it
+        ("tension est un relais", ["tension être", "tension", "relais"], ("tension", "relais")),
+        # a copula follows the longer term, but no second term does
+        ("relais est tension est", ["relais être tension", "relais", "tension"],
+         ("relais", "tension")),
+    ],
+)
+def test_copula_longest_first_term_falls_through_to_shorter(text, terms, expected):
+    edges = copula_relations(copula_tokens(text), terms)
+    assert [(e.source, e.target) for e in edges] == [expected]
+
+
+def test_copula_matches_brute_force_oracle():
+    rng = random.Random(20100213)
+    found = 0
+    for _ in range(1500):
+        tokens, labels = random_copula_case(rng)
+        expected = copula_oracle(tokens, labels)
+        got = copula_relations(tokens, labels)
+        assert {(e.source, e.target) for e in got} == expected, (tokens, labels)
+        assert [(e.source, e.target) for e in got] == sorted(expected)
+        found += bool(expected)
+    assert found > 250  # the generator plants enough sentences to exercise matching
 
 
 # --- network assembly -------------------------------------------------------
@@ -252,6 +285,36 @@ def test_cycle_detection_on_validated_hyponymy():
     cycle = find_validated_hyponymy_cycle(net)
     assert cycle is not None
     assert set(cycle) == {"a", "b"}
+
+
+def acyclic_by_peeling(edges):
+    """Kahn's algorithm: a digraph is acyclic iff repeatedly removing
+    nodes without incoming edges removes them all."""
+    edges = set(edges)
+    nodes = {n for edge in edges for n in edge}
+    while True:
+        sources = nodes - {target for _, target in edges}
+        if not sources:
+            return not nodes
+        nodes -= sources
+        edges = {(a, b) for a, b in edges if a in nodes}
+
+
+def test_find_cycle_matches_recursive_search_and_peeling():
+    rng = random.Random(20100216)
+    cyclic = 0
+    for _ in range(1000):
+        nodes = [f"v{i}" for i in range(rng.randint(1, 8))]
+        edges = {(rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(0, 10))}
+        cycle = find_cycle(edges)
+        assert cycle == recursive_cycle_oracle(edges), edges
+        assert (cycle is None) == acyclic_by_peeling(edges), edges
+        if cycle is not None:
+            cyclic += 1
+            assert cycle[0] == cycle[-1]
+            assert len(set(cycle)) == len(cycle) - 1
+            assert all(pair in edges for pair in zip(cycle, cycle[1:]))
+    assert cyclic > 100
 
 
 def test_lexnet_json_roundtrip():

@@ -128,6 +128,23 @@ def test_pipeline_force_reruns_everything(tmp_path):
     assert not any(outcome.cache_hit for outcome in result.stages.values())
 
 
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize(
+    "manifest",
+    [b'{"stages": {"extract"', b"\xff\xfe\x00", b"[]", b'{"stages": []}', b'{"stages": {"net": 1}}'],
+)
+def test_pipeline_unreadable_manifest_is_a_cold_cache(tmp_path, manifest, force):
+    config = load_config(write_config(tmp_path))
+    run_pipeline(config)
+    out = tmp_path / "out"
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+    (out / "manifest.json").write_bytes(manifest)
+    result = run_pipeline(config, force=force)
+    assert not any(outcome.cache_hit for outcome in result.stages.values())
+    assert before == {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+    assert all(run_pipeline(config).stages[stage].cache_hit for stage in STAGES)
+
+
 def test_pipeline_kif_export(tmp_path):
     config = load_config(write_config(tmp_path, export_format="kif"))
     run_pipeline(config)

@@ -18,7 +18,6 @@ from ontoterm.lexnet import (
 from ontoterm.projection import (
     concept_id,
     project,
-    subsumed_closure,
     taxonomy_from_json,
     taxonomy_to_dot,
     taxonomy_to_json,
@@ -113,6 +112,21 @@ def test_project_rejects_cycle_created_by_collapse():
         project(build_network(terms, relations))
 
 
+def test_project_10k_deep_chain_with_labels_sorted_leaf_first():
+    # the leaf's label sorts first, so cycle detection walks the whole chain
+    n = 10_000
+    labels = [f"t{n - 1 - k:05d}" for k in range(n)]  # labels[0] is the root
+    terms = [Term(label, label, Status.VALIDATED) for label in labels]
+    relations = [
+        LexicalRelation(HYP, labels[k + 1], labels[k], Evidence.DECLARED, status=Status.VALIDATED)
+        for k in range(n - 1)
+    ]
+    taxonomy = project(build_network(terms, relations))
+    assert len(taxonomy.concepts) == n
+    assert len(taxonomy.subsumption) == n - 1
+    assert taxonomy.roots == [labels[0]]
+
+
 # --- closure ----------------------------------------------------------------
 
 
@@ -130,7 +144,7 @@ def test_closure_of_root_covers_all():
 def test_closure_unknown_concept():
     taxonomy = project(validated_relay_net())
     with pytest.raises(UnknownConceptError):
-        subsumed_closure(taxonomy, "ghost")
+        taxonomy.subsumed_closure("ghost")
 
 
 def test_closure_matches_fixpoint_oracle_on_random_dags():
