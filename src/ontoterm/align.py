@@ -243,10 +243,13 @@ def compare_structures(
     is a CONFLICT.  On multi-parent taxonomies the most favorable parent
     decides and is the one reported.
     """
+    parents: dict[str, list[str]] = {}
+    for child, parent in taxonomy.subsumption:
+        parents.setdefault(child, []).append(parent)
     entries = []
     for cid in sorted(taxonomy.concepts):
         concept = taxonomy.concepts[cid]
-        parent_ids = taxonomy.parents(cid)
+        parent_ids = sorted(parents.get(cid, ()))
         if not parent_ids:
             continue  # root
         own = alignments.get(concept.label)

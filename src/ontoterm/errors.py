@@ -71,6 +71,12 @@ class ConfigError(OntoTermError):
     code = "E_CONFIG"
 
 
+class ArtifactError(OntoTermError):
+    """A stage artifact holds a value the program never writes."""
+
+    code = "E_ARTIFACT"
+
+
 @dataclass(frozen=True)
 class DslIssue:
     """One problem found while parsing ontology source; ``line`` is 1-based."""

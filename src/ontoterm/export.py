@@ -51,10 +51,7 @@ def mangle_labels(labels: Iterable[str]) -> dict[str, str]:
 
 def _preorder(ontology: OkOntology) -> list[str]:
     """Concepts depth-first from each root, children in declaration order."""
-    children: dict[str, list[str]] = {}
-    for concept in ontology.concepts.values():
-        if concept.genus is not None:
-            children.setdefault(concept.genus, []).append(concept.name)
+    children = ontology.children_view()
     order = []
     stack = list(reversed(ontology.roots()))
     while stack:

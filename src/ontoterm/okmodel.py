@@ -29,7 +29,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     BadValueError,
@@ -132,6 +132,13 @@ class OkOntology:
     class_defs: dict[str, ClassDef] = field(default_factory=dict)
     set_defs: dict[str, SetDef] = field(default_factory=dict)
     denotation: dict[str, str] = field(default_factory=dict)
+    # children_view's memo and the concept values it was built from
+    _children: dict[str | None, list[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _children_of: tuple[OkConcept, ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
 
     def __contains__(self, name: str) -> bool:
         return name in self.concepts
@@ -149,9 +156,27 @@ class OkOntology:
     def roots(self) -> list[str]:
         return [name for name, c in self.concepts.items() if c.genus is None]
 
+    def children_view(self) -> dict[str | None, list[str]]:
+        """Genus → direct children in declaration order (roots under ``None``).
+
+        Built in one pass over ``concepts`` and reused until ``concepts``
+        changes (an added, removed, replaced or reordered concept, or a new
+        dict).  Checking that costs one comparison of a tuple of the concept
+        values against the tuple the view was built from: O(concepts) in C,
+        and by identity while the concepts are the same objects.  The view
+        is shared: read it, never mutate it.
+        """
+        values = tuple(self.concepts.values())
+        if values != self._children_of:
+            view: dict[str | None, list[str]] = {}
+            for concept in values:
+                view.setdefault(concept.genus, []).append(concept.name)
+            self._children, self._children_of = view, values
+        return self._children
+
     def children(self, name: str) -> list[str]:
         """Direct children, in declaration order."""
-        return [c.name for c in self.concepts.values() if c.genus == name]
+        return list(self.children_view().get(name, ()))
 
     def genus_chain(self, name: str) -> list[str]:
         """Ancestors from the immediate genus up to the root (cycle-safe)."""
@@ -185,13 +210,14 @@ class OkOntology:
         return visible
 
     def subsumed_closure(self, name: str) -> set[str]:
+        """``name`` and everything below it: O(answer) over ``children_view``."""
         if name not in self.concepts:
             raise UnknownConceptError(f"unknown concept: {name!r}")
+        children = self.children_view()
         seen = {name}
         queue = [name]
         while queue:
-            current = queue.pop()
-            for child in self.children(current):
+            for child in children.get(queue.pop(), ()):
                 if child not in seen:
                     seen.add(child)
                     queue.append(child)
@@ -325,41 +351,22 @@ def check_consistency(ontology: OkOntology) -> list[Violation]:
             else:
                 seen[concept.differentia] = concept.name
 
-    # R4: one use of an axis per root-to-node path
-    for name in ontology.concepts:
-        axes_on_path: dict[str, list[str]] = {}
-        for node in [name] + ontology.genus_chain(name):
-            d = ontology.concepts[node].differentia
-            if d is not None:
-                axes_on_path.setdefault(d.axis, []).append(node)
-        for axis, users in sorted(axes_on_path.items()):
-            if len(users) > 1 and users[0] == name:  # report once, at the deepest node
-                violations.append(
-                    Violation(
-                        "R4",
-                        f"axis {axis!r} used more than once on the path to {name!r} "
-                        f"({', '.join(sorted(users))})",
-                    )
-                )
-
-    # R5: attribute shadowing along a path
-    for name, concept in ontology.concepts.items():
+    # R4: one use of an axis per root-to-node path; R5: attribute shadowing
+    # along a path.  Both are reported per node, in declaration order.
+    on_path = _path_findings(ontology)
+    findings = [
+        on_path.get(name) or _walked_findings(ontology, name) for name in ontology.concepts
+    ]
+    for axis_reuse, _ in findings:
+        violations.extend(axis_reuse)
+    for (name, concept), (_, shadowing) in zip(ontology.concepts.items(), findings):
         own = [a.name for a in concept.attributes]
         for attr_name in own:
             if own.count(attr_name) > 1:
                 violations.append(
                     Violation("R5", f"attribute {attr_name!r} declared twice on {name!r}")
                 )
-        for ancestor in ontology.genus_chain(name):
-            inherited = {a.name for a in ontology.concepts[ancestor].attributes}
-            for attr_name in own:
-                if attr_name in inherited:
-                    violations.append(
-                        Violation(
-                            "R5",
-                            f"attribute {attr_name!r} on {name!r} shadows the one on {ancestor!r}",
-                        )
-                    )
+        violations.extend(shadowing)
 
     for cdef in ontology.class_defs.values():
         if cdef.base_concept not in ontology.concepts:
@@ -385,6 +392,91 @@ def check_consistency(ontology: OkOntology) -> list[Violation]:
             )
 
     return violations
+
+
+def _axis_reuse(axis: str, name: str, users: list[str]) -> Violation:
+    return Violation(
+        "R4",
+        f"axis {axis!r} used more than once on the path to {name!r} ({', '.join(sorted(users))})",
+    )
+
+
+def _shadowing(attr_name: str, name: str, ancestor: str) -> Violation:
+    return Violation("R5", f"attribute {attr_name!r} on {name!r} shadows the one on {ancestor!r}")
+
+
+#: (R4 violations, R5 shadowing violations) of one node
+_Findings = tuple[Sequence[Violation], Sequence[Violation]]
+
+
+def _path_findings(ontology: OkOntology) -> dict[str, _Findings]:
+    """R4 and R5 shadowing findings of every node whose genus chain ends at
+    a root or at an unknown genus, in one top-down pass over
+    ``children_view``: O(concepts + findings).
+
+    The pass keeps, for the current path, the nodes using each axis and the
+    ancestors declaring each attribute name, pushed on entering a node and
+    popped on leaving it.  Nodes on or below a genus cycle are not reached.
+    """
+    children = ontology.children_view()
+    concepts = ontology.concepts
+    axis_users: dict[str, list[str]] = {}
+    declarers: dict[str, list[tuple[int, str]]] = {}  # attribute → (depth, ancestor)
+    found: dict[str, _Findings] = {}
+    stack = [
+        (name, 0, False)
+        for name, c in concepts.items()
+        if c.genus is None or c.genus not in concepts
+    ]
+    while stack:
+        name, depth, leaving = stack.pop()
+        concept = concepts[name]
+        axis = concept.differentia.axis if concept.differentia is not None else None
+        declared = dict.fromkeys(a.name for a in concept.attributes)
+        if leaving:
+            if axis is not None:
+                axis_users[axis].pop()
+            for attr_name in declared:
+                declarers[attr_name].pop()
+            continue
+        reuse = ()
+        if axis is not None and axis_users.get(axis):
+            reuse = (_axis_reuse(axis, name, [name] + axis_users[axis]),)
+        shadows = sorted(  # nearest ancestor first, then in declaration order
+            (-at, i, ancestor, attr.name)
+            for i, attr in enumerate(concept.attributes)
+            for at, ancestor in declarers.get(attr.name, ())
+        )
+        found[name] = (reuse, tuple(_shadowing(a, name, anc) for _, _, anc, a in shadows))
+        if axis is not None:
+            axis_users.setdefault(axis, []).append(name)
+        for attr_name in declared:
+            declarers.setdefault(attr_name, []).append((depth, name))
+        stack.append((name, depth, True))
+        stack.extend((child, depth + 1, False) for child in children.get(name, ()))
+    return found
+
+
+def _walked_findings(ontology: OkOntology, name: str) -> _Findings:
+    """R4 and R5 shadowing findings of one node by walking its genus chain:
+    O(depth), for the nodes ``_path_findings`` does not reach."""
+    path = [name] + ontology.genus_chain(name)
+    axes_on_path: dict[str, list[str]] = {}
+    for node in path:
+        d = ontology.concepts[node].differentia
+        if d is not None:
+            axes_on_path.setdefault(d.axis, []).append(node)
+    reuse = [
+        _axis_reuse(axis, name, users)
+        for axis, users in sorted(axes_on_path.items())
+        if len(users) > 1 and users[0] == name  # report once, at the deepest node
+    ]
+    own = [a.name for a in ontology.concepts[name].attributes]
+    shadows = []
+    for ancestor in path[1:]:
+        inherited = {a.name for a in ontology.concepts[ancestor].attributes}
+        shadows.extend(_shadowing(a, name, ancestor) for a in own if a in inherited)
+    return reuse, shadows
 
 
 def require_consistent(ontology: OkOntology) -> None:

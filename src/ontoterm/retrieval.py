@@ -9,13 +9,12 @@ expert tree makes the structural difference directly measurable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence, Union
 
 from .align import AlignmentResult, DEFAULT_STOPWORDS, align_term
 from .corpus import Document, TermCandidate
-from .errors import UnknownConceptError, UnresolvableLabelError
+from .errors import ArtifactError, UnknownConceptError, UnresolvableLabelError
 from .okmodel import OkOntology
 from .projection import Taxonomy, concept_id
 
@@ -26,26 +25,87 @@ def structure_name(structure: Structure) -> str:
     return "projected" if isinstance(structure, Taxonomy) else "ok"
 
 
-class AnnotationSource(str, Enum):
-    TERM_OCCURRENCE = "TERM_OCCURRENCE"
-    MANUAL = "MANUAL"
-
-
 @dataclass(frozen=True)
 class DocAnnotation:
     doc_id: str
     concept: str
-    source: AnnotationSource = AnnotationSource.TERM_OCCURRENCE
 
 
-@dataclass
+#: Every annotation comes from a term occurrence; artifacts record it so.
+_SOURCE = "TERM_OCCURRENCE"
+
+
 class DocIndex:
-    annotations: set[DocAnnotation] = field(default_factory=set)
-    unannotated_docs: tuple[str, ...] = ()
-    skipped_ambiguous: tuple[str, ...] = ()
+    """Which concepts annotate which documents, as sorted posting lists.
 
-    def docs_for(self, concept: str) -> set[str]:
-        return {a.doc_id for a in self.annotations if a.concept == concept}
+    ``concepts_by_doc`` maps each annotated document, in order, to its
+    concepts and answers the explanations of ``compare_recall``;
+    ``docs_by_concept`` maps each concept to its documents and answers
+    ``query``.  Both are built once from (document, concept) pairs, each
+    pair kept once; read them, never mutate them.  ``annotations`` is a
+    view derived from them, built on each access.
+    """
+
+    def __init__(
+        self,
+        annotations: Iterable[DocAnnotation] = (),
+        unannotated_docs: Iterable[str] = (),
+        skipped_ambiguous: Iterable[str] = (),
+    ) -> None:
+        pairs = ((a.doc_id, a.concept) for a in annotations)
+        self.concepts_by_doc, self.docs_by_concept = _postings(pairs)
+        self.unannotated_docs = tuple(unannotated_docs)
+        self.skipped_ambiguous = tuple(skipped_ambiguous)
+
+    @classmethod
+    def from_pairs(
+        cls,
+        pairs: Iterable[tuple[str, str]],
+        unannotated_docs: Iterable[str] = (),
+        skipped_ambiguous: Iterable[str] = (),
+    ) -> DocIndex:
+        index = cls((), unannotated_docs, skipped_ambiguous)
+        index.concepts_by_doc, index.docs_by_concept = _postings(pairs)
+        return index
+
+    @property
+    def annotations(self) -> frozenset[DocAnnotation]:
+        return frozenset(
+            DocAnnotation(doc, concept)
+            for doc, concepts in self.concepts_by_doc.items()
+            for concept in concepts
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DocIndex):
+            return NotImplemented
+        return (self.concepts_by_doc, self.unannotated_docs, self.skipped_ambiguous) == (
+            other.concepts_by_doc, other.unannotated_docs, other.skipped_ambiguous
+        )
+
+
+def _postings(
+    pairs: Iterable[tuple[str, str]],
+) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """(document → sorted concepts, concept → sorted documents), documents
+    in sorted order, each pair once: O(pairs log pairs)."""
+    gathered: dict[str, list[str]] = {}
+    for doc, concept in pairs:
+        concepts = gathered.get(doc)
+        if concepts is None:
+            gathered[doc] = [concept]
+        else:
+            concepts.append(concept)
+    by_doc = {doc: sorted(set(gathered[doc])) for doc in sorted(gathered)}
+    by_concept: dict[str, list[str]] = {}
+    for doc, concepts in by_doc.items():
+        for concept in concepts:
+            docs = by_concept.get(concept)
+            if docs is None:
+                by_concept[concept] = [doc]
+            else:
+                docs.append(doc)
+    return by_doc, by_concept
 
 
 def index_corpus(
@@ -61,7 +121,7 @@ def index_corpus(
     make results unattributable) and documents left without any annotation
     are listed so the gap is visible.
     """
-    annotations = set()
+    pairs = []
     skipped = set()
     for candidate in candidates:
         result = alignments.get(candidate.label)
@@ -76,17 +136,24 @@ def index_corpus(
             raise UnknownConceptError(
                 f"alignment of {candidate.label!r} targets unknown concept {result.concept!r}"
             )
-        for doc_id, _offset in candidate.occurrences:
-            annotations.add(DocAnnotation(doc_id, result.concept))
-    covered = {a.doc_id for a in annotations}
-    unannotated = tuple(sorted(d.id for d in corpus if d.id not in covered))
-    return DocIndex(annotations, unannotated, tuple(sorted(skipped)))
+        pairs.extend((doc_id, result.concept) for doc_id, _offset in candidate.occurrences)
+    index = DocIndex.from_pairs(pairs, (), sorted(skipped))
+    covered = index.concepts_by_doc
+    index.unannotated_docs = tuple(sorted(d.id for d in corpus if d.id not in covered))
+    return index
 
 
 def query(index: DocIndex, structure: Structure, concept: str) -> set[str]:
-    """Documents of ``concept`` and of every concept it subsumes."""
+    """Documents of ``concept`` and of every concept it subsumes: the union
+    of the closure's posting lists."""
     closure = structure.subsumed_closure(concept)
-    return {a.doc_id for a in index.annotations if a.concept in closure}
+    postings = index.docs_by_concept
+    docs: set[str] = set()
+    for member in closure:
+        hits = postings.get(member)
+        if hits:
+            docs.update(hits)
+    return docs
 
 
 def resolve_label(
@@ -138,13 +205,12 @@ def compare_recall(
 
     closure_a = structure_a.subsumed_closure(concept_a)
     closure_b = structure_b.subsumed_closure(concept_b)
+    by_doc_a, by_doc_b = index_a.concepts_by_doc, index_b.concepts_by_doc
     explanations = {}
     for doc in sorted(docs_a | docs_b):
         explanations[doc] = {
-            "a": tuple(sorted(a.concept for a in index_a.annotations
-                              if a.doc_id == doc and a.concept in closure_a)),
-            "b": tuple(sorted(a.concept for a in index_b.annotations
-                              if a.doc_id == doc and a.concept in closure_b)),
+            "a": tuple(c for c in by_doc_a.get(doc, ()) if c in closure_a),
+            "b": tuple(c for c in by_doc_b.get(doc, ()) if c in closure_b),
         }
     return RecallComparison(
         concept_label=concept_label,
@@ -162,8 +228,9 @@ def compare_recall(
 def index_to_json_obj(index: DocIndex) -> dict:
     return {
         "annotations": [
-            {"doc_id": a.doc_id, "concept": a.concept, "source": a.source.value}
-            for a in sorted(index.annotations, key=lambda a: (a.doc_id, a.concept))
+            {"doc_id": doc, "concept": concept, "source": _SOURCE}
+            for doc, concepts in index.concepts_by_doc.items()
+            for concept in concepts
         ],
         "unannotated_docs": list(index.unannotated_docs),
         "skipped_ambiguous": list(index.skipped_ambiguous),
@@ -171,14 +238,16 @@ def index_to_json_obj(index: DocIndex) -> dict:
 
 
 def index_from_json_obj(payload: dict) -> DocIndex:
-    annotations = {
-        DocAnnotation(row["doc_id"], row["concept"], AnnotationSource(row["source"]))
-        for row in payload["annotations"]
-    }
-    return DocIndex(
-        annotations,
-        tuple(payload.get("unannotated_docs", ())),
-        tuple(payload.get("skipped_ambiguous", ())),
+    pairs = []
+    for row in payload["annotations"]:
+        if row.get("source") != _SOURCE:
+            raise ArtifactError(
+                f"annotation of {row.get('doc_id')!r} has source {row.get('source')!r}, "
+                f"expected {_SOURCE!r}"
+            )
+        pairs.append((row["doc_id"], row["concept"]))
+    return DocIndex.from_pairs(
+        pairs, payload.get("unannotated_docs", ()), payload.get("skipped_ambiguous", ())
     )
 
 

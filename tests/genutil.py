@@ -5,7 +5,10 @@ they check: closure/ancestry are computed by fixpoint iteration over raw
 edge lists, pattern-match counting re-runs the scan as a regular
 expression over a POS-code string, and copula mining and alignment are
 per-call brute-force scans over every known term or concept.  The cycle
-oracle is the recursive depth-first search the iterative one replaced.
+oracle is the recursive depth-first search the iterative one replaced;
+the children, closure, consistency and structure-comparison oracles are
+the per-call scans the indexed versions replaced, and the retrieval oracle
+scans every (document, concept) annotation.
 """
 
 from __future__ import annotations
@@ -14,10 +17,29 @@ import random
 import re
 import unicodedata
 
-from ontoterm.align import AlignKind, AlignmentResult, normalize_label
+from ontoterm.align import (
+    AlignKind,
+    AlignmentResult,
+    DiscrepancyEntry,
+    DiscrepancyReport,
+    Verdict,
+    _VERDICT_PRIORITY,
+    normalize_label,
+)
 from ontoterm.corpus import POS, AnnotatedToken, PatternDef
-from ontoterm.okmodel import Axis, Differentia, OkConcept, OkOntology, subsumes
+from ontoterm.errors import UnknownConceptError, UnresolvableLabelError
+from ontoterm.okmodel import (
+    AttributeDef,
+    Axis,
+    Differentia,
+    OkConcept,
+    OkOntology,
+    ValueType,
+    Violation,
+    subsumes,
+)
 from ontoterm.projection import Concept, Taxonomy, concept_id
+from ontoterm.retrieval import RecallComparison, resolve_label, structure_name
 
 
 def closure_oracle(edges: set[tuple[str, str]], nodes: set[str], start: str) -> set[str]:
@@ -46,11 +68,11 @@ def ancestors_oracle(ontology: OkOntology, name: str) -> set[str]:
     return out
 
 
-def random_taxonomy(rng: random.Random, max_nodes: int = 50) -> Taxonomy:
+def random_taxonomy(rng: random.Random, max_nodes: int = 50, prefix: str = "c") -> Taxonomy:
     """Random DAG taxonomy; edges only point from later to earlier nodes,
     so acyclicity holds by construction."""
     n = rng.randint(1, max_nodes)
-    ids = [f"c{i}" for i in range(n)]
+    ids = [f"{prefix}{i}" for i in range(n)]
     concepts = {cid: Concept(cid, cid, (cid,)) for cid in ids}
     edges = set()
     for i in range(1, n):
@@ -93,8 +115,6 @@ def random_ok_tree(
         path_axes[name] = used_on_path | {axis}
         created.append(name)
     if attributes:
-        from ontoterm.okmodel import AttributeDef, ValueType
-
         for name in list(ontology.concepts):
             if rng.random() < 0.3:
                 concept = ontology.concepts[name]
@@ -333,3 +353,269 @@ def random_align_case(
         head = rng.choice(words + ["bobine"]) if rng.random() < 0.2 else None
         queries.append((term, head))
     return ontology, stopwords, queries
+
+
+def scan_children(ontology: OkOntology, name: str | None) -> list[str]:
+    """Direct children by a scan of every concept."""
+    return [c.name for c in ontology.concepts.values() if c.genus == name]
+
+
+def scan_closure(ontology: OkOntology, name: str) -> set[str]:
+    """Down-closure with one ``scan_children`` per visited node."""
+    if name not in ontology.concepts:
+        raise UnknownConceptError(f"unknown concept: {name!r}")
+    seen = {name}
+    queue = [name]
+    while queue:
+        for child in scan_children(ontology, queue.pop()):
+            if child not in seen:
+                seen.add(child)
+                queue.append(child)
+    return seen
+
+
+def random_ok_variant(rng: random.Random, max_nodes: int = 40) -> OkOntology:
+    """A ``random_ok_tree`` (with attributes half the time) put through a
+    few random edits that break rules: a concept moved under a random genus
+    (genus cycles when it lands below itself, self-loops included), an
+    unknown genus, an extra root, a reused axis, a sibling's genus and
+    differentia taken over, a shadowed or twice declared attribute, a
+    dropped differentia.  Roughly one case in five
+    stays unedited."""
+    ontology = random_ok_tree(rng, max_nodes=max_nodes, n_axes=4, attributes=rng.random() < 0.5)
+    names = list(ontology.concepts)
+    pool = ["p", "q", "r"]
+    for _ in range(rng.choice((0, 1, 2, 3, 5))):
+        name = rng.choice(names)
+        c = ontology.concepts[name]
+        roll = rng.random()
+        if roll < 0.2:
+            edited = OkConcept(name, rng.choice(names), c.differentia, c.attributes)
+        elif roll < 0.3:
+            edited = OkConcept(name, "ghost", c.differentia, c.attributes)
+        elif roll < 0.4:
+            edited = OkConcept(name, None, c.differentia, c.attributes)
+        elif roll < 0.5:
+            axis = rng.choice(sorted(ontology.axes))
+            value = rng.choice(ontology.axes[axis].values)
+            edited = OkConcept(name, c.genus, Differentia(axis, value), c.attributes)
+        elif roll < 0.6:
+            sibling = ontology.concepts[rng.choice(names)]
+            edited = OkConcept(name, sibling.genus, sibling.differentia, c.attributes)
+        elif roll < 0.9:
+            attrs = tuple(AttributeDef(rng.choice(pool), ValueType("number"))
+                          for _ in range(rng.randint(1, 2)))
+            edited = OkConcept(name, c.genus, c.differentia, c.attributes + attrs)
+        else:
+            edited = OkConcept(name, c.genus, None, c.attributes)
+        ontology.concepts[name] = edited
+    return ontology
+
+
+def check_consistency_oracle(ontology: OkOntology) -> list[Violation]:
+    """Rules R1–R7 with R4 and R5 walking every concept's genus chain."""
+    violations: list[Violation] = []
+
+    roots = ontology.roots()
+    if len(roots) == 0:
+        violations.append(Violation("R1", "no root concept"))
+    elif len(roots) > 1:
+        violations.append(Violation("R1", "multiple roots: " + ", ".join(sorted(roots))))
+    for name, concept in ontology.concepts.items():
+        if concept.genus is not None and concept.genus not in ontology.concepts:
+            violations.append(Violation("R1", f"{name!r} has unknown genus {concept.genus!r}"))
+
+    state: dict[str, int] = {}
+    for start in ontology.concepts:
+        if state.get(start, 0):
+            continue
+        path = []
+        node = start
+        while node is not None and node in ontology.concepts:
+            mark = state.get(node, 0)
+            if mark == 1:
+                cycle = path[path.index(node):] + [node]
+                violations.append(Violation("R1", "genus cycle: " + " -> ".join(cycle)))
+                break
+            if mark == 2:
+                break
+            state[node] = 1
+            path.append(node)
+            node = ontology.concepts[node].genus
+        for visited in path:
+            state[visited] = 2
+
+    for name, concept in ontology.concepts.items():
+        if concept.genus is None:
+            if concept.differentia is not None:
+                violations.append(Violation("R2", f"root {name!r} must not carry a differentia"))
+            continue
+        d = concept.differentia
+        if d is None:
+            violations.append(Violation("R2", f"{name!r} has no differentia"))
+        elif d.axis not in ontology.axes:
+            violations.append(Violation("R2", f"{name!r}: unknown axis {d.axis!r}"))
+        elif d.value not in ontology.axes[d.axis].values:
+            violations.append(
+                Violation("R2", f"{name!r}: value {d.value!r} is not on axis {d.axis!r}")
+            )
+
+    by_parent: dict[str, list[OkConcept]] = {}
+    for concept in ontology.concepts.values():
+        if concept.genus is not None and concept.differentia is not None:
+            by_parent.setdefault(concept.genus, []).append(concept)
+    for parent in sorted(by_parent):
+        seen: dict[Differentia, str] = {}
+        for concept in by_parent[parent]:
+            prior = seen.get(concept.differentia)
+            if prior is not None:
+                violations.append(
+                    Violation(
+                        "R3",
+                        f"siblings {prior!r} and {concept.name!r} under {parent!r} "
+                        f"share {concept.differentia}",
+                    )
+                )
+            else:
+                seen[concept.differentia] = concept.name
+
+    for name in ontology.concepts:
+        axes_on_path: dict[str, list[str]] = {}
+        for node in [name] + ontology.genus_chain(name):
+            d = ontology.concepts[node].differentia
+            if d is not None:
+                axes_on_path.setdefault(d.axis, []).append(node)
+        for axis, users in sorted(axes_on_path.items()):
+            if len(users) > 1 and users[0] == name:
+                violations.append(
+                    Violation(
+                        "R4",
+                        f"axis {axis!r} used more than once on the path to {name!r} "
+                        f"({', '.join(sorted(users))})",
+                    )
+                )
+
+    for name, concept in ontology.concepts.items():
+        own = [a.name for a in concept.attributes]
+        for attr_name in own:
+            if own.count(attr_name) > 1:
+                violations.append(
+                    Violation("R5", f"attribute {attr_name!r} declared twice on {name!r}")
+                )
+        for ancestor in ontology.genus_chain(name):
+            inherited = {a.name for a in ontology.concepts[ancestor].attributes}
+            for attr_name in own:
+                if attr_name in inherited:
+                    violations.append(
+                        Violation(
+                            "R5",
+                            f"attribute {attr_name!r} on {name!r} shadows the one on {ancestor!r}",
+                        )
+                    )
+
+    for cdef in ontology.class_defs.values():
+        if cdef.base_concept not in ontology.concepts:
+            violations.append(
+                Violation("R6", f"class {cdef.name!r}: unknown base concept {cdef.base_concept!r}")
+            )
+            continue
+        visible = ontology.visible_attributes(cdef.base_concept)
+        for comparison in cdef.predicate:
+            if comparison.attribute not in visible:
+                violations.append(
+                    Violation(
+                        "R6",
+                        f"class {cdef.name!r}: attribute {comparison.attribute!r} "
+                        f"is not visible at {cdef.base_concept!r}",
+                    )
+                )
+
+    for term, target in sorted(ontology.denotation.items()):
+        if target not in ontology.concepts:
+            violations.append(
+                Violation("R7", f"term {term!r} denotes unknown concept {target!r}")
+            )
+
+    return violations
+
+
+def compare_structures_oracle(
+    taxonomy: Taxonomy, ontology: OkOntology, alignments: dict[str, AlignmentResult]
+) -> DiscrepancyReport:
+    """The structure diff with one ``taxonomy.parents`` edge scan per concept."""
+    entries = []
+    for cid in sorted(taxonomy.concepts):
+        concept = taxonomy.concepts[cid]
+        parent_ids = taxonomy.parents(cid)
+        if not parent_ids:
+            continue
+        own = alignments.get(concept.label)
+        if own is None or own.concept is None:
+            entries.append(DiscrepancyEntry(concept.label, None, (), Verdict.UNALIGNED))
+            continue
+        chain = tuple(ontology.genus_chain(own.concept))
+        best: tuple[Verdict, str | None] = (Verdict.UNALIGNED, None)
+        for pid in parent_ids:
+            parent_label = taxonomy.concepts[pid].label
+            parent_alignment = alignments.get(parent_label)
+            if parent_alignment is None or parent_alignment.concept is None:
+                verdict = Verdict.UNALIGNED
+            elif chain and parent_alignment.concept == chain[0]:
+                verdict = Verdict.AGREE
+            elif parent_alignment.concept in chain[1:]:
+                verdict = Verdict.PARENT_ELIDED
+            else:
+                verdict = Verdict.CONFLICT
+            if _VERDICT_PRIORITY[verdict] < _VERDICT_PRIORITY[best[0]] or best[1] is None:
+                best = (verdict, parent_label)
+        entries.append(DiscrepancyEntry(concept.label, best[1], chain, best[0]))
+    return DiscrepancyReport(entries)
+
+
+def structure_closure_oracle(structure: Taxonomy | OkOntology, concept: str) -> set[str]:
+    """Down-closure by fixpoint over the structure's raw edges."""
+    if isinstance(structure, Taxonomy):
+        return closure_oracle(structure.subsumption, set(structure.concepts), concept)
+    edges = {(c.name, c.genus) for c in structure.concepts.values() if c.genus is not None}
+    return closure_oracle(edges, set(structure.concepts), concept)
+
+
+def recall_oracle(
+    pairs_a: set[tuple[str, str]],
+    structure_a: Taxonomy | OkOntology,
+    pairs_b: set[tuple[str, str]],
+    structure_b: Taxonomy | OkOntology,
+    label: str,
+) -> RecallComparison:
+    """``compare_recall`` by scanning every (document, concept) annotation,
+    once for the result and once per result document for its explanation."""
+    resolved = []
+    for structure in (structure_a, structure_b):
+        concept = resolve_label(structure, label)
+        if concept is None:
+            raise UnresolvableLabelError(
+                f"label {label!r} is not resolvable in the {structure_name(structure)} structure"
+            )
+        resolved.append(concept)
+    closure_a = structure_closure_oracle(structure_a, resolved[0])
+    closure_b = structure_closure_oracle(structure_b, resolved[1])
+    docs_a = {doc for doc, concept in pairs_a if concept in closure_a}
+    docs_b = {doc for doc, concept in pairs_b if concept in closure_b}
+    explanations = {
+        doc: {
+            "a": tuple(sorted(c for d, c in pairs_a if d == doc and c in closure_a)),
+            "b": tuple(sorted(c for d, c in pairs_b if d == doc and c in closure_b)),
+        }
+        for doc in sorted(docs_a | docs_b)
+    }
+    return RecallComparison(
+        concept_label=label,
+        concept_a=resolved[0],
+        concept_b=resolved[1],
+        docs_a=tuple(sorted(docs_a)),
+        docs_b=tuple(sorted(docs_b)),
+        only_a=tuple(sorted(docs_a - docs_b)),
+        only_b=tuple(sorted(docs_b - docs_a)),
+        symmetric_difference=tuple(sorted(docs_a ^ docs_b)),
+        explanations=explanations,
+    )

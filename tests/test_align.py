@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ontoterm.align import (
     AlignKind,
+    AlignmentResult,
     DEFAULT_STOPWORDS,
     Verdict,
     align_term,
@@ -22,7 +23,13 @@ from ontoterm.okmodel import Differentia, OkConcept, load_dsl, parse_dsl
 from ontoterm.projection import Concept, Taxonomy
 from ontoterm.retrieval import resolve_label
 
-from genutil import align_oracle, random_align_case
+from genutil import (
+    align_oracle,
+    compare_structures_oracle,
+    random_align_case,
+    random_ok_variant,
+    random_taxonomy,
+)
 
 RAST = "relais à seuil de tension"
 
@@ -289,3 +296,26 @@ def test_taxonomy_alignments_are_identity():
     alignments = taxonomy_alignments(taxonomy)
     assert alignments["relais de tension"].concept == "relais de tension"
     assert all(r.kind is AlignKind.EXACT for r in alignments.values())
+
+
+def test_compare_structures_matches_the_per_concept_edge_scan():
+    rng = random.Random(20100218)
+    verdicts = Counter()
+    for _ in range(300):
+        taxonomy = random_taxonomy(rng, max_nodes=30, prefix="n")
+        ontology = random_ok_variant(rng, max_nodes=30)
+        names = list(ontology.concepts)
+        alignments = {}
+        for cid, concept in taxonomy.concepts.items():
+            roll = rng.random()
+            if roll < 0.1:
+                continue
+            if roll < 0.2:
+                alignments[concept.label] = AlignmentResult(concept.label, AlignKind.UNMATCHED)
+            else:
+                target = cid if cid in ontology.concepts and roll < 0.6 else rng.choice(names)
+                alignments[concept.label] = AlignmentResult(concept.label, AlignKind.EXACT, target)
+        expected = compare_structures_oracle(taxonomy, ontology, alignments)
+        assert compare_structures(taxonomy, ontology, alignments) == expected
+        verdicts.update(e.verdict for e in expected.entries)
+    assert all(verdicts[v] >= 50 for v in Verdict), verdicts

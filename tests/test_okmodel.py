@@ -1,11 +1,19 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genutil import ancestors_oracle, random_ok_tree
+from genutil import (
+    ancestors_oracle,
+    check_consistency_oracle,
+    random_ok_tree,
+    random_ok_variant,
+    scan_children,
+    scan_closure,
+)
 from ontoterm.errors import (
     BadValueError,
     DslParseError,
@@ -437,3 +445,84 @@ def test_load_instances_schema(tmp_path):
     instances = load_instances(path)
     assert instances[0].id == "i1"
     assert instances[0].state == {"seuil_volts": 500}
+
+
+# --- indexed children view and top-down checker against the scans -------------
+
+
+def shapes(ontology):
+    """Which inconsistent shapes a case has, read off the oracle's R1 report."""
+    found = set()
+    for v in check_consistency_oracle(ontology):
+        if v.message.startswith("genus cycle"):
+            found.add("cycle")
+        elif v.message.startswith("multiple roots"):
+            found.add("roots")
+        elif "unknown genus" in v.message:
+            found.add("unknown genus")
+    return found
+
+
+def test_children_and_closure_match_the_scan_on_random_ontologies():
+    rng = random.Random(20100216)
+    seen = Counter()
+    for _ in range(1000):
+        ontology = random_ok_variant(rng, max_nodes=30)
+        seen.update(shapes(ontology))
+        names = list(ontology.concepts)
+        for name in [None, "ghost"] + names:
+            assert ontology.children(name) == scan_children(ontology, name)
+        for name in ontology.roots() + rng.sample(names, min(4, len(names))):
+            assert ontology.subsumed_closure(name) == scan_closure(ontology, name)
+    assert all(seen[shape] >= 50 for shape in ("cycle", "roots", "unknown genus")), seen
+
+
+def test_closure_sees_concepts_edited_in_place(relay):
+    ontology = relay.copy()
+    threshold = "relais à seuil"
+    assert ontology.subsumed_closure(threshold) == {threshold, RAST}
+    current = "relais à seuil de courant"
+    ontology.concepts[current] = OkConcept(
+        current, threshold, Differentia("grandeur_seuillée", "courant")
+    )
+    assert ontology.subsumed_closure(threshold) == {threshold, RAST, current}
+    assert ontology.children(threshold) == [RAST, current]
+    ontology.concepts[RAST] = OkConcept(RAST, "relais", Differentia("grandeur_seuillée", "tension"))
+    assert ontology.subsumed_closure(threshold) == {threshold, current}
+    assert ontology.children("relais")[-1] == RAST
+    del ontology.concepts[current]
+    assert ontology.subsumed_closure(threshold) == {threshold}
+    ontology.concepts = dict(relay.concepts)
+    assert ontology.subsumed_closure(threshold) == {threshold, RAST}
+    for name in ontology.concepts:
+        assert ontology.subsumed_closure(name) == scan_closure(ontology, name)
+
+
+def test_check_consistency_matches_the_chain_walk_on_random_ontologies():
+    rng = random.Random(20100217)
+    rules = Counter()
+    for _ in range(1000):
+        ontology = random_ok_variant(rng)
+        expected = check_consistency_oracle(ontology)
+        assert check_consistency(ontology) == expected
+        rules.update({v.rule for v in expected})
+    assert all(rules[rule] >= 50 for rule in ("R1", "R2", "R3", "R4", "R5")), rules
+
+
+def test_check_consistency_of_a_10k_deep_chain_with_reuse_and_shadowing():
+    depth = 10_000
+    ontology = OkOntology(name="deep")
+    ontology.concepts["c0"] = OkConcept("c0", attributes=(AttributeDef("w", ValueType("number")),))
+    for i in range(1, depth):
+        axis = "a" if i in (1, depth - 1) else f"a{i}"
+        ontology.axes[axis] = Axis(axis, ("x", "y"))
+        attributes = {5000: ("v",), depth - 1: ("w", "v")}.get(i, ())
+        ontology.concepts[f"c{i}"] = OkConcept(
+            f"c{i}", f"c{i - 1}", Differentia(axis, "x"),
+            tuple(AttributeDef(a, ValueType("number")) for a in attributes),
+        )
+    assert [str(v) for v in check_consistency(ontology)] == [
+        f"R4: axis 'a' used more than once on the path to 'c{depth - 1}' (c1, c{depth - 1})",
+        f"R5: attribute 'v' on 'c{depth - 1}' shadows the one on 'c5000'",
+        f"R5: attribute 'w' on 'c{depth - 1}' shadows the one on 'c0'",
+    ]

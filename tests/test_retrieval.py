@@ -1,10 +1,18 @@
 from __future__ import annotations
 
+import json
 import random
+import re
 
 import pytest
 
-from genutil import closure_oracle, random_taxonomy
+from genutil import (
+    closure_oracle,
+    random_ok_variant,
+    random_taxonomy,
+    recall_oracle,
+    structure_closure_oracle,
+)
 from ontoterm.align import ontology_alignments, taxonomy_alignments
 from ontoterm.corpus import (
     annotate,
@@ -13,7 +21,8 @@ from ontoterm.corpus import (
     load_lexicon,
     load_patterns,
 )
-from ontoterm.errors import UnknownConceptError, UnresolvableLabelError
+from ontoterm.cli import main
+from ontoterm.errors import ArtifactError, UnknownConceptError, UnresolvableLabelError
 from ontoterm.fixtures import data_path
 from ontoterm.lexnet import (
     Evidence,
@@ -210,3 +219,86 @@ def test_query_monotone_under_subsumption():
             outer = query(index, taxonomy, concept)
             for inner in taxonomy.subsumed_closure(concept):
                 assert query(index, taxonomy, inner) <= outer
+
+
+# --- posting lists against a scan of every annotation -------------------------
+
+
+def random_pairs(rng, docs, concepts, n):
+    return {(rng.choice(docs), rng.choice(concepts)) for _ in range(n)}
+
+
+def test_query_and_compare_recall_match_an_annotation_scan():
+    rng = random.Random(20100219)
+    outcomes = {"compared": 0, "unresolvable": 0, "differ": 0}
+    for _ in range(300):
+        taxonomy = random_taxonomy(rng, max_nodes=25, prefix="n")
+        ontology = random_ok_variant(rng, max_nodes=25)
+        docs = [f"d{i}" for i in range(rng.randint(1, 40))]
+        names = sorted(set(taxonomy.concepts) | set(ontology.concepts))
+        pairs_a = random_pairs(rng, docs, sorted(taxonomy.concepts), rng.randint(0, 80))
+        pairs_b = random_pairs(rng, docs, sorted(ontology.concepts), rng.randint(0, 80))
+        index_a = DocIndex(DocAnnotation(d, c) for d, c in pairs_a)
+        index_b = DocIndex(DocAnnotation(d, c) for d, c in pairs_b)
+        for structure, index, pairs in ((taxonomy, index_a, pairs_a), (ontology, index_b, pairs_b)):
+            for concept in rng.sample(sorted(structure.concepts), min(5, len(structure.concepts))):
+                closure = structure_closure_oracle(structure, concept)
+                assert query(index, structure, concept) == {d for d, c in pairs if c in closure}
+        for label in rng.sample(names, min(4, len(names))):
+            try:
+                expected = recall_oracle(pairs_a, taxonomy, pairs_b, ontology, label)
+            except UnresolvableLabelError as exc:
+                with pytest.raises(UnresolvableLabelError, match=re.escape(str(exc))):
+                    compare_recall(index_a, taxonomy, index_b, ontology, label)
+                outcomes["unresolvable"] += 1
+                continue
+            assert compare_recall(index_a, taxonomy, index_b, ontology, label) == expected
+            outcomes["compared"] += 1
+            outcomes["differ"] += bool(expected.symmetric_difference)
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def artifact_side(rng):
+    """One side of ``doc_index.json`` as the program writes it: rows sorted
+    by (document, concept), each pair once."""
+    docs = [f"d{i:03d}" for i in range(rng.randint(0, 30))]
+    concepts = [f"c{i}" for i in range(20)]
+    pairs = sorted(random_pairs(rng, docs, concepts, rng.randint(0, 60))) if docs else []
+    return {
+        "annotations": [{"doc_id": d, "concept": c, "source": "TERM_OCCURRENCE"} for d, c in pairs],
+        "unannotated_docs": sorted(rng.sample(docs, min(3, len(docs)))),
+        "skipped_ambiguous": sorted(rng.sample(["x y", "z"], rng.randint(0, 2))),
+    }
+
+
+def test_index_artifact_round_trips_byte_identically():
+    rng = random.Random(20100220)
+    for _ in range(200):
+        payload = artifact_side(rng)
+        text = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True)
+        again = index_to_json_obj(index_from_json_obj(json.loads(text)))
+        assert json.dumps(again, ensure_ascii=False, indent=2, sort_keys=True) == text
+        rebuilt = DocIndex(
+            {DocAnnotation(row["doc_id"], row["concept"]) for row in payload["annotations"]},
+            payload["unannotated_docs"],
+            payload["skipped_ambiguous"],
+        )
+        assert index_to_json_obj(rebuilt) == payload
+        doubled = {**payload, "annotations": payload["annotations"][::-1] * 2}
+        assert index_to_json_obj(index_from_json_obj(doubled)) == payload
+        assert rebuilt == index_from_json_obj(payload)
+
+
+@pytest.mark.parametrize("source", ["MANUAL", None, 3])
+def test_an_annotation_of_another_source_is_an_artifact_error(tmp_path, capsys, source):
+    row = {"doc_id": "d1", "concept": "relais", "source": source}
+    if source is None:
+        del row["source"]
+    with pytest.raises(ArtifactError):
+        index_from_json_obj({"annotations": [row]})
+    index = tmp_path / "doc_index.json"
+    index.write_text(json.dumps({"ok": {"annotations": [row]}}), encoding="utf-8")
+    argv = ["query", "--index", str(index), "--structure", "ok", "--concept", "relais",
+            "--dsl", str(data_path("relais.dsl"))]
+    assert main(argv) == 2
+    assert "E_ARTIFACT" in capsys.readouterr().err
