@@ -2,7 +2,8 @@
 
 Each pipeline stage is also a standalone subcommand that reads the prior
 stage's JSON, so any step can be rerun or inspected in isolation.  Exit
-codes: 0 ok, 1 usage or configuration error, 2 stage failure, 3
+codes: 0 ok, 1 usage or configuration error, 2 stage failure (an
+unreadable file is ``E_IO``, a malformed artifact ``E_ARTIFACT``), 3
 consistency violations.  ``ONTOTERM_NO_COLOR`` disables ANSI colors.
 """
 
@@ -16,51 +17,29 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .align import (
-    DEFAULT_STOPWORDS,
-    alignment_artifact,
-    compare_structures,
-    load_stopwords,
-    ontology_alignments,
-    taxonomy_alignments,
-)
-from .corpus import (
-    DEFAULT_PATTERNS,
-    Lexicon,
-    annotate,
-    candidates_from_json,
-    candidates_to_json,
-    extract_candidates,
-    load_corpus,
-    load_lexicon,
-    load_patterns,
-)
 from .errors import ConfigError, InconsistentOntologyError, OntoTermError
-from .export import DEFAULT_IRI, to_kif, to_owl
+from .export import DEFAULT_IRI
 from .fixtures import data_path
-from .lexnet import (
-    apply_validation,
-    build_network,
-    copula_relations,
-    lexnet_from_json,
-    lexnet_to_json,
-    load_decisions,
-    same_head_hyponyms,
-    terms_from_candidates,
-)
-from .okmodel import check_consistency, load_dsl
+from .okmodel import load_dsl
 from .pipeline import (
+    RunValues,
     load_config,
-    load_synonym_declarations,
+    read_artifact,
+    render_align,
+    render_export,
+    render_extract,
+    render_index,
+    render_net,
+    render_ok_check,
+    render_project,
+    render_validate,
     run_pipeline,
 )
-from .projection import project, taxonomy_from_json, taxonomy_to_dot, taxonomy_to_json
+from .projection import taxonomy_to_dot
 from .retrieval import (
     compare_recall,
     comparison_to_json,
-    index_corpus,
     index_from_json_obj,
-    index_to_json_obj,
     query,
     resolve_label,
 )
@@ -112,8 +91,10 @@ def _json_line(payload) -> str:
     return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
-def _load_stopwords(path: str | None) -> frozenset[str]:
-    return load_stopwords(path) if path else DEFAULT_STOPWORDS
+def _values(args, **sources) -> RunValues:
+    """The run values of one subcommand: each path argument names the input
+    of the same name (``sources`` renames the others)."""
+    return RunValues({**vars(args), **sources})
 
 
 # ---------------------------------------------------------------------------
@@ -121,31 +102,19 @@ def _load_stopwords(path: str | None) -> frozenset[str]:
 
 
 def cmd_extract(args) -> int:
-    corpus = load_corpus(args.corpus)
-    lexicon = load_lexicon(args.lexicon) if args.lexicon else Lexicon()
-    patterns = load_patterns(args.patterns) if args.patterns else list(DEFAULT_PATTERNS)
-    tokens = [t for doc in corpus for t in annotate(doc, lexicon)]
-    _emit(candidates_to_json(extract_candidates(tokens, patterns)), args.out)
+    _emit(render_extract(_values(args)), args.out)
     return EXIT_OK
 
 
 def cmd_net(args) -> int:
-    candidates = candidates_from_json(Path(args.candidates).read_text(encoding="utf-8"))
-    corpus = load_corpus(args.corpus)
-    lexicon = load_lexicon(args.lexicon) if args.lexicon else Lexicon()
-    tokens = [t for doc in corpus for t in annotate(doc, lexicon)]
-    relations = same_head_hyponyms(candidates)
-    relations += copula_relations(tokens, [c.label for c in candidates])
-    synonyms = load_synonym_declarations(args.synonyms) if args.synonyms else ()
-    net = build_network(terms_from_candidates(candidates), relations, synonyms)
-    _emit(lexnet_to_json(net), args.out)
+    _emit(render_net(_values(args)), args.out)
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    net = lexnet_from_json(Path(args.lexnet).read_text(encoding="utf-8"))
-    updated = apply_validation(net, load_decisions(args.decisions))
-    Path(args.out).write_text(lexnet_to_json(updated), encoding="utf-8")
+    values = _values(args, network=args.lexnet)
+    Path(args.out).write_text(render_validate(values), encoding="utf-8")
+    updated = values["validated"]
     contradictions = updated.contradictions()
     statuses = {}
     for term in updated.terms.values():
@@ -163,41 +132,33 @@ def cmd_validate(args) -> int:
 
 
 def cmd_project(args) -> int:
-    net = lexnet_from_json(Path(args.lexnet).read_text(encoding="utf-8"))
-    taxonomy = project(net)
-    _emit(taxonomy_to_json(taxonomy), args.out)
+    values = _values(args, validated=args.lexnet)
+    _emit(render_project(values), args.out)
     if args.dot:
-        Path(args.dot).write_text(taxonomy_to_dot(taxonomy), encoding="utf-8")
+        Path(args.dot).write_text(taxonomy_to_dot(values["taxonomy"]), encoding="utf-8")
     return EXIT_OK
 
 
 def cmd_ok_check(args) -> int:
-    ontology = load_dsl(args.dsl)
-    violations = check_consistency(ontology)
+    values = _values(args)
+    text = render_ok_check(values)
+    violations = values["ok_report"]["violations"]
     if args.format == "json":
-        payload = {
-            "ontology": ontology.name,
-            "consistent": not violations,
-            "violations": [{"rule": v.rule, "message": v.message} for v in violations],
-        }
-        sys.stdout.write(_json_line(payload))
+        sys.stdout.write(text)
     else:
         if violations:
-            print(_render_table(["rule", "violation"], [[v.rule, v.message] for v in violations]))
+            print(_render_table(["rule", "violation"], [[v["rule"], v["message"]] for v in violations]))
         print(_paint("consistent" if not violations else f"{len(violations)} violations", not violations))
     return EXIT_OK if not violations else EXIT_INCONSISTENT
 
 
 def cmd_align(args) -> int:
-    taxonomy = taxonomy_from_json(Path(args.taxonomy).read_text(encoding="utf-8"))
-    ontology = load_dsl(args.dsl)
-    stopwords = _load_stopwords(args.stopwords)
-    terms = sorted({t for c in taxonomy.concepts.values() for t in c.denoting_terms})
-    alignments = ontology_alignments(terms, ontology, stopwords)
-    report = compare_structures(taxonomy, ontology, alignments)
+    values = _values(args)
+    text = render_align(values)
     if args.out or args.format == "json":
-        _emit(alignment_artifact(alignments, report), args.out)
+        _emit(text, args.out)
     if args.format == "table":
+        alignments, report = values["alignments"], values["discrepancies"]
         rows = [
             [r.term, r.kind.value, r.concept or ", ".join(r.candidates) or "-"]
             for r in alignments.values()
@@ -213,40 +174,32 @@ def cmd_align(args) -> int:
 
 
 def cmd_index(args) -> int:
-    corpus = load_corpus(args.corpus)
-    candidates = candidates_from_json(Path(args.candidates).read_text(encoding="utf-8"))
-    taxonomy = taxonomy_from_json(Path(args.taxonomy).read_text(encoding="utf-8"))
-    ontology = load_dsl(args.dsl)
-    stopwords = _load_stopwords(args.stopwords)
-    labels = [c.label for c in candidates]
-    projected = index_corpus(corpus, candidates, taxonomy, taxonomy_alignments(taxonomy))
-    ok_index = index_corpus(
-        corpus, candidates, ontology, ontology_alignments(labels, ontology, stopwords)
-    )
-    payload = {"projected": index_to_json_obj(projected), "ok": index_to_json_obj(ok_index)}
-    _emit(_json_line(payload), args.out)
+    _emit(render_index(_values(args)), args.out)
     return EXIT_OK
 
 
 def _load_index_side(path: str, side: str):
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if side not in payload:
-        raise ConfigError(f"index file has no {side!r} side")
-    return index_from_json_obj(payload[side])
+    def decode(text: str):
+        payload = json.loads(text)
+        if side not in payload:
+            raise ConfigError(f"index file has no {side!r} side")
+        return index_from_json_obj(payload[side])
+
+    return read_artifact(path, decode)
 
 
 def cmd_query(args) -> int:
+    values = _values(args)
     if args.structure == "projected":
         if not args.taxonomy:
             raise ConfigError("query --structure projected needs --taxonomy")
-        structure = taxonomy_from_json(Path(args.taxonomy).read_text(encoding="utf-8"))
+        structure = values["taxonomy"]
     else:
         if not args.dsl:
             raise ConfigError("query --structure ok needs --dsl")
         structure = load_dsl(args.dsl)
     index = _load_index_side(args.index, args.structure)
-    stopwords = _load_stopwords(args.stopwords)
-    concept = resolve_label(structure, args.concept, stopwords)
+    concept = resolve_label(structure, args.concept, values["stopwords"])
     if concept is None:
         raise OntoTermError(f"concept not found in {args.structure} structure: {args.concept!r}")
     docs = sorted(query(index, structure, concept))
@@ -260,13 +213,12 @@ def cmd_query(args) -> int:
 
 
 def cmd_compare_recall(args) -> int:
-    taxonomy = taxonomy_from_json(Path(args.taxonomy).read_text(encoding="utf-8"))
+    values = _values(args)
     ontology = load_dsl(args.dsl)
     index_projected = _load_index_side(args.index, "projected")
     index_ok = _load_index_side(args.index, "ok")
-    stopwords = _load_stopwords(args.stopwords)
     comparison = compare_recall(
-        index_projected, taxonomy, index_ok, ontology, args.concept, stopwords
+        index_projected, values["taxonomy"], index_ok, ontology, args.concept, values["stopwords"]
     )
     if args.format == "json":
         sys.stdout.write(comparison_to_json(comparison))
@@ -285,9 +237,7 @@ def cmd_compare_recall(args) -> int:
 
 
 def cmd_export(args) -> int:
-    ontology = load_dsl(args.dsl)
-    text = to_kif(ontology) if args.format == "kif" else to_owl(ontology, args.iri)
-    _emit(text, args.out)
+    _emit(render_export(_values(args, export_format=args.format)), args.out)
     return EXIT_OK
 
 
@@ -407,6 +357,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INCONSISTENT
     except OntoTermError as exc:
         print(f"ontoterm: {exc.code}: {exc}", file=sys.stderr)
+        return EXIT_STAGE
+    except OSError as exc:
+        print(f"ontoterm: E_IO: {exc}", file=sys.stderr)
         return EXIT_STAGE
 
 

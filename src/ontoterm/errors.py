@@ -43,22 +43,6 @@ class UnknownConceptError(OntoTermError):
     code = "E_UNKNOWN_CONCEPT"
 
 
-class DuplicateNameError(OntoTermError):
-    code = "E_DUP_NAME"
-
-
-class UnknownGenusError(OntoTermError):
-    code = "E_UNKNOWN_GENUS"
-
-
-class UnknownAxisError(OntoTermError):
-    code = "E_UNKNOWN_AXIS"
-
-
-class BadValueError(OntoTermError):
-    code = "E_BAD_VALUE"
-
-
 class TypeMismatchError(OntoTermError):
     code = "E_TYPE"
 

@@ -29,18 +29,14 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
-    BadValueError,
     DslIssue,
     DslParseError,
-    DuplicateNameError,
     InconsistentOntologyError,
     TypeMismatchError,
-    UnknownAxisError,
     UnknownConceptError,
-    UnknownGenusError,
 )
 
 
@@ -222,60 +218,6 @@ class OkOntology:
                     seen.add(child)
                     queue.append(child)
         return seen
-
-
-def define_axis(ontology: OkOntology, name: str, values: Iterable[str]) -> OkOntology:
-    values = tuple(values)
-    if name in ontology.axes:
-        raise DuplicateNameError(f"axis already declared: {name!r}")
-    if len(values) < 2 or len(set(values)) != len(values):
-        raise BadValueError(f"axis {name!r} needs at least two distinct values")
-    out = ontology.copy()
-    out.axes[name] = Axis(name, values)
-    return out
-
-
-def define_root(ontology: OkOntology, name: str) -> OkOntology:
-    if name in ontology.concepts:
-        raise DuplicateNameError(f"concept already declared: {name!r}")
-    out = ontology.copy()
-    out.concepts[name] = OkConcept(name)
-    return out
-
-
-def define_concept(
-    ontology: OkOntology, name: str, genus: str, differentia: Differentia
-) -> OkOntology:
-    """Add a concept under ``genus``; construction checks only local facts.
-
-    Axis reuse along the path or value clashes among siblings are left to
-    ``check_consistency``; building and judging are separate steps.
-    """
-    if name in ontology.concepts:
-        raise DuplicateNameError(f"concept already declared: {name!r}")
-    if genus not in ontology.concepts:
-        raise UnknownGenusError(f"unknown genus: {genus!r}")
-    axis = ontology.axes.get(differentia.axis)
-    if axis is None:
-        raise UnknownAxisError(f"unknown axis: {differentia.axis!r}")
-    if differentia.value not in axis.values:
-        raise BadValueError(
-            f"value {differentia.value!r} is not on axis {differentia.axis!r}"
-        )
-    out = ontology.copy()
-    out.concepts[name] = OkConcept(name, genus, differentia)
-    return out
-
-
-def attach_attribute(ontology: OkOntology, concept: str, attribute: AttributeDef) -> OkOntology:
-    if concept not in ontology.concepts:
-        raise UnknownConceptError(f"unknown concept: {concept!r}")
-    holder = ontology.concepts[concept]
-    if any(a.name == attribute.name for a in holder.attributes):
-        raise DuplicateNameError(f"attribute {attribute.name!r} already on {concept!r}")
-    out = ontology.copy()
-    out.concepts[concept] = replace(holder, attributes=holder.attributes + (attribute,))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -144,9 +144,12 @@ def index_corpus(
 
 
 def query(index: DocIndex, structure: Structure, concept: str) -> set[str]:
-    """Documents of ``concept`` and of every concept it subsumes: the union
-    of the closure's posting lists."""
-    closure = structure.subsumed_closure(concept)
+    """Documents of ``concept`` and of every concept it subsumes."""
+    return _docs_of(index, structure.subsumed_closure(concept))
+
+
+def _docs_of(index: DocIndex, closure: Iterable[str]) -> set[str]:
+    """The union of the posting lists of ``closure``'s members."""
     postings = index.docs_by_concept
     docs: set[str] = set()
     for member in closure:
@@ -189,7 +192,8 @@ def compare_recall(
     concept_label: str,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
 ) -> RecallComparison:
-    """Run one query against both structures and explain the difference."""
+    """Run one query against both structures and explain the difference;
+    each side's closure is computed once and serves both."""
     resolved = []
     for structure in (structure_a, structure_b):
         concept = resolve_label(structure, concept_label, stopwords)
@@ -200,11 +204,10 @@ def compare_recall(
             )
         resolved.append(concept)
     concept_a, concept_b = resolved
-    docs_a = query(index_a, structure_a, concept_a)
-    docs_b = query(index_b, structure_b, concept_b)
-
     closure_a = structure_a.subsumed_closure(concept_a)
     closure_b = structure_b.subsumed_closure(concept_b)
+    docs_a = _docs_of(index_a, closure_a)
+    docs_b = _docs_of(index_b, closure_b)
     by_doc_a, by_doc_b = index_a.concepts_by_doc, index_b.concepts_by_doc
     explanations = {}
     for doc in sorted(docs_a | docs_b):

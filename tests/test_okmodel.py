@@ -15,12 +15,9 @@ from genutil import (
     scan_closure,
 )
 from ontoterm.errors import (
-    BadValueError,
     DslParseError,
-    DuplicateNameError,
     TypeMismatchError,
     UnknownConceptError,
-    UnknownGenusError,
 )
 from ontoterm.fixtures import data_path
 from ontoterm.okmodel import (
@@ -33,7 +30,6 @@ from ontoterm.okmodel import (
     ValueType,
     check_consistency,
     classify_object,
-    define_concept,
     load_dsl,
     load_instances,
     parse_dsl,
@@ -129,46 +125,28 @@ def test_parse_term_with_unknown_target_is_a_consistency_matter():
 # --- construction -----------------------------------------------------------
 
 
-def base_ontology():
-    text = (
-        'ontology "t"\n'
-        "axis comportement values tout-ou-rien, seuil\n"
-        "axis grandeur_seuillée values tension, courant\n"
-        "concept relais root\n"
-        "concept relais à seuil genus relais diff comportement=seuil\n"
-    )
-    return parse_dsl(text)
+BASE_DSL = (
+    'ontology "t"\n'
+    "axis comportement values tout-ou-rien, seuil\n"
+    "axis grandeur_seuillée values tension, courant\n"
+    "concept relais root\n"
+    "concept relais à seuil genus relais diff comportement=seuil\n"
+)
 
 
-def test_define_concept_adds_child():
-    ontology = define_concept(
-        base_ontology(), RAST, "relais à seuil", Differentia("grandeur_seuillée", "tension")
+def test_dsl_concept_adds_child():
+    ontology = parse_dsl(
+        BASE_DSL + f"concept {RAST} genus relais à seuil diff grandeur_seuillée=tension\n"
     )
     assert ontology.concepts[RAST].genus == "relais à seuil"
     assert check_consistency(ontology) == []
 
 
-def test_define_concept_returns_new_value():
-    before = base_ontology()
-    define_concept(before, RAST, "relais à seuil", Differentia("grandeur_seuillée", "tension"))
-    assert RAST not in before.concepts
-
-
-def test_define_concept_accepts_axis_reuse_checker_rejects_it():
-    ontology = define_concept(
-        base_ontology(), "relais bizarre", "relais à seuil", Differentia("comportement", "tout-ou-rien")
+def test_dsl_accepts_axis_reuse_checker_rejects_it():
+    ontology = parse_dsl(
+        BASE_DSL + "concept relais bizarre genus relais à seuil diff comportement=tout-ou-rien\n"
     )
     assert {v.rule for v in check_consistency(ontology)} == {"R4"}
-
-
-def test_define_concept_errors():
-    ontology = base_ontology()
-    with pytest.raises(UnknownGenusError):
-        define_concept(ontology, "x", "ghost", Differentia("comportement", "seuil"))
-    with pytest.raises(BadValueError):
-        define_concept(ontology, "x", "relais", Differentia("comportement", "ghost"))
-    with pytest.raises(DuplicateNameError):
-        define_concept(ontology, "relais à seuil", "relais", Differentia("comportement", "tout-ou-rien"))
 
 
 # --- consistency rules -------------------------------------------------------

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from ontoterm import pipeline
 from ontoterm.cli import main
+from ontoterm.corpus import load_corpus
 from ontoterm.errors import ConfigError, InconsistentOntologyError
 from ontoterm.fixtures import data_path
 from ontoterm.pipeline import STAGES, load_config, parse_config, run_pipeline
@@ -168,6 +171,114 @@ def test_pipeline_stops_on_inconsistent_ontology(tmp_path):
     assert not report["consistent"]
 
 
+def artifact_bytes(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("stage", ["extract", "index"])
+def test_pipeline_renders_a_corrupted_artifact_again(tmp_path, stage):
+    config = load_config(write_config(tmp_path))
+    artifact = config.output / run_pipeline(config).stages[stage].artifact
+    before = artifact_bytes(config.output)
+    artifact.write_bytes(artifact.read_bytes()[: len(before[artifact.name]) // 2])
+    result = run_pipeline(config)
+    assert {name for name, outcome in result.stages.items() if not outcome.cache_hit} == {stage}
+    assert artifact_bytes(config.output) == before
+    manifest = json.loads((config.output / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["stages"][stage]["sha256"] == result.stages[stage].sha256
+
+
+def test_pipeline_decisions_edit_renders_exactly_its_downstream(tmp_path):
+    decisions = tmp_path / "decisions.txt"
+    shutil.copy(data_path("decisions.txt"), decisions)
+    config = load_config(write_config(tmp_path, decisions=str(decisions)))
+    run_pipeline(config)
+    with decisions.open("a", encoding="utf-8") as f:
+        f.write('reject term "relais tout ou rien"\n')
+    result = run_pipeline(config)
+    misses = {name for name, outcome in result.stages.items() if not outcome.cache_hit}
+    assert misses == {"validate", "project", "align", "index"}
+
+
+def test_pipeline_drops_tokens_once_net_has_used_them(tmp_path, monkeypatch):
+    config = load_config(write_config(tmp_path))
+    held = {}
+    render_validate = pipeline.render_validate
+
+    def spy(values):
+        held.update(dict.fromkeys(values))
+        return render_validate(values)
+
+    monkeypatch.setattr(pipeline, "render_validate", spy)
+    run_pipeline(config)
+    assert "network" in held
+    assert "tokens" not in held
+
+
+def spy_on_run(monkeypatch, out: Path) -> Counter:
+    """Count corpus loads, annotated documents, hashed paths, decoded
+    artifacts and files read under ``out`` while the pipeline runs."""
+    calls: Counter = Counter()
+
+    def spy(name, key):
+        inner = getattr(pipeline, name)
+
+        def wrapped(*args, **kwargs):
+            calls[key(*args)] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, wrapped)
+
+    spy("load_corpus", lambda *a: "load_corpus")
+    spy("annotate", lambda doc, lexicon: ("annotate", doc.id))
+    spy("_hash_path", lambda path: ("hash", str(path)))
+    for decoder in ("candidates_from_json", "lexnet_from_json", "taxonomy_from_json"):
+        spy(decoder, lambda text: "decode")
+    for method in ("read_text", "read_bytes"):
+        inner = getattr(Path, method)
+
+        def read(path, *args, inner=inner, method=method, **kwargs):
+            if path.parent == out:
+                calls[(method, path.name)] += 1
+            return inner(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, method, read)
+    return calls
+
+
+def hashed(calls: Counter) -> dict[str, int]:
+    return {key[1]: n for key, n in calls.items() if key[0] == "hash"}
+
+
+def test_cold_run_loads_and_hashes_each_input_once_and_reads_nothing_back(tmp_path, monkeypatch):
+    config = load_config(write_config(tmp_path))
+    docs = [doc.id for doc in load_corpus(config.corpus)]
+    calls = spy_on_run(monkeypatch, config.output)
+    run_pipeline(config)
+    assert calls["load_corpus"] == 1
+    assert {doc: calls[("annotate", doc)] for doc in docs} == {doc: 1 for doc in docs}
+    assert str(config.corpus) in hashed(calls)
+    assert set(hashed(calls).values()) == {1}
+    assert not any(Path(path).parent == config.output for path in hashed(calls))
+    assert calls["decode"] == 0
+    assert {key for key in calls if key[0] in ("read_text", "read_bytes")} == {
+        ("read_text", "manifest.json")
+    }
+
+
+def test_warm_run_decodes_only_the_ok_report(tmp_path, monkeypatch):
+    config = load_config(write_config(tmp_path))
+    run_pipeline(config)
+    calls = spy_on_run(monkeypatch, config.output)
+    result = run_pipeline(config)
+    assert all(outcome.cache_hit for outcome in result.stages.values())
+    assert calls["load_corpus"] == 0
+    assert calls["decode"] == 0
+    assert set(hashed(calls).values()) == {1}
+    assert {key[1] for key in calls if key[0] == "read_text"} == {"manifest.json", "ok_report.json"}
+    assert {key[1] for key in calls if key[0] == "read_bytes"} == EXPECTED_ARTIFACTS
+
+
 # --- CLI ----------------------------------------------------------------------
 
 
@@ -280,6 +391,66 @@ def test_cli_stage_chain_standalone(tmp_path, capsys, monkeypatch):
 
     dot = Path(paths["taxonomy.dot"]).read_text(encoding="utf-8")
     assert "digraph" in dot
+
+
+def test_cli_stages_write_the_pipelines_bytes(tmp_path, capsys):
+    data = data_path()
+    config = load_config(write_config(tmp_path))
+    run_pipeline(config)
+    cli = tmp_path / "cli"
+    cli.mkdir()
+    inputs = ["--dsl", str(data / "relais.dsl"), "--stopwords", str(data / "stopwords.txt")]
+    corpus = ["--corpus", str(data / "corpus"), "--lexicon", str(data / "lexicon.tsv")]
+    chain = [
+        ["extract", *corpus, "--patterns", str(data / "patterns.txt"),
+         "--out", str(cli / "candidates.json")],
+        ["net", "--candidates", str(cli / "candidates.json"), *corpus,
+         "--out", str(cli / "lexnet.json")],
+        ["validate", "--lexnet", str(cli / "lexnet.json"), "--decisions",
+         str(data / "decisions.txt"), "--out", str(cli / "lexnet_validated.json")],
+        ["project", "--lexnet", str(cli / "lexnet_validated.json"),
+         "--out", str(cli / "taxonomy.json")],
+        ["align", "--taxonomy", str(cli / "taxonomy.json"), *inputs,
+         "--out", str(cli / "alignment.json")],
+        ["index", "--corpus", str(data / "corpus"), "--candidates", str(cli / "candidates.json"),
+         "--taxonomy", str(cli / "taxonomy.json"), *inputs, "--out", str(cli / "doc_index.json")],
+        ["export", "--dsl", str(data / "relais.dsl"), "--format", "owl",
+         "--out", str(cli / "ontology.owl")],
+    ]
+    for argv in chain:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert main(["ok-check", "--dsl", str(data / "relais.dsl"), "--format", "json"]) == 0
+    (cli / "ok_report.json").write_text(capsys.readouterr().out, encoding="utf-8")
+    assert artifact_bytes(cli) == artifact_bytes(config.output)
+
+
+@pytest.mark.parametrize("case, code", [
+    ("project-missing", "E_IO"),
+    ("ok-check-missing", "E_IO"),
+    ("extract-missing-lexicon", "E_IO"),
+    ("project-misshapen", "E_ARTIFACT"),
+    ("query-misshapen-index", "E_ARTIFACT"),
+])
+def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case, code):
+    missing = str(tmp_path / "missing")
+    misshapen = tmp_path / "lexnet.json"
+    misshapen.write_text('{"x": 1}', encoding="utf-8")
+    index = tmp_path / "doc_index.json"
+    index.write_text('{"ok": {"annotations": ["d1"]}}', encoding="utf-8")
+    argv = {
+        "project-missing": ["project", "--lexnet", missing],
+        "ok-check-missing": ["ok-check", "--dsl", missing],
+        "extract-missing-lexicon": ["extract", "--corpus", str(data_path("corpus")),
+                                    "--lexicon", missing],
+        "project-misshapen": ["project", "--lexnet", str(misshapen)],
+        "query-misshapen-index": ["query", "--index", str(index), "--structure", "ok",
+                                  "--concept", "relais", "--dsl", str(data_path("relais.dsl"))],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ontoterm: {code}: ")
+    assert "Traceback" not in err
 
 
 def test_cli_validate_reports_term_statuses(tmp_path, capsys):

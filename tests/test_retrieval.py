@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -256,6 +257,32 @@ def test_query_and_compare_recall_match_an_annotation_scan():
             outcomes["compared"] += 1
             outcomes["differ"] += bool(expected.symmetric_difference)
     assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_compare_recall_computes_each_closure_once():
+    rng = random.Random(20100221)
+    compared = 0
+    for _ in range(100):
+        taxonomy = random_taxonomy(rng, max_nodes=25, prefix="n")
+        ontology = random_ok_variant(rng, max_nodes=25)
+        calls = Counter()
+        for structure, side in ((taxonomy, "a"), (ontology, "b")):
+            inner = structure.subsumed_closure
+
+            def closure(cid, inner=inner, side=side):
+                calls[side] += 1
+                return inner(cid)
+
+            structure.subsumed_closure = closure
+        for label in sorted(set(taxonomy.concepts) | set(ontology.concepts)):
+            calls.clear()
+            try:
+                compare_recall(DocIndex(), taxonomy, DocIndex(), ontology, label)
+            except UnresolvableLabelError:
+                continue
+            assert calls == {"a": 1, "b": 1}
+            compared += 1
+    assert compared >= 100
 
 
 def artifact_side(rng):
