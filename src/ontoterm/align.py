@@ -21,6 +21,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from .errors import read_text
 from .okmodel import OkOntology, subsumes
 from .projection import Taxonomy, concept_id
 
@@ -33,7 +34,7 @@ DEFAULT_STOPWORDS = frozenset(
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     words = set()
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.strip()
         if line and not line.startswith("#"):
             words.add(unicodedata.normalize("NFC", line).lower())
@@ -243,13 +244,10 @@ def compare_structures(
     is a CONFLICT.  On multi-parent taxonomies the most favorable parent
     decides and is the one reported.
     """
-    parents: dict[str, list[str]] = {}
-    for child, parent in taxonomy.subsumption:
-        parents.setdefault(child, []).append(parent)
     entries = []
     for cid in sorted(taxonomy.concepts):
         concept = taxonomy.concepts[cid]
-        parent_ids = sorted(parents.get(cid, ()))
+        parent_ids = taxonomy.parents(cid)
         if not parent_ids:
             continue  # root
         own = alignments.get(concept.label)

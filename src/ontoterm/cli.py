@@ -3,8 +3,9 @@
 Each pipeline stage is also a standalone subcommand that reads the prior
 stage's JSON, so any step can be rerun or inspected in isolation.  Exit
 codes: 0 ok, 1 usage or configuration error, 2 stage failure (an
-unreadable file is ``E_IO``, a malformed artifact ``E_ARTIFACT``), 3
-consistency violations.  ``ONTOTERM_NO_COLOR`` disables ANSI colors.
+unreadable file is ``E_IO``, an input file that is not UTF-8
+``E_ENCODING``, a malformed artifact ``E_ARTIFACT``), 3 consistency
+violations.  ``ONTOTERM_NO_COLOR`` disables ANSI colors.
 """
 
 from __future__ import annotations
@@ -179,13 +180,7 @@ def cmd_index(args) -> int:
 
 
 def _load_index_side(path: str, side: str):
-    def decode(text: str):
-        payload = json.loads(text)
-        if side not in payload:
-            raise ConfigError(f"index file has no {side!r} side")
-        return index_from_json_obj(payload[side])
-
-    return read_artifact(path, decode)
+    return read_artifact(path, lambda text: index_from_json_obj(json.loads(text)[side]))
 
 
 def cmd_query(args) -> int:

@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import BadPatternError, EncodingError, NoCorpusError
+from .errors import BadPatternError, EncodingError, NoCorpusError, read_text
 
 
 class POS(str, Enum):
@@ -125,7 +125,7 @@ class Lexicon:
 def load_lexicon(path: str | Path) -> Lexicon:
     """Read a TSV lexicon: ``surface<TAB>lemma<TAB>pos``, ``#`` comments allowed."""
     entries = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -156,10 +156,7 @@ def load_corpus(directory: str | Path) -> list[Document]:
     for path in sorted(directory.iterdir()):
         if path.suffix != ".txt" or not path.is_file():
             continue
-        try:
-            text = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError:
-            raise EncodingError(f"not valid UTF-8: {path.name}") from None
+        text = read_text(path)
         if not text.strip():
             continue
         docs.append(Document(id=path.stem, text=unicodedata.normalize("NFC", text)))
@@ -302,7 +299,7 @@ def extract_candidates(
 def load_patterns(path: str | Path) -> list[PatternDef]:
     """Read a pattern config: ``id: POS POS ... [head=first|last]`` per line."""
     patterns = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

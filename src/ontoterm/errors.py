@@ -7,6 +7,7 @@ codes and callers can branch on the failure class without parsing messages.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 
 class OntoTermError(Exception):
@@ -21,6 +22,14 @@ class NoCorpusError(OntoTermError):
 
 class EncodingError(OntoTermError):
     code = "E_ENCODING"
+
+
+def read_text(path: str | Path) -> str:
+    """An input file's text; bytes that are not UTF-8 raise ``EncodingError``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"not valid UTF-8: {path} (byte {exc.start})") from None
 
 
 class BadPatternError(OntoTermError):

@@ -16,7 +16,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import POS, AnnotatedToken, TermCandidate
-from .errors import UnknownRefError, UnknownTermError
+from .errors import UnknownRefError, UnknownTermError, read_text
+from .graph import find_cycle
 
 
 class Status(str, Enum):
@@ -262,7 +263,7 @@ def parse_decisions(text: str) -> list[tuple[str, ...]]:
 
 
 def load_decisions(path: str | Path) -> list[tuple[str, ...]]:
-    return parse_decisions(Path(path).read_text(encoding="utf-8"))
+    return parse_decisions(read_text(path))
 
 
 def apply_validation(net: LexNet, decisions: Sequence[tuple[str, ...]]) -> LexNet:
@@ -305,41 +306,6 @@ def apply_validation(net: LexNet, decisions: Sequence[tuple[str, ...]]) -> LexNe
         if rel.status is not Status.REJECTED and (rel.source in rejected or rel.target in rejected):
             relations[key] = replace(rel, status=Status.REJECTED)
     return LexNet(terms, relations)
-
-
-def find_cycle(edges: Iterable[tuple[str, str]]) -> list[str] | None:
-    """Return the nodes of one cycle of a directed edge set, first node
-    repeated at the end, or None.
-
-    Depth-first in sorted order of nodes and successors, so the cycle
-    reported is deterministic; iterative, so long paths cannot exhaust the
-    interpreter's recursion limit.
-    """
-    successors: dict[str, list[str]] = {}
-    for source, target in sorted(edges):
-        successors.setdefault(source, []).append(target)
-    done: set[str] = set()
-    for start in successors:
-        if start in done:
-            continue
-        path = [start]
-        on_path = {start}
-        pending = [iter(successors[start])]
-        while pending:
-            for nxt in pending[-1]:
-                if nxt in on_path:
-                    return path[path.index(nxt):] + [nxt]
-                if nxt not in done:
-                    path.append(nxt)
-                    on_path.add(nxt)
-                    pending.append(iter(successors.get(nxt, ())))
-                    break
-            else:
-                node = path.pop()
-                on_path.discard(node)
-                done.add(node)
-                pending.pop()
-    return None
 
 
 def find_validated_hyponymy_cycle(net: LexNet) -> list[str] | None:

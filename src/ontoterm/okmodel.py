@@ -37,7 +37,9 @@ from .errors import (
     InconsistentOntologyError,
     TypeMismatchError,
     UnknownConceptError,
+    read_text,
 )
+from .graph import descendants
 
 
 @dataclass(frozen=True)
@@ -209,15 +211,7 @@ class OkOntology:
         """``name`` and everything below it: O(answer) over ``children_view``."""
         if name not in self.concepts:
             raise UnknownConceptError(f"unknown concept: {name!r}")
-        children = self.children_view()
-        seen = {name}
-        queue = [name]
-        while queue:
-            for child in children.get(queue.pop(), ()):
-                if child not in seen:
-                    seen.add(child)
-                    queue.append(child)
-        return seen
+        return descendants(self.children_view(), name)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +551,7 @@ def classify_object(ontology: OkOntology, instance: ObjectInstance) -> Classific
 
 def load_instances(path: str | Path) -> list[ObjectInstance]:
     """Read object instances: a JSON array of ``{id, concept, state}``."""
-    rows = json.loads(Path(path).read_text(encoding="utf-8"))
+    rows = json.loads(read_text(path))
     return [ObjectInstance(row["id"], row["concept"], dict(row["state"])) for row in rows]
 
 
@@ -778,4 +772,4 @@ def parse_dsl(text: str) -> OkOntology:
 
 
 def load_dsl(path: str | Path) -> OkOntology:
-    return parse_dsl(Path(path).read_text(encoding="utf-8"))
+    return parse_dsl(read_text(path))

@@ -42,7 +42,7 @@ from .corpus import (
     load_lexicon,
     load_patterns,
 )
-from .errors import ArtifactError, ConfigError, InconsistentOntologyError
+from .errors import ArtifactError, ConfigError, InconsistentOntologyError, read_text
 from .export import DEFAULT_IRI, to_kif, to_owl
 from .lexnet import (
     apply_validation,
@@ -120,7 +120,7 @@ def parse_config(text: str, base_dir: Path) -> PipelineConfig:
 
 def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
-    return parse_config(path.read_text(encoding="utf-8"), path.parent)
+    return parse_config(read_text(path), path.parent)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def load_synonym_declarations(path: str | Path) -> list[tuple[str, str]]:
     """Synonym declarations: two quoted labels per line."""
     pairs = []
     pattern = re.compile(r'^"([^"]+)"\s+"([^"]+)"$')
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -14,7 +14,8 @@ import unicodedata
 from dataclasses import dataclass, field
 
 from .errors import CycleError, UnknownConceptError
-from .lexnet import LexNet, RelationKind, Status, find_cycle, find_validated_hyponymy_cycle
+from .graph import descendants, find_cycle
+from .lexnet import LexNet, RelationKind, Status, find_validated_hyponymy_cycle
 
 
 def concept_id(label: str) -> str:
@@ -32,39 +33,38 @@ class Concept:
 
 @dataclass
 class Taxonomy:
+    """Concepts and (child, parent) edges.  The edges are frozen and indexed
+    once, child → sorted parents and parent → sorted children, endpoints
+    that are not concepts included; ``concepts`` stays a live dict."""
+
     concepts: dict[str, Concept] = field(default_factory=dict)
-    subsumption: set[tuple[str, str]] = field(default_factory=set)  # (child, parent)
+    subsumption: frozenset[tuple[str, str]] = frozenset()  # (child, parent)
+
+    def __post_init__(self) -> None:
+        self.subsumption = frozenset(self.subsumption)
+        self._parents, self._children = {}, {}
+        for child, parent in sorted(self.subsumption):
+            self._parents.setdefault(child, []).append(parent)
+            self._children.setdefault(parent, []).append(child)
 
     def __contains__(self, cid: str) -> bool:
         return cid in self.concepts
 
     @property
     def roots(self) -> list[str]:
-        with_parent = {child for child, _ in self.subsumption}
-        return sorted(cid for cid in self.concepts if cid not in with_parent)
+        return sorted(cid for cid in self.concepts if cid not in self._parents)
 
     def parents(self, cid: str) -> list[str]:
-        return sorted(parent for child, parent in self.subsumption if child == cid)
+        return list(self._parents.get(cid, ()))
 
     def children(self, cid: str) -> list[str]:
-        return sorted(child for child, parent in self.subsumption if parent == cid)
+        return list(self._children.get(cid, ()))
 
     def subsumed_closure(self, cid: str) -> set[str]:
-        """The concept plus everything it subsumes (reflexive-transitive)."""
+        """The concept plus everything it subsumes (reflexive-transitive): O(answer)."""
         if cid not in self.concepts:
             raise UnknownConceptError(f"unknown concept: {cid!r}")
-        down: dict[str, list[str]] = {}
-        for child, parent in self.subsumption:
-            down.setdefault(parent, []).append(child)
-        seen = {cid}
-        queue = [cid]
-        while queue:
-            current = queue.pop()
-            for child in down.get(current, ()):
-                if child not in seen:
-                    seen.add(child)
-                    queue.append(child)
-        return seen
+        return descendants(self._children, cid)
 
 
 def _synonym_groups(net: LexNet, validated_labels: set[str]) -> dict[str, list[str]]:
@@ -143,6 +143,9 @@ def taxonomy_from_json(text: str) -> Taxonomy:
         for row in payload["concepts"]
     }
     edges = {(child, parent) for child, parent in payload["subsumption"]}
+    dangling = sorted({cid for edge in edges for cid in edge if cid not in concepts})
+    if dangling:
+        raise ValueError(f"subsumption names unknown concepts: {dangling}")
     return Taxonomy(concepts, edges)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .align import AlignmentResult, DEFAULT_STOPWORDS, align_term
 from .corpus import Document, TermCandidate
@@ -25,8 +25,7 @@ def structure_name(structure: Structure) -> str:
     return "projected" if isinstance(structure, Taxonomy) else "ok"
 
 
-@dataclass(frozen=True)
-class DocAnnotation:
+class DocAnnotation(NamedTuple):
     doc_id: str
     concept: str
 
@@ -41,32 +40,37 @@ class DocIndex:
     ``concepts_by_doc`` maps each annotated document, in order, to its
     concepts and answers the explanations of ``compare_recall``;
     ``docs_by_concept`` maps each concept to its documents and answers
-    ``query``.  Both are built once from (document, concept) pairs, each
-    pair kept once; read them, never mutate them.  ``annotations`` is a
-    view derived from them, built on each access.
+    ``query``.  Both are built once from (document, concept) pairs or
+    ``DocAnnotation``s, each pair kept once; read them, never mutate them.
+    ``annotations`` is a view derived from them, built on each access.
     """
 
     def __init__(
         self,
-        annotations: Iterable[DocAnnotation] = (),
+        annotations: Iterable[tuple[str, str]] = (),
         unannotated_docs: Iterable[str] = (),
         skipped_ambiguous: Iterable[str] = (),
     ) -> None:
-        pairs = ((a.doc_id, a.concept) for a in annotations)
-        self.concepts_by_doc, self.docs_by_concept = _postings(pairs)
+        gathered: dict[str, list[str]] = {}
+        for doc, concept in annotations:
+            concepts = gathered.get(doc)
+            if concepts is None:
+                gathered[doc] = [concept]
+            else:
+                concepts.append(concept)
+        # documents in sorted order, each pair once: O(pairs log pairs)
+        by_doc = {doc: sorted(set(gathered[doc])) for doc in sorted(gathered)}
+        by_concept: dict[str, list[str]] = {}
+        for doc, concepts in by_doc.items():
+            for concept in concepts:
+                docs = by_concept.get(concept)
+                if docs is None:
+                    by_concept[concept] = [doc]
+                else:
+                    docs.append(doc)
+        self.concepts_by_doc, self.docs_by_concept = by_doc, by_concept
         self.unannotated_docs = tuple(unannotated_docs)
         self.skipped_ambiguous = tuple(skipped_ambiguous)
-
-    @classmethod
-    def from_pairs(
-        cls,
-        pairs: Iterable[tuple[str, str]],
-        unannotated_docs: Iterable[str] = (),
-        skipped_ambiguous: Iterable[str] = (),
-    ) -> DocIndex:
-        index = cls((), unannotated_docs, skipped_ambiguous)
-        index.concepts_by_doc, index.docs_by_concept = _postings(pairs)
-        return index
 
     @property
     def annotations(self) -> frozenset[DocAnnotation]:
@@ -82,30 +86,6 @@ class DocIndex:
         return (self.concepts_by_doc, self.unannotated_docs, self.skipped_ambiguous) == (
             other.concepts_by_doc, other.unannotated_docs, other.skipped_ambiguous
         )
-
-
-def _postings(
-    pairs: Iterable[tuple[str, str]],
-) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-    """(document → sorted concepts, concept → sorted documents), documents
-    in sorted order, each pair once: O(pairs log pairs)."""
-    gathered: dict[str, list[str]] = {}
-    for doc, concept in pairs:
-        concepts = gathered.get(doc)
-        if concepts is None:
-            gathered[doc] = [concept]
-        else:
-            concepts.append(concept)
-    by_doc = {doc: sorted(set(gathered[doc])) for doc in sorted(gathered)}
-    by_concept: dict[str, list[str]] = {}
-    for doc, concepts in by_doc.items():
-        for concept in concepts:
-            docs = by_concept.get(concept)
-            if docs is None:
-                by_concept[concept] = [doc]
-            else:
-                docs.append(doc)
-    return by_doc, by_concept
 
 
 def index_corpus(
@@ -137,10 +117,9 @@ def index_corpus(
                 f"alignment of {candidate.label!r} targets unknown concept {result.concept!r}"
             )
         pairs.extend((doc_id, result.concept) for doc_id, _offset in candidate.occurrences)
-    index = DocIndex.from_pairs(pairs, (), sorted(skipped))
-    covered = index.concepts_by_doc
-    index.unannotated_docs = tuple(sorted(d.id for d in corpus if d.id not in covered))
-    return index
+    covered = {doc for doc, _ in pairs}
+    unannotated = sorted(d.id for d in corpus if d.id not in covered)
+    return DocIndex(pairs, unannotated, sorted(skipped))
 
 
 def query(index: DocIndex, structure: Structure, concept: str) -> set[str]:
@@ -249,7 +228,7 @@ def index_from_json_obj(payload: dict) -> DocIndex:
                 f"expected {_SOURCE!r}"
             )
         pairs.append((row["doc_id"], row["concept"]))
-    return DocIndex.from_pairs(
+    return DocIndex(
         pairs, payload.get("unannotated_docs", ()), payload.get("skipped_ambiguous", ())
     )
 

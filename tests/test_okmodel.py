@@ -16,6 +16,7 @@ from genutil import (
 )
 from ontoterm.errors import (
     DslParseError,
+    EncodingError,
     TypeMismatchError,
     UnknownConceptError,
 )
@@ -423,6 +424,13 @@ def test_load_instances_schema(tmp_path):
     instances = load_instances(path)
     assert instances[0].id == "i1"
     assert instances[0].state == {"seuil_volts": 500}
+
+
+def test_load_instances_rejects_non_utf8(tmp_path):
+    path = tmp_path / "instances.json"
+    path.write_bytes('[{"id": "é"}]'.encode("latin-1"))
+    with pytest.raises(EncodingError, match="instances.json"):
+        load_instances(path)
 
 
 # --- indexed children view and top-down checker against the scans -------------

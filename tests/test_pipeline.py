@@ -431,6 +431,9 @@ def test_cli_stages_write_the_pipelines_bytes(tmp_path, capsys):
     ("extract-missing-lexicon", "E_IO"),
     ("project-misshapen", "E_ARTIFACT"),
     ("query-misshapen-index", "E_ARTIFACT"),
+    ("query-missing-index-side", "E_ARTIFACT"),
+    ("compare-recall-missing-index-side", "E_ARTIFACT"),
+    ("align-dangling-taxonomy-edge", "E_ARTIFACT"),
 ])
 def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case, code):
     missing = str(tmp_path / "missing")
@@ -438,6 +441,16 @@ def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case,
     misshapen.write_text('{"x": 1}', encoding="utf-8")
     index = tmp_path / "doc_index.json"
     index.write_text('{"ok": {"annotations": ["d1"]}}', encoding="utf-8")
+    one_side = tmp_path / "one_side.json"
+    one_side.write_text('{"ok": {"annotations": []}}', encoding="utf-8")
+    taxonomy = tmp_path / "taxonomy.json"
+    taxonomy.write_text('{"concepts": [], "subsumption": []}', encoding="utf-8")
+    dangling = tmp_path / "dangling.json"
+    dangling.write_text(json.dumps({
+        "concepts": [{"id": "a", "label": "a", "denoting_terms": ["a"]}],
+        "subsumption": [["b", "a"]],
+    }), encoding="utf-8")
+    dsl = str(data_path("relais.dsl"))
     argv = {
         "project-missing": ["project", "--lexnet", missing],
         "ok-check-missing": ["ok-check", "--dsl", missing],
@@ -445,11 +458,46 @@ def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case,
                                     "--lexicon", missing],
         "project-misshapen": ["project", "--lexnet", str(misshapen)],
         "query-misshapen-index": ["query", "--index", str(index), "--structure", "ok",
-                                  "--concept", "relais", "--dsl", str(data_path("relais.dsl"))],
+                                  "--concept", "relais", "--dsl", dsl],
+        "query-missing-index-side": ["query", "--index", str(one_side), "--structure",
+                                     "projected", "--concept", "relais",
+                                     "--taxonomy", str(taxonomy)],
+        "compare-recall-missing-index-side": ["compare-recall", "--index", str(one_side),
+                                              "--taxonomy", str(taxonomy), "--dsl", dsl,
+                                              "--concept", "relais"],
+        "align-dangling-taxonomy-edge": ["align", "--taxonomy", str(dangling), "--dsl", dsl],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"ontoterm: {code}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", [
+    "lexicon", "patterns", "corpus", "dsl", "decisions", "stopwords", "synonyms", "config",
+])
+def test_cli_non_utf8_input_is_exit_2_naming_the_file(tmp_path, capsys, kind):
+    latin1 = "relais électrique\n".encode("latin-1")
+    if kind == "corpus":
+        bad = tmp_path / "corpus"
+        bad.mkdir()
+        (bad / "doc.txt").write_bytes(latin1)
+        bad = bad / "doc.txt"
+    else:
+        bad = tmp_path / f"bad_{kind}"
+        bad.write_bytes(latin1)
+    corpus = str(data_path("corpus"))
+    argv = {
+        "lexicon": ["extract", "--corpus", corpus, "--lexicon", str(bad)],
+        "patterns": ["extract", "--corpus", corpus, "--patterns", str(bad)],
+        "corpus": ["extract", "--corpus", str(bad.parent)],
+        "dsl": ["ok-check", "--dsl", str(bad)],
+        "config": ["run", "--config", str(bad)],
+    }.get(kind) or ["run", "--config", str(write_config(tmp_path, **{kind: str(bad)}))]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ontoterm: E_ENCODING: ")
+    assert bad.name in err
     assert "Traceback" not in err
 
 

@@ -311,6 +311,8 @@ def test_index_artifact_round_trips_byte_identically():
             payload["skipped_ambiguous"],
         )
         assert index_to_json_obj(rebuilt) == payload
+        pairs = [(row["doc_id"], row["concept"]) for row in payload["annotations"]]
+        assert DocIndex(pairs, payload["unannotated_docs"], payload["skipped_ambiguous"]) == rebuilt
         doubled = {**payload, "annotations": payload["annotations"][::-1] * 2}
         assert index_to_json_obj(index_from_json_obj(doubled)) == payload
         assert rebuilt == index_from_json_obj(payload)
