@@ -84,8 +84,9 @@ def _concept_index(
 
     A bag is sorted ``(token, count)`` pairs shared across concepts, which
     keeps the index smaller than one ``Counter`` per concept would be.  The
-    memo key is the full input, so an ontology edited in place gets a fresh
-    index on its next alignment, never a stale one.
+    memo key is the concept names and stopwords, not the ontology object:
+    the align and index stages each parse their own equal ontology, and
+    both read one index.
     """
     shared: dict[tuple[str, int], tuple[str, int]] = {}
     bags = {}

@@ -24,6 +24,7 @@ from .fixtures import data_path
 from .okmodel import load_dsl
 from .pipeline import (
     RunValues,
+    _json_text,
     load_config,
     read_artifact,
     render_align,
@@ -88,10 +89,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _json_line(payload) -> str:
-    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
-
-
 def _values(args, **sources) -> RunValues:
     """The run values of one subcommand: each path argument names the input
     of the same name (``sources`` renames the others)."""
@@ -122,7 +119,7 @@ def cmd_validate(args) -> int:
         statuses[term.status.value] = statuses.get(term.status.value, 0) + 1
     report = {"term_statuses": statuses, "contradictions": [list(p) for p in contradictions]}
     if args.format == "json":
-        sys.stdout.write(_json_line(report))
+        sys.stdout.write(_json_text(report))
     else:
         rows = [[a, b] for a, b in contradictions]
         print(f"terms: {statuses}")
@@ -179,8 +176,13 @@ def cmd_index(args) -> int:
     return EXIT_OK
 
 
-def _load_index_side(path: str, side: str):
-    return read_artifact(path, lambda text: index_from_json_obj(json.loads(text)[side]))
+def _load_index_sides(path: str, *sides: str):
+    """The doc index's ``sides``, decoded from one read of ``path``."""
+    def decode(text: str):
+        payload = json.loads(text)
+        return [index_from_json_obj(payload[side]) for side in sides]
+
+    return read_artifact(path, decode)
 
 
 def cmd_query(args) -> int:
@@ -193,13 +195,13 @@ def cmd_query(args) -> int:
         if not args.dsl:
             raise ConfigError("query --structure ok needs --dsl")
         structure = load_dsl(args.dsl)
-    index = _load_index_side(args.index, args.structure)
+    (index,) = _load_index_sides(args.index, args.structure)
     concept = resolve_label(structure, args.concept, values["stopwords"])
     if concept is None:
         raise OntoTermError(f"concept not found in {args.structure} structure: {args.concept!r}")
     docs = sorted(query(index, structure, concept))
     if args.format == "json":
-        sys.stdout.write(_json_line({"concept": concept, "documents": docs}))
+        sys.stdout.write(_json_text({"concept": concept, "documents": docs}))
     else:
         print(f"concept: {concept}")
         for doc in docs:
@@ -210,8 +212,7 @@ def cmd_query(args) -> int:
 def cmd_compare_recall(args) -> int:
     values = _values(args)
     ontology = load_dsl(args.dsl)
-    index_projected = _load_index_side(args.index, "projected")
-    index_ok = _load_index_side(args.index, "ok")
+    index_projected, index_ok = _load_index_sides(args.index, "projected", "ok")
     comparison = compare_recall(
         index_projected, values["taxonomy"], index_ok, ontology, args.concept, values["stopwords"]
     )

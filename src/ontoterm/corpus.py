@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import BadPatternError, EncodingError, NoCorpusError, read_text
+from .errors import BadPatternError, ConfigError, NoCorpusError, read_text
 
 
 class POS(str, Enum):
@@ -131,14 +131,14 @@ def load_lexicon(path: str | Path) -> Lexicon:
             continue
         parts = line.split("\t")
         if len(parts) != 3:
-            raise EncodingError(f"{path}: line {lineno}: expected 3 tab-separated columns")
+            raise ConfigError(f"{path}: line {lineno}: expected 3 tab-separated columns")
         surface, lemma, pos = (p.strip() for p in parts)
         if not surface:
-            raise EncodingError(f"{path}: line {lineno}: empty surface form")
+            raise ConfigError(f"{path}: line {lineno}: empty surface form")
         try:
             entries.append(LexiconEntry(surface, lemma, POS(pos.upper())))
         except ValueError:
-            raise EncodingError(f"{path}: line {lineno}: unknown POS tag {pos!r}") from None
+            raise ConfigError(f"{path}: line {lineno}: unknown POS tag {pos!r}") from None
     return Lexicon(entries)
 
 

@@ -29,6 +29,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -124,57 +125,40 @@ class Violation:
 
 @dataclass
 class OkOntology:
+    """An expert ontology as a value.  Its five mappings are read-only
+    copies taken when it is built, and the genus → children view is
+    indexed then, once; ``dataclasses.replace`` makes a variant, indexed
+    afresh."""
+
     name: str = ""
-    axes: dict[str, Axis] = field(default_factory=dict)
-    concepts: dict[str, OkConcept] = field(default_factory=dict)  # insertion = declaration order
-    class_defs: dict[str, ClassDef] = field(default_factory=dict)
-    set_defs: dict[str, SetDef] = field(default_factory=dict)
-    denotation: dict[str, str] = field(default_factory=dict)
-    # children_view's memo and the concept values it was built from
-    _children: dict[str | None, list[str]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _children_of: tuple[OkConcept, ...] = field(
-        default=(), init=False, repr=False, compare=False
-    )
+    axes: Mapping[str, Axis] = field(default_factory=dict)
+    concepts: Mapping[str, OkConcept] = field(default_factory=dict)  # declaration order
+    class_defs: Mapping[str, ClassDef] = field(default_factory=dict)
+    set_defs: Mapping[str, SetDef] = field(default_factory=dict)
+    denotation: Mapping[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for mapping in ("axes", "concepts", "class_defs", "set_defs", "denotation"):
+            setattr(self, mapping, MappingProxyType(dict(getattr(self, mapping))))
+        view: dict[str | None, list[str]] = {}
+        for name, concept in self.concepts.items():
+            view.setdefault(concept.genus, []).append(name)
+        self._children = {genus: tuple(names) for genus, names in view.items()}
 
     def __contains__(self, name: str) -> bool:
         return name in self.concepts
 
-    def copy(self) -> OkOntology:
-        return OkOntology(
-            self.name,
-            dict(self.axes),
-            dict(self.concepts),
-            dict(self.class_defs),
-            dict(self.set_defs),
-            dict(self.denotation),
-        )
-
     def roots(self) -> list[str]:
-        return [name for name, c in self.concepts.items() if c.genus is None]
+        return list(self._children.get(None, ()))
 
-    def children_view(self) -> dict[str | None, list[str]]:
-        """Genus → direct children in declaration order (roots under ``None``).
-
-        Built in one pass over ``concepts`` and reused until ``concepts``
-        changes (an added, removed, replaced or reordered concept, or a new
-        dict).  Checking that costs one comparison of a tuple of the concept
-        values against the tuple the view was built from: O(concepts) in C,
-        and by identity while the concepts are the same objects.  The view
-        is shared: read it, never mutate it.
-        """
-        values = tuple(self.concepts.values())
-        if values != self._children_of:
-            view: dict[str | None, list[str]] = {}
-            for concept in values:
-                view.setdefault(concept.genus, []).append(concept.name)
-            self._children, self._children_of = view, values
+    def children_view(self) -> Mapping[str | None, tuple[str, ...]]:
+        """Genus → direct children in declaration order (roots under ``None``),
+        built with the ontology.  The view is shared: read it, never mutate it."""
         return self._children
 
     def children(self, name: str) -> list[str]:
         """Direct children, in declaration order."""
-        return list(self.children_view().get(name, ()))
+        return list(self._children.get(name, ()))
 
     def genus_chain(self, name: str) -> list[str]:
         """Ancestors from the immediate genus up to the root (cycle-safe)."""
@@ -208,10 +192,10 @@ class OkOntology:
         return visible
 
     def subsumed_closure(self, name: str) -> set[str]:
-        """``name`` and everything below it: O(answer) over ``children_view``."""
+        """``name`` and everything below it: O(answer) over the children view."""
         if name not in self.concepts:
             raise UnknownConceptError(f"unknown concept: {name!r}")
-        return descendants(self.children_view(), name)
+        return descendants(self._children, name)
 
 
 # ---------------------------------------------------------------------------
@@ -268,24 +252,24 @@ def check_consistency(ontology: OkOntology) -> list[Violation]:
             )
 
     # R3: sibling distinctness per axis
-    by_parent: dict[str, list[OkConcept]] = {}
-    for concept in ontology.concepts.values():
-        if concept.genus is not None and concept.differentia is not None:
-            by_parent.setdefault(concept.genus, []).append(concept)
-    for parent in sorted(by_parent):
+    children = ontology.children_view()
+    for parent in sorted(genus for genus in children if genus is not None):
         seen: dict[Differentia, str] = {}
-        for concept in by_parent[parent]:
+        for name in children[parent]:
+            concept = ontology.concepts[name]
+            if concept.differentia is None:
+                continue
             prior = seen.get(concept.differentia)
             if prior is not None:
                 violations.append(
                     Violation(
                         "R3",
-                        f"siblings {prior!r} and {concept.name!r} under {parent!r} "
+                        f"siblings {prior!r} and {name!r} under {parent!r} "
                         f"share {concept.differentia}",
                     )
                 )
             else:
-                seen[concept.differentia] = concept.name
+                seen[concept.differentia] = name
 
     # R4: one use of an axis per root-to-node path; R5: attribute shadowing
     # along a path.  Both are reported per node, in declaration order.
@@ -563,6 +547,8 @@ _TERM_LINE = re.compile(r'^term\s+"([^"]+)"\s+denotes\s+(.+)$')
 
 
 def _strip_comment(line: str) -> str:
+    if "#" not in line:
+        return line
     out = []
     in_quotes = False
     for ch in line:
@@ -610,7 +596,12 @@ def parse_dsl(text: str) -> OkOntology:
     checking is ``check_consistency``'s job.  The ``compound`` keyword is
     reserved and rejected as unsupported.
     """
-    ontology = OkOntology()
+    ontology_name = ""
+    axes: dict[str, Axis] = {}
+    concepts: dict[str, OkConcept] = {}
+    class_defs: dict[str, ClassDef] = {}
+    set_defs: dict[str, SetDef] = {}
+    denotation: dict[str, str] = {}
     issues: list[DslIssue] = []
 
     def parse_axis(lineno: int, body: str) -> None:
@@ -620,12 +611,12 @@ def parse_dsl(text: str) -> OkOntology:
             issues.append(DslIssue(lineno, "E_SYNTAX", "expected 'axis <id> values <v1>, <v2>[, ...]'"))
             return
         values = tuple(v.strip() for v in rest.split(",") if v.strip())
-        if name in ontology.axes:
+        if name in axes:
             issues.append(DslIssue(lineno, "E_DUP_NAME", f"axis already declared: {name!r}"))
         elif len(values) < 2 or len(set(values)) != len(values):
             issues.append(DslIssue(lineno, "E_SYNTAX", f"axis {name!r} needs two or more distinct values"))
         else:
-            ontology.axes[name] = Axis(name, values)
+            axes[name] = Axis(name, values)
 
     def parse_concept(lineno: int, body: str) -> None:
         if " genus " not in body:
@@ -633,10 +624,10 @@ def parse_dsl(text: str) -> OkOntology:
                 name = body[: -len(" root")].strip()
                 if not name:
                     issues.append(DslIssue(lineno, "E_SYNTAX", "missing concept name"))
-                elif name in ontology.concepts:
+                elif name in concepts:
                     issues.append(DslIssue(lineno, "E_DUP_NAME", f"concept already declared: {name!r}"))
                 else:
-                    ontology.concepts[name] = OkConcept(name)
+                    concepts[name] = OkConcept(name)
             else:
                 issues.append(
                     DslIssue(lineno, "E_SYNTAX", "expected 'concept <Id> root' or 'concept <Id> genus <Parent> diff <axis>=<value>'")
@@ -657,20 +648,20 @@ def parse_dsl(text: str) -> OkOntology:
         if not eq or not axis_name or not value:
             issues.append(DslIssue(lineno, "E_SYNTAX", "differentia must be '<axis>=<value>'"))
             return
-        if name in ontology.concepts:
+        if name in concepts:
             issues.append(DslIssue(lineno, "E_DUP_NAME", f"concept already declared: {name!r}"))
             return
-        if genus not in ontology.concepts:
+        if genus not in concepts:
             issues.append(DslIssue(lineno, "E_UNKNOWN_GENUS", f"unknown genus: {genus!r}"))
             return
-        axis = ontology.axes.get(axis_name)
+        axis = axes.get(axis_name)
         if axis is None:
             issues.append(DslIssue(lineno, "E_UNKNOWN_AXIS", f"unknown axis: {axis_name!r}"))
             return
         if value not in axis.values:
             issues.append(DslIssue(lineno, "E_BAD_VALUE", f"value {value!r} is not on axis {axis_name!r}"))
             return
-        ontology.concepts[name] = OkConcept(name, genus, Differentia(axis_name, value))
+        concepts[name] = OkConcept(name, genus, Differentia(axis_name, value))
 
     def parse_attribute(lineno: int, body: str) -> None:
         name_part, sep_on, rest = body.partition(" on ")
@@ -691,14 +682,14 @@ def parse_dsl(text: str) -> OkOntology:
                 issues.append(DslIssue(lineno, "E_SYNTAX", f"unknown attribute type {type_part!r}"))
                 return
             vt = ValueType("enum", tuple(v.strip() for v in m.group(1).split(",") if v.strip()))
-        if concept not in ontology.concepts:
+        if concept not in concepts:
             issues.append(DslIssue(lineno, "E_UNKNOWN_CONCEPT", f"unknown concept: {concept!r}"))
             return
-        holder = ontology.concepts[concept]
+        holder = concepts[concept]
         if any(a.name == name for a in holder.attributes):
             issues.append(DslIssue(lineno, "E_DUP_NAME", f"attribute {name!r} already on {concept!r}"))
             return
-        ontology.concepts[concept] = replace(
+        concepts[concept] = replace(
             holder, attributes=holder.attributes + (AttributeDef(name, vt),)
         )
 
@@ -709,13 +700,13 @@ def parse_dsl(text: str) -> OkOntology:
         if not (sep_over and sep_where and name and base and pred_part.strip()):
             issues.append(DslIssue(lineno, "E_SYNTAX", "expected 'class <Id> over <Concept> where <pred>'"))
             return
-        if name in ontology.class_defs:
+        if name in class_defs:
             issues.append(DslIssue(lineno, "E_DUP_NAME", f"class already declared: {name!r}"))
             return
-        if base not in ontology.concepts:
+        if base not in concepts:
             issues.append(DslIssue(lineno, "E_UNKNOWN_CONCEPT", f"unknown concept: {base!r}"))
             return
-        ontology.class_defs[name] = ClassDef(name, base, _parse_predicate(pred_part, lineno, issues))
+        class_defs[name] = ClassDef(name, base, _parse_predicate(pred_part, lineno, issues))
 
     def parse_set(lineno: int, body: str) -> None:
         name_part, sep_where, pred_part = body.partition(" where ")
@@ -723,10 +714,10 @@ def parse_dsl(text: str) -> OkOntology:
         if not (sep_where and name and pred_part.strip()):
             issues.append(DslIssue(lineno, "E_SYNTAX", "expected 'set <Id> where <pred>'"))
             return
-        if name in ontology.set_defs:
+        if name in set_defs:
             issues.append(DslIssue(lineno, "E_DUP_NAME", f"set already declared: {name!r}"))
             return
-        ontology.set_defs[name] = SetDef(name, _parse_predicate(pred_part, lineno, issues))
+        set_defs[name] = SetDef(name, _parse_predicate(pred_part, lineno, issues))
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip_comment(raw).strip()
@@ -739,7 +730,7 @@ def parse_dsl(text: str) -> OkOntology:
             if not m:
                 issues.append(DslIssue(lineno, "E_SYNTAX", 'expected \'ontology "<name>"\''))
             else:
-                ontology.name = m.group(1)
+                ontology_name = m.group(1)
         elif keyword == "axis":
             parse_axis(lineno, body)
         elif keyword == "concept":
@@ -756,7 +747,7 @@ def parse_dsl(text: str) -> OkOntology:
                 issues.append(DslIssue(lineno, "E_SYNTAX", 'expected \'term "<label>" denotes <Concept>\''))
             else:
                 # target existence is a consistency rule (R7), not a parse error
-                ontology.denotation[m.group(1)] = m.group(2).strip()
+                denotation[m.group(1)] = m.group(2).strip()
         elif keyword == "compound":
             issues.append(
                 DslIssue(lineno, "E_UNSUPPORTED", "compound concepts are reserved but not supported")
@@ -764,11 +755,11 @@ def parse_dsl(text: str) -> OkOntology:
         else:
             issues.append(DslIssue(lineno, "E_SYNTAX", f"unknown directive {keyword!r}"))
 
-    if not ontology.roots():
+    if not any(concept.genus is None for concept in concepts.values()):
         issues.append(DslIssue(max(1, text.count("\n") + 1), "E_SYNTAX", "no root concept declared"))
     if issues:
         raise DslParseError(issues)
-    return ontology
+    return OkOntology(ontology_name, axes, concepts, class_defs, set_defs, denotation)
 
 
 def load_dsl(path: str | Path) -> OkOntology:

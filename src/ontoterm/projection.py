@@ -12,6 +12,8 @@ import json
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import CycleError, UnknownConceptError
 from .graph import descendants, find_cycle
@@ -33,15 +35,20 @@ class Concept:
 
 @dataclass
 class Taxonomy:
-    """Concepts and (child, parent) edges.  The edges are frozen and indexed
-    once, child → sorted parents and parent → sorted children, endpoints
-    that are not concepts included; ``concepts`` stays a live dict."""
+    """Concepts and (child, parent) edges as a value: both are fixed when it
+    is built, and the edges are indexed once, child → sorted parents and
+    parent → sorted children.  An edge naming an unknown concept raises
+    ``ValueError``."""
 
-    concepts: dict[str, Concept] = field(default_factory=dict)
+    concepts: Mapping[str, Concept] = field(default_factory=dict)
     subsumption: frozenset[tuple[str, str]] = frozenset()  # (child, parent)
 
     def __post_init__(self) -> None:
+        self.concepts = MappingProxyType(dict(self.concepts))
         self.subsumption = frozenset(self.subsumption)
+        dangling = sorted({cid for edge in self.subsumption for cid in edge} - self.concepts.keys())
+        if dangling:
+            raise ValueError(f"subsumption names unknown concepts: {dangling}")
         self._parents, self._children = {}, {}
         for child, parent in sorted(self.subsumption):
             self._parents.setdefault(child, []).append(parent)
@@ -142,11 +149,7 @@ def taxonomy_from_json(text: str) -> Taxonomy:
         row["id"]: Concept(row["id"], row["label"], tuple(row["denoting_terms"]))
         for row in payload["concepts"]
     }
-    edges = {(child, parent) for child, parent in payload["subsumption"]}
-    dangling = sorted({cid for edge in edges for cid in edge if cid not in concepts})
-    if dangling:
-        raise ValueError(f"subsumption names unknown concepts: {dangling}")
-    return Taxonomy(concepts, edges)
+    return Taxonomy(concepts, {(child, parent) for child, parent in payload["subsumption"]})
 
 
 def taxonomy_to_dot(taxonomy: Taxonomy) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 import re
 import unicodedata
+from dataclasses import replace
 
 from ontoterm.align import (
     AlignKind,
@@ -90,8 +91,7 @@ def random_ok_tree(
         f"axis{i}": Axis(f"axis{i}", tuple(f"v{i}_{j}" for j in range(8)))
         for i in range(n_axes)
     }
-    ontology = OkOntology(name="random", axes=dict(axes))
-    ontology.concepts["n0"] = OkConcept("n0")
+    concepts = {"n0": OkConcept("n0")}
     path_axes = {"n0": frozenset()}
     created = ["n0"]
     n = rng.randint(1, max_nodes)
@@ -105,24 +105,21 @@ def random_ok_tree(
         axis = rng.choice(free)
         sibling_values = {
             c.differentia.value
-            for c in ontology.concepts.values()
+            for c in concepts.values()
             if c.genus == parent and c.differentia and c.differentia.axis == axis
         }
         values = [v for v in axes[axis].values if v not in sibling_values]
         if not values:
             continue
-        ontology.concepts[name] = OkConcept(name, parent, Differentia(axis, rng.choice(values)))
+        concepts[name] = OkConcept(name, parent, Differentia(axis, rng.choice(values)))
         path_axes[name] = used_on_path | {axis}
         created.append(name)
     if attributes:
-        for name in list(ontology.concepts):
+        for name, concept in concepts.items():
             if rng.random() < 0.3:
-                concept = ontology.concepts[name]
                 attr = AttributeDef(f"attr_{name}", ValueType("number"))
-                ontology.concepts[name] = OkConcept(
-                    concept.name, concept.genus, concept.differentia, (attr,)
-                )
-    return ontology
+                concepts[name] = replace(concept, attributes=(attr,))
+    return OkOntology(name="random", axes=axes, concepts=concepts)
 
 
 _POS_CODE = {
@@ -328,16 +325,18 @@ def random_align_case(
         else:
             label = f"{base} {name}"
         rename[name] = label
-    ontology = OkOntology(name="random", axes=dict(tree.axes))
+    concepts = {}
     for name, concept in tree.concepts.items():
         genus = rename[concept.genus] if concept.genus is not None else None
-        ontology.concepts[rename[name]] = OkConcept(rename[name], genus, concept.differentia)
-    labels = list(ontology.concepts)
+        concepts[rename[name]] = OkConcept(rename[name], genus, concept.differentia)
+    labels = list(concepts)
+    denotation = {}
     for _ in range(rng.randint(0, 3)):
         term = " ".join(rng.choice(words) for _ in range(rng.randint(1, 3)))
-        ontology.denotation[term.upper() if rng.random() < 0.3 else term] = (
+        denotation[term.upper() if rng.random() < 0.3 else term] = (
             rng.choice(labels) if rng.random() < 0.8 else "ghost"
         )
+    ontology = OkOntology("random", tree.axes, concepts, denotation=denotation)
     queries: list[tuple[str, str | None]] = []
     for _ in range(12):
         kind = rng.random()
@@ -383,11 +382,12 @@ def random_ok_variant(rng: random.Random, max_nodes: int = 40) -> OkOntology:
     dropped differentia.  Roughly one case in five
     stays unedited."""
     ontology = random_ok_tree(rng, max_nodes=max_nodes, n_axes=4, attributes=rng.random() < 0.5)
-    names = list(ontology.concepts)
+    concepts = dict(ontology.concepts)
+    names = list(concepts)
     pool = ["p", "q", "r"]
     for _ in range(rng.choice((0, 1, 2, 3, 5))):
         name = rng.choice(names)
-        c = ontology.concepts[name]
+        c = concepts[name]
         roll = rng.random()
         if roll < 0.2:
             edited = OkConcept(name, rng.choice(names), c.differentia, c.attributes)
@@ -400,7 +400,7 @@ def random_ok_variant(rng: random.Random, max_nodes: int = 40) -> OkOntology:
             value = rng.choice(ontology.axes[axis].values)
             edited = OkConcept(name, c.genus, Differentia(axis, value), c.attributes)
         elif roll < 0.6:
-            sibling = ontology.concepts[rng.choice(names)]
+            sibling = concepts[rng.choice(names)]
             edited = OkConcept(name, sibling.genus, sibling.differentia, c.attributes)
         elif roll < 0.9:
             attrs = tuple(AttributeDef(rng.choice(pool), ValueType("number"))
@@ -408,15 +408,15 @@ def random_ok_variant(rng: random.Random, max_nodes: int = 40) -> OkOntology:
             edited = OkConcept(name, c.genus, c.differentia, c.attributes + attrs)
         else:
             edited = OkConcept(name, c.genus, None, c.attributes)
-        ontology.concepts[name] = edited
-    return ontology
+        concepts[name] = edited
+    return replace(ontology, concepts=concepts)
 
 
 def check_consistency_oracle(ontology: OkOntology) -> list[Violation]:
     """Rules R1–R7 with R4 and R5 walking every concept's genus chain."""
     violations: list[Violation] = []
 
-    roots = ontology.roots()
+    roots = [name for name, concept in ontology.concepts.items() if concept.genus is None]
     if len(roots) == 0:
         violations.append(Violation("R1", "no root concept"))
     elif len(roots) > 1:

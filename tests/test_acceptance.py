@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -140,29 +141,22 @@ def mutations():
 
     out["R1"] = parse_dsl("concept a root\nconcept b root\n")
 
-    r2 = relay_ontology()
-    r2.concepts["relais statique"] = OkConcept("relais statique", "relais", None)
-    out["R2"] = r2
+    relay = relay_ontology()
 
-    r3 = relay_ontology()
-    r3.concepts["relais voltmétrique"] = OkConcept(
+    def with_concept(concept):
+        return replace(relay, concepts={**relay.concepts, concept.name: concept})
+
+    out["R2"] = with_concept(OkConcept("relais statique", "relais", None))
+    out["R3"] = with_concept(OkConcept(
         "relais voltmétrique", "relais à seuil", Differentia("grandeur_seuillée", "tension")
-    )
-    out["R3"] = r3
-
-    r4 = relay_ontology()
-    r4.concepts["relais redondant"] = OkConcept(
+    ))
+    out["R4"] = with_concept(OkConcept(
         "relais redondant", RAST, Differentia("grandeur_seuillée", "courant")
-    )
-    out["R4"] = r4
-
-    r5 = relay_ontology()
-    holder = r5.concepts["relais à seuil"]
-    r5.concepts["relais à seuil"] = OkConcept(
-        holder.name, holder.genus, holder.differentia,
-        (AttributeDef("seuil_volts", ValueType("number")),),
-    )
-    out["R5"] = r5
+    ))
+    holder = relay.concepts["relais à seuil"]
+    out["R5"] = with_concept(replace(
+        holder, attributes=(AttributeDef("seuil_volts", ValueType("number")),)
+    ))
 
     r6 = parse_dsl(
         "axis comportement values tout-ou-rien, seuil\n"
@@ -173,9 +167,7 @@ def mutations():
     )
     out["R6"] = r6
 
-    r7 = relay_ontology()
-    r7.denotation["relais statique"] = "fantôme"
-    out["R7"] = r7
+    out["R7"] = replace(relay, denotation={**relay.denotation, "relais statique": "fantôme"})
     return out
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,15 +193,20 @@ def test_align_matches_brute_force_oracle():
 
 
 def test_align_sees_a_concept_added_in_place(relay):
-    ontology = relay.copy()
-    assert align_term("relais de courant", ontology).kind is AlignKind.UNMATCHED
-    assert resolve_label(ontology, "relais de courant") is None
-    ontology.concepts["relais à seuil de courant"] = OkConcept(
+    """A concept cannot be added in place; a ``replace``d variant that adds
+    one aligns against its own concepts, and the original is unchanged."""
+    assert align_term("relais de courant", relay).kind is AlignKind.UNMATCHED
+    assert resolve_label(relay, "relais de courant") is None
+    current = OkConcept(
         "relais à seuil de courant", "relais à seuil", Differentia("grandeur_seuillée", "courant")
     )
+    with pytest.raises(TypeError):
+        relay.concepts[current.name] = current
+    ontology = replace(relay, concepts={**relay.concepts, current.name: current})
     result = align_term("relais de courant", ontology)
     assert (result.kind, result.concept) == (AlignKind.ELLIPSIS, "relais à seuil de courant")
     assert resolve_label(ontology, "relais de courant") == "relais à seuil de courant"
+    assert resolve_label(relay, "relais de courant") is None
 
 
 # --- head-match necessity property --------------------------------------------

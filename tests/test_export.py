@@ -58,8 +58,7 @@ def test_owl_custom_iri(relay):
 
 
 def test_owl_refuses_inconsistent_ontology():
-    ontology = parse_dsl("concept a root\n")
-    ontology.concepts["b"] = type(ontology.concepts["a"])("b")  # second root
+    ontology = OkOntology(concepts={"a": OkConcept("a"), "b": OkConcept("b")})  # two roots
     with pytest.raises(InconsistentOntologyError) as exc:
         to_owl(ontology)
     assert exc.value.violations
@@ -193,11 +192,11 @@ def test_owl_declares_classes_in_preorder():
 
 
 def deep_chain(depth):
-    ontology = OkOntology(name="deep", concepts={"c0": OkConcept("c0")})
+    axes = {f"a{i}": Axis(f"a{i}", ("x", "y")) for i in range(1, depth)}
+    concepts = {"c0": OkConcept("c0")}
     for i in range(1, depth):
-        ontology.axes[f"a{i}"] = Axis(f"a{i}", ("x", "y"))
-        ontology.concepts[f"c{i}"] = OkConcept(f"c{i}", f"c{i - 1}", Differentia(f"a{i}", "x"))
-    return ontology
+        concepts[f"c{i}"] = OkConcept(f"c{i}", f"c{i - 1}", Differentia(f"a{i}", "x"))
+    return OkOntology("deep", axes, concepts)
 
 
 def test_owl_exports_a_chain_deeper_than_the_recursion_limit():

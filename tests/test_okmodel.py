@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +60,20 @@ def test_parse_reference_ontology(relay):
 
 def issue_codes(exc_info):
     return {issue.code for issue in exc_info.value.issues}
+
+
+def test_parse_strips_comments_but_keeps_a_hash_inside_quotes():
+    text = (
+        "# relay ontology\n"
+        'ontology "relais #1"  # a name may hold a hash\n'
+        "concept relais root # trailing comment\n"
+        'term "relais #2" denotes relais  # and so may a term label\n'
+        'term "relais" denotes relais\n'
+    )
+    ontology = parse_dsl(text)
+    assert ontology.name == "relais #1"
+    assert list(ontology.concepts) == ["relais"]
+    assert dict(ontology.denotation) == {"relais #2": "relais", "relais": "relais"}
 
 
 def test_parse_unknown_genus():
@@ -190,30 +205,24 @@ def test_r3_siblings_sharing_axis_value():
         "concept relais à seuil genus relais diff comportement=seuil\n"
         "concept a genus relais à seuil diff grandeur_seuillée=tension\n"
     )
-    ontology = parse_dsl(text)
-    ontology.concepts["b"] = OkConcept("b", "relais à seuil", Differentia("grandeur_seuillée", "tension"))
+    parsed = parse_dsl(text)
+    b = OkConcept("b", "relais à seuil", Differentia("grandeur_seuillée", "tension"))
+    ontology = replace(parsed, concepts={**parsed.concepts, "b": b})
     violations = check_consistency(ontology)
     assert {v.rule for v in violations} == {"R3"}
     assert "a" in violations[0].message and "b" in violations[0].message
 
 
 def test_r4_axis_reused_on_path(relay):
-    mutated = relay.copy()
-    mutated.concepts = dict(relay.concepts)
-    mutated.concepts["relais redondant"] = OkConcept(
-        "relais redondant", RAST, Differentia("grandeur_seuillée", "courant")
-    )
+    redundant = OkConcept("relais redondant", RAST, Differentia("grandeur_seuillée", "courant"))
+    mutated = replace(relay, concepts={**relay.concepts, "relais redondant": redundant})
     assert {v.rule for v in check_consistency(mutated)} == {"R4"}
 
 
 def test_r5_attribute_shadowing(relay):
-    mutated = relay.copy()
-    mutated.concepts = dict(relay.concepts)
-    holder = mutated.concepts["relais à seuil"]
-    mutated.concepts["relais à seuil"] = OkConcept(
-        holder.name, holder.genus, holder.differentia,
-        (AttributeDef("seuil_volts", ValueType("number")),),
-    )
+    holder = relay.concepts["relais à seuil"]
+    shadowing = replace(holder, attributes=(AttributeDef("seuil_volts", ValueType("number")),))
+    mutated = replace(relay, concepts={**relay.concepts, holder.name: shadowing})
     assert {v.rule for v in check_consistency(mutated)} == {"R5"}
 
 
@@ -230,8 +239,7 @@ def test_r6_class_predicate_needs_visible_attribute():
 
 
 def test_r7_denotation_target_missing(relay):
-    mutated = relay.copy()
-    mutated.denotation = {"relais statique": "ghost"}
+    mutated = replace(relay, denotation={"relais statique": "ghost"})
     assert {v.rule for v in check_consistency(mutated)} == {"R7"}
 
 
@@ -464,24 +472,30 @@ def test_children_and_closure_match_the_scan_on_random_ontologies():
 
 
 def test_closure_sees_concepts_edited_in_place(relay):
-    ontology = relay.copy()
+    """An ontology cannot be edited in place; each ``replace``d variant is
+    indexed afresh, and the original keeps its own view."""
     threshold = "relais à seuil"
-    assert ontology.subsumed_closure(threshold) == {threshold, RAST}
+    assert relay.subsumed_closure(threshold) == {threshold, RAST}
     current = "relais à seuil de courant"
-    ontology.concepts[current] = OkConcept(
+    ontology = replace(relay, concepts={**relay.concepts, current: OkConcept(
         current, threshold, Differentia("grandeur_seuillée", "courant")
-    )
+    )})
     assert ontology.subsumed_closure(threshold) == {threshold, RAST, current}
     assert ontology.children(threshold) == [RAST, current]
-    ontology.concepts[RAST] = OkConcept(RAST, "relais", Differentia("grandeur_seuillée", "tension"))
+    moved = OkConcept(RAST, "relais", Differentia("grandeur_seuillée", "tension"))
+    ontology = replace(ontology, concepts={**ontology.concepts, RAST: moved})
     assert ontology.subsumed_closure(threshold) == {threshold, current}
     assert ontology.children("relais")[-1] == RAST
-    del ontology.concepts[current]
+    concepts = dict(ontology.concepts)
+    del concepts[current]
+    ontology = replace(ontology, concepts=concepts)
     assert ontology.subsumed_closure(threshold) == {threshold}
-    ontology.concepts = dict(relay.concepts)
-    assert ontology.subsumed_closure(threshold) == {threshold, RAST}
-    for name in ontology.concepts:
-        assert ontology.subsumed_closure(name) == scan_closure(ontology, name)
+    assert relay.subsumed_closure(threshold) == {threshold, RAST}
+    for name in relay.concepts:
+        assert relay.subsumed_closure(name) == scan_closure(relay, name)
+    for mapping in ("axes", "concepts", "class_defs", "set_defs", "denotation"):
+        with pytest.raises(TypeError):
+            getattr(relay, mapping)["x"] = None
 
 
 def test_check_consistency_matches_the_chain_walk_on_random_ontologies():
@@ -497,16 +511,17 @@ def test_check_consistency_matches_the_chain_walk_on_random_ontologies():
 
 def test_check_consistency_of_a_10k_deep_chain_with_reuse_and_shadowing():
     depth = 10_000
-    ontology = OkOntology(name="deep")
-    ontology.concepts["c0"] = OkConcept("c0", attributes=(AttributeDef("w", ValueType("number")),))
+    axes = {}
+    concepts = {"c0": OkConcept("c0", attributes=(AttributeDef("w", ValueType("number")),))}
     for i in range(1, depth):
         axis = "a" if i in (1, depth - 1) else f"a{i}"
-        ontology.axes[axis] = Axis(axis, ("x", "y"))
+        axes[axis] = Axis(axis, ("x", "y"))
         attributes = {5000: ("v",), depth - 1: ("w", "v")}.get(i, ())
-        ontology.concepts[f"c{i}"] = OkConcept(
+        concepts[f"c{i}"] = OkConcept(
             f"c{i}", f"c{i - 1}", Differentia(axis, "x"),
             tuple(AttributeDef(a, ValueType("number")) for a in attributes),
         )
+    ontology = OkOntology("deep", axes, concepts)
     assert [str(v) for v in check_consistency(ontology)] == [
         f"R4: axis 'a' used more than once on the path to 'c{depth - 1}' (c1, c{depth - 1})",
         f"R5: attribute 'v' on 'c{depth - 1}' shadows the one on 'c5000'",

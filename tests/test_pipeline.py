@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from collections import Counter
@@ -106,6 +107,27 @@ def test_pipeline_rerun_hits_cache_and_is_byte_identical(tmp_path):
     assert before == after
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert all(stage["cache_hit"] for stage in manifest["stages"].values())
+
+
+#: sha256 of each artifact of the bundled relay fixture.  A change that
+#: alters an artifact's bytes updates its entry here and says why.
+FIXTURE_SHA256 = {
+    "alignment.json": "ce8263ef214af3de1604d3e6bed7618a047858b57a5856abd49893eb33743e95",
+    "candidates.json": "7c9136962d014e396b5d33c5010a58b56730f585169f6e49bf4d4849f700b77e",
+    "doc_index.json": "be0fbc70e65509d449bbe0adcd2ff5dce6772488876099e5bb26602844baf055",
+    "lexnet.json": "cdc517ef1592b43d74304aac9ebf96f035aa226fa22ec73f0e67439388b41c5e",
+    "lexnet_validated.json": "831e68b4deca10431268176259ed918334c0add656c67e9c992b060b70db824f",
+    "ok_report.json": "c3d1310394413aaa50ae851b97f5e5a33d2b468e8cd1e54d76bac120d938cf48",
+    "ontology.owl": "856a18a08f70588e14089df64a4199e46d405f5cf14a1dbf3a03d3418d28a63d",
+    "taxonomy.json": "c35feb56c240fdb792917456864f6552d41b19b3fb5871fb1cda85049f445f74",
+}
+
+
+def test_pipeline_fixture_artifacts_are_byte_identical_to_the_recorded_ones(tmp_path):
+    result = run_pipeline(load_config(write_config(tmp_path)))
+    assert {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in result.artifacts
+    } == FIXTURE_SHA256
 
 
 def test_pipeline_invalidates_downstream_on_input_change(tmp_path):
@@ -300,6 +322,19 @@ def test_cli_missing_config_key_is_exit_1(tmp_path, capsys):
     config.write_text('corpus = "x"\n', encoding="utf-8")
     assert main(["run", "--config", str(config)]) == 1
     assert "E_CONFIG" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("relais\trelais\n", "expected 3 tab-separated columns"),
+    ("relais\trelais\tXYZ\n", "unknown POS tag 'XYZ'"),
+])
+def test_cli_malformed_lexicon_line_is_exit_1(tmp_path, capsys, line, problem):
+    lexicon = tmp_path / "bad_lex.tsv"
+    lexicon.write_text(line, encoding="utf-8")
+    argv = ["extract", "--corpus", str(data_path("corpus")), "--lexicon", str(lexicon)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"ontoterm: E_CONFIG: {lexicon}: line 1: {problem}\n"
 
 
 def test_cli_stage_failure_is_exit_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from ontoterm.lexnet import (
     build_network,
 )
 from ontoterm.projection import (
+    Concept,
     Taxonomy,
     concept_id,
     project,
@@ -158,38 +160,46 @@ def test_closure_matches_fixpoint_oracle_on_random_dags():
             assert taxonomy.subsumed_closure(cid) == expected
 
 
-def edge_scan_taxonomy(rng):
-    """A random taxonomy (empty one time in 50) with its edges, some of
-    which name ids that are not concepts."""
+def edge_scan_case(rng):
+    """The concepts and edges of a random taxonomy (empty one time in 50),
+    some of whose edges name ids that are not concepts."""
     if rng.random() < 0.02:
-        return Taxonomy(), set()
+        return {}, set()
     taxonomy = random_taxonomy(rng, max_nodes=30)
     ids = sorted(taxonomy.concepts)
     edges = set(taxonomy.subsumption)
     for _ in range(rng.choice((0, 0, 1, 3))):
         ghost = f"ghost{rng.randrange(5)}"
         edges.add((ghost, rng.choice(ids)) if rng.random() < 0.5 else (rng.choice(ids), ghost))
-    return Taxonomy(taxonomy.concepts, edges), edges
+    return taxonomy.concepts, edges
 
 
 def test_taxonomy_views_match_edge_scans_on_random_taxonomies():
     rng = random.Random(20101018)
     empty = dangling = 0
     for _ in range(1000):
-        taxonomy, edges = edge_scan_taxonomy(rng)
+        concepts, edges = edge_scan_case(rng)
+        unknown = sorted({cid for edge in edges for cid in edge} - set(concepts))
+        if unknown:
+            dangling += 1
+            with pytest.raises(ValueError, match=re.escape(f"unknown concepts: {unknown}")):
+                Taxonomy(concepts, edges)
+            continue
+        taxonomy = Taxonomy(concepts, edges)
         empty += not taxonomy.concepts
-        dangling += any(cid not in taxonomy.concepts for edge in edges for cid in edge)
         assert taxonomy.subsumption == edges
         assert taxonomy.roots == sorted(
             cid for cid in taxonomy.concepts if not any(child == cid for child, _ in edges)
         )
-        for cid in set(taxonomy.concepts) | {cid for edge in edges for cid in edge}:
+        for cid in [*taxonomy.concepts, "ghost0"]:
             assert taxonomy.parents(cid) == sorted(p for c, p in edges if c == cid)
             assert taxonomy.children(cid) == sorted(c for c, p in edges if p == cid)
             if cid in taxonomy.concepts:
                 assert taxonomy.subsumed_closure(cid) == closure_oracle(edges, set(taxonomy.concepts), cid)
         with pytest.raises(AttributeError):
             taxonomy.subsumption.add(("x", "y"))
+        with pytest.raises(TypeError):
+            taxonomy.concepts["x"] = Concept("x", "x", ("x",))
     assert empty and dangling > 100
 
 
