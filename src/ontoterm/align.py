@@ -11,7 +11,6 @@ reported, never guessed.
 
 from __future__ import annotations
 
-import json
 import re
 import unicodedata
 from collections import Counter
@@ -21,7 +20,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import read_text
+from .errors import json_text, read_text
 from .okmodel import OkOntology, subsumes
 from .projection import Taxonomy, concept_id
 
@@ -306,4 +305,4 @@ def alignment_artifact(
         "discrepancies": report_to_json(report),
         "verdict_counts": report.verdict_counts(),
     }
-    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)

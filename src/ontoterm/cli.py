@@ -18,13 +18,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, InconsistentOntologyError, OntoTermError
+from .errors import ConfigError, InconsistentOntologyError, OntoTermError, json_text
 from .export import DEFAULT_IRI
 from .fixtures import data_path
 from .okmodel import load_dsl
 from .pipeline import (
     RunValues,
-    _json_text,
     load_config,
     read_artifact,
     render_align,
@@ -119,7 +118,7 @@ def cmd_validate(args) -> int:
         statuses[term.status.value] = statuses.get(term.status.value, 0) + 1
     report = {"term_statuses": statuses, "contradictions": [list(p) for p in contradictions]}
     if args.format == "json":
-        sys.stdout.write(_json_text(report))
+        sys.stdout.write(json_text(report))
     else:
         rows = [[a, b] for a, b in contradictions]
         print(f"terms: {statuses}")
@@ -201,7 +200,7 @@ def cmd_query(args) -> int:
         raise OntoTermError(f"concept not found in {args.structure} structure: {args.concept!r}")
     docs = sorted(query(index, structure, concept))
     if args.format == "json":
-        sys.stdout.write(_json_text({"concept": concept, "documents": docs}))
+        sys.stdout.write(json_text({"concept": concept, "documents": docs}))
     else:
         print(f"concept: {concept}")
         for doc in docs:

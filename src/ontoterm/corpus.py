@@ -5,6 +5,10 @@ tags come from a user-supplied lexicon (TSV), never from a statistical
 tagger, and candidate extraction is a greedy longest-match scan over
 part-of-speech patterns.  Unknown words default to the OTHER tag so they
 can never seed a spurious noun phrase.
+
+Annotation stores each document's tokens as columns (``DocTokens``), with
+one tag code per token in a string, so pattern matching is one compiled
+regular-expression scan over that string.
 """
 
 from __future__ import annotations
@@ -12,12 +16,15 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import BadPatternError, ConfigError, NoCorpusError, read_text
+from .errors import BadPatternError, ConfigError, NoCorpusError, json_text, read_text
 
 
 class POS(str, Enum):
@@ -47,13 +54,33 @@ class LexiconEntry:
     pos: POS
 
 
-@dataclass(frozen=True)
-class AnnotatedToken:
-    surface: str
-    lemma: str
-    pos: POS
+#: One-letter code per tag, as ``DocTokens.tags`` and pattern regexes hold them.
+TAG_CODES = {
+    POS.NOUN: "N", POS.ADJ: "A", POS.PREP: "P", POS.DET: "D", POS.VERB: "V", POS.OTHER: "O",
+}
+
+#: Surfaces (lowercased) that make a token a copula for copula mining.
+COPULA_SURFACES = frozenset({"est", "sont"})
+
+
+@dataclass(frozen=True, slots=True)
+class DocTokens:
+    """One document's tokens as columns, token ``i`` at index ``i`` of each.
+
+    ``tags`` holds one ``TAG_CODES`` letter per token, ``offsets`` each
+    token's start in the document text, and ``copula`` a 0/1 byte per token
+    that is 1 where the surface is a copula (``est``/``sont``).  Lemmas are
+    the lexicon's shared strings.
+    """
+
     doc_id: str
-    offset: int
+    lemmas: tuple[str, ...]
+    tags: str
+    offsets: array
+    copula: bytes
+
+    def __len__(self) -> int:
+        return len(self.tags)
 
 
 @dataclass(frozen=True)
@@ -103,6 +130,7 @@ class Lexicon:
         self._entries: dict[str, LexiconEntry] = {}
         for entry in entries:
             self._entries[self._key(entry.surface)] = entry
+        self._tags: dict[str, tuple[str, str, int]] = {}
 
     @staticmethod
     def _key(surface: str) -> str:
@@ -114,6 +142,20 @@ class Lexicon:
             # elided forms may be listed without their apostrophe
             entry = self._entries.get(self._key(surface[:-1]))
         return entry
+
+    def tag(self, surface: str) -> tuple[str, str, int]:
+        """(lemma, tag code, copula flag) of a token surface, memoised per
+        surface.  Surfaces absent from the lexicon take their lowercased
+        form as lemma and the OTHER tag."""
+        tagged = self._tags.get(surface)
+        if tagged is None:
+            entry = self.lookup(surface)
+            if entry is None:
+                lemma, code = surface.lower(), TAG_CODES[POS.OTHER]
+            else:
+                lemma, code = entry.lemma, TAG_CODES[entry.pos]
+            tagged = self._tags[surface] = (lemma, code, int(surface.lower() in COPULA_SURFACES))
+        return tagged
 
     def __contains__(self, surface: str) -> bool:
         return self.lookup(surface) is not None
@@ -129,7 +171,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split("\t")
+        parts = raw.split("\t")
         if len(parts) != 3:
             raise ConfigError(f"{path}: line {lineno}: expected 3 tab-separated columns")
         surface, lemma, pos = (p.strip() for p in parts)
@@ -188,24 +230,30 @@ def _split_elisions(surface: str) -> list[str]:
     return parts
 
 
-def annotate(document: Document, lexicon: Lexicon) -> list[AnnotatedToken]:
-    """Tokenize a document and tag each token from the lexicon.
+def annotate(document: Document, lexicon: Lexicon) -> DocTokens:
+    """Tokenize a document and tag each token from the lexicon (``Lexicon.tag``).
 
-    Tokens absent from the lexicon default to their lowercased surface as
-    lemma and to the OTHER tag.
+    Elided articles are split from their host word (``l'alarme`` is two
+    tokens); runs without an apostrophe are looked up whole.
     """
-    tokens = []
-    for run in _WORD_RUN.finditer(document.text):
-        offset = run.start()
-        for part in _split_elisions(run.group()):
-            entry = lexicon.lookup(part)
-            if entry is not None:
-                lemma, pos = entry.lemma, entry.pos
-            else:
-                lemma, pos = part.lower(), POS.OTHER
-            tokens.append(AnnotatedToken(part, lemma, pos, document.id, offset))
-            offset += len(part)
-    return tokens
+    tag = lexicon.tag
+    tagged = []
+    offsets = []
+    text = document.text
+    elided = "'" in text or "’" in text
+    for run in _WORD_RUN.finditer(text):
+        surface = run.group()
+        if elided and ("'" in surface or "’" in surface):
+            offset = run.start()
+            for part in _split_elisions(surface):
+                tagged.append(tag(part))
+                offsets.append(offset)
+                offset += len(part)
+        else:
+            tagged.append(tag(surface))
+            offsets.append(run.start())
+    lemmas, codes, copula = zip(*tagged) if tagged else ((), (), ())
+    return DocTokens(document.id, lemmas, "".join(codes), array("I", offsets), bytes(copula))
 
 
 def _validate_patterns(patterns: Sequence[PatternDef]) -> None:
@@ -218,82 +266,65 @@ def _validate_patterns(patterns: Sequence[PatternDef]) -> None:
             raise BadPatternError(f"pattern {p.id!r} contains no NOUN")
 
 
-@dataclass(frozen=True)
-class PatternMatch:
-    pattern: PatternDef
-    tokens: tuple[AnnotatedToken, ...]
+@lru_cache(maxsize=16)
+def _compile(
+    patterns: tuple[PatternDef, ...],
+) -> tuple[re.Pattern, dict[int, tuple[PatternDef, int]]]:
+    """One regex over tag codes for a pattern set, and per group number its
+    pattern and the head noun's index within a match.
 
-    @property
-    def lemmas(self) -> tuple[str, ...]:
-        return tuple(t.lemma for t in self.tokens)
+    Alternatives run longest first, ties in pattern order, so the first
+    alternative that matches is the longest one.
+    """
+    _validate_patterns(patterns)
+    ordered = sorted(patterns, key=lambda p: -len(p.sequence))
+    regex = re.compile("|".join(
+        "(" + "".join(TAG_CODES[pos] for pos in p.sequence) + ")" for p in ordered
+    ))
+    groups = {}
+    for group, p in enumerate(ordered, 1):
+        nouns = [i for i, pos in enumerate(p.sequence) if pos is POS.NOUN]
+        groups[group] = (p, nouns[0] if p.head_position is HeadPosition.FIRST_NOUN else nouns[-1])
+    return regex, groups
 
-    @property
-    def head_lemma(self) -> str:
-        nouns = [t for t in self.tokens if t.pos is POS.NOUN]
-        return (nouns[0] if self.pattern.head_position is HeadPosition.FIRST_NOUN else nouns[-1]).lemma
 
-
-def pattern_matches(tokens: Sequence[AnnotatedToken], patterns: Sequence[PatternDef]) -> list[PatternMatch]:
-    """Greedy left-to-right scan of one document's tokens.
+def pattern_matches(
+    tokens: DocTokens, patterns: Sequence[PatternDef]
+) -> list[tuple[PatternDef, int, int]]:
+    """Greedy left-to-right scan of one document's tokens, as (pattern,
+    start, end) token spans.
 
     At each position the longest matching pattern wins (ties go to pattern
     order) and its tokens are consumed, so match spans never overlap and a
     bare noun is only emitted where no longer phrase covers it.
     """
-    _validate_patterns(patterns)
-    matches = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        best = None
-        for p in patterns:
-            k = len(p.sequence)
-            if i + k > n or (best is not None and k <= len(best.sequence)):
-                continue
-            if all(tokens[i + j].pos is p.sequence[j] for j in range(k)):
-                best = p
-        if best is None:
-            i += 1
-        else:
-            span = tuple(tokens[i : i + len(best.sequence)])
-            matches.append(PatternMatch(best, span))
-            i += len(best.sequence)
-    return matches
+    regex, groups = _compile(tuple(patterns))
+    return [(groups[m.lastindex][0], *m.span()) for m in regex.finditer(tokens.tags)]
 
 
 def extract_candidates(
-    tokens: Iterable[AnnotatedToken], patterns: Sequence[PatternDef]
+    docs: Iterable[DocTokens], patterns: Sequence[PatternDef]
 ) -> list[TermCandidate]:
-    """Extract merged term candidates from annotated tokens.
+    """Extract merged term candidates from annotated documents.
 
-    Tokens may span several documents; matching runs per document and
-    candidates with the same lemma sequence are merged with their
-    occurrences summed.  The result is sorted by lemma sequence.
+    Matching runs per document (doc ids must be distinct) and candidates
+    with the same lemma sequence are merged with their occurrences summed;
+    each keeps the pattern and head of its first occurrence.  The result is
+    sorted by lemma sequence.
     """
-    by_doc: dict[str, list[AnnotatedToken]] = {}
-    for t in tokens:
-        by_doc.setdefault(t.doc_id, []).append(t)
-
+    regex, groups = _compile(tuple(patterns))
     merged: dict[tuple[str, ...], TermCandidate] = {}
-    firsts: dict[tuple[str, ...], tuple[tuple[str, int], str]] = {}
-    for doc_id in sorted(by_doc):
-        for m in pattern_matches(by_doc[doc_id], patterns):
-            key = m.lemmas
-            occ = (doc_id, m.tokens[0].offset)
-            if key not in merged:
-                merged[key] = TermCandidate(key, m.pattern.id, m.head_lemma)
-                firsts[key] = (occ, m.pattern.id)
-            elif occ < firsts[key][0]:
-                firsts[key] = (occ, m.pattern.id)
-            merged[key].occurrences.append(occ)
-
-    out = []
-    for key in sorted(merged):
-        cand = merged[key]
-        cand.occurrences.sort()
-        cand.pattern_id = firsts[key][1]
-        out.append(cand)
-    return out
+    for doc in sorted(docs, key=attrgetter("doc_id")):
+        doc_id, lemmas, offsets = doc.doc_id, doc.lemmas, doc.offsets
+        for m in regex.finditer(doc.tags):
+            start, end = m.span()
+            key = lemmas[start:end]
+            cand = merged.get(key)
+            if cand is None:
+                pattern, head = groups[m.lastindex]
+                cand = merged[key] = TermCandidate(key, pattern.id, lemmas[start + head])
+            cand.occurrences.append((doc_id, offsets[start]))
+    return [merged[key] for key in sorted(merged)]
 
 
 def load_patterns(path: str | Path) -> list[PatternDef]:
@@ -334,7 +365,7 @@ def candidates_to_json(candidates: Sequence[TermCandidate]) -> str:
         }
         for c in candidates
     ]
-    return json.dumps(rows, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    return json_text(rows)
 
 
 def candidates_from_json(text: str) -> list[TermCandidate]:

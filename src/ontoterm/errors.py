@@ -1,4 +1,5 @@
-"""Error types shared across the toolkit.
+"""Error types shared across the toolkit, and the file-format helpers
+every layer uses: reading an input's text and writing artifact JSON.
 
 Every error carries a stable ``code`` so the CLI can map failures to exit
 codes and callers can branch on the failure class without parsing messages.
@@ -7,6 +8,7 @@ codes and callers can branch on the failure class without parsing messages.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 
 
@@ -30,6 +32,83 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise EncodingError(f"not valid UTF-8: {path} (byte {exc.start})") from None
+
+
+def json_text(payload) -> str:
+    """The artifact text of ``payload``: ``json.dumps(payload,
+    ensure_ascii=False, indent=2, sort_keys=True)`` plus a newline.
+
+    ``json.dumps`` falls back to its pure-Python encoder when indenting;
+    this builds the same text as one list of chunks, with strings encoded
+    in C.  Dict keys must be strings.
+    """
+    chunks: list[str] = []
+    emit = chunks.append
+
+    def encode(value, newline: str) -> None:
+        # ``newline`` starts a line at the value's own indentation
+        if isinstance(value, (list, tuple)):
+            if not value:
+                emit("[]")
+                return
+            items = enumerate(value)
+            opening, closing = "[", "]"
+        elif isinstance(value, dict):
+            if not value:
+                emit("{}")
+                return
+            items = sorted(value.items())
+            opening, closing = "{", "}"
+        else:
+            emit(_json_scalar(value))
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        emit(opening + inner)
+        first = True
+        for key, item in items:
+            if first:
+                first = False
+            else:
+                emit(sep)
+            if closing == "}":
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                emit(encode_basestring(key) + ": ")
+            kind = type(item)
+            if kind is str:
+                emit(encode_basestring(item))
+            elif kind is int:
+                emit(int.__repr__(item))
+            else:
+                encode(item, inner)
+        emit(newline + closing)
+
+    encode(payload, "\n")
+    emit("\n")
+    return "".join(chunks)
+
+
+def _json_scalar(value) -> str:
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == float("inf"):
+            return "Infinity"
+        if value == float("-inf"):
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 class BadPatternError(OntoTermError):

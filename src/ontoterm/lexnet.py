@@ -15,8 +15,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import POS, AnnotatedToken, TermCandidate
-from .errors import UnknownRefError, UnknownTermError, read_text
+from .corpus import POS, TAG_CODES, DocTokens, TermCandidate
+from .errors import UnknownRefError, UnknownTermError, json_text, read_text
 from .graph import find_cycle
 
 
@@ -126,11 +126,8 @@ def same_head_hyponyms(candidates: Sequence[TermCandidate]) -> list[LexicalRelat
     return edges
 
 
-_COPULA_SURFACES = {"est", "sont"}
-
-
 def copula_relations(
-    tokens: Iterable[AnnotatedToken], known_terms: Iterable[str]
+    docs: Iterable[DocTokens], known_terms: Iterable[str]
 ) -> list[LexicalRelation]:
     """Mine hyponymy from ``TermA est/sont TermB`` sentences.
 
@@ -139,7 +136,8 @@ def copula_relations(
     position (a label's lemmas are its whitespace-split words, and labels
     sharing one lemma sequence resolve to the smallest) and self-loops are
     dropped.  Terms are indexed by lemma sequence once, so each position
-    costs one lookup per distinct term length: O(tokens × lengths).
+    costs one lookup per distinct term length: O(tokens × lengths), over
+    the documents that hold a copula.
     """
     by_lemmas: dict[tuple[str, ...], str] = {}
     for label in known_terms:
@@ -147,22 +145,20 @@ def copula_relations(
         if seq not in by_lemmas or label < by_lemmas[seq]:
             by_lemmas[seq] = label
     lengths = sorted({len(seq) for seq in by_lemmas}, reverse=True)
-    by_doc: dict[str, list[AnnotatedToken]] = {}
-    for t in tokens:
-        by_doc.setdefault(t.doc_id, []).append(t)
 
     found = set()
-    for doc_id in sorted(by_doc):
-        ts = by_doc[doc_id]
-        lemmas = [t.lemma for t in ts]
-        n = len(ts)
+    for doc in docs:
+        copula = doc.copula
+        if 1 not in copula:
+            continue
+        lemmas, tags, n = doc.lemmas, doc.tags, len(doc)
 
         def term_at(i: int, stop: int):
             """Labels starting at ``i`` and ending at or before ``stop``,
             longest first, with their end positions."""
             for k in lengths:
                 if i + k <= stop:
-                    label = by_lemmas.get(tuple(lemmas[i:i + k]))
+                    label = by_lemmas.get(lemmas[i:i + k])
                     if label is not None:
                         yield label, i + k
 
@@ -171,10 +167,10 @@ def copula_relations(
             hit = None
             # the first term must leave room for the copula after it
             for label_a, j in term_at(i, n - 1):
-                if ts[j].surface.lower() not in _COPULA_SURFACES:
+                if not copula[j]:
                     continue
                 j += 1
-                if j < n and ts[j].pos is POS.DET:
+                if j < n and tags[j] == TAG_CODES[POS.DET]:
                     j += 1
                 second = next(term_at(j, n), None)
                 if second is not None:
@@ -333,7 +329,7 @@ def lexnet_to_json(net: LexNet) -> str:
             for r in sorted(net.relations.values(), key=lambda r: (r.kind.value, r.source, r.target))
         ],
     }
-    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)
 
 
 def lexnet_from_json(text: str) -> LexNet:

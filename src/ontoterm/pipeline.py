@@ -42,7 +42,7 @@ from .corpus import (
     load_lexicon,
     load_patterns,
 )
-from .errors import ArtifactError, ConfigError, InconsistentOntologyError, read_text
+from .errors import ArtifactError, ConfigError, InconsistentOntologyError, json_text, read_text
 from .export import DEFAULT_IRI, to_kif, to_owl
 from .lexnet import (
     apply_validation,
@@ -184,7 +184,7 @@ _LOADERS: dict[str, Callable[[RunValues], object]] = {
     "corpus": lambda v: load_corpus(v.sources["corpus"]),
     "lexicon": lambda v: _optional(load_lexicon, v.sources.get("lexicon"), Lexicon()),
     "patterns": lambda v: _optional(load_patterns, v.sources.get("patterns"), DEFAULT_PATTERNS),
-    "tokens": lambda v: [t for doc in v["corpus"] for t in annotate(doc, v["lexicon"])],
+    "tokens": lambda v: [annotate(doc, v["lexicon"]) for doc in v["corpus"]],
     "synonyms": lambda v: _optional(load_synonym_declarations, v.sources.get("synonyms"), ()),
     "decisions": lambda v: load_decisions(v.sources["decisions"]),
     "stopwords": lambda v: _optional(load_stopwords, v.sources.get("stopwords"), DEFAULT_STOPWORDS),
@@ -194,10 +194,6 @@ _LOADERS: dict[str, Callable[[RunValues], object]] = {
     "taxonomy": lambda v: read_artifact(v.sources["taxonomy"], taxonomy_from_json),
     "ok_report": lambda v: read_artifact(v.sources["ok_report"], json.loads),
 }
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +235,7 @@ def render_ok_check(v: RunValues) -> str:
         "consistent": not violations,
         "violations": [{"rule": x.rule, "message": x.message} for x in violations],
     }
-    return _json_text(v["ok_report"])
+    return json_text(v["ok_report"])
 
 
 def render_align(v: RunValues) -> str:
@@ -260,7 +256,7 @@ def render_index(v: RunValues) -> str:
     ok_index = index_corpus(
         corpus, candidates, ontology, ontology_alignments(labels, ontology, v["stopwords"])
     )
-    return _json_text({"projected": index_to_json_obj(projected), "ok": index_to_json_obj(ok_index)})
+    return json_text({"projected": index_to_json_obj(projected), "ok": index_to_json_obj(ok_index)})
 
 
 def render_export(v: RunValues) -> str:
@@ -439,5 +435,5 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
                 for stage, outcome in result.stages.items()
             },
         }
-        manifest_path.write_text(_json_text(manifest), encoding="utf-8")
+        manifest_path.write_text(json_text(manifest), encoding="utf-8")
     return result

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import CycleError, UnknownConceptError
+from .errors import CycleError, UnknownConceptError, json_text
 from .graph import descendants, find_cycle
 from .lexnet import LexNet, RelationKind, Status, find_validated_hyponymy_cycle
 
@@ -140,7 +140,7 @@ def taxonomy_to_json(taxonomy: Taxonomy) -> str:
         "subsumption": sorted([child, parent] for child, parent in taxonomy.subsumption),
         "roots": taxonomy.roots,
     }
-    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)
 
 
 def taxonomy_from_json(text: str) -> Taxonomy:

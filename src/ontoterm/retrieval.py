@@ -8,13 +8,12 @@ expert tree makes the structural difference directly measurable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .align import AlignmentResult, DEFAULT_STOPWORDS, align_term
 from .corpus import Document, TermCandidate
-from .errors import ArtifactError, UnknownConceptError, UnresolvableLabelError
+from .errors import ArtifactError, UnknownConceptError, UnresolvableLabelError, json_text
 from .okmodel import OkOntology
 from .projection import Taxonomy, concept_id
 
@@ -248,4 +247,4 @@ def comparison_to_json(comparison: RecallComparison) -> str:
             for doc, sides in comparison.explanations.items()
         },
     }
-    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)

@@ -4,7 +4,9 @@ The oracles deliberately use different mechanics than the implementations
 they check: closure/ancestry are computed by fixpoint iteration over raw
 edge lists, pattern-match counting re-runs the scan as a regular
 expression over a POS-code string, and copula mining and alignment are
-per-call brute-force scans over every known term or concept.  The cycle
+per-call brute-force scans over every known term or concept.  The
+per-token front end (``AnnotatedToken`` objects, a pattern test at every
+position) is the one the columnar ``DocTokens`` front end replaced.  The cycle
 oracle is the recursive depth-first search the iterative one replaced;
 the children, closure, consistency and structure-comparison oracles are
 the per-call scans the indexed versions replaced, and the retrieval oracle
@@ -16,7 +18,9 @@ from __future__ import annotations
 import random
 import re
 import unicodedata
-from dataclasses import replace
+from array import array
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 from ontoterm.align import (
     AlignKind,
@@ -27,7 +31,22 @@ from ontoterm.align import (
     _VERDICT_PRIORITY,
     normalize_label,
 )
-from ontoterm.corpus import POS, AnnotatedToken, PatternDef
+from ontoterm.corpus import (
+    COPULA_SURFACES,
+    POS,
+    TAG_CODES,
+    Document,
+    DocTokens,
+    HeadPosition,
+    Lexicon,
+    LexiconEntry,
+    PatternDef,
+    TermCandidate,
+    _WORD_RUN,
+    _split_elisions,
+    _validate_patterns,
+)
+from ontoterm.lexnet import Evidence, LexicalRelation, RelationKind
 from ontoterm.errors import UnknownConceptError, UnresolvableLabelError
 from ontoterm.okmodel import (
     AttributeDef,
@@ -122,6 +141,184 @@ def random_ok_tree(
     return OkOntology(name="random", axes=axes, concepts=concepts)
 
 
+# ---------------------------------------------------------------------------
+# the per-token front end
+
+
+@dataclass(frozen=True)
+class AnnotatedToken:
+    surface: str
+    lemma: str
+    pos: POS
+    doc_id: str
+    offset: int
+
+
+def annotate_per_token(document: Document, lexicon: Lexicon) -> list[AnnotatedToken]:
+    """Tokenize a document and tag each token from the lexicon.
+
+    Tokens absent from the lexicon default to their lowercased surface as
+    lemma and to the OTHER tag.
+    """
+    tokens = []
+    for run in _WORD_RUN.finditer(document.text):
+        offset = run.start()
+        for part in _split_elisions(run.group()):
+            entry = lexicon.lookup(part)
+            if entry is not None:
+                lemma, pos = entry.lemma, entry.pos
+            else:
+                lemma, pos = part.lower(), POS.OTHER
+            tokens.append(AnnotatedToken(part, lemma, pos, document.id, offset))
+            offset += len(part)
+    return tokens
+
+
+@dataclass(frozen=True)
+class PatternMatch:
+    pattern: PatternDef
+    tokens: tuple[AnnotatedToken, ...]
+
+    @property
+    def lemmas(self) -> tuple[str, ...]:
+        return tuple(t.lemma for t in self.tokens)
+
+    @property
+    def head_lemma(self) -> str:
+        nouns = [t for t in self.tokens if t.pos is POS.NOUN]
+        return (nouns[0] if self.pattern.head_position is HeadPosition.FIRST_NOUN else nouns[-1]).lemma
+
+
+def pattern_matches_per_token(tokens: Sequence[AnnotatedToken], patterns: Sequence[PatternDef]) -> list[PatternMatch]:
+    """Greedy left-to-right scan of one document's tokens.
+
+    At each position the longest matching pattern wins (ties go to pattern
+    order) and its tokens are consumed, so match spans never overlap and a
+    bare noun is only emitted where no longer phrase covers it.
+    """
+    _validate_patterns(patterns)
+    matches = []
+    i = 0
+    n = len(tokens)
+    while i < n:
+        best = None
+        for p in patterns:
+            k = len(p.sequence)
+            if i + k > n or (best is not None and k <= len(best.sequence)):
+                continue
+            if all(tokens[i + j].pos is p.sequence[j] for j in range(k)):
+                best = p
+        if best is None:
+            i += 1
+        else:
+            span = tuple(tokens[i : i + len(best.sequence)])
+            matches.append(PatternMatch(best, span))
+            i += len(best.sequence)
+    return matches
+
+
+def extract_candidates_per_token(
+    tokens: Iterable[AnnotatedToken], patterns: Sequence[PatternDef]
+) -> list[TermCandidate]:
+    """Extract merged term candidates from annotated tokens.
+
+    Tokens may span several documents; matching runs per document and
+    candidates with the same lemma sequence are merged with their
+    occurrences summed.  The result is sorted by lemma sequence.
+    """
+    by_doc: dict[str, list[AnnotatedToken]] = {}
+    for t in tokens:
+        by_doc.setdefault(t.doc_id, []).append(t)
+
+    merged: dict[tuple[str, ...], TermCandidate] = {}
+    firsts: dict[tuple[str, ...], tuple[tuple[str, int], str]] = {}
+    for doc_id in sorted(by_doc):
+        for m in pattern_matches_per_token(by_doc[doc_id], patterns):
+            key = m.lemmas
+            occ = (doc_id, m.tokens[0].offset)
+            if key not in merged:
+                merged[key] = TermCandidate(key, m.pattern.id, m.head_lemma)
+                firsts[key] = (occ, m.pattern.id)
+            elif occ < firsts[key][0]:
+                firsts[key] = (occ, m.pattern.id)
+            merged[key].occurrences.append(occ)
+
+    out = []
+    for key in sorted(merged):
+        cand = merged[key]
+        cand.occurrences.sort()
+        cand.pattern_id = firsts[key][1]
+        out.append(cand)
+    return out
+
+
+_COPULA_SURFACES = {"est", "sont"}
+
+
+def copula_relations_per_token(
+    tokens: Iterable[AnnotatedToken], known_terms: Iterable[str]
+) -> list[LexicalRelation]:
+    """Mine hyponymy from ``TermA est/sont TermB`` sentences.
+
+    Matching is surface-level over lemma sequences with an optional
+    determiner before the second term; the longest known term wins at each
+    position (a label's lemmas are its whitespace-split words, and labels
+    sharing one lemma sequence resolve to the smallest) and self-loops are
+    dropped.  Terms are indexed by lemma sequence once, so each position
+    costs one lookup per distinct term length: O(tokens × lengths).
+    """
+    by_lemmas: dict[tuple[str, ...], str] = {}
+    for label in known_terms:
+        seq = tuple(label.split())
+        if seq not in by_lemmas or label < by_lemmas[seq]:
+            by_lemmas[seq] = label
+    lengths = sorted({len(seq) for seq in by_lemmas}, reverse=True)
+    by_doc: dict[str, list[AnnotatedToken]] = {}
+    for t in tokens:
+        by_doc.setdefault(t.doc_id, []).append(t)
+
+    found = set()
+    for doc_id in sorted(by_doc):
+        ts = by_doc[doc_id]
+        lemmas = [t.lemma for t in ts]
+        n = len(ts)
+
+        def term_at(i: int, stop: int):
+            """Labels starting at ``i`` and ending at or before ``stop``,
+            longest first, with their end positions."""
+            for k in lengths:
+                if i + k <= stop:
+                    label = by_lemmas.get(tuple(lemmas[i:i + k]))
+                    if label is not None:
+                        yield label, i + k
+
+        i = 0
+        while i < n:
+            hit = None
+            # the first term must leave room for the copula after it
+            for label_a, j in term_at(i, n - 1):
+                if ts[j].surface.lower() not in _COPULA_SURFACES:
+                    continue
+                j += 1
+                if j < n and ts[j].pos is POS.DET:
+                    j += 1
+                second = next(term_at(j, n), None)
+                if second is not None:
+                    hit = (label_a, *second)
+                    break
+            if hit is None:
+                i += 1
+            else:
+                source, target, end = hit
+                if source != target:
+                    found.add((source, target))
+                i = end
+    return [
+        LexicalRelation(RelationKind.HYPONYMY, s, t, Evidence.COPULA_PATTERN)
+        for s, t in sorted(found)
+    ]
+
+
 _POS_CODE = {
     POS.NOUN: "N",
     POS.ADJ: "A",
@@ -146,43 +343,38 @@ def regex_match_count(tokens: list[AnnotatedToken], patterns: list[PatternDef]) 
     return sum(1 for _ in re.finditer(alternation, code))
 
 
-def copula_oracle(
-    tokens: list[AnnotatedToken], known_terms: list[str]
-) -> set[tuple[str, str]]:
+def copula_oracle(docs: list[DocTokens], known_terms: list[str]) -> set[tuple[str, str]]:
     """(source, target) pairs of ``TermA est/sont [DET] TermB`` sentences,
     by trying every known term at every position: O(tokens × terms)."""
     term_seqs = sorted(
         {label: tuple(label.split()) for label in known_terms}.items(),
         key=lambda kv: (-len(kv[1]), kv[0]),
     )
-    by_doc: dict[str, list[AnnotatedToken]] = {}
-    for t in tokens:
-        by_doc.setdefault(t.doc_id, []).append(t)
 
-    def term_at(ts: list[AnnotatedToken], i: int) -> tuple[str, int] | None:
+    def term_at(lemmas: tuple[str, ...], i: int) -> tuple[str, int] | None:
         for label, seq in term_seqs:
             k = len(seq)
-            if i + k <= len(ts) and all(ts[i + j].lemma == seq[j] for j in range(k)):
+            if i + k <= len(lemmas) and all(lemmas[i + j] == seq[j] for j in range(k)):
                 return label, i + k
         return None
 
     found = set()
-    for doc_id in sorted(by_doc):
-        ts = by_doc[doc_id]
+    for doc in docs:
+        lemmas = doc.lemmas
         i = 0
-        while i < len(ts):
+        while i < len(lemmas):
             hit = None
             for label_a, seq_a in term_seqs:
                 k = len(seq_a)
-                if i + k >= len(ts) or not all(ts[i + j].lemma == seq_a[j] for j in range(k)):
+                if i + k >= len(lemmas) or not all(lemmas[i + j] == seq_a[j] for j in range(k)):
                     continue
                 j = i + k
-                if ts[j].surface.lower() not in ("est", "sont"):
+                if not doc.copula[j]:
                     continue
                 j += 1
-                if j < len(ts) and ts[j].pos is POS.DET:
+                if j < len(lemmas) and doc.tags[j] == TAG_CODES[POS.DET]:
                     j += 1
-                second = term_at(ts, j)
+                second = term_at(lemmas, j)
                 if second is not None:
                     hit = (label_a, second[0], second[1])
                     break
@@ -262,7 +454,7 @@ def recursive_cycle_oracle(edges: set[tuple[str, str]]) -> list[str] | None:
     return None
 
 
-def random_copula_case(rng: random.Random) -> tuple[list[AnnotatedToken], list[str]]:
+def random_copula_case(rng: random.Random) -> tuple[list[DocTokens], list[str]]:
     """Token streams dense in copula sentences over a tiny vocabulary, so
     that terms overlap, prefix one another, end documents and hold the
     copula's lemma, with labels that share a lemma sequence (extra spaces,
@@ -278,7 +470,7 @@ def random_copula_case(rng: random.Random) -> tuple[list[AnnotatedToken], list[s
         labels.add(rng.choice(("", " ")))
     verbs = [("est", "être"), ("Est", "être"), ("sont", "être"), ("SONT", "être"), ("été", "être")]
     determiners = [("un", "un"), ("les", "le"), ("b", "b")]  # «b» is also a term word
-    tokens = []
+    docs = []
     for doc in range(rng.randint(1, 3)):
         stream: list[tuple[str, str, POS]] = []
         for _ in range(rng.randint(0, 12)):
@@ -294,11 +486,92 @@ def random_copula_case(rng: random.Random) -> tuple[list[AnnotatedToken], list[s
                 stream.append((*rng.choice(determiners), POS.DET))
             else:
                 stream.append(("de", "de", POS.PREP))
-        tokens.extend(
-            AnnotatedToken(surface, lemma, pos, f"doc{doc}", offset)
-            for offset, (surface, lemma, pos) in enumerate(stream)
-        )
-    return tokens, sorted(labels, key=lambda _: rng.random())
+        docs.append(DocTokens(
+            f"doc{doc}",
+            tuple(lemma for _, lemma, _ in stream),
+            "".join(TAG_CODES[pos] for _, _, pos in stream),
+            array("I", range(len(stream))),
+            bytes(surface.lower() in COPULA_SURFACES for surface, _, _ in stream),
+        ))
+    return docs, sorted(labels, key=lambda _: rng.random())
+
+
+#: (surface, lemma, POS) of the random front-end lexicon: accented words,
+#: elided forms listed with and without their apostrophe, the copulas, a
+#: hyphenated compound and an upper-case entry.
+FRONT_END_LEXICON = (
+    ("relais", "relais", POS.NOUN), ("tension", "tension", POS.NOUN),
+    ("seuil", "seuil", POS.NOUN), ("état", "état", POS.NOUN), ("Kaplan", "kaplan", POS.NOUN),
+    ("tout-ou-rien", "tout-ou-rien", POS.ADJ), ("électrique", "électrique", POS.ADJ),
+    ("rapides", "rapide", POS.ADJ), ("de", "de", POS.PREP), ("à", "à", POS.PREP),
+    ("d", "de", POS.PREP), ("le", "le", POS.DET), ("la", "le", POS.DET), ("l", "le", POS.DET),
+    ("un", "un", POS.DET), ("qu'", "que", POS.OTHER), ("est", "être", POS.VERB),
+    ("sont", "être", POS.VERB), ("coupe", "couper", POS.VERB),
+)
+
+_FRONT_END_WORDS = (
+    [s for s, _, _ in FRONT_END_LEXICON if not s.endswith("'")]
+    + ["RELAIS", "Tension", "ÉTAT", "Est", "SONT", "est-ce", "aujourd'hui", "ß", "İle",
+       "xyzzy", "bobine", "42", "3-4"]  # unknown words and digits
+)
+_ELIDED = ("l'", "d'", "qu'", "L’", "d’", "jusqu'", "c’", "QU'")
+_SEPARATORS = (" ", " ", " ", ", ", ". ", "\n", "  ", " (", ") ", "_", " ' ", " - ", "; ")
+
+
+def random_document(rng: random.Random, doc_id: str, n_words: int) -> Document:
+    """French-like text of ``n_words`` words or copula sentences over
+    ``FRONT_END_LEXICON`` and unknown words, with elisions (both apostrophes, stacked, at a word's
+    end), hyphens, mixed case, NFD accents and punctuation."""
+    nouns = [s for s, _, pos in FRONT_END_LEXICON if pos is POS.NOUN]
+    words = []
+    for _ in range(n_words):
+        if rng.random() < 0.15:  # a copula sentence
+            words.append(" ".join((
+                rng.choice(nouns), rng.choice(("est", "sont", "EST", "Sont")),
+                rng.choice(("", "un ", "la ", "l'")) + rng.choice(nouns),
+            )))
+            words.append(rng.choice(_SEPARATORS))
+            continue
+        word = rng.choice(_FRONT_END_WORDS)
+        if rng.random() < 0.2:
+            word = "".join(rng.choice(_ELIDED) for _ in range(rng.choice((1, 1, 2)))) + word
+        elif rng.random() < 0.05:
+            word += rng.choice(("'", "’", "-"))
+        if rng.random() < 0.1:
+            word = word.upper() if rng.random() < 0.5 else word.capitalize()
+        words.append(word)
+        words.append(rng.choice(_SEPARATORS))
+    text = "".join(words)
+    if rng.random() < 0.2:
+        text = unicodedata.normalize("NFD", text)
+    return Document(doc_id, text)
+
+
+def random_front_end_case(
+    rng: random.Random,
+) -> tuple[list[Document], Lexicon, list[PatternDef]]:
+    """Up to five documents with distinct ids in random order, some empty
+    or one word long, the lexicon (sometimes with NFD or upper-case surfaces) and a random pattern
+    set: repeated lengths, equal sequences and ``head=last``."""
+    docs = [
+        random_document(rng, f"d{i}", rng.choice((0, 1, rng.randint(1, 12))))
+        for i in rng.sample(range(12), rng.randint(1, 5))
+    ]
+    entries = []
+    for surface, lemma, pos in FRONT_END_LEXICON:
+        if rng.random() < 0.1:
+            surface = unicodedata.normalize("NFD", surface.upper())
+        entries.append(LexiconEntry(surface, lemma, pos))
+    tags = [POS.NOUN, POS.NOUN, POS.ADJ, POS.PREP, POS.DET, POS.VERB, POS.OTHER]
+    patterns = []
+    for i in range(rng.randint(1, 5)):
+        sequence = [rng.choice(tags) for _ in range(rng.randint(0, 3))]
+        sequence.insert(rng.randint(0, len(sequence)), POS.NOUN)
+        if patterns and rng.random() < 0.15:
+            sequence = list(rng.choice(patterns).sequence)
+        head = rng.choice((HeadPosition.FIRST_NOUN, HeadPosition.LAST_NOUN))
+        patterns.append(PatternDef(f"p{i}", tuple(sequence), head))
+    return docs, Lexicon(entries), patterns
 
 
 def random_align_case(

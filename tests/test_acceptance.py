@@ -82,7 +82,7 @@ def desk_extraction():
     corpus = load_corpus(data_path("corpus"))
     lexicon = load_lexicon(data_path("lexicon.tsv"))
     patterns = load_patterns(data_path("patterns.txt"))
-    tokens = [t for doc in corpus for t in annotate(doc, lexicon)]
+    tokens = [annotate(doc, lexicon) for doc in corpus]
     return corpus, lexicon, patterns, tokens
 
 
@@ -209,7 +209,7 @@ def test_criterion_5_retrieval_contrast():
     corpus = load_corpus(data_path("retrieval"))
     lexicon = load_lexicon(data_path("lexicon.tsv"))
     patterns = load_patterns(data_path("patterns.txt"))
-    tokens = [t for doc in corpus for t in annotate(doc, lexicon)]
+    tokens = [annotate(doc, lexicon) for doc in corpus]
     candidates = extract_candidates(tokens, patterns)
     labels = [c.label for c in candidates]
 
@@ -387,7 +387,7 @@ def run_memory_pipeline(spec) -> dict[str, str]:
     texts, tagged, validate_all = spec
     docs = [Document(f"d{i}", text) for i, text in enumerate(texts)]
     lexicon = Lexicon([LexiconEntry(w, w, pos) for w, pos in tagged])
-    tokens = [t for d in docs for t in annotate(d, lexicon)]
+    tokens = [annotate(d, lexicon) for d in docs]
     candidates = extract_candidates(tokens, DEFAULT_PATTERNS)
     relations = same_head_hyponyms(candidates)
     relations += copula_relations(tokens, [c.label for c in candidates])

@@ -1,8 +1,19 @@
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import pytest
 
-from genutil import regex_match_count
+from genutil import (
+    annotate_per_token,
+    copula_relations_per_token,
+    extract_candidates_per_token,
+    pattern_matches_per_token,
+    random_document,
+    random_front_end_case,
+    regex_match_count,
+)
 from ontoterm.corpus import (
     DEFAULT_PATTERNS,
     Document,
@@ -10,6 +21,7 @@ from ontoterm.corpus import (
     Lexicon,
     LexiconEntry,
     POS,
+    TAG_CODES,
     PatternDef,
     annotate,
     candidates_from_json,
@@ -20,7 +32,8 @@ from ontoterm.corpus import (
     load_patterns,
     pattern_matches,
 )
-from ontoterm.errors import BadPatternError, EncodingError, NoCorpusError
+from ontoterm.errors import BadPatternError, ConfigError, EncodingError, NoCorpusError
+from ontoterm.lexnet import copula_relations
 from ontoterm.fixtures import data_path
 
 N, ADJ, PREP, DET = POS.NOUN, POS.ADJ, POS.PREP, POS.DET
@@ -74,57 +87,69 @@ def test_load_corpus_skips_blank_files(tmp_path):
 
 def test_annotate_applies_lexicon():
     tokens = tok("des relais électromagnétiques")
-    assert [(t.lemma, t.pos) for t in tokens] == [
-        ("de", DET),
-        ("relais", N),
-        ("électromagnétique", ADJ),
-    ]
+    assert tokens.lemmas == ("de", "relais", "électromagnétique")
+    assert tokens.tags == "DNA"
+    assert len(tokens) == 3
 
 
 def test_annotate_empty_text():
-    assert tok("") == []
+    tokens = tok("")
+    assert len(tokens) == 0
+    assert (tokens.lemmas, tokens.tags, list(tokens.offsets), tokens.copula) == ((), "", [], b"")
 
 
 def test_annotate_unknown_word_defaults():
     tokens = tok("xyzzy", Lexicon())
-    assert [(t.lemma, t.pos) for t in tokens] == [("xyzzy", POS.OTHER)]
+    assert (tokens.lemmas, tokens.tags) == (("xyzzy",), "O")
 
 
 def test_annotate_uppercase_defaults_to_lowercase_lemma():
     tokens = tok("Kaplan", Lexicon())
-    assert tokens[0].surface == "Kaplan"
-    assert tokens[0].lemma == "kaplan"
+    assert tokens.lemmas == ("kaplan",)
+    assert list(tokens.offsets) == [0]
 
 
 def test_annotate_splits_elided_articles():
     tokens = tok("l'alarme d'un relais", Lexicon())
-    assert [t.surface for t in tokens] == ["l'", "alarme", "d'", "un", "relais"]
+    assert tokens.lemmas == ("l'", "alarme", "d'", "un", "relais")
     # offsets index into the document text
-    assert [t.offset for t in tokens] == [0, 2, 9, 11, 14]
+    assert list(tokens.offsets) == [0, 2, 9, 11, 14]
 
 
 def test_annotate_keeps_hyphenated_compounds():
     tokens = tok("relais tout-ou-rien", Lexicon())
-    assert [t.surface for t in tokens] == ["relais", "tout-ou-rien"]
+    assert tokens.lemmas == ("relais", "tout-ou-rien")
 
 
 def test_annotate_elided_lookup_falls_back_to_bare_letter():
     lexicon = Lexicon([LexiconEntry("l", "le", DET)])
     tokens = tok("l'appareil", lexicon)
-    assert (tokens[0].lemma, tokens[0].pos) == ("le", DET)
+    assert (tokens.lemmas[0], tokens.tags[0]) == ("le", "D")
+
+
+def test_annotate_flags_copula_surfaces_in_any_case():
+    tokens = tok("relais EST tension sont Sont estime", Lexicon())
+    assert tokens.copula == bytes([0, 1, 0, 1, 1, 0])
+
+
+def test_lexicon_tag_is_memoised_per_surface():
+    tag = RELAY_LEXICON.tag("Relais")
+    assert tag == ("relais", "N", 0)
+    assert RELAY_LEXICON.tag("Relais") is tag
+    assert RELAY_LEXICON.tag("inconnu") == ("inconnu", "O", 0)
 
 
 # --- extraction -----------------------------------------------------------
 
 
 def test_extract_noun_adj():
-    cands = extract_candidates(tok("relais électromagnétique"), DEFAULT_PATTERNS)
+    cands = extract_candidates([tok("relais électromagnétique")], DEFAULT_PATTERNS)
     assert [c.label for c in cands] == ["relais électromagnétique"]
     assert cands[0].head_lemma == "relais"
 
 
 def test_extract_noun_prep_noun():
-    cands = extract_candidates(tok("relais de tension"), DEFAULT_PATTERNS)
+    cands = extract_candidates([tok("relais de tension")], DEFAULT_PATTERNS)
     assert [c.label for c in cands] == ["relais de tension"]
     assert cands[0].head_lemma == "relais"
 
@@ -135,18 +160,18 @@ def test_extract_empty_tokens():
 
 def test_extract_longest_match_wins():
     # «relais de tension» must not also yield «relais» and «tension» there
-    cands = extract_candidates(tok("des relais de tension"), DEFAULT_PATTERNS)
+    cands = extract_candidates([tok("des relais de tension")], DEFAULT_PATTERNS)
     assert [c.label for c in cands] == ["relais de tension"]
 
 
 def test_extract_bare_noun_outside_longer_span():
-    cands = extract_candidates(tok("relais de tension des relais"), DEFAULT_PATTERNS)
+    cands = extract_candidates([tok("relais de tension des relais")], DEFAULT_PATTERNS)
     labels = {c.label: c.frequency for c in cands}
     assert labels == {"relais de tension": 1, "relais": 1}
 
 
 def test_extract_merges_identical_sequences_across_docs():
-    tokens = tok("relais de tension", doc_id="a") + tok("relais de tension", doc_id="b")
+    tokens = [tok("relais de tension", doc_id="b"), tok("relais de tension", doc_id="a")]
     cands = extract_candidates(tokens, DEFAULT_PATTERNS)
     assert len(cands) == 1
     assert cands[0].frequency == 2
@@ -155,12 +180,12 @@ def test_extract_merges_identical_sequences_across_docs():
 
 def test_extract_rejects_pattern_without_noun():
     with pytest.raises(BadPatternError):
-        extract_candidates(tok("relais"), [PatternDef("bad", (ADJ,))])
+        extract_candidates([tok("relais")], [PatternDef("bad", (ADJ,))])
 
 
 def test_extract_head_last_noun():
     pattern = PatternDef("nn", (N, PREP, N), HeadPosition.LAST_NOUN)
-    cands = extract_candidates(tok("relais de tension"), [pattern])
+    cands = extract_candidates([tok("relais de tension")], [pattern])
     assert cands[0].head_lemma == "tension"
 
 
@@ -168,7 +193,7 @@ def test_fixture_corpus_relais_de_tension_frequency():
     corpus = load_corpus(data_path("corpus"))
     lexicon = load_lexicon(data_path("lexicon.tsv"))
     patterns = load_patterns(data_path("patterns.txt"))
-    tokens = [t for d in corpus for t in annotate(d, lexicon)]
+    tokens = [annotate(d, lexicon) for d in corpus]
     by_label = {c.label: c for c in extract_candidates(tokens, patterns)}
     assert by_label["relais de tension"].frequency == 3
 
@@ -180,7 +205,7 @@ def fixture_extraction():
     corpus = load_corpus(data_path("corpus"))
     lexicon = load_lexicon(data_path("lexicon.tsv"))
     patterns = load_patterns(data_path("patterns.txt"))
-    tokens = [t for d in corpus for t in annotate(d, lexicon)]
+    tokens = [annotate(d, lexicon) for d in corpus]
     return corpus, lexicon, patterns, tokens
 
 
@@ -196,21 +221,19 @@ def test_merging_soundness_against_regex_rescan():
     cands = extract_candidates(tokens, patterns)
     total = sum(c.frequency for c in cands)
     expected = sum(
-        regex_match_count(annotate(doc, lexicon), patterns) for doc in corpus
+        regex_match_count(annotate_per_token(doc, lexicon), patterns) for doc in corpus
     )
     assert total == expected
 
 
 def test_match_spans_never_overlap():
-    corpus, lexicon, patterns, _ = fixture_extraction()
-    for doc in corpus:
-        tokens = annotate(doc, lexicon)
+    _, _, patterns, tokens = fixture_extraction()
+    for doc in tokens:
         spans = []
-        for m in pattern_matches(tokens, patterns):
-            start = m.tokens[0].offset
-            end = m.tokens[-1].offset + len(m.tokens[-1].surface)
+        for pattern, start, end in pattern_matches(doc, patterns):
+            assert doc.tags[start:end] == "".join(TAG_CODES[pos] for pos in pattern.sequence)
             spans.append((start, end))
-        spans.sort()
+        assert spans == sorted(spans)
         for (s1, e1), (s2, _e2) in zip(spans, spans[1:]):
             assert e1 <= s2
 
@@ -228,6 +251,76 @@ def test_candidates_json_roundtrip():
     assert [(c.lemmas, c.head_lemma, c.occurrences) for c in again] == [
         (c.lemmas, c.head_lemma, c.occurrences) for c in cands
     ]
+
+
+# --- the columnar front end against the per-token one ---------------------
+
+
+def per_token_spans(tokens, patterns):
+    """(pattern, start, end) token spans of the per-token scan."""
+    index = {t.offset: i for i, t in enumerate(tokens)}
+    return [
+        (m.pattern, index[m.tokens[0].offset], index[m.tokens[0].offset] + len(m.tokens))
+        for m in pattern_matches_per_token(tokens, patterns)
+    ]
+
+
+def assert_front_ends_agree(docs, lexicon, patterns):
+    """Columns, spans, candidates and copula relations of both front ends
+    agree; returns the candidates and relations."""
+    per_token = [annotate_per_token(doc, lexicon) for doc in docs]
+    columns = [annotate(doc, lexicon) for doc in docs]
+    for tokens, doc in zip(per_token, columns):
+        assert doc.lemmas == tuple(t.lemma for t in tokens)
+        assert doc.tags == "".join(TAG_CODES[t.pos] for t in tokens)
+        assert list(doc.offsets) == [t.offset for t in tokens]
+        assert doc.copula == bytes(t.surface.lower() in ("est", "sont") for t in tokens)
+        assert pattern_matches(doc, patterns) == per_token_spans(tokens, patterns)
+    flat = [t for tokens in per_token for t in tokens]
+    candidates = extract_candidates_per_token(flat, patterns)
+    got = extract_candidates(columns, patterns)
+    assert candidates_to_json(got) == candidates_to_json(candidates)
+    labels = [c.label for c in candidates]
+    relations = copula_relations_per_token(flat, labels)
+    assert copula_relations(columns, labels) == relations
+    return flat, candidates, relations
+
+
+def test_front_end_matches_per_token_oracle_on_fixture():
+    corpus, lexicon, patterns, _ = fixture_extraction()
+    _, candidates, relations = assert_front_ends_agree(corpus, lexicon, patterns)
+    assert candidates and relations
+
+
+def test_front_end_matches_per_token_oracle_on_random_corpora():
+    rng = random.Random(19950301)
+    seen = dict.fromkeys(("elided", "empty doc", "head=last", "relations", "tie"), 0)
+    for _ in range(600):
+        docs, lexicon, patterns = random_front_end_case(rng)
+        tokens, candidates, relations = assert_front_ends_agree(docs, lexicon, patterns)
+        lengths = [len(p.sequence) for p in patterns]
+        seen["elided"] += any(t.surface.endswith(("'", "’")) for t in tokens)
+        seen["empty doc"] += any(not annotate(doc, lexicon) for doc in docs)
+        seen["head=last"] += any(p.head_position is HeadPosition.LAST_NOUN for p in patterns)
+        seen["relations"] += bool(relations)
+        seen["tie"] += len(set(lengths)) < len(lengths)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_token_store_holds_at_most_40_bytes_per_token():
+    rng = random.Random(1995)
+    corpus = [random_document(rng, f"d{i:04}", rng.randint(15, 35)) for i in range(500)]
+    lexicon = load_lexicon(data_path("lexicon.tsv"))
+    tokens = sum(len(annotate(doc, lexicon)) for doc in corpus)  # warms the lexicon memo
+    assert tokens >= 10_000
+    tracemalloc.start()
+    try:
+        held = [annotate(doc, lexicon) for doc in corpus]
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, held)) == tokens
+    assert size / tokens <= 40
 
 
 # --- config files ---------------------------------------------------------
@@ -251,3 +344,10 @@ def test_lexicon_lookup_case_insensitive():
     lexicon = load_lexicon(data_path("lexicon.tsv"))
     assert lexicon.lookup("Relais").lemma == "relais"
     assert lexicon.lookup("RELAIS").pos is N
+
+
+def test_load_lexicon_reports_empty_surface(tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_text("relais\trelais\tNOUN\n \trelais\tN\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="line 2: empty surface form"):
+        load_lexicon(path)

@@ -90,7 +90,7 @@ COPULA_LEXICON = Lexicon(
 
 
 def copula_tokens(text):
-    return annotate(Document("d", text), COPULA_LEXICON)
+    return [annotate(Document("d", text), COPULA_LEXICON)]
 
 
 def test_copula_detects_hyponymy():

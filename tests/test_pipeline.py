@@ -7,11 +7,12 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ontoterm import pipeline
 from ontoterm.cli import main
 from ontoterm.corpus import load_corpus
-from ontoterm.errors import ConfigError, InconsistentOntologyError
+from ontoterm.errors import ConfigError, InconsistentOntologyError, json_text
 from ontoterm.fixtures import data_path
 from ontoterm.pipeline import STAGES, load_config, parse_config, run_pipeline
 
@@ -128,6 +129,52 @@ def test_pipeline_fixture_artifacts_are_byte_identical_to_the_recorded_ones(tmp_
     assert {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in result.artifacts
     } == FIXTURE_SHA256
+
+
+def dumps_artifact(payload) -> str:
+    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "\u2028", "relais à «seuil»", "😀"])
+    | st.text()
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_text_matches_json_dumps(payload):
+    assert json_text(payload) == dumps_artifact(payload)
+
+
+def test_json_text_encodes_non_finite_floats_like_json_dumps():
+    payload = {"nan": float("nan"), "values": [float("inf"), float("-inf"), -0.0, 1e300]}
+    assert json_text(payload) == dumps_artifact(payload)
+
+
+def test_json_text_rejects_keys_that_are_not_strings():
+    with pytest.raises(TypeError):
+        json_text({1: "a"})
+
+
+def test_json_text_reencodes_every_fixture_artifact(tmp_path):
+    result = run_pipeline(load_config(write_config(tmp_path)))
+    paths = [p for p in result.artifacts if p.suffix == ".json"]
+    paths.append(result.output_dir / "manifest.json")
+    assert len(paths) == 8
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert json_text(json.loads(text)) == text, path.name
 
 
 def test_pipeline_invalidates_downstream_on_input_change(tmp_path):
@@ -327,6 +374,7 @@ def test_cli_missing_config_key_is_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize("line, problem", [
     ("relais\trelais\n", "expected 3 tab-separated columns"),
     ("relais\trelais\tXYZ\n", "unknown POS tag 'XYZ'"),
+    (" \trelais\tN\n", "empty surface form"),
 ])
 def test_cli_malformed_lexicon_line_is_exit_1(tmp_path, capsys, line, problem):
     lexicon = tmp_path / "bad_lex.tsv"

@@ -77,7 +77,7 @@ def experiment(relay, taxonomy):
     corpus = load_corpus(data_path("retrieval"))
     lexicon = load_lexicon(data_path("lexicon.tsv"))
     patterns = load_patterns(data_path("patterns.txt"))
-    tokens = [t for d in corpus for t in annotate(d, lexicon)]
+    tokens = [annotate(d, lexicon) for d in corpus]
     candidates = extract_candidates(tokens, patterns)
     labels = [c.label for c in candidates]
     projected = index_corpus(corpus, candidates, taxonomy, taxonomy_alignments(taxonomy))
@@ -100,7 +100,7 @@ def test_document_without_known_terms_is_reported(relay, taxonomy, tmp_path):
     corpus = load_corpus(tmp_path)
     lexicon = load_lexicon(data_path("lexicon.tsv"))
     patterns = load_patterns(data_path("patterns.txt"))
-    tokens = [t for d in corpus for t in annotate(d, lexicon)]
+    tokens = [annotate(d, lexicon) for d in corpus]
     candidates = extract_candidates(tokens, patterns)
     index = index_corpus(corpus, candidates, relay,
                          ontology_alignments([c.label for c in candidates], relay))
@@ -120,7 +120,7 @@ def test_ambiguous_terms_are_skipped_and_logged(taxonomy):
     corpus = load_corpus(data_path("retrieval"))
     lexicon = load_lexicon(data_path("lexicon.tsv"))
     patterns = load_patterns(data_path("patterns.txt"))
-    tokens = [t for d in corpus for t in annotate(d, lexicon)]
+    tokens = [annotate(d, lexicon) for d in corpus]
     candidates = extract_candidates(tokens, patterns)
     index = index_corpus(corpus, candidates, ontology,
                          ontology_alignments([c.label for c in candidates], ontology))
