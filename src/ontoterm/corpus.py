@@ -157,12 +157,6 @@ class Lexicon:
             tagged = self._tags[surface] = (lemma, code, int(surface.lower() in COPULA_SURFACES))
         return tagged
 
-    def __contains__(self, surface: str) -> bool:
-        return self.lookup(surface) is not None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 def load_lexicon(path: str | Path) -> Lexicon:
     """Read a TSV lexicon: ``surface<TAB>lemma<TAB>pos``, ``#`` comments allowed."""
@@ -177,6 +171,8 @@ def load_lexicon(path: str | Path) -> Lexicon:
         surface, lemma, pos = (p.strip() for p in parts)
         if not surface:
             raise ConfigError(f"{path}: line {lineno}: empty surface form")
+        if not lemma:
+            raise ConfigError(f"{path}: line {lineno}: empty lemma")
         try:
             entries.append(LexiconEntry(surface, lemma, POS(pos.upper())))
         except ValueError:

@@ -8,9 +8,11 @@ separate concepts: attributes only hang off the tree to describe object
 instances, and two concepts with identical attribute sets but different
 differentia paths remain distinct, non-substitutable concepts.
 
-Consistency is checked against seven rules:
+Tree shape is checked when an ``OkOntology`` is built: every genus names a
+concept and every concept is reachable from a root, so genus links form a
+forest and never a cycle.  Consistency is checked against seven rules:
 
-  R1  single root, tree shape, no genus cycles
+  R1  single root
   R2  every non-root carries exactly one well-formed differentia
   R3  siblings differentiated on one axis take pairwise distinct values
   R4  an axis is used at most once along any root-to-node path
@@ -40,7 +42,7 @@ from .errors import (
     UnknownConceptError,
     read_text,
 )
-from .graph import descendants
+from .graph import descendants, find_cycle
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,12 @@ class OkOntology:
     """An expert ontology as a value.  Its five mappings are read-only
     copies taken when it is built, and the genus → children view is
     indexed then, once; ``dataclasses.replace`` makes a variant, indexed
-    afresh."""
+    afresh.
+
+    Its genus links form a forest: building one raises ``ValueError`` when
+    a genus names no concept or when some concept is not reachable from a
+    root (it lies on or below a genus cycle).  Single-rootedness is rule R1
+    of ``check_consistency``."""
 
     name: str = ""
     axes: Mapping[str, Axis] = field(default_factory=dict)
@@ -144,6 +151,12 @@ class OkOntology:
         for name, concept in self.concepts.items():
             view.setdefault(concept.genus, []).append(name)
         self._children = {genus: tuple(names) for genus, names in view.items()}
+        unknown = sorted(view.keys() - self.concepts.keys() - {None})
+        if unknown:
+            raise ValueError(f"genus names no concept: {unknown}")
+        if len(descendants(self._children, None)) <= len(self.concepts):  # None is counted too
+            edges = [(name, c.genus) for name, c in self.concepts.items() if c.genus is not None]
+            raise ValueError("genus cycle: " + " -> ".join(find_cycle(edges)))
 
     def __contains__(self, name: str) -> bool:
         return name in self.concepts
@@ -161,13 +174,12 @@ class OkOntology:
         return list(self._children.get(name, ()))
 
     def genus_chain(self, name: str) -> list[str]:
-        """Ancestors from the immediate genus up to the root (cycle-safe)."""
+        """Ancestors from the immediate genus up to the root: O(depth), the
+        genus links being a forest."""
         chain = []
-        seen = {name}
         current = self.concepts[name].genus
-        while current is not None and current in self.concepts and current not in seen:
+        while current is not None:
             chain.append(current)
-            seen.add(current)
             current = self.concepts[current].genus
         return chain
 
@@ -211,30 +223,6 @@ def check_consistency(ontology: OkOntology) -> list[Violation]:
         violations.append(Violation("R1", "no root concept"))
     elif len(roots) > 1:
         violations.append(Violation("R1", "multiple roots: " + ", ".join(sorted(roots))))
-    for name, concept in ontology.concepts.items():
-        if concept.genus is not None and concept.genus not in ontology.concepts:
-            violations.append(Violation("R1", f"{name!r} has unknown genus {concept.genus!r}"))
-
-    # genus cycles
-    state: dict[str, int] = {}
-    for start in ontology.concepts:
-        if state.get(start, 0):
-            continue
-        path = []
-        node = start
-        while node is not None and node in ontology.concepts:
-            mark = state.get(node, 0)
-            if mark == 1:  # found a node of the current walk again: cycle
-                cycle = path[path.index(node):] + [node]
-                violations.append(Violation("R1", "genus cycle: " + " -> ".join(cycle)))
-                break
-            if mark == 2:
-                break
-            state[node] = 1
-            path.append(node)
-            node = ontology.concepts[node].genus
-        for visited in path:
-            state[visited] = 2
 
     for name, concept in ontology.concepts.items():
         if concept.genus is None:
@@ -274,9 +262,7 @@ def check_consistency(ontology: OkOntology) -> list[Violation]:
     # R4: one use of an axis per root-to-node path; R5: attribute shadowing
     # along a path.  Both are reported per node, in declaration order.
     on_path = _path_findings(ontology)
-    findings = [
-        on_path.get(name) or _walked_findings(ontology, name) for name in ontology.concepts
-    ]
+    findings = [on_path[name] for name in ontology.concepts]
     for axis_reuse, _ in findings:
         violations.extend(axis_reuse)
     for (name, concept), (_, shadowing) in zip(ontology.concepts.items(), findings):
@@ -330,24 +316,19 @@ _Findings = tuple[Sequence[Violation], Sequence[Violation]]
 
 
 def _path_findings(ontology: OkOntology) -> dict[str, _Findings]:
-    """R4 and R5 shadowing findings of every node whose genus chain ends at
-    a root or at an unknown genus, in one top-down pass over
-    ``children_view``: O(concepts + findings).
+    """R4 and R5 shadowing findings of every node, in one top-down pass over
+    ``children_view`` from the roots: O(concepts + findings).
 
     The pass keeps, for the current path, the nodes using each axis and the
     ancestors declaring each attribute name, pushed on entering a node and
-    popped on leaving it.  Nodes on or below a genus cycle are not reached.
+    popped on leaving it.
     """
     children = ontology.children_view()
     concepts = ontology.concepts
     axis_users: dict[str, list[str]] = {}
     declarers: dict[str, list[tuple[int, str]]] = {}  # attribute → (depth, ancestor)
     found: dict[str, _Findings] = {}
-    stack = [
-        (name, 0, False)
-        for name, c in concepts.items()
-        if c.genus is None or c.genus not in concepts
-    ]
+    stack = [(name, 0, False) for name in ontology.roots()]
     while stack:
         name, depth, leaving = stack.pop()
         concept = concepts[name]
@@ -375,28 +356,6 @@ def _path_findings(ontology: OkOntology) -> dict[str, _Findings]:
         stack.append((name, depth, True))
         stack.extend((child, depth + 1, False) for child in children.get(name, ()))
     return found
-
-
-def _walked_findings(ontology: OkOntology, name: str) -> _Findings:
-    """R4 and R5 shadowing findings of one node by walking its genus chain:
-    O(depth), for the nodes ``_path_findings`` does not reach."""
-    path = [name] + ontology.genus_chain(name)
-    axes_on_path: dict[str, list[str]] = {}
-    for node in path:
-        d = ontology.concepts[node].differentia
-        if d is not None:
-            axes_on_path.setdefault(d.axis, []).append(node)
-    reuse = [
-        _axis_reuse(axis, name, users)
-        for axis, users in sorted(axes_on_path.items())
-        if len(users) > 1 and users[0] == name  # report once, at the deepest node
-    ]
-    own = [a.name for a in ontology.concepts[name].attributes]
-    shadows = []
-    for ancestor in path[1:]:
-        inherited = {a.name for a in ontology.concepts[ancestor].attributes}
-        shadows.extend(_shadowing(a, name, ancestor) for a in own if a in inherited)
-    return reuse, shadows
 
 
 def require_consistent(ontology: OkOntology) -> None:

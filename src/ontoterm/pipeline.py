@@ -331,7 +331,6 @@ class StageOutcome:
 class PipelineResult:
     output_dir: Path
     stages: dict[str, StageOutcome] = field(default_factory=dict)
-    consistency_violations: int = 0
 
     @property
     def artifacts(self) -> list[Path]:
@@ -412,7 +411,6 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
             run_stage(stage)
             if stage.name == "ok-check" and not values["ok_report"]["consistent"]:
                 violations = values["ok_report"]["violations"]
-                result.consistency_violations = len(violations)
                 raise InconsistentOntologyError(
                     f"expert ontology has {len(violations)} consistency violations; "
                     "see " + str(out / artifacts[stage.name]),

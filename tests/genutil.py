@@ -20,7 +20,9 @@ import re
 import unicodedata
 from array import array
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import pytest
 
 from ontoterm.align import (
     AlignKind,
@@ -493,7 +495,7 @@ def random_copula_case(rng: random.Random) -> tuple[list[DocTokens], list[str]]:
             array("I", range(len(stream))),
             bytes(surface.lower() in COPULA_SURFACES for surface, _, _ in stream),
         ))
-    return docs, sorted(labels, key=lambda _: rng.random())
+    return docs, sorted(sorted(labels), key=lambda _: rng.random())  # not set order: hash-seeded
 
 
 #: (surface, lemma, POS) of the random front-end lexicon: accented words,
@@ -646,14 +648,28 @@ def scan_closure(ontology: OkOntology, name: str) -> set[str]:
     return seen
 
 
-def random_ok_variant(rng: random.Random, max_nodes: int = 40) -> OkOntology:
+class OkVariant(NamedTuple):
+    """A ``random_ok_variant`` case: the edited concepts mapping, the shapes
+    ``genus_defects`` finds in it ("cycle", "unknown genus"), and the
+    ontology built from it, or None when some shape is found."""
+
+    concepts: dict[str, OkConcept]
+    broken: set[str]
+    ontology: OkOntology | None
+
+
+def random_ok_variant(rng: random.Random, max_nodes: int = 40) -> OkVariant:
     """A ``random_ok_tree`` (with attributes half the time) put through a
     few random edits that break rules: a concept moved under a random genus
     (genus cycles when it lands below itself, self-loops included), an
     unknown genus, an extra root, a reused axis, a sibling's genus and
     differentia taken over, a shadowed or twice declared attribute, a
-    dropped differentia.  Roughly one case in five
-    stays unedited."""
+    dropped differentia.  Roughly one case in five stays unedited.
+
+    ``OkOntology`` refuses to build a variant with a cycle or an unknown
+    genus; for those this asserts that building one raises ``ValueError``
+    naming the sorted unknown genera, or else the cycle the recursive oracle
+    finds over the (concept, genus) edges."""
     ontology = random_ok_tree(rng, max_nodes=max_nodes, n_axes=4, attributes=rng.random() < 0.5)
     concepts = dict(ontology.concepts)
     names = list(concepts)
@@ -682,7 +698,50 @@ def random_ok_variant(rng: random.Random, max_nodes: int = 40) -> OkOntology:
         else:
             edited = OkConcept(name, c.genus, None, c.attributes)
         concepts[name] = edited
-    return replace(ontology, concepts=concepts)
+    broken = {
+        "cycle" if v.message.startswith("genus cycle") else "unknown genus"
+        for v in genus_defects(concepts)
+    }
+    if not broken:
+        return OkVariant(concepts, broken, replace(ontology, concepts=concepts))
+    unknown = sorted({c.genus for c in concepts.values()} - concepts.keys() - {None})
+    if unknown:
+        expected = f"genus names no concept: {unknown}"
+    else:
+        edges = {(name, c.genus) for name, c in concepts.items() if c.genus is not None}
+        expected = "genus cycle: " + " -> ".join(recursive_cycle_oracle(edges))
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        replace(ontology, concepts=concepts)
+    return OkVariant(concepts, broken, None)
+
+
+def genus_defects(concepts: Mapping[str, OkConcept]) -> list[Violation]:
+    """Unknown genera and genus cycles of a concepts mapping, by walking
+    each concept's genus chain: what ``OkOntology`` refuses to build."""
+    violations: list[Violation] = []
+    for name, concept in concepts.items():
+        if concept.genus is not None and concept.genus not in concepts:
+            violations.append(Violation("R1", f"{name!r} has unknown genus {concept.genus!r}"))
+    state: dict[str, int] = {}
+    for start in concepts:
+        if state.get(start, 0):
+            continue
+        path = []
+        node = start
+        while node is not None and node in concepts:
+            mark = state.get(node, 0)
+            if mark == 1:
+                cycle = path[path.index(node):] + [node]
+                violations.append(Violation("R1", "genus cycle: " + " -> ".join(cycle)))
+                break
+            if mark == 2:
+                break
+            state[node] = 1
+            path.append(node)
+            node = concepts[node].genus
+        for visited in path:
+            state[visited] = 2
+    return violations
 
 
 def check_consistency_oracle(ontology: OkOntology) -> list[Violation]:
@@ -694,29 +753,7 @@ def check_consistency_oracle(ontology: OkOntology) -> list[Violation]:
         violations.append(Violation("R1", "no root concept"))
     elif len(roots) > 1:
         violations.append(Violation("R1", "multiple roots: " + ", ".join(sorted(roots))))
-    for name, concept in ontology.concepts.items():
-        if concept.genus is not None and concept.genus not in ontology.concepts:
-            violations.append(Violation("R1", f"{name!r} has unknown genus {concept.genus!r}"))
-
-    state: dict[str, int] = {}
-    for start in ontology.concepts:
-        if state.get(start, 0):
-            continue
-        path = []
-        node = start
-        while node is not None and node in ontology.concepts:
-            mark = state.get(node, 0)
-            if mark == 1:
-                cycle = path[path.index(node):] + [node]
-                violations.append(Violation("R1", "genus cycle: " + " -> ".join(cycle)))
-                break
-            if mark == 2:
-                break
-            state[node] = 1
-            path.append(node)
-            node = ontology.concepts[node].genus
-        for visited in path:
-            state[visited] = 2
+    violations.extend(genus_defects(ontology.concepts))
 
     for name, concept in ontology.concepts.items():
         if concept.genus is None:

@@ -351,3 +351,10 @@ def test_load_lexicon_reports_empty_surface(tmp_path):
     path.write_text("relais\trelais\tNOUN\n \trelais\tN\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="line 2: empty surface form"):
         load_lexicon(path)
+
+
+def test_load_lexicon_reports_empty_lemma(tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_text("relais\trelais\tNOUN\ntension\t \tNOUN\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="line 2: empty lemma"):
+        load_lexicon(path)

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -143,6 +147,31 @@ def test_copula_matches_brute_force_oracle():
         assert [(e.source, e.target) for e in got] == sorted(expected)
         found += bool(expected)
     assert found > 250  # the generator plants enough sentences to exercise matching
+
+
+_COPULA_LABEL_DIGEST = """
+import hashlib, random
+from genutil import random_copula_case
+rng = random.Random(20100213)
+labels = [random_copula_case(rng)[1] for _ in range(1000)]
+print(hashlib.sha256(repr(labels).encode()).hexdigest())
+"""
+
+
+def test_random_copula_cases_do_not_depend_on_the_hash_seed():
+    """Set order follows ``PYTHONHASHSEED``; the generator's cases must not,
+    or a failing case would not reproduce in another process."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])
+    digests = {
+        subprocess.run(
+            [sys.executable, "-c", _COPULA_LABEL_DIGEST],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        for seed in ("1", "2")
+    }
+    assert len(digests) == 1, digests
 
 
 # --- network assembly -------------------------------------------------------

@@ -375,6 +375,7 @@ def test_cli_missing_config_key_is_exit_1(tmp_path, capsys):
     ("relais\trelais\n", "expected 3 tab-separated columns"),
     ("relais\trelais\tXYZ\n", "unknown POS tag 'XYZ'"),
     (" \trelais\tN\n", "empty surface form"),
+    ("relais\t\tNOUN\n", "empty lemma"),
 ])
 def test_cli_malformed_lexicon_line_is_exit_1(tmp_path, capsys, line, problem):
     lexicon = tmp_path / "bad_lex.tsv"
