@@ -22,9 +22,16 @@ from enum import Enum
 from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import BadPatternError, ConfigError, NoCorpusError, json_text, read_text
+from .errors import (
+    BadPatternError,
+    ConfigError,
+    NoCorpusError,
+    decode_text,
+    json_text,
+    read_text,
+)
 
 
 class POS(str, Enum):
@@ -180,21 +187,37 @@ def load_lexicon(path: str | Path) -> Lexicon:
     return Lexicon(entries)
 
 
-def load_corpus(directory: str | Path) -> list[Document]:
+def read_corpus_files(directory: str | Path) -> dict[str, bytes]:
+    """The bytes of every file under ``directory``, at any depth, by path
+    relative to it, in sorted path order: what the pipeline fingerprints a
+    corpus by and what ``load_corpus`` decodes, so a run reads each file once."""
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise NoCorpusError(f"not a directory: {directory}")
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+def load_corpus(directory: str | Path, files: Mapping[str, bytes] | None = None) -> list[Document]:
     """Load every ``*.txt`` file of ``directory`` as one UTF-8 document.
 
     Document ids are file stems, sorted lexicographically.  Files that are
     blank after trimming are skipped; if nothing remains the directory does
-    not constitute a corpus.
+    not constitute a corpus.  ``files`` is ``read_corpus_files(directory)``
+    when the caller already holds it.
     """
     directory = Path(directory)
-    if not directory.is_dir():
-        raise NoCorpusError(f"not a directory: {directory}")
+    if files is None:
+        files = read_corpus_files(directory)
     docs = []
-    for path in sorted(directory.iterdir()):
-        if path.suffix != ".txt" or not path.is_file():
+    for name, data in files.items():
+        path = directory / name
+        if path.parent != directory or path.suffix != ".txt":
             continue
-        text = read_text(path)
+        text = decode_text(data, path)
         if not text.strip():
             continue
         docs.append(Document(id=path.stem, text=unicodedata.normalize("NFC", text)))

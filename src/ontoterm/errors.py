@@ -28,10 +28,18 @@ class EncodingError(OntoTermError):
 
 def read_text(path: str | Path) -> str:
     """An input file's text; bytes that are not UTF-8 raise ``EncodingError``."""
+    return decode_text(Path(path).read_bytes(), path)
+
+
+def decode_text(data: bytes, path: str | Path) -> str:
+    """The text of ``data``, read from ``path``, as ``Path.read_text(encoding=
+    "utf-8")`` gives it (line ends ``\\r\\n`` and ``\\r`` become ``\\n``);
+    bytes that are not UTF-8 raise ``EncodingError`` naming ``path``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise EncodingError(f"not valid UTF-8: {path} (byte {exc.start})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def json_text(payload) -> str:

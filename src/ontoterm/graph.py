@@ -18,6 +18,23 @@ def descendants(children: Mapping, start: str) -> set[str]:
     return seen
 
 
+def acyclic(successors: Mapping, nodes: Iterable[str]) -> bool:
+    """Whether ``successors`` (node → successors) has no cycle, every node
+    it names being among ``nodes``: Kahn's peel, O(nodes + edges).
+    ``find_cycle`` names a cycle when there is one."""
+    waiting = dict.fromkeys(nodes, 0)
+    for targets in successors.values():
+        for target in targets:
+            waiting[target] += 1
+    ready = [node for node, count in waiting.items() if not count]
+    for node in ready:  # grows while it is read
+        for target in successors.get(node, ()):
+            waiting[target] -= 1
+            if not waiting[target]:
+                ready.append(target)
+    return len(ready) == len(waiting)
+
+
 def find_cycle(edges: Iterable[tuple[str, str]]) -> list[str] | None:
     """Return the nodes of one cycle of a directed edge set, first node
     repeated at the end, or None.

@@ -41,6 +41,7 @@ from .corpus import (
     load_corpus,
     load_lexicon,
     load_patterns,
+    read_corpus_files,
 )
 from .errors import ArtifactError, ConfigError, InconsistentOntologyError, json_text, read_text
 from .export import DEFAULT_IRI, to_kif, to_owl
@@ -181,7 +182,8 @@ class RunValues(dict):
 
 # Each loader looks the layer functions up at call time, in this module.
 _LOADERS: dict[str, Callable[[RunValues], object]] = {
-    "corpus": lambda v: load_corpus(v.sources["corpus"]),
+    "corpus_files": lambda v: read_corpus_files(v.sources["corpus"]),
+    "corpus": lambda v: load_corpus(v.sources["corpus"], v["corpus_files"]),
     "lexicon": lambda v: _optional(load_lexicon, v.sources.get("lexicon"), Lexicon()),
     "patterns": lambda v: _optional(load_patterns, v.sources.get("patterns"), DEFAULT_PATTERNS),
     "tokens": lambda v: [annotate(doc, v["lexicon"]) for doc in v["corpus"]],
@@ -307,13 +309,12 @@ def _hash_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _hash_files(files: Mapping[str, bytes]) -> str:
+    """The hash of a directory, from ``read_corpus_files``'s bytes."""
+    return _hash_bytes("\n".join(f"{name}:{_hash_bytes(data)}" for name, data in files.items()).encode())
+
+
 def _hash_path(path: Path) -> str:
-    if path.is_dir():
-        parts = []
-        for child in sorted(path.rglob("*")):
-            if child.is_file():
-                parts.append(f"{child.relative_to(path)}:{_hash_bytes(child.read_bytes())}")
-        return _hash_bytes("\n".join(parts).encode())
     if path.is_file():
         return _hash_bytes(path.read_bytes())
     return "missing"
@@ -380,7 +381,10 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
             path = getattr(config, name)
             if path is not None:
                 if path not in file_hashes:
-                    file_hashes[path] = _hash_path(path)
+                    # the corpus is hashed from the bytes its loader decodes
+                    file_hashes[path] = (
+                        _hash_files(values["corpus_files"]) if name == "corpus" else _hash_path(path)
+                    )
                 parts.append(f"{name}:{file_hashes[path]}")
         parts += [__version__] + [str(getattr(config, name)) for name in stage.settings]
         return _hash_bytes("\n".join(parts).encode())

@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import CycleError, UnknownConceptError, json_text
-from .graph import descendants, find_cycle
+from .graph import acyclic, descendants, find_cycle
 from .lexnet import LexNet, RelationKind, Status, find_validated_hyponymy_cycle
 
 
@@ -37,8 +37,11 @@ class Concept:
 class Taxonomy:
     """Concepts and (child, parent) edges as a value: both are fixed when it
     is built, and the edges are indexed once, child → sorted parents and
-    parent → sorted children.  An edge naming an unknown concept raises
-    ``ValueError``."""
+    parent → sorted children.
+
+    The edges form a DAG: building one raises ``ValueError`` when an edge
+    names an unknown concept or when the edges hold a cycle (one cycle is
+    named), O(concepts + edges) on top of the index."""
 
     concepts: Mapping[str, Concept] = field(default_factory=dict)
     subsumption: frozenset[tuple[str, str]] = frozenset()  # (child, parent)
@@ -49,10 +52,13 @@ class Taxonomy:
         dangling = sorted({cid for edge in self.subsumption for cid in edge} - self.concepts.keys())
         if dangling:
             raise ValueError(f"subsumption names unknown concepts: {dangling}")
-        self._parents, self._children = {}, {}
+        self._parents, children = {}, {}
         for child, parent in sorted(self.subsumption):
             self._parents.setdefault(child, []).append(parent)
-            self._children.setdefault(parent, []).append(child)
+            children.setdefault(parent, []).append(child)
+        self._children = {parent: tuple(kids) for parent, kids in children.items()}
+        if not acyclic(self._children, self.concepts):
+            raise ValueError("subsumption cycle: " + " -> ".join(find_cycle(self.subsumption)))
 
     def __contains__(self, cid: str) -> bool:
         return cid in self.concepts
@@ -63,6 +69,12 @@ class Taxonomy:
 
     def parents(self, cid: str) -> list[str]:
         return list(self._parents.get(cid, ()))
+
+    def children_view(self) -> Mapping[str, tuple[str, ...]]:
+        """Parent → its children, sorted, built with the taxonomy; concepts
+        without children are absent.  The view is shared: read it, never
+        mutate it."""
+        return self._children
 
     def children(self, cid: str) -> list[str]:
         return list(self._children.get(cid, ()))

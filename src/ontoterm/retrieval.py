@@ -4,6 +4,11 @@ Documents are annotated with the concepts their terms align to; querying a
 concept returns the documents of that concept and of every concept it
 subsumes.  Running the same query against the projected taxonomy and the
 expert tree makes the structural difference directly measurable.
+
+A ``DocIndex`` answers from a table of closed posting lists (each
+concept's documents together with those of everything below it), filled
+bottom-up on first use per concept and kept for one structure at a time,
+so a query does not walk the closure again.
 """
 
 from __future__ import annotations
@@ -38,10 +43,15 @@ class DocIndex:
 
     ``concepts_by_doc`` maps each annotated document, in order, to its
     concepts and answers the explanations of ``compare_recall``;
-    ``docs_by_concept`` maps each concept to its documents and answers
-    ``query``.  Both are built once from (document, concept) pairs or
-    ``DocAnnotation``s, each pair kept once; read them, never mutate them.
-    ``annotations`` is a view derived from them, built on each access.
+    ``docs_by_concept`` maps each concept to its documents.  Both are built
+    once from (document, concept) pairs or ``DocAnnotation``s, each pair
+    kept once; read them, never mutate them.  ``annotations`` is a view
+    derived from them, built on each access.
+
+    ``closed_docs`` answers ``query`` and ``compare_recall`` from a table of
+    closed posting lists for the structure last asked about.  The index and
+    both structures are immutable values, so an entry, once filled, never
+    goes stale; asking about another structure starts a new table.
     """
 
     def __init__(
@@ -70,6 +80,49 @@ class DocIndex:
         self.concepts_by_doc, self.docs_by_concept = by_doc, by_concept
         self.unannotated_docs = tuple(unannotated_docs)
         self.skipped_ambiguous = tuple(skipped_ambiguous)
+        # (structure, concept → closed posting list), swapped as one value
+        self._closed: tuple[Structure, dict[str, Sequence[str]]] | None = None
+
+    def closed_docs(self, structure: Structure, concept: str) -> Sequence[str]:
+        """The documents of ``concept`` and of every concept it subsumes in
+        ``structure``, each once, in no set order; read it, never mutate it.
+
+        The first call for a concept fills the entries of its sub-DAG that
+        are missing, bottom-up by an iterative post-order walk over
+        ``structure.children_view()``: O(postings and edges of the sub-DAG).
+        After that it is a lookup.  An entry is a leaf's own posting list,
+        shared, or a tuple: the union of the concept's postings and its
+        children's entries.
+        """
+        if concept not in structure:
+            raise UnknownConceptError(f"unknown concept: {concept!r}")
+        memo = self._closed
+        if memo is None or memo[0] is not structure:
+            memo = self._closed = (structure, {})
+        table = memo[1]
+        if concept in table:
+            return table[concept]
+        children, postings = structure.children_view(), self.docs_by_concept
+        stack = [concept]
+        while stack:
+            node = stack[-1]
+            if node in table:  # reached again through another parent
+                stack.pop()
+                continue
+            kids = children.get(node, ())
+            missing = [kid for kid in kids if kid not in table]
+            if missing:
+                stack += missing
+                continue
+            stack.pop()
+            if kids:
+                docs = set(postings.get(node, ()))
+                for kid in kids:
+                    docs.update(table[kid])
+                table[node] = tuple(docs)
+            else:
+                table[node] = postings.get(node, ())
+        return table[concept]
 
     @property
     def annotations(self) -> frozenset[DocAnnotation]:
@@ -122,19 +175,9 @@ def index_corpus(
 
 
 def query(index: DocIndex, structure: Structure, concept: str) -> set[str]:
-    """Documents of ``concept`` and of every concept it subsumes."""
-    return _docs_of(index, structure.subsumed_closure(concept))
-
-
-def _docs_of(index: DocIndex, closure: Iterable[str]) -> set[str]:
-    """The union of the posting lists of ``closure``'s members."""
-    postings = index.docs_by_concept
-    docs: set[str] = set()
-    for member in closure:
-        hits = postings.get(member)
-        if hits:
-            docs.update(hits)
-    return docs
+    """Documents of ``concept`` and of every concept it subsumes, as a new
+    set: O(answer) once ``index.closed_docs`` holds the concept's entry."""
+    return set(index.closed_docs(structure, concept))
 
 
 def resolve_label(
@@ -170,8 +213,10 @@ def compare_recall(
     concept_label: str,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
 ) -> RecallComparison:
-    """Run one query against both structures and explain the difference;
-    each side's closure is computed once and serves both."""
+    """Run one query against both structures and explain the difference.
+
+    Each side's documents come from its index's closed posting lists; its
+    closure is computed once, for the explanations."""
     resolved = []
     for structure in (structure_a, structure_b):
         concept = resolve_label(structure, concept_label, stopwords)
@@ -184,8 +229,8 @@ def compare_recall(
     concept_a, concept_b = resolved
     closure_a = structure_a.subsumed_closure(concept_a)
     closure_b = structure_b.subsumed_closure(concept_b)
-    docs_a = _docs_of(index_a, closure_a)
-    docs_b = _docs_of(index_b, closure_b)
+    docs_a = set(index_a.closed_docs(structure_a, concept_a))
+    docs_b = set(index_b.closed_docs(structure_b, concept_b))
     by_doc_a, by_doc_b = index_a.concepts_by_doc, index_b.concepts_by_doc
     explanations = {}
     for doc in sorted(docs_a | docs_b):

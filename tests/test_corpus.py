@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+import unicodedata
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,7 @@ from ontoterm.corpus import (
     load_lexicon,
     load_patterns,
     pattern_matches,
+    read_corpus_files,
 )
 from ontoterm.errors import BadPatternError, ConfigError, EncodingError, NoCorpusError
 from ontoterm.lexnet import copula_relations
@@ -80,6 +83,52 @@ def test_load_corpus_skips_blank_files(tmp_path):
     (tmp_path / "a.txt").write_text("relais", encoding="utf-8")
     (tmp_path / "blank.txt").write_text("   \n", encoding="utf-8")
     assert [d.id for d in load_corpus(tmp_path)] == ["a"]
+
+
+def load_corpus_per_file(directory: Path) -> list[Document]:
+    """The loader as it read each top-level ``*.txt`` file itself."""
+    docs = []
+    for path in sorted(directory.iterdir()):
+        if path.suffix != ".txt" or not path.is_file():
+            continue
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise EncodingError(f"not valid UTF-8: {path} (byte {exc.start})") from None
+        if text.strip():
+            docs.append(Document(id=path.stem, text=unicodedata.normalize("NFC", text)))
+    if not docs:
+        raise NoCorpusError(f"no non-empty .txt documents in {directory}")
+    return sorted(docs, key=lambda d: d.id)
+
+
+def test_load_corpus_decodes_the_bytes_read_once_like_reading_each_file(tmp_path):
+    rng = random.Random(20101025)
+    pieces = [b"relais", b" ", b"\r", b"\n", b"\r\n", "\u00e9".encode(), "e\u0301".encode(),
+              b"\t", b"\xff", b"\xc3"]
+    names = ["a.txt", "b.txt", "c.TXT", "d.md", ".txt", "e.txt.bak", "sub/f.txt", "sub/g"]
+    outcomes = {"loaded": 0, "encoding": 0, "no corpus": 0}
+    for case in range(300):
+        directory = tmp_path / f"case{case}"
+        directory.mkdir()
+        for name in rng.sample(names, rng.randint(0, len(names))):
+            path = directory / name
+            path.parent.mkdir(exist_ok=True)
+            bad = rng.random() < 0.2
+            path.write_bytes(b"".join(rng.choice(pieces[: len(pieces) - 2 * (not bad)])
+                                      for _ in range(rng.randint(0, 12))))
+        try:
+            expected = load_corpus_per_file(directory)
+        except (EncodingError, NoCorpusError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                load_corpus(directory)
+            assert str(raised.value) == str(exc)
+            outcomes["encoding" if isinstance(exc, EncodingError) else "no corpus"] += 1
+            continue
+        assert load_corpus(directory) == expected
+        assert load_corpus(directory, read_corpus_files(directory)) == expected
+        outcomes["loaded"] += 1
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 # --- annotate -------------------------------------------------------------

@@ -284,9 +284,10 @@ def test_pipeline_drops_tokens_once_net_has_used_them(tmp_path, monkeypatch):
     assert "tokens" not in held
 
 
-def spy_on_run(monkeypatch, out: Path) -> Counter:
-    """Count corpus loads, annotated documents, hashed paths, decoded
-    artifacts and files read under ``out`` while the pipeline runs."""
+def spy_on_run(monkeypatch, out: Path, corpus: Path | None = None) -> Counter:
+    """Count corpus reads and loads, annotated documents, hashed paths,
+    decoded artifacts, files read under ``out`` and, keyed ("corpus",
+    relative path), reads of files under ``corpus`` while the pipeline runs."""
     calls: Counter = Counter()
 
     def spy(name, key):
@@ -298,7 +299,9 @@ def spy_on_run(monkeypatch, out: Path) -> Counter:
 
         monkeypatch.setattr(pipeline, name, wrapped)
 
+    spy("read_corpus_files", lambda *a: "read_corpus_files")
     spy("load_corpus", lambda *a: "load_corpus")
+    spy("_hash_files", lambda files: "hash_files")
     spy("annotate", lambda doc, lexicon: ("annotate", doc.id))
     spy("_hash_path", lambda path: ("hash", str(path)))
     for decoder in ("candidates_from_json", "lexnet_from_json", "taxonomy_from_json"):
@@ -309,6 +312,8 @@ def spy_on_run(monkeypatch, out: Path) -> Counter:
         def read(path, *args, inner=inner, method=method, **kwargs):
             if path.parent == out:
                 calls[(method, path.name)] += 1
+            elif corpus is not None and corpus in path.parents:
+                calls[("corpus", str(path.relative_to(corpus)))] += 1
             return inner(path, *args, **kwargs)
 
         monkeypatch.setattr(Path, method, read)
@@ -320,13 +325,23 @@ def hashed(calls: Counter) -> dict[str, int]:
 
 
 def test_cold_run_loads_and_hashes_each_input_once_and_reads_nothing_back(tmp_path, monkeypatch):
-    config = load_config(write_config(tmp_path))
-    docs = [doc.id for doc in load_corpus(config.corpus)]
-    calls = spy_on_run(monkeypatch, config.output)
+    # the fixture corpus plus files the fingerprint covers and the loader skips
+    corpus = tmp_path / "corpus"
+    shutil.copytree(data_path("corpus"), corpus)
+    (corpus / "notes").mkdir()
+    (corpus / "notes" / "nested.txt").write_text("relais imbriqué\n", encoding="utf-8")
+    (corpus / "README").write_text("pas un document\n", encoding="utf-8")
+    config = load_config(write_config(tmp_path, corpus=str(corpus)))
+    docs = [doc.id for doc in load_corpus(data_path("corpus"))]
+    calls = spy_on_run(monkeypatch, config.output, corpus)
     run_pipeline(config)
+    assert calls["read_corpus_files"] == 1
     assert calls["load_corpus"] == 1
+    assert calls["hash_files"] == 1
+    files = sorted(str(p.relative_to(corpus)) for p in corpus.rglob("*") if p.is_file())
+    assert {key[1]: n for key, n in calls.items() if key[0] == "corpus"} == dict.fromkeys(files, 1)
     assert {doc: calls[("annotate", doc)] for doc in docs} == {doc: 1 for doc in docs}
-    assert str(config.corpus) in hashed(calls)
+    assert str(config.corpus) not in hashed(calls)
     assert set(hashed(calls).values()) == {1}
     assert not any(Path(path).parent == config.output for path in hashed(calls))
     assert calls["decode"] == 0
@@ -518,6 +533,7 @@ def test_cli_stages_write_the_pipelines_bytes(tmp_path, capsys):
     ("query-missing-index-side", "E_ARTIFACT"),
     ("compare-recall-missing-index-side", "E_ARTIFACT"),
     ("align-dangling-taxonomy-edge", "E_ARTIFACT"),
+    ("query-cyclic-taxonomy", "E_ARTIFACT"),
 ])
 def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case, code):
     missing = str(tmp_path / "missing")
@@ -534,6 +550,13 @@ def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case,
         "concepts": [{"id": "a", "label": "a", "denoting_terms": ["a"]}],
         "subsumption": [["b", "a"]],
     }), encoding="utf-8")
+    cyclic = tmp_path / "cyclic.json"
+    cyclic.write_text(json.dumps({
+        "concepts": [{"id": cid, "label": cid, "denoting_terms": [cid]} for cid in "abc"],
+        "subsumption": [["b", "a"], ["a", "b"], ["c", "a"]],
+    }), encoding="utf-8")
+    projected_side = tmp_path / "projected_side.json"
+    projected_side.write_text('{"projected": {"annotations": []}}', encoding="utf-8")
     dsl = str(data_path("relais.dsl"))
     argv = {
         "project-missing": ["project", "--lexnet", missing],
@@ -550,11 +573,15 @@ def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case,
                                               "--taxonomy", str(taxonomy), "--dsl", dsl,
                                               "--concept", "relais"],
         "align-dangling-taxonomy-edge": ["align", "--taxonomy", str(dangling), "--dsl", dsl],
+        "query-cyclic-taxonomy": ["query", "--index", str(projected_side), "--structure",
+                                  "projected", "--concept", "c", "--taxonomy", str(cyclic)],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"ontoterm: {code}: ")
     assert "Traceback" not in err
+    if case == "query-cyclic-taxonomy":
+        assert "subsumption cycle: a -> b -> a" in err
 
 
 @pytest.mark.parametrize("kind", [

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genutil import closure_oracle, random_taxonomy
+from genutil import closure_oracle, random_taxonomy, recursive_cycle_oracle
 from ontoterm.errors import CycleError, UnknownConceptError
 from ontoterm.lexnet import (
     Evidence,
@@ -191,6 +192,9 @@ def test_taxonomy_views_match_edge_scans_on_random_taxonomies():
         assert taxonomy.roots == sorted(
             cid for cid in taxonomy.concepts if not any(child == cid for child, _ in edges)
         )
+        assert taxonomy.children_view() == {
+            parent: tuple(sorted(c for c, p in edges if p == parent)) for _, parent in edges
+        }
         for cid in [*taxonomy.concepts, "ghost0"]:
             assert taxonomy.parents(cid) == sorted(p for c, p in edges if c == cid)
             assert taxonomy.children(cid) == sorted(c for c, p in edges if p == cid)
@@ -201,6 +205,33 @@ def test_taxonomy_views_match_edge_scans_on_random_taxonomies():
         with pytest.raises(TypeError):
             taxonomy.concepts["x"] = Concept("x", "x", ("x",))
     assert empty and dangling > 100
+
+
+def test_a_cyclic_taxonomy_cannot_be_built():
+    rng = random.Random(20101024)
+    shapes = Counter()
+    for _ in range(1000):
+        taxonomy = random_taxonomy(rng, max_nodes=30)
+        concepts, edges = taxonomy.concepts, set(taxonomy.subsumption)
+        ids = sorted(concepts)
+        shape = rng.choice(("self-loop", "cycle", "random edges"))
+        if shape == "self-loop" or len(ids) < 2:
+            node = rng.choice(ids)
+            edges.add((node, node))
+        elif shape == "cycle":
+            ring = rng.sample(ids, rng.randint(2, min(len(ids), 6)))
+            edges |= set(zip(ring, ring[1:] + ring[:1]))
+        else:
+            edges |= {(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(1, 4))}
+        cycle = recursive_cycle_oracle(edges)
+        shapes["acyclic" if cycle is None else "self-loop" if len(cycle) == 2 else "cycle"] += 1
+        if cycle is None:
+            assert Taxonomy(concepts, edges).subsumption == edges
+            continue
+        with pytest.raises(ValueError) as exc:
+            Taxonomy(concepts, edges)
+        assert str(exc.value) == "subsumption cycle: " + " -> ".join(cycle)
+    assert min(shapes.values()) >= 100, shapes
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -3,12 +3,14 @@ from __future__ import annotations
 import json
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from genutil import (
     closure_oracle,
+    random_ok_tree,
     random_ok_variant,
     random_taxonomy,
     recall_oracle,
@@ -33,8 +35,8 @@ from ontoterm.lexnet import (
     Term,
     build_network,
 )
-from ontoterm.okmodel import load_dsl
-from ontoterm.projection import project
+from ontoterm.okmodel import OkConcept, OkOntology, load_dsl
+from ontoterm.projection import Concept, Taxonomy, project
 from ontoterm.retrieval import (
     DocAnnotation,
     DocIndex,
@@ -339,3 +341,112 @@ def test_an_annotation_of_another_source_is_an_artifact_error(tmp_path, capsys, 
             "--dsl", str(data_path("relais.dsl"))]
     assert main(argv) == 2
     assert "E_ARTIFACT" in capsys.readouterr().err
+
+
+# --- closed posting lists against the pair scan --------------------------------
+
+
+def test_closed_posting_lists_match_the_pair_scan_in_any_fill_order():
+    rng = random.Random(20101020)
+    seen = Counter()
+    for case in range(300):
+        if case % 2:
+            structure = random_ok_tree(rng, max_nodes=40)
+        else:
+            structure = random_taxonomy(rng, max_nodes=40, prefix="n")
+            seen["shared descendants"] += any(
+                len(structure.parents(c)) > 1 for c in structure.concepts
+            )
+        concepts = list(structure.concepts)
+        docs = [f"d{i}" for i in range(rng.randint(1, 30))]
+        pairs = random_pairs(rng, docs, sorted(concepts), rng.randint(0, 80))
+        index = DocIndex(pairs)
+        rng.shuffle(concepts)
+        first = concepts[0]
+        seen["first fill in the middle"] += bool(structure.children(first)) and any(
+            first in structure_closure_oracle(structure, c) for c in concepts[1:]
+        )
+        for concept in concepts:
+            closure = structure_closure_oracle(structure, concept)
+            expected = {d for d, c in pairs if c in closure}
+            answer = query(index, structure, concept)
+            assert answer == expected
+            answer.add("intruder")
+            answer.discard(next(iter(expected), None))
+            assert query(index, structure, concept) == expected
+    assert min(seen.values()) >= 50, seen
+
+
+def test_one_index_answers_for_two_structures_queried_in_turn():
+    rng = random.Random(20101021)
+    for _ in range(100):
+        ontology = random_ok_tree(rng, max_nodes=30)
+        taxonomy = random_taxonomy(rng, max_nodes=30, prefix="n")
+        names = sorted(set(ontology.concepts) | set(taxonomy.concepts))
+        docs = [f"d{i}" for i in range(rng.randint(1, 20))]
+        pairs = random_pairs(rng, docs, names, rng.randint(0, 60))
+        index = DocIndex(pairs)
+        for concept in rng.sample(names, len(names)):
+            for structure in (taxonomy, ontology):
+                if concept in structure:
+                    closure = structure_closure_oracle(structure, concept)
+                    assert query(index, structure, concept) == {d for d, c in pairs if c in closure}
+
+
+def test_unknown_concept_raises_the_same_error_and_fills_nothing():
+    taxonomy = Taxonomy({"a": Concept("a", "a", ("a",))})
+    ontology = OkOntology(concepts={"a": OkConcept("a")})
+    # "ghost" has postings, but neither structure knows it
+    index = DocIndex([("d1", "a"), ("d2", "ghost")])
+    for structure in (taxonomy, ontology):
+        with pytest.raises(UnknownConceptError, match=re.escape("unknown concept: 'ghost'")):
+            query(index, structure, "ghost")
+        assert query(index, structure, "a") == {"d1"}
+        with pytest.raises(UnknownConceptError, match=re.escape("unknown concept: 'ghost'")):
+            structure.subsumed_closure("ghost")
+
+
+def test_a_leaf_query_fills_only_the_leaf_and_shares_its_posting_list():
+    taxonomy = random_taxonomy(random.Random(20101022), max_nodes=40)
+    pairs = {(f"d{i % 7}", c) for i, c in enumerate(sorted(taxonomy.concepts) * 2)}
+    leaves = [c for c in taxonomy.concepts if not taxonomy.children(c)]
+    inner = [c for c in taxonomy.concepts if taxonomy.children(c)]
+    assert leaves and inner
+    for leaf in leaves:
+        index = DocIndex(pairs)
+        assert query(index, taxonomy, leaf) == set(index.docs_by_concept[leaf])
+        assert index.closed_docs(taxonomy, leaf) is index.docs_by_concept[leaf]
+        assert list(index._closed[1]) == [leaf]
+    index = DocIndex(pairs)
+    for concept in inner:
+        assert type(index.closed_docs(taxonomy, concept)) is tuple
+    assert set(index._closed[1]) == set().union(*(taxonomy.subsumed_closure(c) for c in inner))
+
+
+def test_query_on_a_chain_deeper_than_the_recursion_limit():
+    n = 10_000
+    ids = [f"c{k:05d}" for k in range(n)]
+    taxonomy = Taxonomy({cid: Concept(cid, cid, (cid,)) for cid in ids}, set(zip(ids[1:], ids)))
+    index = DocIndex((f"d{k}", cid) for k, cid in enumerate(ids) if k % 100 == 0)
+    assert query(index, taxonomy, ids[0]) == {f"d{k}" for k in range(0, n, 100)}
+    assert query(index, taxonomy, ids[-1]) == set()
+
+
+def test_closed_posting_lists_of_a_1200_concept_tree_hold_under_half_a_megabyte():
+    rng = random.Random(20101023)
+    names = [f"concept {i:04d}" for i in range(1200)]
+    ontology = OkOntology(concepts={
+        name: OkConcept(name, names[(i - 1) // 6] if i else None) for i, name in enumerate(names)
+    })
+    docs = [f"d{i:05d}" for i in range(800)]
+    index = DocIndex((doc, concept) for doc in docs for concept in rng.sample(names, 8))
+    assert 6000 <= len(index.annotations) <= 6400
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        index.closed_docs(ontology, names[0])  # fills every entry
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(index._closed[1]) == len(names)
+    assert held - before <= 500_000
