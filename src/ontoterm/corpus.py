@@ -13,15 +13,18 @@ regular-expression scan over that string.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import re
 import unicodedata
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
+from stat import S_ISREG
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -187,18 +190,86 @@ def load_lexicon(path: str | Path) -> Lexicon:
     return Lexicon(entries)
 
 
+#: Errors ``Path.is_file`` reads as "not a file" rather than raising: the
+#: name is gone, runs through a non-directory or is a symlink loop.
+_NOT_A_FILE = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP})
+
+
+def _prefix(directory: Path) -> str:
+    """What ``str(directory / name)`` puts before ``name``."""
+    root = str(directory)
+    return "" if root == "." else os.path.join(root, "")
+
+
 def read_corpus_files(directory: str | Path) -> dict[str, bytes]:
     """The bytes of every file under ``directory``, at any depth, by path
-    relative to it, in sorted path order: what the pipeline fingerprints a
-    corpus by and what ``load_corpus`` decodes, so a run reads each file once."""
+    relative to it: what the pipeline fingerprints a corpus by and what
+    ``load_corpus`` decodes, so a run reads each file once.
+
+    One ``os.scandir`` walk lists what ``sorted(directory.rglob("*"))``
+    lists and keeps what ``is_file()`` keeps, with the same errors: paths
+    are ordered by their components (``a/b`` before ``a-b``), a symlink to a
+    file counts as that file, a symlink to a directory is listed but not
+    descended into, and a directory that cannot be listed adds nothing.
+    """
     directory = Path(directory)
     if not directory.is_dir():
         raise NoCorpusError(f"not a directory: {directory}")
-    return {
-        str(path.relative_to(directory)): path.read_bytes()
-        for path in sorted(directory.rglob("*"))
-        if path.is_file()
-    }
+    base = _prefix(directory)
+    listed = []  # (components, relative path, entry) of each entry
+    pending = [""]
+    while pending:
+        prefix = pending.pop()
+        try:
+            with os.scandir(base + prefix or ".") as scan:
+                entries = list(scan)
+        except PermissionError:
+            continue
+        for entry in entries:
+            name = prefix + entry.name
+            listed.append((name.split(os.sep), name, entry))
+            if entry.is_dir(follow_symlinks=False):
+                pending.append(name + os.sep)
+    listed.sort(key=itemgetter(0))
+    files = {}
+    for _, name, entry in listed:
+        try:
+            # the listing tells a regular file; anything else is stat-ed, as
+            # ``Path.is_file`` does, so a stat that is refused still raises
+            if not (entry.is_file() or S_ISREG(entry.stat().st_mode)):
+                continue
+        except OSError as exc:
+            if exc.errno not in _NOT_A_FILE:
+                raise
+            continue
+        with open(base + name, "rb") as f:
+            files[name] = f.read()
+    return files
+
+
+def _document_texts(
+    directory: str | Path, files: Mapping[str, bytes] | None
+) -> list[tuple[str, str]]:
+    """(id, text) of each document, sorted by id: the top-level ``*.txt``
+    files of ``files`` (``read_corpus_files(directory)`` when None) that are
+    not blank once decoded.  A file that is not UTF-8 raises
+    ``EncodingError`` naming it; no document left raises ``NoCorpusError``."""
+    directory = Path(directory)
+    if files is None:
+        files = read_corpus_files(directory)
+    base = _prefix(directory)
+    texts = []
+    for name, data in files.items():
+        # a top-level file whose suffix is .txt (".txt" itself has none)
+        if os.sep in name or not name.endswith(".txt") or len(name) == 4:
+            continue
+        text = decode_text(data, base + name)
+        if text.strip():
+            texts.append((name[:-4], text))
+    if not texts:
+        raise NoCorpusError(f"no non-empty .txt documents in {directory}")
+    texts.sort(key=itemgetter(0))
+    return texts
 
 
 def load_corpus(directory: str | Path, files: Mapping[str, bytes] | None = None) -> list[Document]:
@@ -209,22 +280,17 @@ def load_corpus(directory: str | Path, files: Mapping[str, bytes] | None = None)
     not constitute a corpus.  ``files`` is ``read_corpus_files(directory)``
     when the caller already holds it.
     """
-    directory = Path(directory)
-    if files is None:
-        files = read_corpus_files(directory)
-    docs = []
-    for name, data in files.items():
-        path = directory / name
-        if path.parent != directory or path.suffix != ".txt":
-            continue
-        text = decode_text(data, path)
-        if not text.strip():
-            continue
-        docs.append(Document(id=path.stem, text=unicodedata.normalize("NFC", text)))
-    if not docs:
-        raise NoCorpusError(f"no non-empty .txt documents in {directory}")
-    docs.sort(key=lambda d: d.id)
-    return docs
+    return [
+        Document(id=doc_id, text=unicodedata.normalize("NFC", text))
+        for doc_id, text in _document_texts(directory, files)
+    ]
+
+
+def corpus_doc_ids(directory: str | Path, files: Mapping[str, bytes]) -> list[str]:
+    """The ids of ``load_corpus(directory, files)``'s documents, in its
+    order and with its errors, without building the documents: what the
+    index stage takes from the corpus bytes a run already holds."""
+    return [doc_id for doc_id, _text in _document_texts(directory, files)]
 
 
 # Maximal runs of letters/digits, allowing internal hyphens and apostrophes;

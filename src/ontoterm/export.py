@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from functools import lru_cache
 from typing import Iterable
 
 from .okmodel import OkOntology, require_consistent
@@ -19,12 +20,27 @@ from .okmodel import OkOntology, require_consistent
 DEFAULT_IRI = "http://example.org/ontology#"
 
 
+_SEPARATORS = re.compile(r"[\s\-_'’]+")
+_NOT_ALNUM = re.compile(r"[^0-9A-Za-z]")
+
+
+@lru_cache(maxsize=4096)
+def _fold(ch: str) -> str:
+    """``ch`` in NFKD without its combining marks."""
+    return "".join(c for c in unicodedata.normalize("NFKD", ch) if not unicodedata.combining(c))
+
+
 def _camel(label: str) -> str:
-    decomposed = unicodedata.normalize("NFKD", unicodedata.normalize("NFC", label))
-    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
-    tokens = re.split(r"[\s\-_'’]+", stripped)
-    camel = "".join(t[:1].upper() + t[1:] for t in tokens if t)
-    camel = re.sub(r"[^0-9A-Za-z]", "", camel)
+    # NFKD decomposes each character on its own and canonical reordering
+    # moves only combining marks, which are dropped: so folding each
+    # distinct non-ASCII character gives NFKD(label) without its marks.
+    stripped = label
+    if not label.isascii():
+        for ch in set(label):
+            if not ch.isascii():
+                stripped = stripped.replace(ch, _fold(ch))
+    camel = "".join(t[:1].upper() + t[1:] for t in _SEPARATORS.split(stripped) if t)
+    camel = _NOT_ALNUM.sub("", camel)
     if not camel:
         return "C"
     if camel[0].isdigit():

@@ -37,6 +37,7 @@ from .corpus import (
     annotate,
     candidates_from_json,
     candidates_to_json,
+    corpus_doc_ids,
     extract_candidates,
     load_corpus,
     load_lexicon,
@@ -251,12 +252,13 @@ def render_align(v: RunValues) -> str:
 
 
 def render_index(v: RunValues) -> str:
-    corpus, candidates, taxonomy = v["corpus"], v["candidates"], v["taxonomy"]
+    candidates, taxonomy = v["candidates"], v["taxonomy"]
+    doc_ids = corpus_doc_ids(v.sources["corpus"], v["corpus_files"])
     ontology = load_dsl(v.sources["dsl"])
     labels = [c.label for c in candidates]
-    projected = index_corpus(corpus, candidates, taxonomy, taxonomy_alignments(taxonomy))
+    projected = index_corpus(doc_ids, candidates, taxonomy, taxonomy_alignments(taxonomy))
     ok_index = index_corpus(
-        corpus, candidates, ontology, ontology_alignments(labels, ontology, v["stopwords"])
+        doc_ids, candidates, ontology, ontology_alignments(labels, ontology, v["stopwords"])
     )
     return json_text({"projected": index_to_json_obj(projected), "ok": index_to_json_obj(ok_index)})
 
@@ -298,7 +300,7 @@ GRAPH = (
     Stage("align", "alignment.json", ("dsl", "stopwords"), ("project",),
           ("taxonomy", "stopwords")),
     Stage("index", "doc_index.json", ("corpus", "dsl", "stopwords"), ("extract", "project"),
-          ("corpus", "candidates", "taxonomy", "stopwords")),
+          ("corpus_files", "candidates", "taxonomy", "stopwords")),
     Stage("export", "ontology.{format}", ("dsl",), (), (), settings=("export_format", "iri")),
 )
 

@@ -136,11 +136,12 @@ def project(net: LexNet) -> Taxonomy:
         if child != parent:
             edges.add((child, parent))
 
-    post_cycle = find_cycle(edges)
-    if post_cycle:
-        labels = [concepts[cid].label for cid in post_cycle]
-        raise CycleError("subsumption cycle after synonym collapse: " + " -> ".join(labels))
-    return Taxonomy(concepts, edges)
+    try:
+        return Taxonomy(concepts, edges)
+    except ValueError:
+        # every edge joins concepts built above, so the edges hold a cycle
+        labels = [concepts[cid].label for cid in find_cycle(edges)]
+        raise CycleError("subsumption cycle after synonym collapse: " + " -> ".join(labels)) from None
 
 
 def taxonomy_to_json(taxonomy: Taxonomy) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .align import AlignmentResult, DEFAULT_STOPWORDS, align_term
-from .corpus import Document, TermCandidate
+from .corpus import TermCandidate
 from .errors import ArtifactError, UnknownConceptError, UnresolvableLabelError, json_text
 from .okmodel import OkOntology
 from .projection import Taxonomy, concept_id
@@ -141,17 +141,19 @@ class DocIndex:
 
 
 def index_corpus(
-    corpus: Sequence[Document],
+    doc_ids: Iterable[str],
     candidates: Sequence[TermCandidate],
     structure: Structure,
     alignments: Mapping[str, AlignmentResult],
 ) -> DocIndex:
     """Annotate documents from term occurrences.
 
-    Every occurrence of an aligned term yields one (document, concept)
-    annotation.  Ambiguous terms contribute nothing (silent guessing would
-    make results unattributable) and documents left without any annotation
-    are listed so the gap is visible.
+    ``doc_ids`` are the ids of the corpus's documents
+    (``corpus.corpus_doc_ids``); the candidates' occurrences say which
+    document each annotation goes to.  Every occurrence of an aligned term
+    yields one (document, concept) annotation.  Ambiguous terms contribute
+    nothing (silent guessing would make results unattributable) and
+    documents left without any annotation are listed so the gap is visible.
     """
     pairs = []
     skipped = set()
@@ -170,7 +172,7 @@ def index_corpus(
             )
         pairs.extend((doc_id, result.concept) for doc_id, _offset in candidate.occurrences)
     covered = {doc for doc, _ in pairs}
-    unannotated = sorted(d.id for d in corpus if d.id not in covered)
+    unannotated = sorted(doc for doc in doc_ids if doc not in covered)
     return DocIndex(pairs, unannotated, sorted(skipped))
 
 

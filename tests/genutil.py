@@ -10,16 +10,21 @@ position) is the one the columnar ``DocTokens`` front end replaced.  The cycle
 oracle is the recursive depth-first search the iterative one replaced;
 the children, closure, consistency and structure-comparison oracles are
 the per-call scans the indexed versions replaced, and the retrieval oracle
-scans every (document, concept) annotation.
+scans every (document, concept) annotation.  The corpus-read oracle is
+the ``pathlib`` walk the ``os.scandir`` one replaced, and the label-mangling
+oracle normalizes each whole label the way the per-character folding
+replaced.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import re
 import unicodedata
 from array import array
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import pytest
@@ -929,3 +934,60 @@ def recall_oracle(
         symmetric_difference=tuple(sorted(docs_a ^ docs_b)),
         explanations=explanations,
     )
+
+
+_TREE_NAMES = ("a.txt", "a b.txt", "b.txt", "c.TXT", "d.md", ".txt", "e.txt.bak", "a", "a-b", "a.b", "a0", "sub")
+_TREE_PIECES = (b"relais", b" ", b"\r", b"\n", b"\r\n", "\u00e9".encode(), "e\u0301".encode(), b"\t")
+_NOT_UTF8 = (b"\xff", b"\xc3")
+
+
+def random_corpus_tree(rng: random.Random, root: Path) -> None:
+    """Fill the directory ``root`` with up to 16 entries, at most three
+    deep, half of them at the top: files of text pieces (CR, CRLF, NFD,
+    tabs; three in ten also with bytes that are not UTF-8), subdirectories,
+    and symlinks to a file, to a directory, to nothing, to themselves and
+    through a file.  Names include ``.txt`` beside other cases and suffixes,
+    dotfiles, and siblings whose string order and path-component order
+    disagree (``a/x`` sorts before ``a-b`` by components, after it as text).
+    """
+    dirs = [root]
+    made: list[Path] = []
+    for _ in range(rng.randint(0, 16)):
+        parent = root if rng.random() < 0.5 else rng.choice(dirs)
+        kind = rng.random()
+        path = parent / rng.choice(("a", "a", "sub") if kind < 0.25 else _TREE_NAMES)
+        if os.path.lexists(path):
+            continue
+        if kind < 0.25 and len(path.relative_to(root).parts) < 3:
+            path.mkdir()
+            dirs.append(path)
+        elif kind < 0.4:
+            target = rng.choice([*made, *dirs, parent / "missing", path, parent / "a.txt" / "x"])
+            os.symlink(os.path.relpath(target, parent), path)
+        else:
+            pieces = _TREE_PIECES + (_NOT_UTF8 if rng.random() < 0.3 else ())
+            path.write_bytes(b"".join(rng.choice(pieces) for _ in range(rng.randint(0, 12))))
+        made.append(path)
+
+
+def read_corpus_files_oracle(directory: Path) -> dict[str, bytes]:
+    """``read_corpus_files`` as the ``pathlib`` walk it replaced."""
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+def camel_oracle(label: str) -> str:
+    """``export._camel`` as it normalized each whole label."""
+    decomposed = unicodedata.normalize("NFKD", unicodedata.normalize("NFC", label))
+    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    tokens = re.split(r"[\s\-_'’]+", stripped)
+    camel = "".join(t[:1].upper() + t[1:] for t in tokens if t)
+    camel = re.sub(r"[^0-9A-Za-z]", "", camel)
+    if not camel:
+        return "C"
+    if camel[0].isdigit():
+        camel = "C" + camel
+    return camel

@@ -213,8 +213,9 @@ def test_criterion_5_retrieval_contrast():
     candidates = extract_candidates(tokens, patterns)
     labels = [c.label for c in candidates]
 
-    projected = index_corpus(corpus, candidates, taxonomy, taxonomy_alignments(taxonomy))
-    expert = index_corpus(corpus, candidates, ontology, ontology_alignments(labels, ontology))
+    doc_ids = [doc.id for doc in corpus]
+    projected = index_corpus(doc_ids, candidates, taxonomy, taxonomy_alignments(taxonomy))
+    expert = index_corpus(doc_ids, candidates, ontology, ontology_alignments(labels, ontology))
 
     assert query(projected, taxonomy, concept_id("relais à seuil")) == {"d2"}
     assert query(expert, ontology, "relais à seuil") == {"d1", "d2"}
@@ -403,7 +404,7 @@ def run_memory_pipeline(spec) -> dict[str, str]:
     terms = sorted({t for c in taxonomy.concepts.values() for t in c.denoting_terms})
     alignments = ontology_alignments(terms, ontology)
     report = compare_structures(taxonomy, ontology, alignments)
-    index = index_corpus(docs, candidates, taxonomy, taxonomy_alignments(taxonomy))
+    index = index_corpus([d.id for d in docs], candidates, taxonomy, taxonomy_alignments(taxonomy))
     from ontoterm.retrieval import index_to_json_obj
     import json as _json
 

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import ast
+import os
 import random
+import shutil
+import subprocess
+import sys
 import tracemalloc
 import unicodedata
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,8 +18,10 @@ from genutil import (
     copula_relations_per_token,
     extract_candidates_per_token,
     pattern_matches_per_token,
+    random_corpus_tree,
     random_document,
     random_front_end_case,
+    read_corpus_files_oracle,
     regex_match_count,
 )
 from ontoterm.corpus import (
@@ -28,6 +36,7 @@ from ontoterm.corpus import (
     annotate,
     candidates_from_json,
     candidates_to_json,
+    corpus_doc_ids,
     extract_candidates,
     load_corpus,
     load_lexicon,
@@ -103,32 +112,95 @@ def load_corpus_per_file(directory: Path) -> list[Document]:
 
 
 def test_load_corpus_decodes_the_bytes_read_once_like_reading_each_file(tmp_path):
+    # read_corpus_files against the pathlib walk, load_corpus and
+    # corpus_doc_ids against the per-file loader, on the same random trees
     rng = random.Random(20101025)
-    pieces = [b"relais", b" ", b"\r", b"\n", b"\r\n", "\u00e9".encode(), "e\u0301".encode(),
-              b"\t", b"\xff", b"\xc3"]
-    names = ["a.txt", "b.txt", "c.TXT", "d.md", ".txt", "e.txt.bak", "sub/f.txt", "sub/g"]
     outcomes = {"loaded": 0, "encoding": 0, "no corpus": 0}
+    trees = Counter()
     for case in range(300):
         directory = tmp_path / f"case{case}"
         directory.mkdir()
-        for name in rng.sample(names, rng.randint(0, len(names))):
-            path = directory / name
-            path.parent.mkdir(exist_ok=True)
-            bad = rng.random() < 0.2
-            path.write_bytes(b"".join(rng.choice(pieces[: len(pieces) - 2 * (not bad)])
-                                      for _ in range(rng.randint(0, 12))))
+        random_corpus_tree(rng, directory)
+        files = read_corpus_files(directory)
+        assert list(files.items()) == list(read_corpus_files_oracle(directory).items())
+        trees["nested"] += any(os.sep in name for name in files)
+        trees["component order"] += list(files) != sorted(files)
+        trees["symlink"] += any(path.is_symlink() for path in directory.rglob("*"))
         try:
             expected = load_corpus_per_file(directory)
         except (EncodingError, NoCorpusError) as exc:
-            with pytest.raises(type(exc)) as raised:
-                load_corpus(directory)
-            assert str(raised.value) == str(exc)
+            for load in (load_corpus, lambda d: corpus_doc_ids(d, files)):
+                with pytest.raises(type(exc)) as raised:
+                    load(directory)
+                assert str(raised.value) == str(exc)
             outcomes["encoding" if isinstance(exc, EncodingError) else "no corpus"] += 1
             continue
         assert load_corpus(directory) == expected
-        assert load_corpus(directory, read_corpus_files(directory)) == expected
+        assert load_corpus(directory, files) == expected
+        assert corpus_doc_ids(directory, files) == [d.id for d in expected]
         outcomes["loaded"] += 1
     assert min(outcomes.values()) >= 30, outcomes
+    assert min(trees.values()) >= 30, trees
+
+
+_READ_IN_CHILD = """
+import sys
+from pathlib import Path
+from genutil import read_corpus_files_oracle
+from ontoterm.corpus import read_corpus_files
+
+def outcome(read, directory):
+    try:
+        return list(read(directory).items())
+    except OSError as exc:
+        return type(exc).__name__, str(exc)
+
+for directory in map(Path, sys.argv[1:]):
+    print(repr((outcome(read_corpus_files_oracle, directory), outcome(read_corpus_files, directory))))
+"""
+
+
+def test_read_corpus_files_meets_unreadable_directories_like_the_pathlib_walk(tmp_path):
+    # a subdirectory that cannot be listed, one that can be listed but not
+    # searched (with a file in it, or only a directory), and a corpus
+    # directory that cannot be listed; as root, the reads run without the
+    # capabilities that override file permissions
+    argv = [sys.executable, "-c", _READ_IN_CHILD]
+    if os.geteuid() == 0:
+        if shutil.which("setpriv") is None:
+            pytest.skip("running as root, and setpriv is not installed to drop the override")
+        argv = ["setpriv", "--bounding-set=-dac_override,-dac_read_search", *argv]
+    modes = {"unlisted": 0o000, "unsearched": 0o600, "unsearched-dir": 0o600, "corpus": 0o000}
+    corpora = []
+    for case, mode in modes.items():
+        corpus = tmp_path / case
+        locked = corpus if case == "corpus" else corpus / "locked"
+        locked.mkdir(parents=True)
+        (corpus / "a.txt").write_bytes(b"relais")
+        if case == "unsearched-dir":
+            (locked / "sub").mkdir()
+        else:
+            (locked / "b.txt").write_bytes(b"tension")
+        locked.chmod(mode)
+        corpora.append((corpus, locked))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    try:
+        child = subprocess.run([*argv, *(str(c) for c, _ in corpora)], env=env,
+                               capture_output=True, text=True, timeout=60)
+    finally:
+        for _, locked in corpora:
+            locked.chmod(0o700)
+    if child.returncode and child.stderr.startswith("setpriv"):
+        pytest.skip(child.stderr)
+    assert child.returncode == 0, child.stderr
+    outcomes = [ast.literal_eval(line) for line in child.stdout.splitlines()]
+    assert [new for old, new in outcomes] == [old for old, new in outcomes]
+    unlisted, unsearched, unsearched_dir, corpus = (new for _, new in outcomes)
+    assert unlisted == [("a.txt", b"relais")]
+    for outcome, path in ((unsearched, "unsearched/locked/b.txt"),
+                          (unsearched_dir, "unsearched-dir/locked/sub")):
+        assert outcome == ("PermissionError", f"[Errno 13] Permission denied: '{tmp_path / path}'")
+    assert corpus == []
 
 
 # --- annotate -------------------------------------------------------------

@@ -7,11 +7,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genutil import random_ok_tree
+from genutil import camel_oracle, random_ok_tree
 from ontoterm.errors import InconsistentOntologyError
 from ontoterm.fixtures import data_path
 from ontoterm.okmodel import Axis, Differentia, OkConcept, OkOntology, load_dsl, parse_dsl
-from ontoterm.export import _preorder, mangle_labels, to_kif, to_owl
+from ontoterm import export
+from ontoterm.export import _camel, _preorder, mangle_labels, to_kif, to_owl
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +130,28 @@ _label_chars = st.text(
 def test_mangling_injective_on_random_label_sets(labels):
     names = mangle_labels(labels)
     assert len(set(names.values())) == len(set(labels))
+
+
+# precomposed and decomposed accents, marks out of canonical order, compatibility
+# forms (ligature, circled digit, Roman numeral, titlecase digraph), ß, Hangul,
+# separators (NBSP, both apostrophes, hyphen, underscore) and digits
+_CAMEL_POOL = (
+    "relais", "a", "Z", "é", "e\u0301", "Å", "A\u030a", "ñ", "n\u0303", "\u0301", "\u0307\u0323",
+    "\u1e9b\u0323", "ﬁ", "①", "Ⅸ", "ß", "ǅ", "한", "İ", "ø", "Ω", " ", "\u00a0", "\t", "'", "’",
+    "-", "_", "0", "7",
+)
+
+
+def test_camel_folds_each_character_like_normalizing_the_whole_label(relay, monkeypatch):
+    rng = random.Random(19890601)
+    attributes = [a.name for c in relay.concepts.values() for a in c.attributes]
+    labels = [*relay.concepts, *attributes, ""] + [
+        "".join(rng.choice(_CAMEL_POOL) for _ in range(rng.randint(0, 8))) for _ in range(10_000)
+    ]
+    assert [_camel(label) for label in labels] == [camel_oracle(label) for label in labels]
+    owl, kif = to_owl(relay), to_kif(relay)
+    monkeypatch.setattr(export, "_camel", camel_oracle)
+    assert (owl, kif) == (to_owl(relay), to_kif(relay))
 
 
 # --- axiom-count formulas on random consistent ontologies ----------------------

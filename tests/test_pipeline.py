@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import builtins
 import hashlib
 import json
+import os
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -287,7 +289,8 @@ def test_pipeline_drops_tokens_once_net_has_used_them(tmp_path, monkeypatch):
 def spy_on_run(monkeypatch, out: Path, corpus: Path | None = None) -> Counter:
     """Count corpus reads and loads, annotated documents, hashed paths,
     decoded artifacts, files read under ``out`` and, keyed ("corpus",
-    relative path), reads of files under ``corpus`` while the pipeline runs."""
+    relative path), opens and reads of files under ``corpus`` while the
+    pipeline runs."""
     calls: Counter = Counter()
 
     def spy(name, key):
@@ -298,6 +301,10 @@ def spy_on_run(monkeypatch, out: Path, corpus: Path | None = None) -> Counter:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, name, wrapped)
+
+    def count_corpus_read(path: Path) -> None:
+        if corpus is not None and corpus in path.parents:
+            calls[("corpus", str(path.relative_to(corpus)))] += 1
 
     spy("read_corpus_files", lambda *a: "read_corpus_files")
     spy("load_corpus", lambda *a: "load_corpus")
@@ -312,11 +319,18 @@ def spy_on_run(monkeypatch, out: Path, corpus: Path | None = None) -> Counter:
         def read(path, *args, inner=inner, method=method, **kwargs):
             if path.parent == out:
                 calls[(method, path.name)] += 1
-            elif corpus is not None and corpus in path.parents:
-                calls[("corpus", str(path.relative_to(corpus)))] += 1
+            count_corpus_read(path)
             return inner(path, *args, **kwargs)
 
         monkeypatch.setattr(Path, method, read)
+    builtin_open = builtins.open
+
+    def open_(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            count_corpus_read(Path(file).absolute())
+        return builtin_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", open_)
     return calls
 
 
@@ -324,13 +338,23 @@ def hashed(calls: Counter) -> dict[str, int]:
     return {key[1]: n for key, n in calls.items() if key[0] == "hash"}
 
 
-def test_cold_run_loads_and_hashes_each_input_once_and_reads_nothing_back(tmp_path, monkeypatch):
-    # the fixture corpus plus files the fingerprint covers and the loader skips
+def corpus_reads(calls: Counter) -> dict[str, int]:
+    return {key[1]: n for key, n in calls.items() if key[0] == "corpus"}
+
+
+def corpus_with_skipped_files(tmp_path: Path) -> tuple[Path, list[str]]:
+    """A copy of the fixture corpus plus files the fingerprint covers and
+    the loader skips, and the paths of all its files."""
     corpus = tmp_path / "corpus"
     shutil.copytree(data_path("corpus"), corpus)
     (corpus / "notes").mkdir()
     (corpus / "notes" / "nested.txt").write_text("relais imbriqué\n", encoding="utf-8")
     (corpus / "README").write_text("pas un document\n", encoding="utf-8")
+    return corpus, sorted(str(p.relative_to(corpus)) for p in corpus.rglob("*") if p.is_file())
+
+
+def test_cold_run_loads_and_hashes_each_input_once_and_reads_nothing_back(tmp_path, monkeypatch):
+    corpus, files = corpus_with_skipped_files(tmp_path)
     config = load_config(write_config(tmp_path, corpus=str(corpus)))
     docs = [doc.id for doc in load_corpus(data_path("corpus"))]
     calls = spy_on_run(monkeypatch, config.output, corpus)
@@ -338,8 +362,7 @@ def test_cold_run_loads_and_hashes_each_input_once_and_reads_nothing_back(tmp_pa
     assert calls["read_corpus_files"] == 1
     assert calls["load_corpus"] == 1
     assert calls["hash_files"] == 1
-    files = sorted(str(p.relative_to(corpus)) for p in corpus.rglob("*") if p.is_file())
-    assert {key[1]: n for key, n in calls.items() if key[0] == "corpus"} == dict.fromkeys(files, 1)
+    assert corpus_reads(calls) == dict.fromkeys(files, 1)
     assert {doc: calls[("annotate", doc)] for doc in docs} == {doc: 1 for doc in docs}
     assert str(config.corpus) not in hashed(calls)
     assert set(hashed(calls).values()) == {1}
@@ -348,6 +371,26 @@ def test_cold_run_loads_and_hashes_each_input_once_and_reads_nothing_back(tmp_pa
     assert {key for key in calls if key[0] in ("read_text", "read_bytes")} == {
         ("read_text", "manifest.json")
     }
+
+
+@pytest.mark.parametrize("edit", ["warm", "decisions-edit"])
+def test_warm_and_edit_runs_read_each_corpus_file_once_and_load_no_documents(
+    tmp_path, monkeypatch, edit
+):
+    corpus, files = corpus_with_skipped_files(tmp_path)
+    decisions = tmp_path / "decisions.txt"
+    shutil.copy(data_path("decisions.txt"), decisions)
+    config = load_config(write_config(tmp_path, corpus=str(corpus), decisions=str(decisions)))
+    run_pipeline(config)
+    if edit == "decisions-edit":
+        with decisions.open("a", encoding="utf-8") as f:
+            f.write('reject term "relais tout ou rien"\n')
+    calls = spy_on_run(monkeypatch, config.output, corpus)
+    result = run_pipeline(config)
+    assert result.stages["index"].cache_hit == (edit == "warm")
+    assert calls["read_corpus_files"] == 1
+    assert calls["load_corpus"] == 0
+    assert corpus_reads(calls) == dict.fromkeys(files, 1)
 
 
 def test_warm_run_decodes_only_the_ok_report(tmp_path, monkeypatch):

@@ -112,8 +112,9 @@ def test_project_rejects_cycle_created_by_collapse():
         LexicalRelation(HYP, "b", "a2", Evidence.DECLARED, status=Status.VALIDATED),
         LexicalRelation(SYN, "a1", "a2", Evidence.DECLARED, status=Status.VALIDATED),
     ]
-    with pytest.raises(CycleError):
+    with pytest.raises(CycleError) as exc:
         project(build_network(terms, relations))
+    assert str(exc.value) == "subsumption cycle after synonym collapse: a1 -> b -> a1"
 
 
 def test_project_10k_deep_chain_with_labels_sorted_leaf_first():

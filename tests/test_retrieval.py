@@ -82,8 +82,9 @@ def experiment(relay, taxonomy):
     tokens = [annotate(d, lexicon) for d in corpus]
     candidates = extract_candidates(tokens, patterns)
     labels = [c.label for c in candidates]
-    projected = index_corpus(corpus, candidates, taxonomy, taxonomy_alignments(taxonomy))
-    ok_index = index_corpus(corpus, candidates, relay, ontology_alignments(labels, relay))
+    doc_ids = [d.id for d in corpus]
+    projected = index_corpus(doc_ids, candidates, taxonomy, taxonomy_alignments(taxonomy))
+    ok_index = index_corpus(doc_ids, candidates, relay, ontology_alignments(labels, relay))
     return corpus, candidates, projected, ok_index
 
 
@@ -104,7 +105,7 @@ def test_document_without_known_terms_is_reported(relay, taxonomy, tmp_path):
     patterns = load_patterns(data_path("patterns.txt"))
     tokens = [annotate(d, lexicon) for d in corpus]
     candidates = extract_candidates(tokens, patterns)
-    index = index_corpus(corpus, candidates, relay,
+    index = index_corpus([d.id for d in corpus], candidates, relay,
                          ontology_alignments([c.label for c in candidates], relay))
     assert index.annotations == set()
     assert index.unannotated_docs == ("d9",)
@@ -124,7 +125,7 @@ def test_ambiguous_terms_are_skipped_and_logged(taxonomy):
     patterns = load_patterns(data_path("patterns.txt"))
     tokens = [annotate(d, lexicon) for d in corpus]
     candidates = extract_candidates(tokens, patterns)
-    index = index_corpus(corpus, candidates, ontology,
+    index = index_corpus([d.id for d in corpus], candidates, ontology,
                          ontology_alignments([c.label for c in candidates], ontology))
     assert "relais de tension" in index.skipped_ambiguous
     assert all(a.concept != "relais de tension alternative" for a in index.annotations)
@@ -183,7 +184,7 @@ def test_resolve_label(relay, taxonomy):
 
 def test_indexing_is_deterministic(experiment, taxonomy):
     corpus, candidates, projected, _ = experiment
-    again = index_corpus(corpus, candidates, taxonomy, taxonomy_alignments(taxonomy))
+    again = index_corpus([d.id for d in corpus], candidates, taxonomy, taxonomy_alignments(taxonomy))
     assert index_to_json_obj(again) == index_to_json_obj(projected)
     roundtrip = index_from_json_obj(index_to_json_obj(projected))
     assert index_to_json_obj(roundtrip) == index_to_json_obj(projected)
