@@ -30,6 +30,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     BadPatternError,
     ConfigError,
+    EncodingError,
     NoCorpusError,
     decode_text,
     json_text,
@@ -252,8 +253,9 @@ def _document_texts(
 ) -> list[tuple[str, str]]:
     """(id, text) of each document, sorted by id: the top-level ``*.txt``
     files of ``files`` (``read_corpus_files(directory)`` when None) that are
-    not blank once decoded.  A file that is not UTF-8 raises
-    ``EncodingError`` naming it; no document left raises ``NoCorpusError``."""
+    not blank once decoded.  A document whose bytes or name are not UTF-8
+    raises ``EncodingError`` naming it; no document left raises
+    ``NoCorpusError``."""
     directory = Path(directory)
     if files is None:
         files = read_corpus_files(directory)
@@ -265,6 +267,10 @@ def _document_texts(
             continue
         text = decode_text(data, base + name)
         if text.strip():
+            try:
+                name.encode("utf-8")
+            except UnicodeEncodeError:  # os.scandir keeps undecodable bytes as surrogates
+                raise EncodingError(f"file name is not UTF-8: {os.fsencode(base + name)!r}") from None
             texts.append((name[:-4], text))
     if not texts:
         raise NoCorpusError(f"no non-empty .txt documents in {directory}")

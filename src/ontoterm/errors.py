@@ -1,5 +1,6 @@
 """Error types shared across the toolkit, and the file-format helpers
-every layer uses: reading an input's text and writing artifact JSON.
+every layer uses: reading an input's text, writing artifact JSON and
+quoting a string literal.
 
 Every error carries a stable ``code`` so the CLI can map failures to exit
 codes and callers can branch on the failure class without parsing messages.
@@ -95,6 +96,12 @@ def json_text(payload) -> str:
     encode(payload, "\n")
     emit("\n")
     return "".join(chunks)
+
+
+def quoted(text: str) -> str:
+    """``text`` as a double-quoted literal, ``\\`` and ``"`` escaped with a
+    backslash, as OWL 2 Functional Syntax and Graphviz DOT read one."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _json_scalar(value) -> str:

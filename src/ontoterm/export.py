@@ -15,6 +15,7 @@ import unicodedata
 from functools import lru_cache
 from typing import Iterable
 
+from .errors import quoted
 from .okmodel import OkOntology, require_consistent
 
 DEFAULT_IRI = "http://example.org/ontology#"
@@ -110,7 +111,7 @@ def to_owl(ontology: OkOntology, iri_prefix: str = DEFAULT_IRI) -> str:
     for name in order:
         lines.append(f"Declaration(Class(:{names[name]}))")
     for name in order:
-        lines.append(f'AnnotationAssertion(rdfs:label :{names[name]} "{name}")')
+        lines.append(f"AnnotationAssertion(rdfs:label :{names[name]} {quoted(name)})")
 
     lines.extend(
         sorted(
@@ -127,7 +128,7 @@ def to_owl(ontology: OkOntology, iri_prefix: str = DEFAULT_IRI) -> str:
     )
     lines.extend(
         sorted(
-            f'AnnotationAssertion(:differentia :{names[c.name]} "{c.differentia}")'
+            f"AnnotationAssertion(:differentia :{names[c.name]} {quoted(str(c.differentia))})"
             for c in ontology.concepts.values()
             if c.differentia is not None
         )

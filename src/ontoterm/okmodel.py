@@ -28,6 +28,7 @@ satisfies a predicate), and a denotation map from term labels to concepts.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -80,16 +81,23 @@ class OkConcept:
     attributes: tuple[AttributeDef, ...] = ()
 
 
-#: Comparison operators accepted in class/set predicates (canonical forms).
-OPS = ("=", "!=", "<", "<=", ">", ">=")
+#: Comparison operator (canonical form) → the test it makes.
+_COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _OP_ALIASES = {"≠": "!=", "≤": "<=", "≥": ">="}
 
 
 @dataclass(frozen=True)
 class AtomicComparison:
+    """``attribute op literal``; an ``op`` outside the six canonical forms raises ``ValueError``."""
+
     attribute: str
     op: str
     literal: object  # int | float | str
+
+    def __post_init__(self) -> None:
+        if self.op not in _COMPARE:
+            raise ValueError(f"unknown comparison operator: {self.op!r}")
 
     def __str__(self) -> str:
         lit = json.dumps(self.literal, ensure_ascii=False)
@@ -437,26 +445,11 @@ def _holds(predicate: tuple[AtomicComparison, ...], state: Mapping[str, object])
     for comparison in predicate:
         if comparison.attribute not in state:
             return False  # missing attributes make the comparison false
-        actual = state[comparison.attribute]
-        literal = comparison.literal
         try:
-            op = comparison.op
-            if op == "=":
-                ok = actual == literal
-            elif op == "!=":
-                ok = actual != literal
-            elif op == "<":
-                ok = actual < literal
-            elif op == "<=":
-                ok = actual <= literal
-            elif op == ">":
-                ok = actual > literal
-            else:
-                ok = actual >= literal
+            if not _COMPARE[comparison.op](state[comparison.attribute], comparison.literal):
+                return False
         except TypeError:
-            ok = False  # incomparable literal/state types never satisfy
-        if not ok:
-            return False
+            return False  # incomparable literal/state types never satisfy
     return True
 
 
@@ -502,49 +495,170 @@ def load_instances(path: str | Path) -> list[ObjectInstance]:
 # line-oriented ontology source
 
 
-_TERM_LINE = re.compile(r'^term\s+"([^"]+)"\s+denotes\s+(.+)$')
-
-
 def _strip_comment(line: str) -> str:
+    """``line`` up to its first ``#`` outside double quotes."""
     if "#" not in line:
         return line
-    out = []
     in_quotes = False
-    for ch in line:
+    for i, ch in enumerate(line):
         if ch == '"':
             in_quotes = not in_quotes
-        if ch == "#" and not in_quotes:
-            break
-        out.append(ch)
-    return "".join(out)
+        elif ch == "#" and not in_quotes:
+            return line[:i]
+    return line
 
 
 def _parse_literal(text: str) -> object:
     text = text.strip()
     if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
         return text[1:-1]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
+    return text
 
 
-def _parse_predicate(text: str, line: int, issues: list[DslIssue]) -> tuple[AtomicComparison, ...]:
-    comparisons = []
+class _Rejected(Exception):
+    """A DSL line that declares nothing; ``args`` is its issue's code and message."""
+
+
+def _parse_predicate(text: str) -> tuple[tuple[AtomicComparison, ...], list[tuple[str, str]]]:
+    """The comparisons of ``text``, and the (code, message) of each clause that is none."""
+    comparisons, problems = [], []
     for clause in re.split(r"\s+and\s+", text.strip()):
         m = re.match(r"^(\S+)\s*(>=|<=|!=|≥|≤|≠|=|<|>)\s*(.+)$", clause.strip())
-        if not m:
-            issues.append(DslIssue(line, "E_SYNTAX", f"cannot parse comparison {clause.strip()!r}"))
-            continue
-        attr, op, literal = m.groups()
-        comparisons.append(AtomicComparison(attr, _OP_ALIASES.get(op, op), _parse_literal(literal)))
+        if m:
+            attr, op, literal = m.groups()
+            comparisons.append(AtomicComparison(attr, _OP_ALIASES.get(op, op), _parse_literal(literal)))
+        else:
+            problems.append(("E_SYNTAX", f"cannot parse comparison {clause.strip()!r}"))
     if not comparisons:
-        issues.append(DslIssue(line, "E_SYNTAX", "empty predicate"))
-    return tuple(comparisons)
+        problems.append(("E_SYNTAX", "empty predicate"))
+    return tuple(comparisons), problems
+
+
+def _unique(declared: Mapping[str, object], kind: str, name: str) -> None:
+    if name in declared:
+        raise _Rejected("E_DUP_NAME", f"{kind} already declared: {name!r}")
+
+
+@dataclass
+class _DslReader:
+    """``OkOntology``'s fields as declared so far.  A directive method stores its line's
+    declaration or raises ``_Rejected``; one with bad predicate clauses returns them."""
+
+    name: str = ""
+    axes: dict[str, Axis] = field(default_factory=dict)
+    concepts: dict[str, OkConcept] = field(default_factory=dict)
+    class_defs: dict[str, ClassDef] = field(default_factory=dict)
+    set_defs: dict[str, SetDef] = field(default_factory=dict)
+    denotation: dict[str, str] = field(default_factory=dict)
+
+    def ontology(self, body: str) -> None:
+        m = re.match(r'^"([^"]*)"$', body)
+        if not m:
+            raise _Rejected("E_SYNTAX", 'expected \'ontology "<name>"\'')
+        self.name = m.group(1)
+
+    def axis(self, body: str) -> None:
+        head, sep, rest = body.partition(" values ")
+        name = head.strip()
+        if not sep or not name:
+            raise _Rejected("E_SYNTAX", "expected 'axis <id> values <v1>, <v2>[, ...]'")
+        values = tuple(v.strip() for v in rest.split(",") if v.strip())
+        _unique(self.axes, "axis", name)
+        if len(values) < 2 or len(set(values)) != len(values):
+            raise _Rejected("E_SYNTAX", f"axis {name!r} needs two or more distinct values")
+        self.axes[name] = Axis(name, values)
+
+    def concept(self, body: str) -> None:
+        if " genus " not in body:
+            if not body.endswith(" root"):  # a stripped body ending so has a name before it
+                raise _Rejected("E_SYNTAX", "expected 'concept <Id> root' or "
+                                "'concept <Id> genus <Parent> diff <axis>=<value>'")
+            name = body[: -len(" root")].strip()
+            _unique(self.concepts, "concept", name)
+            self.concepts[name] = OkConcept(name)
+            return
+        name, _, rest = body.partition(" genus ")
+        genus, sep, differentia = rest.partition(" diff ")
+        name, genus = name.strip(), genus.strip()
+        if not (sep and name and genus):
+            raise _Rejected("E_SYNTAX", "expected 'concept <Id> genus <Parent> diff <axis>=<value>'")
+        if " genus " in differentia:
+            raise _Rejected("E_MULTIPLE_GENUS", f"concept {name!r} declares more than one genus")
+        axis, eq, value = differentia.partition("=")
+        axis, value = axis.strip(), value.strip()
+        if not (eq and axis and value):
+            raise _Rejected("E_SYNTAX", "differentia must be '<axis>=<value>'")
+        _unique(self.concepts, "concept", name)
+        if genus not in self.concepts:
+            raise _Rejected("E_UNKNOWN_GENUS", f"unknown genus: {genus!r}")
+        if axis not in self.axes:
+            raise _Rejected("E_UNKNOWN_AXIS", f"unknown axis: {axis!r}")
+        if value not in self.axes[axis].values:
+            raise _Rejected("E_BAD_VALUE", f"value {value!r} is not on axis {axis!r}")
+        self.concepts[name] = OkConcept(name, genus, Differentia(axis, value))
+
+    def attribute(self, body: str) -> None:
+        name, sep_on, rest = body.partition(" on ")
+        concept, sep_type, type_name = rest.partition(" type ")
+        name, concept, type_name = name.strip(), concept.strip(), type_name.strip()
+        if not (sep_on and sep_type and name and concept and type_name):
+            raise _Rejected("E_SYNTAX", "expected 'attribute <id> on <Concept> type <type>'")
+        enum = re.match(r"^enum\((.+)\)$", type_name)
+        if not enum and type_name not in ("number", "string"):
+            raise _Rejected("E_SYNTAX", f"unknown attribute type {type_name!r}")
+        if concept not in self.concepts:
+            raise _Rejected("E_UNKNOWN_CONCEPT", f"unknown concept: {concept!r}")
+        holder = self.concepts[concept]
+        if any(a.name == name for a in holder.attributes):
+            raise _Rejected("E_DUP_NAME", f"attribute {name!r} already on {concept!r}")
+        values = tuple(v.strip() for v in enum.group(1).split(",") if v.strip()) if enum else ()
+        attribute = AttributeDef(name, ValueType("enum" if enum else type_name, values))
+        self.concepts[concept] = replace(holder, attributes=holder.attributes + (attribute,))
+
+    def class_(self, body: str) -> list[tuple[str, str]]:
+        name, sep_over, rest = body.partition(" over ")
+        base, sep_where, predicate = rest.partition(" where ")
+        name, base = name.strip(), base.strip()
+        if not (sep_over and sep_where and name and base and predicate.strip()):
+            raise _Rejected("E_SYNTAX", "expected 'class <Id> over <Concept> where <pred>'")
+        _unique(self.class_defs, "class", name)
+        if base not in self.concepts:
+            raise _Rejected("E_UNKNOWN_CONCEPT", f"unknown concept: {base!r}")
+        comparisons, problems = _parse_predicate(predicate)
+        self.class_defs[name] = ClassDef(name, base, comparisons)
+        return problems
+
+    def set_(self, body: str) -> list[tuple[str, str]]:
+        name, sep_where, predicate = body.partition(" where ")
+        name = name.strip()
+        if not (sep_where and name and predicate.strip()):
+            raise _Rejected("E_SYNTAX", "expected 'set <Id> where <pred>'")
+        _unique(self.set_defs, "set", name)
+        comparisons, problems = _parse_predicate(predicate)
+        self.set_defs[name] = SetDef(name, comparisons)
+        return problems
+
+    def term(self, body: str) -> None:
+        m = re.match(r'^"([^"]+)"\s+denotes\s+(.+)$', body)
+        if not m:
+            raise _Rejected("E_SYNTAX", 'expected \'term "<label>" denotes <Concept>\'')
+        # target existence is a consistency rule (R7), not a parse error
+        self.denotation[m.group(1)] = m.group(2).strip()
+
+    def compound(self, body: str) -> None:
+        raise _Rejected("E_UNSUPPORTED", "compound concepts are reserved but not supported")
+
+
+_DIRECTIVES = {
+    "ontology": _DslReader.ontology, "axis": _DslReader.axis, "concept": _DslReader.concept,
+    "attribute": _DslReader.attribute, "class": _DslReader.class_, "set": _DslReader.set_,
+    "term": _DslReader.term, "compound": _DslReader.compound,
+}
 
 
 def parse_dsl(text: str) -> OkOntology:
@@ -555,170 +669,26 @@ def parse_dsl(text: str) -> OkOntology:
     checking is ``check_consistency``'s job.  The ``compound`` keyword is
     reserved and rejected as unsupported.
     """
-    ontology_name = ""
-    axes: dict[str, Axis] = {}
-    concepts: dict[str, OkConcept] = {}
-    class_defs: dict[str, ClassDef] = {}
-    set_defs: dict[str, SetDef] = {}
-    denotation: dict[str, str] = {}
+    reader = _DslReader()
     issues: list[DslIssue] = []
-
-    def parse_axis(lineno: int, body: str) -> None:
-        head, sep, rest = body.partition(" values ")
-        name = head.strip()
-        if not sep or not name:
-            issues.append(DslIssue(lineno, "E_SYNTAX", "expected 'axis <id> values <v1>, <v2>[, ...]'"))
-            return
-        values = tuple(v.strip() for v in rest.split(",") if v.strip())
-        if name in axes:
-            issues.append(DslIssue(lineno, "E_DUP_NAME", f"axis already declared: {name!r}"))
-        elif len(values) < 2 or len(set(values)) != len(values):
-            issues.append(DslIssue(lineno, "E_SYNTAX", f"axis {name!r} needs two or more distinct values"))
-        else:
-            axes[name] = Axis(name, values)
-
-    def parse_concept(lineno: int, body: str) -> None:
-        if " genus " not in body:
-            if body.endswith(" root"):
-                name = body[: -len(" root")].strip()
-                if not name:
-                    issues.append(DslIssue(lineno, "E_SYNTAX", "missing concept name"))
-                elif name in concepts:
-                    issues.append(DslIssue(lineno, "E_DUP_NAME", f"concept already declared: {name!r}"))
-                else:
-                    concepts[name] = OkConcept(name)
-            else:
-                issues.append(
-                    DslIssue(lineno, "E_SYNTAX", "expected 'concept <Id> root' or 'concept <Id> genus <Parent> diff <axis>=<value>'")
-                )
-            return
-        name, _, rest = body.partition(" genus ")
-        name = name.strip()
-        genus_part, sep, diff_part = rest.partition(" diff ")
-        if not sep or not name or not genus_part.strip():
-            issues.append(DslIssue(lineno, "E_SYNTAX", "expected 'concept <Id> genus <Parent> diff <axis>=<value>'"))
-            return
-        if " genus " in diff_part:
-            issues.append(DslIssue(lineno, "E_MULTIPLE_GENUS", f"concept {name!r} declares more than one genus"))
-            return
-        genus = genus_part.strip()
-        axis_name, eq, value = diff_part.partition("=")
-        axis_name, value = axis_name.strip(), value.strip()
-        if not eq or not axis_name or not value:
-            issues.append(DslIssue(lineno, "E_SYNTAX", "differentia must be '<axis>=<value>'"))
-            return
-        if name in concepts:
-            issues.append(DslIssue(lineno, "E_DUP_NAME", f"concept already declared: {name!r}"))
-            return
-        if genus not in concepts:
-            issues.append(DslIssue(lineno, "E_UNKNOWN_GENUS", f"unknown genus: {genus!r}"))
-            return
-        axis = axes.get(axis_name)
-        if axis is None:
-            issues.append(DslIssue(lineno, "E_UNKNOWN_AXIS", f"unknown axis: {axis_name!r}"))
-            return
-        if value not in axis.values:
-            issues.append(DslIssue(lineno, "E_BAD_VALUE", f"value {value!r} is not on axis {axis_name!r}"))
-            return
-        concepts[name] = OkConcept(name, genus, Differentia(axis_name, value))
-
-    def parse_attribute(lineno: int, body: str) -> None:
-        name_part, sep_on, rest = body.partition(" on ")
-        concept_part, sep_type, type_part = rest.partition(" type ")
-        name = name_part.strip()
-        concept = concept_part.strip()
-        type_part = type_part.strip()
-        if not (sep_on and sep_type and name and concept and type_part):
-            issues.append(DslIssue(lineno, "E_SYNTAX", "expected 'attribute <id> on <Concept> type <type>'"))
-            return
-        if type_part == "number":
-            vt = ValueType("number")
-        elif type_part == "string":
-            vt = ValueType("string")
-        else:
-            m = re.match(r"^enum\((.+)\)$", type_part)
-            if not m:
-                issues.append(DslIssue(lineno, "E_SYNTAX", f"unknown attribute type {type_part!r}"))
-                return
-            vt = ValueType("enum", tuple(v.strip() for v in m.group(1).split(",") if v.strip()))
-        if concept not in concepts:
-            issues.append(DslIssue(lineno, "E_UNKNOWN_CONCEPT", f"unknown concept: {concept!r}"))
-            return
-        holder = concepts[concept]
-        if any(a.name == name for a in holder.attributes):
-            issues.append(DslIssue(lineno, "E_DUP_NAME", f"attribute {name!r} already on {concept!r}"))
-            return
-        concepts[concept] = replace(
-            holder, attributes=holder.attributes + (AttributeDef(name, vt),)
-        )
-
-    def parse_class(lineno: int, body: str) -> None:
-        name_part, sep_over, rest = body.partition(" over ")
-        base_part, sep_where, pred_part = rest.partition(" where ")
-        name, base = name_part.strip(), base_part.strip()
-        if not (sep_over and sep_where and name and base and pred_part.strip()):
-            issues.append(DslIssue(lineno, "E_SYNTAX", "expected 'class <Id> over <Concept> where <pred>'"))
-            return
-        if name in class_defs:
-            issues.append(DslIssue(lineno, "E_DUP_NAME", f"class already declared: {name!r}"))
-            return
-        if base not in concepts:
-            issues.append(DslIssue(lineno, "E_UNKNOWN_CONCEPT", f"unknown concept: {base!r}"))
-            return
-        class_defs[name] = ClassDef(name, base, _parse_predicate(pred_part, lineno, issues))
-
-    def parse_set(lineno: int, body: str) -> None:
-        name_part, sep_where, pred_part = body.partition(" where ")
-        name = name_part.strip()
-        if not (sep_where and name and pred_part.strip()):
-            issues.append(DslIssue(lineno, "E_SYNTAX", "expected 'set <Id> where <pred>'"))
-            return
-        if name in set_defs:
-            issues.append(DslIssue(lineno, "E_DUP_NAME", f"set already declared: {name!r}"))
-            return
-        set_defs[name] = SetDef(name, _parse_predicate(pred_part, lineno, issues))
-
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip_comment(raw).strip()
         if not line:
             continue
         keyword, _, body = line.partition(" ")
-        body = body.strip()
-        if keyword == "ontology":
-            m = re.match(r'^"([^"]*)"$', body)
-            if not m:
-                issues.append(DslIssue(lineno, "E_SYNTAX", 'expected \'ontology "<name>"\''))
-            else:
-                ontology_name = m.group(1)
-        elif keyword == "axis":
-            parse_axis(lineno, body)
-        elif keyword == "concept":
-            parse_concept(lineno, body)
-        elif keyword == "attribute":
-            parse_attribute(lineno, body)
-        elif keyword == "class":
-            parse_class(lineno, body)
-        elif keyword == "set":
-            parse_set(lineno, body)
-        elif keyword == "term":
-            m = _TERM_LINE.match(line)
-            if not m:
-                issues.append(DslIssue(lineno, "E_SYNTAX", 'expected \'term "<label>" denotes <Concept>\''))
-            else:
-                # target existence is a consistency rule (R7), not a parse error
-                denotation[m.group(1)] = m.group(2).strip()
-        elif keyword == "compound":
-            issues.append(
-                DslIssue(lineno, "E_UNSUPPORTED", "compound concepts are reserved but not supported")
-            )
-        else:
-            issues.append(DslIssue(lineno, "E_SYNTAX", f"unknown directive {keyword!r}"))
-
-    if not any(concept.genus is None for concept in concepts.values()):
+        try:
+            if keyword not in _DIRECTIVES:
+                raise _Rejected("E_SYNTAX", f"unknown directive {keyword!r}")
+            problems = _DIRECTIVES[keyword](reader, body.strip())
+        except _Rejected as rejected:
+            problems = (rejected.args,)
+        if problems:
+            issues += [DslIssue(lineno, code, message) for code, message in problems]
+    if not any(concept.genus is None for concept in reader.concepts.values()):
         issues.append(DslIssue(max(1, text.count("\n") + 1), "E_SYNTAX", "no root concept declared"))
     if issues:
         raise DslParseError(issues)
-    return OkOntology(ontology_name, axes, concepts, class_defs, set_defs, denotation)
+    return OkOntology(**vars(reader))
 
 
 def load_dsl(path: str | Path) -> OkOntology:

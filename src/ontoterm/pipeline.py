@@ -61,6 +61,7 @@ from .projection import project, taxonomy_from_json, taxonomy_to_json
 from .retrieval import index_corpus, index_to_json_obj
 
 _REQUIRED_KEYS = ("corpus", "lexicon", "patterns", "dsl", "decisions", "stopwords", "output")
+_KEYS = _REQUIRED_KEYS + ("synonyms", "export_format", "iri")
 
 _CONFIG_LINE = re.compile(r'^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$')
 
@@ -81,7 +82,8 @@ class PipelineConfig:
 
 def parse_config(text: str, base_dir: Path) -> PipelineConfig:
     """Parse a flat ``key = value`` config; relative paths resolve against
-    the config file's directory."""
+    the config file's directory.  A key that is not a ``PipelineConfig``
+    field raises ``ConfigError``."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -91,6 +93,8 @@ def parse_config(text: str, base_dir: Path) -> PipelineConfig:
         if not m:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = m.group(1), m.group(2).strip()
+        if key not in _KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if value.startswith('"') and value.endswith('"') and len(value) >= 2:
             value = value[1:-1]
         values[key] = value
@@ -131,12 +135,13 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 def read_artifact(path: str | Path, decode: Callable[[str], object]):
     """Decode the artifact at ``path``.  Content the program never writes
-    (bad UTF-8 or JSON, a wrong shape or value) raises ``ArtifactError``;
-    a file that cannot be read raises ``OSError``."""
+    (bad UTF-8 or JSON, JSON nested too deep to decode, a wrong shape or
+    value) raises ``ArtifactError``; a file that cannot be read raises
+    ``OSError``."""
     path = Path(path)
     try:
         return decode(path.read_text(encoding="utf-8"))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ArtifactError(f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from None
 
 
@@ -312,8 +317,10 @@ def _hash_bytes(data: bytes) -> str:
 
 
 def _hash_files(files: Mapping[str, bytes]) -> str:
-    """The hash of a directory, from ``read_corpus_files``'s bytes."""
-    return _hash_bytes("\n".join(f"{name}:{_hash_bytes(data)}" for name, data in files.items()).encode())
+    """The hash of a directory, from ``read_corpus_files``'s bytes; a file name
+    that is not UTF-8 enters it as the bytes it has on disk."""
+    listing = "\n".join(f"{name}:{_hash_bytes(data)}" for name, data in files.items())
+    return _hash_bytes(listing.encode("utf-8", "surrogateescape"))
 
 
 def _hash_path(path: Path) -> str:
@@ -341,11 +348,11 @@ class PipelineResult:
 
 
 def _previous_stages(manifest_path: Path) -> dict[str, dict]:
-    """Stage records of the last run; a missing or unreadable manifest, or
-    one of another shape, means a cold cache."""
+    """Stage records of the last run; a missing or unreadable manifest, one
+    nested too deep to decode, or one of another shape, means a cold cache."""
     try:
         stages = json.loads(manifest_path.read_text(encoding="utf-8"))["stages"]
-    except (OSError, ValueError, TypeError, KeyError):
+    except (OSError, ValueError, TypeError, KeyError, RecursionError):
         return {}
     if not isinstance(stages, dict):
         return {}

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import CycleError, UnknownConceptError, json_text
+from .errors import CycleError, UnknownConceptError, json_text, quoted
 from .graph import acyclic, descendants, find_cycle
 from .lexnet import LexNet, RelationKind, Status, find_validated_hyponymy_cycle
 
@@ -169,8 +169,10 @@ def taxonomy_to_dot(taxonomy: Taxonomy) -> str:
     """Graphviz rendering; children point up at their parents."""
     lines = ["digraph taxonomy {", "  rankdir=BT;"]
     for cid in sorted(taxonomy.concepts):
-        lines.append(f'  "{taxonomy.concepts[cid].label}";')
+        lines.append(f"  {quoted(taxonomy.concepts[cid].label)};")
     for child, parent in sorted(taxonomy.subsumption):
-        lines.append(f'  "{taxonomy.concepts[child].label}" -> "{taxonomy.concepts[parent].label}";')
+        lines.append(
+            f"  {quoted(taxonomy.concepts[child].label)} -> {quoted(taxonomy.concepts[parent].label)};"
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"

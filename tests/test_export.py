@@ -46,6 +46,17 @@ def test_owl_labels_and_differentia_annotations(relay):
     assert 'AnnotationAssertion(:differentia :RelaisASeuil "comportement=seuil")' in owl
 
 
+def test_owl_escapes_quotes_and_backslashes_in_literals():
+    owl = to_owl(parse_dsl(
+        'axis a values x, y"2\n'
+        'concept r "q" root\n'
+        'concept c:\\relais genus r "q" diff a=y"2\n'
+    ))
+    assert 'AnnotationAssertion(rdfs:label :Rq "r \\"q\\"")' in owl
+    assert 'AnnotationAssertion(rdfs:label :Crelais "c:\\\\relais")' in owl
+    assert 'AnnotationAssertion(:differentia :Crelais "a=y\\"2")' in owl
+
+
 def test_owl_attribute_domain(relay):
     owl = to_owl(relay)
     assert "Declaration(DataProperty(:seuilVolts))" in owl

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 import random
 import re
 from collections import Counter
@@ -24,6 +25,7 @@ from ontoterm.errors import (
 )
 from ontoterm.fixtures import data_path
 from ontoterm.okmodel import (
+    AtomicComparison,
     AttributeDef,
     Axis,
     Differentia,
@@ -59,8 +61,10 @@ def test_parse_reference_ontology(relay):
     assert set(relay.axes) == {"comportement", "technologie", "grandeur_seuillée"}
 
 
-def issue_codes(exc_info):
-    return {issue.code for issue in exc_info.value.issues}
+def parse_issues(text: str) -> list[tuple[int, str, str]]:
+    with pytest.raises(DslParseError) as exc:
+        parse_dsl(text)
+    return [(issue.line, issue.code, issue.message) for issue in exc.value.issues]
 
 
 def test_parse_strips_comments_but_keeps_a_hash_inside_quotes():
@@ -79,57 +83,111 @@ def test_parse_strips_comments_but_keeps_a_hash_inside_quotes():
 
 def test_parse_unknown_genus():
     text = 'ontology "t"\naxis a values x, y\nconcept r root\nconcept c genus ghost diff a=x\n'
-    with pytest.raises(DslParseError) as exc:
-        parse_dsl(text)
-    assert issue_codes(exc) == {"E_UNKNOWN_GENUS"}
+    assert parse_issues(text) == [(4, "E_UNKNOWN_GENUS", "unknown genus: 'ghost'")]
 
 
 def test_parse_empty_file_means_no_root():
-    with pytest.raises(DslParseError) as exc:
-        parse_dsl("")
-    assert issue_codes(exc) == {"E_SYNTAX"}
+    assert parse_issues("") == [(1, "E_SYNTAX", "no root concept declared")]
+    assert parse_issues("axis a values x, y\n\n") == [(3, "E_SYNTAX", "no root concept declared")]
 
 
 def test_parse_duplicate_concept():
     text = "concept r root\nconcept r root\n"
-    with pytest.raises(DslParseError) as exc:
-        parse_dsl(text)
-    assert issue_codes(exc) == {"E_DUP_NAME"}
+    assert parse_issues(text) == [(2, "E_DUP_NAME", "concept already declared: 'r'")]
 
 
 def test_parse_unknown_axis():
     text = "concept r root\nconcept c genus r diff ghost=x\n"
-    with pytest.raises(DslParseError) as exc:
-        parse_dsl(text)
-    assert issue_codes(exc) == {"E_UNKNOWN_AXIS"}
+    assert parse_issues(text) == [(2, "E_UNKNOWN_AXIS", "unknown axis: 'ghost'")]
 
 
 def test_parse_bad_axis_value():
     text = "axis a values x, y\nconcept r root\nconcept c genus r diff a=z\n"
-    with pytest.raises(DslParseError) as exc:
-        parse_dsl(text)
-    assert issue_codes(exc) == {"E_BAD_VALUE"}
+    assert parse_issues(text) == [(3, "E_BAD_VALUE", "value 'z' is not on axis 'a'")]
 
 
 def test_parse_multiple_genus_rejected():
     text = "axis a values x, y\nconcept r root\nconcept s genus r diff a=x\nconcept c genus r diff a=y genus s diff a=x\n"
-    with pytest.raises(DslParseError) as exc:
-        parse_dsl(text)
-    assert "E_MULTIPLE_GENUS" in issue_codes(exc)
+    assert parse_issues(text) == [(4, "E_MULTIPLE_GENUS", "concept 'c' declares more than one genus")]
 
 
 def test_parse_compound_keyword_unsupported():
     text = "concept r root\ncompound c of r and r\n"
-    with pytest.raises(DslParseError) as exc:
-        parse_dsl(text)
-    assert issue_codes(exc) == {"E_UNSUPPORTED"}
+    assert parse_issues(text) == [
+        (2, "E_UNSUPPORTED", "compound concepts are reserved but not supported")
+    ]
 
 
 def test_parse_collects_line_numbers():
     text = "concept r root\nnonsense here\n"
-    with pytest.raises(DslParseError) as exc:
-        parse_dsl(text)
-    assert exc.value.issues[0].line == 2
+    assert parse_issues(text) == [(2, "E_SYNTAX", "unknown directive 'nonsense'")]
+
+
+#: One line for each way a DSL line is rejected, and the issues it raises, in order;
+#: a rejected line also fails the checks that come after the one it fails.
+_EVERY_ISSUE = [
+    ("ontology t", [("E_SYNTAX", "expected 'ontology \"<name>\"'")]),
+    ("axis a values x, y", []),
+    ("axis a values u", [("E_DUP_NAME", "axis already declared: 'a'")]),
+    ("axis b values x, x", [("E_SYNTAX", "axis 'b' needs two or more distinct values")]),
+    ("axis c", [("E_SYNTAX", "expected 'axis <id> values <v1>, <v2>[, ...]'")]),
+    ("concept r root  # the only root", []),
+    ("concept r root", [("E_DUP_NAME", "concept already declared: 'r'")]),
+    ("concept r", [("E_SYNTAX", "expected 'concept <Id> root' or "
+                                "'concept <Id> genus <Parent> diff <axis>=<value>'")]),
+    ("concept s genus r", [
+        ("E_SYNTAX", "expected 'concept <Id> genus <Parent> diff <axis>=<value>'")
+    ]),
+    ("concept s genus r diff a genus r", [
+        ("E_MULTIPLE_GENUS", "concept 's' declares more than one genus")
+    ]),
+    ("concept r genus ghost diff a", [("E_SYNTAX", "differentia must be '<axis>=<value>'")]),
+    ("concept r genus ghost diff nope=z", [("E_DUP_NAME", "concept already declared: 'r'")]),
+    ("concept s genus ghost diff a=x", [("E_UNKNOWN_GENUS", "unknown genus: 'ghost'")]),
+    ("concept s genus r diff nope=z", [("E_UNKNOWN_AXIS", "unknown axis: 'nope'")]),
+    ("concept s genus r diff a=z", [("E_BAD_VALUE", "value 'z' is not on axis 'a'")]),
+    ("concept s genus r diff a=x", []),
+    ("attribute p on s", [("E_SYNTAX", "expected 'attribute <id> on <Concept> type <type>'")]),
+    ("attribute p on ghost type bool", [("E_SYNTAX", "unknown attribute type 'bool'")]),
+    ("attribute p on ghost type number", [("E_UNKNOWN_CONCEPT", "unknown concept: 'ghost'")]),
+    ("attribute p on s type enum(u, v)", []),
+    ("attribute p on s type string", [("E_DUP_NAME", "attribute 'p' already on 's'")]),
+    ("class K over s", [("E_SYNTAX", "expected 'class <Id> over <Concept> where <pred>'")]),
+    ("class K over ghost where p = u", [("E_UNKNOWN_CONCEPT", "unknown concept: 'ghost'")]),
+    ("class K over s where p ~ u and p = v", [("E_SYNTAX", "cannot parse comparison 'p ~ u'")]),
+    ("class K over ghost where p = u", [("E_DUP_NAME", "class already declared: 'K'")]),
+    ("set S", [("E_SYNTAX", "expected 'set <Id> where <pred>'")]),
+    ("set S where and", [
+        ("E_SYNTAX", "cannot parse comparison 'and'"), ("E_SYNTAX", "empty predicate")
+    ]),
+    ("set S where p = u", [("E_DUP_NAME", "set already declared: 'S'")]),
+    ("term relais denotes r", [("E_SYNTAX", "expected 'term \"<label>\" denotes <Concept>'")]),
+    ("compound c of r and s", [
+        ("E_UNSUPPORTED", "compound concepts are reserved but not supported")
+    ]),
+    ("frobnicate r", [("E_SYNTAX", "unknown directive 'frobnicate'")]),
+]
+
+
+def test_parse_reports_every_issue_with_its_line_in_order():
+    """A class or set with bad predicate clauses is still declared, so a
+    later one of the same name is a duplicate."""
+    text = "\n".join(line for line, _ in _EVERY_ISSUE)
+    expected = [
+        (lineno, code, message)
+        for lineno, (_, issues) in enumerate(_EVERY_ISSUE, 1)
+        for code, message in issues
+    ]
+    assert parse_issues(text) == expected
+    codes = {code for _, code, _ in expected}
+    assert codes == {
+        "E_SYNTAX", "E_DUP_NAME", "E_UNKNOWN_GENUS", "E_UNKNOWN_AXIS", "E_BAD_VALUE",
+        "E_MULTIPLE_GENUS", "E_UNKNOWN_CONCEPT", "E_UNSUPPORTED",
+    }
+    accepted = "\n".join(line for line, issues in _EVERY_ISSUE if not issues)
+    assert list(parse_dsl(accepted).concepts["s"].attributes) == [
+        AttributeDef("p", ValueType("enum", ("u", "v")))
+    ]
 
 
 def test_parse_term_with_unknown_target_is_a_consistency_matter():
@@ -494,6 +552,29 @@ def test_classify_type_errors(relay):
     with pytest.raises(TypeMismatchError):
         # booleans are not numbers
         classify_object(relay, ObjectInstance("i6", RAST, {"seuil_volts": True}))
+
+
+_OPERATORS = {
+    "=": operator.eq, "!=": operator.ne, "≠": operator.ne, "<": operator.lt, "<=": operator.le,
+    "≤": operator.le, ">": operator.gt, ">=": operator.ge, "≥": operator.ge,
+}
+
+
+def test_predicates_compare_with_each_operator_and_its_alias():
+    sets = {op: f"S{i}" for i, op in enumerate(_OPERATORS)}
+    ontology = parse_dsl(
+        "concept relais root\nattribute calibre on relais type number\n"
+        + "".join(f"set {sets[op]} where calibre {op} 5\n" for op in _OPERATORS)
+    )
+    for value in (4, 5, 6):
+        result = classify_object(ontology, ObjectInstance("i", "relais", {"calibre": value}))
+        assert set(result.sets) == {sets[op] for op, test in _OPERATORS.items() if test(value, 5)}
+
+
+def test_a_comparison_with_an_operator_outside_the_six_cannot_be_built():
+    for op in ("~", "==", "≥"):  # an alias is the parser's spelling, not an operator
+        with pytest.raises(ValueError, match=f"^unknown comparison operator: {re.escape(repr(op))}$"):
+            AtomicComparison("calibre", op, 5)
 
 
 def test_concept_is_more_than_its_attributes():

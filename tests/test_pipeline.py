@@ -86,6 +86,17 @@ def test_config_bad_line(tmp_path):
         parse_config("corpus\n", tmp_path)
 
 
+def test_config_unknown_key_is_exit_1_naming_it_and_its_line(tmp_path, capsys):
+    config = write_config(tmp_path)  # seven lines
+    with config.open("a", encoding="utf-8") as fh:
+        fh.write('synonym = "syn.txt"\n')
+    with pytest.raises(ConfigError, match=r"^line 8: unknown key 'synonym'$"):
+        load_config(config)
+    assert main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "ontoterm: E_CONFIG: line 8: unknown key 'synonym'\n"
+    assert not (tmp_path / "out").exists()
+
+
 # --- pipeline -----------------------------------------------------------------
 
 
@@ -205,7 +216,8 @@ def test_pipeline_force_reruns_everything(tmp_path):
 @pytest.mark.parametrize("force", [False, True])
 @pytest.mark.parametrize(
     "manifest",
-    [b'{"stages": {"extract"', b"\xff\xfe\x00", b"[]", b'{"stages": []}', b'{"stages": {"net": 1}}'],
+    [b'{"stages": {"extract"', b"\xff\xfe\x00", b"[]", b'{"stages": []}', b'{"stages": {"net": 1}}',
+     pytest.param(b'{"stages": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", id="deeply-nested")],
 )
 def test_pipeline_unreadable_manifest_is_a_cold_cache(tmp_path, manifest, force):
     config = load_config(write_config(tmp_path))
@@ -577,6 +589,7 @@ def test_cli_stages_write_the_pipelines_bytes(tmp_path, capsys):
     ("compare-recall-missing-index-side", "E_ARTIFACT"),
     ("align-dangling-taxonomy-edge", "E_ARTIFACT"),
     ("query-cyclic-taxonomy", "E_ARTIFACT"),
+    ("project-deeply-nested", "E_ARTIFACT"),
 ])
 def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case, code):
     missing = str(tmp_path / "missing")
@@ -600,6 +613,8 @@ def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case,
     }), encoding="utf-8")
     projected_side = tmp_path / "projected_side.json"
     projected_side.write_text('{"projected": {"annotations": []}}', encoding="utf-8")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
     dsl = str(data_path("relais.dsl"))
     argv = {
         "project-missing": ["project", "--lexnet", missing],
@@ -618,6 +633,7 @@ def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case,
         "align-dangling-taxonomy-edge": ["align", "--taxonomy", str(dangling), "--dsl", dsl],
         "query-cyclic-taxonomy": ["query", "--index", str(projected_side), "--structure",
                                   "projected", "--concept", "c", "--taxonomy", str(cyclic)],
+        "project-deeply-nested": ["project", "--lexnet", str(deep)],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -653,6 +669,43 @@ def test_cli_non_utf8_input_is_exit_2_naming_the_file(tmp_path, capsys, kind):
     assert err.startswith("ontoterm: E_ENCODING: ")
     assert bad.name in err
     assert "Traceback" not in err
+
+
+def write_non_utf8_name(directory: Path, name: bytes, data: bytes) -> bytes:
+    """Write ``data`` to ``directory``/``name``; returns the file's path."""
+    path = os.path.join(os.fsencode(directory), name)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError:
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    return path
+
+
+def test_cli_run_takes_a_corpus_holding_a_non_utf8_file_name(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(data_path("corpus"), corpus)
+    write_non_utf8_name(corpus, b"notes\xff.md", b"not a document\n")
+    config = write_config(tmp_path, corpus=str(corpus))
+    assert main(["run", "--config", str(config)]) == 0
+    assert main(["run", "--config", str(config)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("8 stages, 8 cache hits")
+    write_non_utf8_name(corpus, b"notes\xff.md", b"edited\n")
+    assert main(["run", "--config", str(config)]) == 0
+    assert capsys.readouterr().out.startswith("8 stages, 5 cache hits")  # extract, net, index rerun
+
+
+@pytest.mark.parametrize("command", ["extract", "run"])
+def test_cli_document_with_a_non_utf8_name_is_exit_2_naming_it(tmp_path, capsys, command):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(data_path("corpus"), corpus)
+    path = write_non_utf8_name(corpus, b"\xff.txt", "relais à seuil\n".encode("utf-8"))
+    argv = {
+        "extract": ["extract", "--corpus", str(corpus), "--out", str(tmp_path / "c.json")],
+        "run": ["run", "--config", str(write_config(tmp_path, corpus=str(corpus)))],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"ontoterm: E_ENCODING: file name is not UTF-8: {path!r}\n"
 
 
 def test_cli_validate_reports_term_statuses(tmp_path, capsys):

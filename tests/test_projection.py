@@ -267,3 +267,17 @@ def test_dot_output_lists_edges():
     dot = taxonomy_to_dot(taxonomy)
     assert '"relais de tension" -> "relais";' in dot
     assert dot.startswith("digraph")
+
+
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    concepts = {
+        cid: Concept(cid, label, (label,))
+        for cid, label in (("a", 'relais "statique"'), ("b", "relais\\a"))
+    }
+    dot = taxonomy_to_dot(Taxonomy(concepts, {("a", "b")}))
+    assert dot.splitlines()[2:] == [
+        '  "relais \\"statique\\"";',
+        '  "relais\\\\a";',
+        '  "relais \\"statique\\"" -> "relais\\\\a";',
+        "}",
+    ]
