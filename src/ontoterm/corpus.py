@@ -24,7 +24,6 @@ from enum import Enum
 from functools import lru_cache
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from stat import S_ISREG
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -191,86 +190,52 @@ def load_lexicon(path: str | Path) -> Lexicon:
     return Lexicon(entries)
 
 
-#: Errors ``Path.is_file`` reads as "not a file" rather than raising: the
-#: name is gone, runs through a non-directory or is a symlink loop.
-_NOT_A_FILE = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP})
-
-
-def _prefix(directory: Path) -> str:
-    """What ``str(directory / name)`` puts before ``name``."""
-    root = str(directory)
-    return "" if root == "." else os.path.join(root, "")
-
-
 def read_corpus_files(directory: str | Path) -> dict[str, bytes]:
-    """The bytes of every file under ``directory``, at any depth, by path
-    relative to it: what the pipeline fingerprints a corpus by and what
-    ``load_corpus`` decodes, so a run reads each file once.
-
-    One ``os.scandir`` walk lists what ``sorted(directory.rglob("*"))``
-    lists and keeps what ``is_file()`` keeps, with the same errors: paths
-    are ordered by their components (``a/b`` before ``a-b``), a symlink to a
-    file counts as that file, a symlink to a directory is listed but not
-    descended into, and a directory that cannot be listed adds nothing.
-    """
+    """The bytes of each top-level ``*.txt`` file of ``directory`` (a
+    symlink counts as what it names; one that dangles, loops or runs
+    through a file is skipped), by name, sorted: what the pipeline
+    fingerprints a corpus by and ``load_corpus`` decodes.  A directory
+    that cannot be listed raises ``OSError``."""
     directory = Path(directory)
     if not directory.is_dir():
         raise NoCorpusError(f"not a directory: {directory}")
-    base = _prefix(directory)
-    listed = []  # (components, relative path, entry) of each entry
-    pending = [""]
-    while pending:
-        prefix = pending.pop()
-        try:
-            with os.scandir(base + prefix or ".") as scan:
-                entries = list(scan)
-        except PermissionError:
-            continue
-        for entry in entries:
-            name = prefix + entry.name
-            listed.append((name.split(os.sep), name, entry))
-            if entry.is_dir(follow_symlinks=False):
-                pending.append(name + os.sep)
-    listed.sort(key=itemgetter(0))
     files = {}
-    for _, name, entry in listed:
-        try:
-            # the listing tells a regular file; anything else is stat-ed, as
-            # ``Path.is_file`` does, so a stat that is refused still raises
-            if not (entry.is_file() or S_ISREG(entry.stat().st_mode)):
+    with os.scandir(directory) as scan:
+        for entry in scan:
+            name = entry.name
+            if not name.endswith(".txt") or len(name) == 4:  # ".txt" is a dotfile
                 continue
-        except OSError as exc:
-            if exc.errno not in _NOT_A_FILE:
-                raise
-            continue
-        with open(base + name, "rb") as f:
-            files[name] = f.read()
-    return files
+            try:
+                if not entry.is_file():  # a dangling symlink is no file
+                    continue
+            except OSError as exc:  # a symlink that loops or runs through a file
+                if exc.errno not in (errno.ELOOP, errno.ENOTDIR):
+                    raise
+                continue
+            with open(entry.path, "rb") as f:
+                files[name] = f.read()
+    return dict(sorted(files.items()))
 
 
 def _document_texts(
     directory: str | Path, files: Mapping[str, bytes] | None
 ) -> list[tuple[str, str]]:
-    """(id, text) of each document, sorted by id: the top-level ``*.txt``
-    files of ``files`` (``read_corpus_files(directory)`` when None) that are
-    not blank once decoded.  A document whose bytes or name are not UTF-8
-    raises ``EncodingError`` naming it; no document left raises
-    ``NoCorpusError``."""
+    """(id, text) of each document, sorted by id: the files of ``files``
+    (``read_corpus_files(directory)`` when None) that are not blank once
+    decoded.  A document whose bytes or name are not UTF-8 raises
+    ``EncodingError`` naming it; no document left raises ``NoCorpusError``."""
     directory = Path(directory)
     if files is None:
         files = read_corpus_files(directory)
-    base = _prefix(directory)
     texts = []
     for name, data in files.items():
-        # a top-level file whose suffix is .txt (".txt" itself has none)
-        if os.sep in name or not name.endswith(".txt") or len(name) == 4:
-            continue
-        text = decode_text(data, base + name)
+        path = os.path.join(directory, name)
+        text = decode_text(data, path)
         if text.strip():
             try:
                 name.encode("utf-8")
             except UnicodeEncodeError:  # os.scandir keeps undecodable bytes as surrogates
-                raise EncodingError(f"file name is not UTF-8: {os.fsencode(base + name)!r}") from None
+                raise EncodingError(f"file name is not UTF-8: {os.fsencode(path)!r}") from None
             texts.append((name[:-4], text))
     if not texts:
         raise NoCorpusError(f"no non-empty .txt documents in {directory}")

@@ -15,10 +15,14 @@ import unicodedata
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import quoted
+from .errors import ConfigError, quoted
 from .okmodel import OkOntology, require_consistent
 
 DEFAULT_IRI = "http://example.org/ontology#"
+
+#: What an IRI cannot hold (RFC 3987): whitespace, control characters and
+#: the delimiters ``<>"{}|\^` ``.
+_NOT_IN_IRI = re.compile(r'[\s\x00-\x1f\x7f-\x9f<>"{}|\\^`]')
 
 
 _SEPARATORS = re.compile(r"[\s\-_'’]+")
@@ -89,7 +93,12 @@ def _sibling_axis_groups(ontology: OkOntology) -> list[list[str]]:
 
 
 def to_owl(ontology: OkOntology, iri_prefix: str = DEFAULT_IRI) -> str:
-    """Render the ontology as OWL 2 Functional Syntax (refuses inconsistent input)."""
+    """Render the ontology as OWL 2 Functional Syntax (refuses inconsistent
+    input).  An ``iri_prefix`` holding a character no IRI holds raises
+    ``ConfigError``."""
+    if _NOT_IN_IRI.search(iri_prefix):
+        raise ConfigError("iri holds whitespace, a control character or one of "
+                          f'<>"{{}}|\\^`: {iri_prefix!r}')
     require_consistent(ontology)
     names = mangle_labels(ontology.concepts)
     order = _preorder(ontology)

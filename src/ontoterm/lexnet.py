@@ -259,7 +259,11 @@ def parse_decisions(text: str) -> list[tuple[str, ...]]:
 
 
 def load_decisions(path: str | Path) -> list[tuple[str, ...]]:
-    return parse_decisions(read_text(path))
+    """``parse_decisions`` of the file at ``path``; its errors name the file."""
+    try:
+        return parse_decisions(read_text(path))
+    except UnknownRefError as exc:
+        raise UnknownRefError(f"{path}: {exc}") from None
 
 
 def apply_validation(net: LexNet, decisions: Sequence[tuple[str, ...]]) -> LexNet:

@@ -36,6 +36,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import (
+    ConfigError,
     DslIssue,
     DslParseError,
     InconsistentOntologyError,
@@ -486,9 +487,21 @@ def classify_object(ontology: OkOntology, instance: ObjectInstance) -> Classific
 
 
 def load_instances(path: str | Path) -> list[ObjectInstance]:
-    """Read object instances: a JSON array of ``{id, concept, state}``."""
-    rows = json.loads(read_text(path))
-    return [ObjectInstance(row["id"], row["concept"], dict(row["state"])) for row in rows]
+    """Read object instances: a JSON array of ``{id, concept, state}``
+    objects, ``id`` and ``concept`` strings and ``state`` an object.  Any
+    other text, JSON nested too deep to decode included, raises
+    ``ConfigError`` naming the file."""
+    try:
+        rows = json.loads(read_text(path))
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{path}: not JSON ({type(exc).__name__}: {exc})") from None
+    if not isinstance(rows, list):
+        raise ConfigError(f"{path}: expected a JSON array of instances")
+    for n, row in enumerate(rows, 1):
+        if not (isinstance(row, dict) and isinstance(row.get("state"), dict)
+                and all(isinstance(row.get(key), str) for key in ("id", "concept"))):
+            raise ConfigError(f'{path}: instance {n}: expected string "id" and "concept", object "state"')
+    return [ObjectInstance(row["id"], row["concept"], row["state"]) for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def parse_config(text: str, base_dir: Path) -> PipelineConfig:
 
     for key in _REQUIRED_KEYS:
         if key not in values:
-            raise ConfigError(key)
+            raise ConfigError(f"missing required key {key!r}")
 
     def path_of(key: str) -> Path:
         p = Path(values[key])
@@ -125,8 +125,12 @@ def parse_config(text: str, base_dir: Path) -> PipelineConfig:
 
 
 def load_config(path: str | Path) -> PipelineConfig:
+    """``parse_config`` of the file at ``path``; its errors name the file."""
     path = Path(path)
-    return parse_config(read_text(path), path.parent)
+    try:
+        return parse_config(read_text(path), path.parent)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +321,7 @@ def _hash_bytes(data: bytes) -> str:
 
 
 def _hash_files(files: Mapping[str, bytes]) -> str:
-    """The hash of a directory, from ``read_corpus_files``'s bytes; a file name
+    """The hash of a corpus, from ``read_corpus_files``'s bytes; a file name
     that is not UTF-8 enters it as the bytes it has on disk."""
     listing = "\n".join(f"{name}:{_hash_bytes(data)}" for name, data in files.items())
     return _hash_bytes(listing.encode("utf-8", "surrogateescape"))

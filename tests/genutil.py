@@ -10,8 +10,8 @@ position) is the one the columnar ``DocTokens`` front end replaced.  The cycle
 oracle is the recursive depth-first search the iterative one replaced;
 the children, closure, consistency and structure-comparison oracles are
 the per-call scans the indexed versions replaced, and the retrieval oracle
-scans every (document, concept) annotation.  The corpus-read oracle is
-the ``pathlib`` walk the ``os.scandir`` one replaced, and the label-mangling
+scans every (document, concept) annotation.  The corpus-read oracle lists
+the top level through ``pathlib`` instead of ``os.scandir``, and the label-mangling
 oracle normalizes each whole label the way the per-character folding
 replaced.
 """
@@ -936,7 +936,7 @@ def recall_oracle(
     )
 
 
-_TREE_NAMES = ("a.txt", "a b.txt", "b.txt", "c.TXT", "d.md", ".txt", "e.txt.bak", "a", "a-b", "a.b", "a0", "sub")
+_TREE_NAMES = ("a.txt", "a b.txt", "a-b.txt", "b.txt", "c.TXT", "d.md", ".txt", "e.txt.bak", "a", "a-b", "a.b", "a0", "sub")
 _TREE_PIECES = (b"relais", b" ", b"\r", b"\n", b"\r\n", "\u00e9".encode(), "e\u0301".encode(), b"\t")
 _NOT_UTF8 = (b"\xff", b"\xc3")
 
@@ -947,8 +947,8 @@ def random_corpus_tree(rng: random.Random, root: Path) -> None:
     tabs; three in ten also with bytes that are not UTF-8), subdirectories,
     and symlinks to a file, to a directory, to nothing, to themselves and
     through a file.  Names include ``.txt`` beside other cases and suffixes,
-    dotfiles, and siblings whose string order and path-component order
-    disagree (``a/x`` sorts before ``a-b`` by components, after it as text).
+    dotfiles, and documents whose name order and id order disagree
+    (``a-b.txt`` sorts before ``a.txt``, ``a-b`` after ``a``).
     """
     dirs = [root]
     made: list[Path] = []
@@ -971,11 +971,11 @@ def random_corpus_tree(rng: random.Random, root: Path) -> None:
 
 
 def read_corpus_files_oracle(directory: Path) -> dict[str, bytes]:
-    """``read_corpus_files`` as the ``pathlib`` walk it replaced."""
+    """``read_corpus_files`` as a ``pathlib`` listing of the top level."""
     return {
-        str(path.relative_to(directory)): path.read_bytes()
-        for path in sorted(directory.rglob("*"))
-        if path.is_file()
+        path.name: path.read_bytes()
+        for path in sorted(directory.iterdir())
+        if path.suffix == ".txt" and path.is_file()
     }
 
 

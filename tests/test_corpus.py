@@ -112,8 +112,9 @@ def load_corpus_per_file(directory: Path) -> list[Document]:
 
 
 def test_load_corpus_decodes_the_bytes_read_once_like_reading_each_file(tmp_path):
-    # read_corpus_files against the pathlib walk, load_corpus and
-    # corpus_doc_ids against the per-file loader, on the same random trees
+    # read_corpus_files against the pathlib listing, load_corpus and
+    # corpus_doc_ids against the per-file loader, on the same random trees;
+    # files below the top level are no documents and are never read
     rng = random.Random(20101025)
     outcomes = {"loaded": 0, "encoding": 0, "no corpus": 0}
     trees = Counter()
@@ -123,8 +124,12 @@ def test_load_corpus_decodes_the_bytes_read_once_like_reading_each_file(tmp_path
         random_corpus_tree(rng, directory)
         files = read_corpus_files(directory)
         assert list(files.items()) == list(read_corpus_files_oracle(directory).items())
-        trees["nested"] += any(os.sep in name for name in files)
-        trees["component order"] += list(files) != sorted(files)
+        trees["nested .txt"] += any(
+            path.parent != directory and path.suffix == ".txt" and path.is_file()
+            for path in directory.rglob("*")
+        )
+        ids = [name[:-4] for name in files]
+        trees["name order is not id order"] += ids != sorted(ids)
         trees["symlink"] += any(path.is_symlink() for path in directory.rglob("*"))
         try:
             expected = load_corpus_per_file(directory)
@@ -160,27 +165,31 @@ for directory in map(Path, sys.argv[1:]):
 """
 
 
+def unprivileged(argv: list[str]) -> list[str]:
+    """``argv`` run, as root, without the capabilities that override file
+    permissions."""
+    if os.geteuid() != 0:
+        return argv
+    if shutil.which("setpriv") is None:
+        pytest.skip("running as root, and setpriv is not installed to drop the override")
+    return ["setpriv", "--bounding-set=-dac_override,-dac_read_search", *argv]
+
+
 def test_read_corpus_files_meets_unreadable_directories_like_the_pathlib_walk(tmp_path):
-    # a subdirectory that cannot be listed, one that can be listed but not
-    # searched (with a file in it, or only a directory), and a corpus
-    # directory that cannot be listed; as root, the reads run without the
-    # capabilities that override file permissions
-    argv = [sys.executable, "-c", _READ_IN_CHILD]
-    if os.geteuid() == 0:
-        if shutil.which("setpriv") is None:
-            pytest.skip("running as root, and setpriv is not installed to drop the override")
-        argv = ["setpriv", "--bounding-set=-dac_override,-dac_read_search", *argv]
-    modes = {"unlisted": 0o000, "unsearched": 0o600, "unsearched-dir": 0o600, "corpus": 0o000}
+    # a corpus directory that cannot be listed, one that can be listed but
+    # not searched, an unreadable document, and an unreadable non-document
+    # beside it
+    argv = unprivileged([sys.executable, "-c", _READ_IN_CHILD])
+    cases = {"unlisted": (".", 0o000), "unsearched": (".", 0o600),
+             "document": ("b.txt", 0o000), "non-document": ("b.md", 0o000)}
     corpora = []
-    for case, mode in modes.items():
+    for case, (name, mode) in cases.items():
         corpus = tmp_path / case
-        locked = corpus if case == "corpus" else corpus / "locked"
-        locked.mkdir(parents=True)
+        corpus.mkdir()
         (corpus / "a.txt").write_bytes(b"relais")
-        if case == "unsearched-dir":
-            (locked / "sub").mkdir()
-        else:
-            (locked / "b.txt").write_bytes(b"tension")
+        locked = corpus / name  # the corpus itself when name is "."
+        if locked != corpus:
+            locked.write_bytes(b"tension")
         locked.chmod(mode)
         corpora.append((corpus, locked))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -195,12 +204,30 @@ def test_read_corpus_files_meets_unreadable_directories_like_the_pathlib_walk(tm
     assert child.returncode == 0, child.stderr
     outcomes = [ast.literal_eval(line) for line in child.stdout.splitlines()]
     assert [new for old, new in outcomes] == [old for old, new in outcomes]
-    unlisted, unsearched, unsearched_dir, corpus = (new for _, new in outcomes)
-    assert unlisted == [("a.txt", b"relais")]
-    for outcome, path in ((unsearched, "unsearched/locked/b.txt"),
-                          (unsearched_dir, "unsearched-dir/locked/sub")):
-        assert outcome == ("PermissionError", f"[Errno 13] Permission denied: '{tmp_path / path}'")
-    assert corpus == []
+    unlisted, unsearched, document, non_document = (new for _, new in outcomes)
+    denied = "PermissionError", "[Errno 13] Permission denied: '{}'"
+    assert unlisted == (denied[0], denied[1].format(tmp_path / "unlisted"))
+    assert unsearched == (denied[0], denied[1].format(tmp_path / "unsearched" / "a.txt"))
+    assert document == (denied[0], denied[1].format(tmp_path / "document" / "b.txt"))
+    assert non_document == [("a.txt", b"relais")]
+
+
+def test_cli_corpus_that_cannot_be_listed_is_exit_2_e_io_naming_it(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.txt").write_bytes(b"relais")
+    argv = unprivileged([sys.executable, "-m", "ontoterm.cli", "extract", "--corpus", str(corpus)])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    corpus.chmod(0o000)
+    try:
+        child = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    finally:
+        corpus.chmod(0o700)
+    if child.returncode and child.stderr.startswith("setpriv"):
+        pytest.skip(child.stderr)
+    assert (child.returncode, child.stderr) == (
+        2, f"ontoterm: E_IO: [Errno 13] Permission denied: '{corpus}'\n"
+    )
 
 
 # --- annotate -------------------------------------------------------------

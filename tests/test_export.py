@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genutil import camel_oracle, random_ok_tree
-from ontoterm.errors import InconsistentOntologyError
+from ontoterm.cli import main
+from ontoterm.errors import ConfigError, InconsistentOntologyError
 from ontoterm.fixtures import data_path
 from ontoterm.okmodel import Axis, Differentia, OkConcept, OkOntology, load_dsl, parse_dsl
 from ontoterm import export
@@ -67,6 +68,42 @@ def test_owl_custom_iri(relay):
     owl = to_owl(relay, "http://edf.example/relais#")
     assert owl.startswith("Prefix(:=<http://edf.example/relais#>)")
     assert "Ontology(<http://edf.example/relais>" in owl
+
+
+BAD_IRIS = [
+    "http://x.org/a> Ontology(<evil",
+    "http://x.org/a b#",
+    "http://x.org/a#\n",
+    "http://x.org/\ta#",
+    "http://x.org/\x00#",
+    "http://x.org/\x85#",
+    "http://x.org/\u2028#",
+    *(f"http://x.org/a{ch}b#" for ch in '<>"{}|\\^`'),
+]
+
+
+def iri_error(iri: str) -> str:
+    return f"iri holds whitespace, a control character or one of <>\"{{}}|\\^`: {iri!r}"
+
+
+@pytest.mark.parametrize("iri", BAD_IRIS)
+def test_owl_rejects_an_iri_holding_what_no_iri_holds(relay, iri):
+    with pytest.raises(ConfigError) as exc:
+        to_owl(relay, iri)
+    assert str(exc.value) == iri_error(iri)
+
+
+def test_owl_takes_an_iri_with_non_ascii_letters(relay):
+    assert to_owl(relay, "http://exemple.org/électrique#").startswith(
+        "Prefix(:=<http://exemple.org/électrique#>)"
+    )
+
+
+def test_cli_export_with_a_bad_iri_is_exit_1_naming_it(capsys):
+    iri = "http://x.org/a> Ontology(<evil"
+    argv = ["export", "--dsl", str(data_path("relais.dsl")), "--format", "owl", "--iri", iri]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"ontoterm: E_CONFIG: {iri_error(iri)}\n")
 
 
 def test_owl_refuses_inconsistent_ontology():

@@ -1,0 +1,106 @@
+"""The line-oriented input formats on random text: each parser either
+returns or raises one of its documented ``OntoTermError``s, never an
+untyped error.  A text is lines drawn near its format's grammar (right and
+wrong keywords, quoted and bare labels, missing and extra fields) or
+arbitrary lines; the file formats also take arbitrary bytes."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ontoterm.align import load_stopwords
+from ontoterm.corpus import load_lexicon, load_patterns
+from ontoterm.errors import BadPatternError, ConfigError, EncodingError, UnknownRefError
+from ontoterm.lexnet import parse_decisions
+from ontoterm.pipeline import load_synonym_declarations, parse_config
+
+_JUNK = st.text(max_size=12)
+_WORDS = st.sampled_from(["relais", "é", "", " ", "#", '"', "x y"])
+_LABELS = st.sampled_from(['"relais"', '"a b"', '""', '"é"', "relais", '"', '"#"'])
+_POS = st.sampled_from(["NOUN", "noun", "ADJ", "PREP", "DET", "VERB", "OTHER", "XYZ", ""])
+_HEADS = st.sampled_from(["", "head=first", "head=last", "head=mid", "head="])
+_VERBS = st.sampled_from(["validate", "reject", "approve"])
+_KINDS = st.sampled_from(["hyponymy", "SYNONYMY", "meronymy", "antonymy", "é"])
+_KEYS = st.sampled_from(["corpus", "lexicon", "patterns", "dsl", "decisions", "stopwords",
+                         "output", "synonyms", "export_format", "iri", "synonym", "1x",
+                         "Corpus", "export"])
+#: Every required key, so that a config can get past them to the rest.
+_REQUIRED = "".join(
+    f'{key} = "x"\n'
+    for key in ("corpus", "lexicon", "patterns", "dsl", "decisions", "stopwords", "output")
+)
+
+
+def _line(*fields):
+    """A line of one value of each of ``fields``, joined by a random blank run."""
+    return st.tuples(st.sampled_from([" ", "\t", "  ", ""]), st.tuples(*fields)).map(
+        lambda drawn: drawn[0].join(drawn[1])
+    )
+
+
+def _text(*lines):
+    """Up to eight lines, drawn all from ``lines`` or all arbitrary."""
+    return st.one_of(st.lists(st.one_of(*lines), max_size=8),
+                     st.lists(_JUNK, max_size=8)).map("\n".join)
+
+
+def _bytes(text):
+    return st.one_of(text.map(lambda t: t.encode("utf-8")), st.binary(max_size=24))
+
+
+def _through_file(load):
+    def read(data: bytes, directory: Path):
+        path = directory / "input"
+        path.write_bytes(data)
+        return load(path)
+
+    return read
+
+
+_CONFIG = _text(_line(_KEYS, st.sampled_from(["=", " = ", ":"]),
+                      st.one_of(_LABELS, st.sampled_from(["owl", "kif", "xml"]))))
+_DECISIONS = _text(_line(_VERBS, st.sampled_from(["term", "relation"]), _LABELS),
+                   _line(_VERBS, st.just("relation"), _KINDS, _LABELS, _LABELS))
+_PATTERNS = _text(_line(st.sampled_from(["n:", "n_adj:", ":", "n"]),
+                        st.lists(_POS, max_size=4).map(" ".join), _HEADS))
+_LEXICON = _text(st.lists(st.one_of(_WORDS, _POS), max_size=4).map("\t".join))
+_SYNONYMS = _text(_line(_LABELS, _LABELS))
+
+#: parser → (its input strategy, a call on one input, the errors it may raise)
+PARSERS = {
+    "parse_config": (
+        st.one_of(_CONFIG, _CONFIG.map(_REQUIRED.__add__)),
+        lambda text, directory: parse_config(text, directory),
+        (ConfigError,),
+    ),
+    "parse_decisions": (_DECISIONS, lambda text, directory: parse_decisions(text), (UnknownRefError,)),
+    "load_patterns": (_bytes(_PATTERNS), _through_file(load_patterns), (BadPatternError, EncodingError)),
+    "load_lexicon": (_bytes(_LEXICON), _through_file(load_lexicon), (ConfigError, EncodingError)),
+    "load_stopwords": (_bytes(_text(_WORDS)), _through_file(load_stopwords), (EncodingError,)),
+    "load_synonym_declarations": (
+        _bytes(_SYNONYMS), _through_file(load_synonym_declarations), (ConfigError, EncodingError)
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def directory(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("inputs")
+
+
+@pytest.mark.parametrize("parser", PARSERS)
+def test_a_parser_raises_only_its_documented_errors(directory, parser):
+    inputs, parse, documented = PARSERS[parser]
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(inputs)
+    def check(data):
+        try:
+            parse(data, directory)
+        except documented:
+            pass
+
+    check()

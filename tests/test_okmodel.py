@@ -18,6 +18,7 @@ from genutil import (
     scan_closure,
 )
 from ontoterm.errors import (
+    ConfigError,
     DslParseError,
     EncodingError,
     TypeMismatchError,
@@ -631,6 +632,27 @@ def test_load_instances_rejects_non_utf8(tmp_path):
     path.write_bytes('[{"id": "é"}]'.encode("latin-1"))
     with pytest.raises(EncodingError, match="instances.json"):
         load_instances(path)
+
+
+ROW = 'expected string "id" and "concept", object "state"'
+
+
+@pytest.mark.parametrize("text, problem", [
+    ('[{"id": "i1", "state": {}}]', f"instance 1: {ROW}"),
+    ('[{"id": "i1", "concept": "relais", "state": {}}, ["i2", "relais", {}]]', f"instance 2: {ROW}"),
+    ('[{"id": "i1", "concept": ["relais"], "state": {}}]', f"instance 1: {ROW}"),
+    ('[{"id": "i1", "concept": "relais", "state": [["a", 1]]}]', f"instance 1: {ROW}"),
+    ('{"id": "i1", "concept": "relais", "state": {}}', "expected a JSON array of instances"),
+    ("[" * 100_000 + "]" * 100_000, "not JSON (RecursionError: "),
+    ('[{"id": "i1",', "not JSON (JSONDecodeError: "),
+], ids=["no-concept", "row-not-an-object", "concept-not-a-string", "state-not-an-object",
+        "not-an-array", "nested-too-deep", "not-json"])
+def test_load_instances_rejects_other_text_naming_the_file(tmp_path, text, problem):
+    path = tmp_path / "instances.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_instances(path)
+    assert str(exc.value).startswith(f"{path}: {problem}")
 
 
 # --- indexed children view and top-down checker against the scans -------------

@@ -56,7 +56,7 @@ def test_config_missing_key_names_it(tmp_path):
     config.write_text('corpus = "corpus"\n', encoding="utf-8")
     with pytest.raises(ConfigError) as exc:
         load_config(config)
-    assert str(exc.value) == "lexicon"
+    assert str(exc.value) == f"{config}: missing required key 'lexicon'"
 
 
 def test_config_relative_paths_resolve_against_config_dir(tmp_path):
@@ -90,10 +90,11 @@ def test_config_unknown_key_is_exit_1_naming_it_and_its_line(tmp_path, capsys):
     config = write_config(tmp_path)  # seven lines
     with config.open("a", encoding="utf-8") as fh:
         fh.write('synonym = "syn.txt"\n')
-    with pytest.raises(ConfigError, match=r"^line 8: unknown key 'synonym'$"):
+    with pytest.raises(ConfigError) as exc:
         load_config(config)
+    assert str(exc.value) == f"{config}: line 8: unknown key 'synonym'"
     assert main(["run", "--config", str(config)]) == 1
-    assert capsys.readouterr().err == "ontoterm: E_CONFIG: line 8: unknown key 'synonym'\n"
+    assert capsys.readouterr().err == f"ontoterm: E_CONFIG: {config}: line 8: unknown key 'synonym'\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -355,14 +356,15 @@ def corpus_reads(calls: Counter) -> dict[str, int]:
 
 
 def corpus_with_skipped_files(tmp_path: Path) -> tuple[Path, list[str]]:
-    """A copy of the fixture corpus plus files the fingerprint covers and
-    the loader skips, and the paths of all its files."""
+    """A copy of the fixture corpus plus files that are no documents, and
+    the names of its documents."""
     corpus = tmp_path / "corpus"
     shutil.copytree(data_path("corpus"), corpus)
+    documents = sorted(p.name for p in corpus.iterdir())
     (corpus / "notes").mkdir()
     (corpus / "notes" / "nested.txt").write_text("relais imbriqué\n", encoding="utf-8")
     (corpus / "README").write_text("pas un document\n", encoding="utf-8")
-    return corpus, sorted(str(p.relative_to(corpus)) for p in corpus.rglob("*") if p.is_file())
+    return corpus, documents
 
 
 def test_cold_run_loads_and_hashes_each_input_once_and_reads_nothing_back(tmp_path, monkeypatch):
@@ -405,6 +407,47 @@ def test_warm_and_edit_runs_read_each_corpus_file_once_and_load_no_documents(
     assert corpus_reads(calls) == dict.fromkeys(files, 1)
 
 
+def test_a_run_opens_no_non_document_and_changes_to_them_keep_every_stage_cached(
+    tmp_path, monkeypatch
+):
+    corpus, documents = corpus_with_skipped_files(tmp_path)
+    odd = write_non_utf8_name(corpus, b"notes\xff.md", b"pas un document\n")
+    config = load_config(write_config(tmp_path, corpus=str(corpus)))
+    edits = {
+        "cold": lambda: None,
+        "add nested .txt": lambda: (corpus / "notes" / "more.txt").write_text("relais\n"),
+        "edit nested .txt": lambda: (corpus / "notes" / "nested.txt").write_text("relais\n"),
+        "edit non-.txt": lambda: (corpus / "README").write_text("relais\n"),
+        "edit non-UTF-8 name": lambda: write_non_utf8_name(corpus, b"notes\xff.md", b"relais\n"),
+        "add non-.txt": lambda: (corpus / "index.md").write_text("relais\n"),
+        "delete non-UTF-8 name": lambda: os.unlink(odd),
+        "delete non-.txt": lambda: (corpus / "README").unlink(),
+        "delete subdirectory": lambda: shutil.rmtree(corpus / "notes"),
+    }
+    for edit, change in edits.items():
+        change()
+        with monkeypatch.context() as patch:
+            calls = spy_on_run(patch, config.output, corpus)
+            result = run_pipeline(config)
+        assert corpus_reads(calls) == dict.fromkeys(documents, 1), edit
+        hits = [stage for stage, outcome in result.stages.items() if outcome.cache_hit]
+        assert hits == ([] if edit == "cold" else list(STAGES)), edit
+
+
+def test_editing_a_document_or_filling_a_blank_one_reruns_the_corpus_stages(tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(data_path("corpus"), corpus)
+    (corpus / "blank.txt").write_text(" \n", encoding="utf-8")
+    config = load_config(write_config(tmp_path, corpus=str(corpus)))
+    run_pipeline(config)
+    for path in sorted(corpus.iterdir()):
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("xyzzy\n")  # a word outside the lexicon: no candidate changes
+        result = run_pipeline(config)
+        rerun = [stage for stage, outcome in result.stages.items() if not outcome.cache_hit]
+        assert rerun == ["extract", "net", "index"], path.name
+
+
 def test_warm_run_decodes_only_the_ok_report(tmp_path, monkeypatch):
     config = load_config(write_config(tmp_path))
     run_pipeline(config)
@@ -438,7 +481,41 @@ def test_cli_missing_config_key_is_exit_1(tmp_path, capsys):
     config = tmp_path / "c.toml"
     config.write_text('corpus = "x"\n', encoding="utf-8")
     assert main(["run", "--config", str(config)]) == 1
-    assert "E_CONFIG" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"ontoterm: E_CONFIG: {config}: missing required key 'lexicon'\n"
+
+
+def test_cli_config_line_error_is_exit_1_naming_the_file_and_line(tmp_path, capsys):
+    config = tmp_path / "c.toml"
+    config.write_text('# pipeline\ncorpus\n', encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"ontoterm: E_CONFIG: {config}: line 2: expected 'key = value'\n"
+
+
+def test_cli_config_iri_that_is_no_iri_is_exit_1_naming_it(tmp_path, capsys):
+    iri = "http://x.org/a> Ontology(<evil"
+    config = write_config(tmp_path, iri=iri)
+    assert main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ontoterm: E_CONFIG: iri holds whitespace")
+    assert err.endswith(f": {iri!r}\n")
+    assert not (tmp_path / "out" / "ontology.owl").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_bad_decision_is_exit_2_naming_the_file_and_line(tmp_path, capsys, command):
+    decisions = tmp_path / "decisions.txt"
+    decisions.write_text('reject term "relais"\nreject everything\n', encoding="utf-8")
+    lexnet = tmp_path / "lexnet.json"
+    lexnet.write_text('{"terms": [], "relations": []}', encoding="utf-8")
+    argv = {
+        "validate": ["validate", "--lexnet", str(lexnet), "--decisions", str(decisions),
+                     "--out", str(tmp_path / "validated.json")],
+        "run": ["run", "--config", str(write_config(tmp_path, decisions=str(decisions)))],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"ontoterm: E_UNKNOWN_REF: {decisions}: line 2: cannot parse decision: 'reject everything'\n"
+    )
 
 
 @pytest.mark.parametrize("line, problem", [
@@ -692,7 +769,7 @@ def test_cli_run_takes_a_corpus_holding_a_non_utf8_file_name(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("8 stages, 8 cache hits")
     write_non_utf8_name(corpus, b"notes\xff.md", b"edited\n")
     assert main(["run", "--config", str(config)]) == 0
-    assert capsys.readouterr().out.startswith("8 stages, 5 cache hits")  # extract, net, index rerun
+    assert capsys.readouterr().out.startswith("8 stages, 8 cache hits")  # no document changed
 
 
 @pytest.mark.parametrize("command", ["extract", "run"])
