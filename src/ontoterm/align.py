@@ -20,7 +20,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import json_text, read_text
+from .errors import input_lines, json_text, read_text
 from .okmodel import OkOntology, subsumes
 from .projection import Taxonomy, concept_id
 
@@ -32,12 +32,10 @@ DEFAULT_STOPWORDS = frozenset(
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    words = set()
-    for raw in read_text(path).splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            words.add(unicodedata.normalize("NFC", line).lower())
-    return frozenset(words)
+    return frozenset(
+        unicodedata.normalize("NFC", line.strip()).lower()
+        for _, line in input_lines(read_text(path))
+    )
 
 
 _TOKEN_SPLIT = re.compile(r"[\s'’]+")

@@ -32,6 +32,7 @@ from .errors import (
     EncodingError,
     NoCorpusError,
     decode_text,
+    input_lines,
     json_text,
     read_text,
 )
@@ -171,10 +172,7 @@ class Lexicon:
 def load_lexicon(path: str | Path) -> Lexicon:
     """Read a TSV lexicon: ``surface<TAB>lemma<TAB>pos``, ``#`` comments allowed."""
     entries = []
-    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, raw in input_lines(read_text(path)):
         parts = raw.split("\t")
         if len(parts) != 3:
             raise ConfigError(f"{path}: line {lineno}: expected 3 tab-separated columns")
@@ -344,29 +342,18 @@ def _compile(
     return regex, groups
 
 
-def pattern_matches(
-    tokens: DocTokens, patterns: Sequence[PatternDef]
-) -> list[tuple[PatternDef, int, int]]:
-    """Greedy left-to-right scan of one document's tokens, as (pattern,
-    start, end) token spans.
-
-    At each position the longest matching pattern wins (ties go to pattern
-    order) and its tokens are consumed, so match spans never overlap and a
-    bare noun is only emitted where no longer phrase covers it.
-    """
-    regex, groups = _compile(tuple(patterns))
-    return [(groups[m.lastindex][0], *m.span()) for m in regex.finditer(tokens.tags)]
-
-
 def extract_candidates(
     docs: Iterable[DocTokens], patterns: Sequence[PatternDef]
 ) -> list[TermCandidate]:
     """Extract merged term candidates from annotated documents.
 
-    Matching runs per document (doc ids must be distinct) and candidates
-    with the same lemma sequence are merged with their occurrences summed;
-    each keeps the pattern and head of its first occurrence.  The result is
-    sorted by lemma sequence.
+    Each document is scanned left to right: at each position the longest
+    matching pattern wins (ties go to pattern order) and consumes its
+    tokens, so matches never overlap and a bare noun is only a candidate
+    where no longer phrase covers it.  Matching runs per document (doc ids
+    must be distinct) and candidates with the same lemma sequence are
+    merged with their occurrences summed; each keeps the pattern and head
+    of its first occurrence.  The result is sorted by lemma sequence.
     """
     regex, groups = _compile(tuple(patterns))
     merged: dict[tuple[str, ...], TermCandidate] = {}
@@ -386,11 +373,8 @@ def extract_candidates(
 def load_patterns(path: str | Path) -> list[PatternDef]:
     """Read a pattern config: ``id: POS POS ... [head=first|last]`` per line."""
     patterns = []
-    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        ident, sep, rest = line.partition(":")
+    for lineno, raw in input_lines(read_text(path)):
+        ident, sep, rest = raw.strip().partition(":")
         if not sep or not ident.strip():
             raise BadPatternError(f"{path}: line {lineno}: expected 'id: POS ...'")
         parts = rest.split()

@@ -1,6 +1,6 @@
 """Error types shared across the toolkit, and the file-format helpers
-every layer uses: reading an input's text, writing artifact JSON and
-quoting a string literal.
+every layer uses: reading an input's text and its lines, writing artifact
+JSON and quoting a string literal.
 
 Every error carries a stable ``code`` so the CLI can map failures to exit
 codes and callers can branch on the failure class without parsing messages.
@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
+from typing import Iterator
 
 
 class OntoTermError(Exception):
@@ -41,6 +42,16 @@ def decode_text(data: bytes, path: str | Path) -> str:
     except UnicodeDecodeError as exc:
         raise EncodingError(f"not valid UTF-8: {path} (byte {exc.start})") from None
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def input_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(line number, line as written)`` of each line of an input file's
+    text that is neither blank nor, once stripped, begins with ``#``: the
+    lines every line format reads."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, line
 
 
 def json_text(payload) -> str:

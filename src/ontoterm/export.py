@@ -25,6 +25,13 @@ DEFAULT_IRI = "http://example.org/ontology#"
 _NOT_IN_IRI = re.compile(r'[\s\x00-\x1f\x7f-\x9f<>"{}|\\^`]')
 
 
+def check_iri(iri: str) -> None:
+    """Raise ``ConfigError`` naming ``iri`` if it holds a character no IRI holds."""
+    if _NOT_IN_IRI.search(iri):
+        raise ConfigError("iri holds whitespace, a control character or one of "
+                          f'<>"{{}}|\\^`: {iri!r}')
+
+
 _SEPARATORS = re.compile(r"[\s\-_'’]+")
 _NOT_ALNUM = re.compile(r"[^0-9A-Za-z]")
 
@@ -94,11 +101,8 @@ def _sibling_axis_groups(ontology: OkOntology) -> list[list[str]]:
 
 def to_owl(ontology: OkOntology, iri_prefix: str = DEFAULT_IRI) -> str:
     """Render the ontology as OWL 2 Functional Syntax (refuses inconsistent
-    input).  An ``iri_prefix`` holding a character no IRI holds raises
-    ``ConfigError``."""
-    if _NOT_IN_IRI.search(iri_prefix):
-        raise ConfigError("iri holds whitespace, a control character or one of "
-                          f'<>"{{}}|\\^`: {iri_prefix!r}')
+    input and an ``iri_prefix`` that ``check_iri`` refuses)."""
+    check_iri(iri_prefix)
     require_consistent(ontology)
     names = mangle_labels(ontology.concepts)
     order = _preorder(ontology)

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import POS, TAG_CODES, DocTokens, TermCandidate
-from .errors import UnknownRefError, UnknownTermError, json_text, read_text
+from .errors import UnknownRefError, UnknownTermError, input_lines, json_text, read_text
 from .graph import find_cycle
 
 
@@ -237,10 +237,8 @@ _DECISION_REL = re.compile(r'^(validate|reject)\s+relation\s+(\w+)\s+"([^"]+)"\s
 
 def parse_decisions(text: str) -> list[tuple[str, ...]]:
     decisions = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in input_lines(text):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
         m = _DECISION_TERM.match(line)
         if m:
             decisions.append(("term", m.group(1), m.group(2)))

@@ -42,6 +42,7 @@ from .errors import (
     InconsistentOntologyError,
     TypeMismatchError,
     UnknownConceptError,
+    input_lines,
     read_text,
 )
 from .graph import descendants, find_cycle
@@ -400,30 +401,18 @@ def similarity(ontology: OkOntology, c1: str, c2: str) -> SimilarityResult:
     The shared part is the differentia path down to the lowest common
     ancestor; the two residual paths distinguish the concepts.
     """
-    paths = []
     for name in (c1, c2):
         if name not in ontology.concepts:
             raise UnknownConceptError(f"unknown concept: {name!r}")
-        paths.append(list(reversed([name] + ontology.genus_chain(name))))
-    path1, path2 = paths
-    common = 0
-    while common < min(len(path1), len(path2)) and path1[common] == path2[common]:
-        common += 1
-    if common == 0:
+    above_c2 = {c2, *ontology.genus_chain(c2)}
+    lca = next((n for n in [c1, *ontology.genus_chain(c1)] if n in above_c2), None)
+    if lca is None:
         raise InconsistentOntologyError(f"{c1!r} and {c2!r} share no ancestor")
-    lca = path1[common - 1]
-
-    def diffs(path: list[str]) -> tuple[Differentia, ...]:
-        return tuple(
-            ontology.concepts[n].differentia
-            for n in path
-            if ontology.concepts[n].differentia is not None
-        )
-
+    shared = ontology.differentia_path(lca)
     return SimilarityResult(
         lca=lca,
-        shared=diffs(path1[:common]),
-        distinguishing=(diffs(path1[common:]), diffs(path2[common:])),
+        shared=tuple(shared),
+        distinguishing=tuple(tuple(ontology.differentia_path(c)[len(shared):]) for c in (c1, c2)),
     )
 
 
@@ -684,10 +673,8 @@ def parse_dsl(text: str) -> OkOntology:
     """
     reader = _DslReader()
     issues: list[DslIssue] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in input_lines(text):
         line = _strip_comment(raw).strip()
-        if not line:
-            continue
         keyword, _, body = line.partition(" ")
         try:
             if keyword not in _DIRECTIVES:
@@ -705,4 +692,9 @@ def parse_dsl(text: str) -> OkOntology:
 
 
 def load_dsl(path: str | Path) -> OkOntology:
-    return parse_dsl(read_text(path))
+    """``parse_dsl`` of the file at ``path``; its errors name the file."""
+    try:
+        return parse_dsl(read_text(path))
+    except DslParseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -44,8 +44,15 @@ from .corpus import (
     load_patterns,
     read_corpus_files,
 )
-from .errors import ArtifactError, ConfigError, InconsistentOntologyError, json_text, read_text
-from .export import DEFAULT_IRI, to_kif, to_owl
+from .errors import (
+    ArtifactError,
+    ConfigError,
+    InconsistentOntologyError,
+    input_lines,
+    json_text,
+    read_text,
+)
+from .export import DEFAULT_IRI, check_iri, to_kif, to_owl
 from .lexnet import (
     apply_validation,
     build_network,
@@ -59,9 +66,6 @@ from .lexnet import (
 from .okmodel import check_consistency, load_dsl
 from .projection import project, taxonomy_from_json, taxonomy_to_json
 from .retrieval import index_corpus, index_to_json_obj
-
-_REQUIRED_KEYS = ("corpus", "lexicon", "patterns", "dsl", "decisions", "stopwords", "output")
-_KEYS = _REQUIRED_KEYS + ("synonyms", "export_format", "iri")
 
 _CONFIG_LINE = re.compile(r'^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$')
 
@@ -80,48 +84,39 @@ class PipelineConfig:
     iri: str = DEFAULT_IRI
 
 
+_FIELDS = {f.name: f for f in fields(PipelineConfig)}
+_SETTINGS = ("export_format", "iri")  # the fields that are not paths
+
+
 def parse_config(text: str, base_dir: Path) -> PipelineConfig:
     """Parse a flat ``key = value`` config; relative paths resolve against
     the config file's directory.  A key that is not a ``PipelineConfig``
-    field raises ``ConfigError``."""
+    field, a key given twice, a missing required key and a bad
+    ``export_format`` or ``iri`` raise ``ConfigError``."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _CONFIG_LINE.match(line)
+    for lineno, raw in input_lines(text):
+        m = _CONFIG_LINE.match(raw.strip())
         if not m:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = m.group(1), m.group(2).strip()
-        if key not in _KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if value.startswith('"') and value.endswith('"') and len(value) >= 2:
             value = value[1:-1]
         values[key] = value
 
-    for key in _REQUIRED_KEYS:
-        if key not in values:
-            raise ConfigError(f"missing required key {key!r}")
-
-    def path_of(key: str) -> Path:
-        p = Path(values[key])
-        return p if p.is_absolute() else base_dir / p
-
-    export_format = values.get("export_format", "owl")
-    if export_format not in ("owl", "kif"):
-        raise ConfigError(f"export_format must be 'owl' or 'kif', got {export_format!r}")
-    return PipelineConfig(
-        corpus=path_of("corpus"),
-        lexicon=path_of("lexicon"),
-        patterns=path_of("patterns"),
-        dsl=path_of("dsl"),
-        decisions=path_of("decisions"),
-        stopwords=path_of("stopwords"),
-        output=path_of("output"),
-        synonyms=path_of("synonyms") if "synonyms" in values else None,
-        export_format=export_format,
-        iri=values.get("iri", DEFAULT_IRI),
-    )
+    for f in _FIELDS.values():
+        if f.default is MISSING and f.name not in values:
+            raise ConfigError(f"missing required key {f.name!r}")
+    config = PipelineConfig(**{
+        key: value if key in _SETTINGS else base_dir / value for key, value in values.items()
+    })
+    if config.export_format not in ("owl", "kif"):
+        raise ConfigError(f"export_format must be 'owl' or 'kif', got {config.export_format!r}")
+    check_iri(config.iri)
+    return config
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -153,11 +148,8 @@ def load_synonym_declarations(path: str | Path) -> list[tuple[str, str]]:
     """Synonym declarations: two quoted labels per line."""
     pairs = []
     pattern = re.compile(r'^"([^"]+)"\s+"([^"]+)"$')
-    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = pattern.match(line)
+    for lineno, raw in input_lines(read_text(path)):
+        m = pattern.match(raw.strip())
         if not m:
             raise ConfigError(f"{path}: line {lineno}: expected '\"label a\" \"label b\"'")
         pairs.append((m.group(1), m.group(2)))
@@ -440,15 +432,7 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
         manifest = {
             "tool": "ontoterm",
             "version": __version__,
-            "stages": {
-                stage: {
-                    "artifact": outcome.artifact,
-                    "fingerprint": outcome.fingerprint,
-                    "cache_hit": outcome.cache_hit,
-                    "sha256": outcome.sha256,
-                }
-                for stage, outcome in result.stages.items()
-            },
+            "stages": {stage: vars(outcome) for stage, outcome in result.stages.items()},
         }
         manifest_path.write_text(json_text(manifest), encoding="utf-8")
     return result

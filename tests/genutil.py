@@ -35,7 +35,6 @@ from ontoterm.align import (
     DiscrepancyEntry,
     DiscrepancyReport,
     Verdict,
-    _VERDICT_PRIORITY,
     normalize_label,
 )
 from ontoterm.corpus import (
@@ -854,10 +853,16 @@ def check_consistency_oracle(ontology: OkOntology) -> list[Violation]:
     return violations
 
 
+#: The oracle's own verdict order, best first, kept apart from the table it checks.
+_ORACLE_VERDICT_ORDER = (Verdict.AGREE, Verdict.PARENT_ELIDED, Verdict.CONFLICT, Verdict.UNALIGNED)
+
+
 def compare_structures_oracle(
     taxonomy: Taxonomy, ontology: OkOntology, alignments: dict[str, AlignmentResult]
 ) -> DiscrepancyReport:
-    """The structure diff with one scan of the taxonomy's edges per concept."""
+    """The structure diff with one scan of the taxonomy's edges per concept;
+    of a concept's parents, the one with the best verdict wins."""
+    rank = _ORACLE_VERDICT_ORDER.index
     entries = []
     for cid in sorted(taxonomy.concepts):
         concept = taxonomy.concepts[cid]
@@ -881,7 +886,7 @@ def compare_structures_oracle(
                 verdict = Verdict.PARENT_ELIDED
             else:
                 verdict = Verdict.CONFLICT
-            if _VERDICT_PRIORITY[verdict] < _VERDICT_PRIORITY[best[0]] or best[1] is None:
+            if rank(verdict) < rank(best[0]) or best[1] is None:
                 best = (verdict, parent_label)
         entries.append(DiscrepancyEntry(concept.label, best[1], chain, best[0]))
     return DiscrepancyReport(entries)

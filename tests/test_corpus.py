@@ -33,6 +33,7 @@ from ontoterm.corpus import (
     POS,
     TAG_CODES,
     PatternDef,
+    _compile,
     annotate,
     candidates_from_json,
     candidates_to_json,
@@ -41,7 +42,6 @@ from ontoterm.corpus import (
     load_corpus,
     load_lexicon,
     load_patterns,
-    pattern_matches,
     read_corpus_files,
 )
 from ontoterm.errors import BadPatternError, ConfigError, EncodingError, NoCorpusError
@@ -374,11 +374,18 @@ def test_merging_soundness_against_regex_rescan():
     assert total == expected
 
 
+def regex_spans(doc, patterns):
+    """(pattern, start, end) token spans of ``extract_candidates``'s scan:
+    ``_compile``'s regex over the document's tag codes."""
+    regex, groups = _compile(tuple(patterns))
+    return [(groups[m.lastindex][0], *m.span()) for m in regex.finditer(doc.tags)]
+
+
 def test_match_spans_never_overlap():
     _, _, patterns, tokens = fixture_extraction()
     for doc in tokens:
         spans = []
-        for pattern, start, end in pattern_matches(doc, patterns):
+        for pattern, start, end in regex_spans(doc, patterns):
             assert doc.tags[start:end] == "".join(TAG_CODES[pos] for pos in pattern.sequence)
             spans.append((start, end))
         assert spans == sorted(spans)
@@ -423,7 +430,7 @@ def assert_front_ends_agree(docs, lexicon, patterns):
         assert doc.tags == "".join(TAG_CODES[t.pos] for t in tokens)
         assert list(doc.offsets) == [t.offset for t in tokens]
         assert doc.copula == bytes(t.surface.lower() in ("est", "sont") for t in tokens)
-        assert pattern_matches(doc, patterns) == per_token_spans(tokens, patterns)
+        assert regex_spans(doc, patterns) == per_token_spans(tokens, patterns)
     flat = [t for tokens in per_token for t in tokens]
     candidates = extract_candidates_per_token(flat, patterns)
     got = extract_candidates(columns, patterns)

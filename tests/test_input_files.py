@@ -2,7 +2,8 @@
 returns or raises one of its documented ``OntoTermError``s, never an
 untyped error.  A text is lines drawn near its format's grammar (right and
 wrong keywords, quoted and bare labels, missing and extra fields) or
-arbitrary lines; the file formats also take arbitrary bytes."""
+arbitrary lines; the file formats also take arbitrary bytes.  Every line
+format, the ontology DSL included, skips the same blank and ``#`` lines."""
 
 from __future__ import annotations
 
@@ -13,8 +14,15 @@ from hypothesis import given, settings, strategies as st
 
 from ontoterm.align import load_stopwords
 from ontoterm.corpus import load_lexicon, load_patterns
-from ontoterm.errors import BadPatternError, ConfigError, EncodingError, UnknownRefError
+from ontoterm.errors import (
+    BadPatternError,
+    ConfigError,
+    DslParseError,
+    EncodingError,
+    UnknownRefError,
+)
 from ontoterm.lexnet import parse_decisions
+from ontoterm.okmodel import parse_dsl
 from ontoterm.pipeline import load_synonym_declarations, parse_config
 
 _JUNK = st.text(max_size=12)
@@ -104,3 +112,61 @@ def test_a_parser_raises_only_its_documented_errors(directory, parser):
             pass
 
     check()
+
+
+# --- the shared line rule -------------------------------------------------------
+
+_PADDING = ["", "   ", "\t", "# a comment", "  \t# an indented comment"]
+
+
+def _from_file(load):
+    read = _through_file(load)
+    return lambda text, directory: read(text.encode("utf-8"), directory)
+
+
+#: format → (its content lines, a line it rejects or None, a parse of one
+#: text, the parsed value to compare, the error the rejected line raises)
+LINE_FORMATS = {
+    "config": (
+        _REQUIRED.splitlines() + ['export_format = "kif"'], 'corpus = "y"',
+        lambda text, directory: parse_config(text, directory), lambda config: config, ConfigError,
+    ),
+    "synonyms": (
+        ['"relais" "relai"', '"a b"  "c"'], '"relais"',
+        _from_file(load_synonym_declarations), lambda pairs: pairs, ConfigError,
+    ),
+    "lexicon": (
+        ["relais\trelais\tNOUN", " Seuil \tseuil\tnoun", "de\tde\tPREP"], " \trelais\tN",
+        _from_file(load_lexicon), lambda lexicon: lexicon._entries, ConfigError,
+    ),
+    "patterns": (
+        ["n: NOUN", "  n_adj: NOUN ADJ head=last"], "n: XYZ",
+        _from_file(load_patterns), lambda patterns: patterns, BadPatternError,
+    ),
+    "decisions": (
+        ['reject term "relais"', '  validate relation hyponymy "a b" "a"'], "reject everything",
+        lambda text, directory: parse_decisions(text), lambda decisions: decisions, UnknownRefError,
+    ),
+    "stopwords": (
+        ["de", "  La ", "l"], None,
+        _from_file(load_stopwords), lambda words: words, None,
+    ),
+    "dsl": (
+        ['ontology "relais"', "axis mode values a, b", "concept relais root  # the root",
+         "concept r genus relais diff mode=a"], "concept s genus zz diff mode=b",
+        lambda text, directory: parse_dsl(text), lambda ontology: ontology, DslParseError,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LINE_FORMATS)
+def test_every_line_format_skips_blank_and_comment_lines(tmp_path, name):
+    lines, bad, parse, value, error = LINE_FORMATS[name]
+    padded = []
+    for i, line in enumerate(lines):
+        padded += [_PADDING[i % len(_PADDING)], _PADDING[(i + 2) % len(_PADDING)], line]
+    padded += _PADDING
+    assert value(parse("\n".join(padded), tmp_path)) == value(parse("\n".join(lines), tmp_path))
+    if bad is not None:
+        with pytest.raises(error, match=f"line {len(padded) + 1}: "):
+            parse("\n".join(padded + [bad]), tmp_path)

@@ -19,6 +19,7 @@ from genutil import (
 )
 from ontoterm.errors import (
     ConfigError,
+    DslIssue,
     DslParseError,
     EncodingError,
     TypeMismatchError,
@@ -66,6 +67,15 @@ def parse_issues(text: str) -> list[tuple[int, str, str]]:
     with pytest.raises(DslParseError) as exc:
         parse_dsl(text)
     return [(issue.line, issue.code, issue.message) for issue in exc.value.issues]
+
+
+def test_load_dsl_errors_name_the_file_and_keep_their_issues(tmp_path):
+    dsl = tmp_path / "bad.dsl"
+    dsl.write_text("concept relais root\nconcept r genus zz diff a=b\n", encoding="utf-8")
+    with pytest.raises(DslParseError) as exc:
+        load_dsl(dsl)
+    assert str(exc.value) == f"{dsl}: line 2: E_UNKNOWN_GENUS: unknown genus: 'zz'"
+    assert exc.value.issues == [DslIssue(2, "E_UNKNOWN_GENUS", "unknown genus: 'zz'")]
 
 
 def test_parse_strips_comments_but_keeps_a_hash_inside_quotes():

@@ -493,12 +493,26 @@ def test_cli_config_line_error_is_exit_1_naming_the_file_and_line(tmp_path, caps
 
 def test_cli_config_iri_that_is_no_iri_is_exit_1_naming_it(tmp_path, capsys):
     iri = "http://x.org/a> Ontology(<evil"
-    config = write_config(tmp_path, iri=iri)
+    for export_format in ("owl", "kif"):  # checked on reading, not only by the OWL export
+        base = tmp_path / export_format
+        base.mkdir()
+        config = write_config(base, iri=iri, export_format=export_format)
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ontoterm: E_CONFIG: {config}: iri holds whitespace")
+        assert err.endswith(f": {iri!r}\n")
+        assert not (base / "out").exists()  # no artifact, no manifest
+
+
+def test_cli_config_duplicate_key_is_exit_1_naming_it_and_its_line(tmp_path, capsys):
+    config = write_config(tmp_path, export_format="owl")  # eight lines
+    with config.open("a", encoding="utf-8") as fh:
+        fh.write('export_format = "kif"\n')
     assert main(["run", "--config", str(config)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("ontoterm: E_CONFIG: iri holds whitespace")
-    assert err.endswith(f": {iri!r}\n")
-    assert not (tmp_path / "out" / "ontology.owl").exists()
+    assert capsys.readouterr().err == (
+        f"ontoterm: E_CONFIG: {config}: line 9: duplicate key 'export_format'\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -515,6 +529,20 @@ def test_cli_bad_decision_is_exit_2_naming_the_file_and_line(tmp_path, capsys, c
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         f"ontoterm: E_UNKNOWN_REF: {decisions}: line 2: cannot parse decision: 'reject everything'\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["ok-check", "run"])
+def test_cli_dsl_parse_error_is_exit_2_naming_the_file_and_line(tmp_path, capsys, command):
+    dsl = tmp_path / "bad.dsl"
+    dsl.write_text("concept relais root\nconcept r genus zz diff a=b\n", encoding="utf-8")
+    argv = {
+        "ok-check": ["ok-check", "--dsl", str(dsl)],
+        "run": ["run", "--config", str(write_config(tmp_path, dsl=str(dsl)))],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"ontoterm: E_SYNTAX: {dsl}: line 2: E_UNKNOWN_GENUS: unknown genus: 'zz'\n"
     )
 
 
