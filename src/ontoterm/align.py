@@ -51,6 +51,15 @@ def _content_tokens(label: str, stopwords: frozenset[str]) -> list[str]:
     return tokens
 
 
+def _bag(tokens: list[str]) -> tuple[tuple[str, int], ...]:
+    """A content bag as sorted ``(token, count)`` pairs: hashable, and
+    cheaper to build for a few tokens than a sorted ``Counter``."""
+    counts: dict[str, int] = {}
+    for token in tokens:
+        counts[token] = counts.get(token, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
 def normalize_label(label: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> Counter[str]:
     """Bag of content tokens: lowercase, NFC, stopwords dropped."""
     return Counter(_content_tokens(label, stopwords))
@@ -90,8 +99,7 @@ def _concept_index(
     holders: dict[str, list[str]] = {}
     for name in names:
         bag = tuple(
-            shared.setdefault(pair, pair)
-            for pair in sorted(Counter(_content_tokens(name, stopwords)).items())
+            shared.setdefault(pair, pair) for pair in _bag(_content_tokens(name, stopwords))
         )
         bags[name] = bag
         for token, _ in bag:
@@ -109,18 +117,19 @@ def _aligner(ontology: OkOntology, stopwords: frozenset[str]):
         if target is not None and target in ontology.concepts:
             return AlignmentResult(term, AlignKind.DECLARED, target)
 
+        # an exact or elliptical match holds every token of the term: a
+        # term with no token, or with one no concept holds, matches none
         tokens = _content_tokens(term, stopwords)
-        if not tokens:
+        if not tokens or any(token not in holders_of for token in tokens):
             return AlignmentResult(term, AlignKind.UNMATCHED)
-        bag = tuple(sorted(Counter(tokens).items()))
+        bag = _bag(tokens)
         if head is None:
             head = tokens[0]
         else:
             head = unicodedata.normalize("NFC", head).lower()
 
-        # an exact or elliptical match holds every token of the term, so
-        # the holders of its rarest token are all the candidates there are
-        holders = min((holders_of.get(token, ()) for token, _ in bag), key=len)
+        # the holders of the term's rarest token are all the candidates there are
+        holders = min((holders_of[token] for token, _ in bag), key=len)
         exact = [name for name in holders if bags[name] == bag]
         if len(exact) == 1:
             return AlignmentResult(term, AlignKind.EXACT, exact[0])

@@ -334,21 +334,27 @@ def lexnet_to_json(net: LexNet) -> str:
     return json_text(payload)
 
 
+# Value -> member, built once: a dict lookup costs a fraction of an
+# ``Enum(value)`` call, and an unknown value raises ``KeyError``.
+_STATUSES = {member.value: member for member in Status}
+_KINDS = {member.value: member for member in RelationKind}
+_EVIDENCE = {member.value: member for member in Evidence}
+
+
 def lexnet_from_json(text: str) -> LexNet:
+    """The network ``lexnet_to_json`` wrote, built in one pass over the
+    decoded rows."""
     payload = json.loads(text)
-    terms = {
-        row["label"]: Term(row["label"], row["head"], Status(row["status"]))
-        for row in payload["terms"]
-    }
+    status, evidence = _STATUSES.__getitem__, _EVIDENCE.__getitem__
+    terms = {}
+    for row in payload["terms"]:
+        label = row["label"]
+        terms[label] = Term(label, row["head"], status(row["status"]))
     relations = {}
     for row in payload["relations"]:
-        rel = LexicalRelation(
-            RelationKind(row["kind"]),
-            row["source"],
-            row["target"],
-            Evidence(row["evidence"]),
-            tuple(Evidence(e) for e in row["evidence_sources"]),
-            Status(row["status"]),
+        kind, source, target = _KINDS[row["kind"]], row["source"], row["target"]
+        relations[kind, source, target] = LexicalRelation(
+            kind, source, target, evidence(row["evidence"]),
+            tuple(map(evidence, row["evidence_sources"])), status(row["status"]),
         )
-        relations[rel.key] = rel
     return LexNet(terms, relations)

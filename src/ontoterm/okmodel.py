@@ -685,7 +685,8 @@ def parse_dsl(text: str) -> OkOntology:
         if problems:
             issues += [DslIssue(lineno, code, message) for code, message in problems]
     if not any(concept.genus is None for concept in reader.concepts.values()):
-        issues.append(DslIssue(max(1, text.count("\n") + 1), "E_SYNTAX", "no root concept declared"))
+        # reported at the last line, as ``input_lines`` numbers lines
+        issues.append(DslIssue(max(1, len(text.splitlines())), "E_SYNTAX", "no root concept declared"))
     if issues:
         raise DslParseError(issues)
     return OkOntology(**vars(reader))

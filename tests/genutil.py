@@ -13,11 +13,14 @@ the per-call scans the indexed versions replaced, and the retrieval oracle
 scans every (document, concept) annotation.  The corpus-read oracle lists
 the top level through ``pathlib`` instead of ``os.scandir``, and the label-mangling
 oracle normalizes each whole label the way the per-character folding
-replaced.
+replaced.  The artifact-decoder oracles are the decoders the one-pass ones
+replaced, kept verbatim: they build each enum member with an ``Enum(...)``
+call, and the concept-id oracle collapses whitespace with ``re.sub``.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import re
@@ -52,7 +55,7 @@ from ontoterm.corpus import (
     _split_elisions,
     _validate_patterns,
 )
-from ontoterm.lexnet import Evidence, LexicalRelation, RelationKind
+from ontoterm.lexnet import Evidence, LexicalRelation, LexNet, RelationKind, Status, Term
 from ontoterm.errors import UnknownConceptError, UnresolvableLabelError
 from ontoterm.okmodel import (
     AttributeDef,
@@ -586,7 +589,8 @@ def random_align_case(
     """A ``random_ok_tree`` relabelled with short multi-word labels, a few
     declared terms and a stopword set, plus (term, explicit head or None)
     queries: labels of the tree, their sub-bags, reordered and stopword-laden
-    variants and unknown words."""
+    variants and unknown words.  «bobine» is in no label, so terms holding it,
+    declared ones among them, hold a token no concept holds."""
     tree = random_ok_tree(rng, max_nodes=40)
     words = ["relais", "seuil", "tension", "courant", "tout", "rien", "de", "à"]
     stopwords = frozenset(rng.sample(["de", "à", "la", "tout"], rng.randint(0, 3)))
@@ -611,7 +615,7 @@ def random_align_case(
     labels = list(concepts)
     denotation = {}
     for _ in range(rng.randint(0, 3)):
-        term = " ".join(rng.choice(words) for _ in range(rng.randint(1, 3)))
+        term = " ".join(rng.choice(words + ["bobine"]) for _ in range(rng.randint(1, 3)))
         denotation[term.upper() if rng.random() < 0.3 else term] = (
             rng.choice(labels) if rng.random() < 0.8 else "ghost"
         )
@@ -996,3 +1000,81 @@ def camel_oracle(label: str) -> str:
     if camel[0].isdigit():
         camel = "C" + camel
     return camel
+
+
+# --- artifact decoders ----------------------------------------------------------
+
+
+def lexnet_from_json_oracle(text: str) -> LexNet:
+    payload = json.loads(text)
+    terms = {
+        row["label"]: Term(row["label"], row["head"], Status(row["status"]))
+        for row in payload["terms"]
+    }
+    relations = {}
+    for row in payload["relations"]:
+        rel = LexicalRelation(
+            RelationKind(row["kind"]),
+            row["source"],
+            row["target"],
+            Evidence(row["evidence"]),
+            tuple(Evidence(e) for e in row["evidence_sources"]),
+            Status(row["status"]),
+        )
+        relations[rel.key] = rel
+    return LexNet(terms, relations)
+
+
+def candidates_from_json_oracle(text: str) -> list[TermCandidate]:
+    return [
+        TermCandidate(
+            tuple(row["lemmas"]),
+            row["pattern_id"],
+            row["head"],
+            [(doc, off) for doc, off in row["occurrences"]],
+        )
+        for row in json.loads(text)
+    ]
+
+
+def concept_id_oracle(label: str) -> str:
+    normalized = unicodedata.normalize("NFC", label).lower()
+    return re.sub(r"\s+", " ", normalized).strip()
+
+
+_DECODER_WORDS = ("relais", "seuil", "tension", "à", "de", "l'", "«x»", 'q"t', "\\", "é")
+
+
+def random_lexnet(rng: random.Random) -> LexNet:
+    """A network of 0–12 terms and up to 20 relations between them, with
+    every status, kind and evidence, multi-source evidence in any order and
+    relations whose sources were left for ``LexicalRelation`` to fill."""
+    labels = {
+        " ".join(rng.choice(_DECODER_WORDS) for _ in range(rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 12))
+    }
+    terms = {
+        label: Term(label, label.split()[0], rng.choice(list(Status))) for label in sorted(labels)
+    }
+    relations = {}
+    for _ in range(rng.randint(0, 20) if len(terms) > 1 else 0):
+        source, target = rng.sample(sorted(terms), 2)
+        sources = tuple(rng.sample(list(Evidence), rng.randint(0, 3)))
+        rel = LexicalRelation(
+            rng.choice(list(RelationKind)), source, target,
+            sources[0] if sources and rng.random() < 0.8 else rng.choice(list(Evidence)),
+            sources, rng.choice(list(Status)),
+        )
+        relations[rel.key] = rel
+    return LexNet(terms, relations)
+
+
+def random_candidates(rng: random.Random) -> list[TermCandidate]:
+    """0–10 candidates with one occurrence, or with many, each."""
+    out = {}
+    for _ in range(rng.randint(0, 10)):
+        lemmas = tuple(rng.choice(_DECODER_WORDS) for _ in range(rng.randint(1, 4)))
+        n = 1 if rng.random() < 0.4 else rng.randint(2, 30)
+        occurrences = [(rng.choice(["d1", "d2", "doc é"]), rng.randint(0, 10**6)) for _ in range(n)]
+        out[lemmas] = TermCandidate(lemmas, rng.choice(["n", "n_adj"]), lemmas[0], occurrences)
+    return [out[key] for key in sorted(out)]

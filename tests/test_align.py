@@ -179,8 +179,10 @@ def test_exact_is_a_subcase_of_relaxed_ellipsis(relay):
 def test_align_matches_brute_force_oracle():
     rng = random.Random(20100214)
     kinds = Counter()
+    unheld = Counter()  # kinds of the terms holding a token that no concept holds
     for _ in range(1000):
         ontology, stopwords, queries = random_align_case(rng)
+        held = set().union(*(normalize_label(name, stopwords) for name in ontology.concepts))
         heads = {term: head for term, head in queries if head is not None}
         batch = ontology_alignments([term for term, _ in queries], ontology, stopwords, heads)
         for term, head in queries:
@@ -189,7 +191,11 @@ def test_align_matches_brute_force_oracle():
             if term not in heads or heads[term] == head:
                 assert batch[term] == expected
             kinds[expected.kind] += 1
+            if not normalize_label(term, stopwords).keys() <= held:
+                unheld[expected.kind] += 1
     assert all(kinds[kind] >= 100 for kind in AlignKind), kinds
+    assert unheld[AlignKind.UNMATCHED] >= 100 and unheld[AlignKind.DECLARED] >= 100, unheld
+    assert unheld.keys() == {AlignKind.UNMATCHED, AlignKind.DECLARED}, unheld
 
 
 def test_align_sees_a_concept_added_in_place(relay):

@@ -99,7 +99,7 @@ def test_parse_unknown_genus():
 
 def test_parse_empty_file_means_no_root():
     assert parse_issues("") == [(1, "E_SYNTAX", "no root concept declared")]
-    assert parse_issues("axis a values x, y\n\n") == [(3, "E_SYNTAX", "no root concept declared")]
+    assert parse_issues("axis a values x, y\n\n") == [(2, "E_SYNTAX", "no root concept declared")]
 
 
 def test_parse_duplicate_concept():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ontoterm import pipeline
+from ontoterm import align, corpus as corpus_module, pipeline
 from ontoterm.cli import main
 from ontoterm.corpus import load_corpus
 from ontoterm.errors import ConfigError, InconsistentOntologyError, json_text
@@ -259,7 +259,8 @@ def artifact_bytes(out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
 
 
-@pytest.mark.parametrize("stage", ["extract", "index"])
+# "align" renders while index hits; "index" renders while align hits
+@pytest.mark.parametrize("stage", ["extract", "align", "index"])
 def test_pipeline_renders_a_corrupted_artifact_again(tmp_path, stage):
     config = load_config(write_config(tmp_path))
     artifact = config.output / run_pipeline(config).stages[stage].artifact
@@ -301,9 +302,9 @@ def test_pipeline_drops_tokens_once_net_has_used_them(tmp_path, monkeypatch):
 
 def spy_on_run(monkeypatch, out: Path, corpus: Path | None = None) -> Counter:
     """Count corpus reads and loads, annotated documents, hashed paths,
-    decoded artifacts, files read under ``out`` and, keyed ("corpus",
-    relative path), opens and reads of files under ``corpus`` while the
-    pipeline runs."""
+    decoded artifacts, files read under ``out``, documents decoded, keyed
+    ("decoded", file name), and, keyed ("corpus", relative path), opens and
+    reads of files under ``corpus`` while the pipeline runs."""
     calls: Counter = Counter()
 
     def spy(name, key):
@@ -344,7 +345,18 @@ def spy_on_run(monkeypatch, out: Path, corpus: Path | None = None) -> Counter:
         return builtin_open(file, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", open_)
+    decode_text = corpus_module.decode_text
+
+    def decode_document(data, path):
+        calls[("decoded", os.path.basename(path))] += 1
+        return decode_text(data, path)
+
+    monkeypatch.setattr(corpus_module, "decode_text", decode_document)
     return calls
+
+
+def documents_decoded(calls: Counter) -> dict[str, int]:
+    return {key[1]: n for key, n in calls.items() if key[0] == "decoded"}
 
 
 def hashed(calls: Counter) -> dict[str, int]:
@@ -377,6 +389,7 @@ def test_cold_run_loads_and_hashes_each_input_once_and_reads_nothing_back(tmp_pa
     assert calls["load_corpus"] == 1
     assert calls["hash_files"] == 1
     assert corpus_reads(calls) == dict.fromkeys(files, 1)
+    assert documents_decoded(calls) == dict.fromkeys(files, 1)  # the index ids decode none
     assert {doc: calls[("annotate", doc)] for doc in docs} == {doc: 1 for doc in docs}
     assert str(config.corpus) not in hashed(calls)
     assert set(hashed(calls).values()) == {1}
@@ -405,6 +418,40 @@ def test_warm_and_edit_runs_read_each_corpus_file_once_and_load_no_documents(
     assert calls["read_corpus_files"] == 1
     assert calls["load_corpus"] == 0
     assert corpus_reads(calls) == dict.fromkeys(files, 1)
+    # the index's document ids come from the bytes the fingerprint read
+    assert documents_decoded(calls) == ({} if edit == "warm" else dict.fromkeys(files, 1))
+
+
+@pytest.mark.parametrize("edit", ["cold", "decisions-edit"])
+def test_a_run_aligns_each_label_once(tmp_path, monkeypatch, edit):
+    decisions = tmp_path / "decisions.txt"
+    shutil.copy(data_path("decisions.txt"), decisions)
+    config = load_config(write_config(tmp_path, decisions=str(decisions)))
+    if edit == "decisions-edit":
+        run_pipeline(config)
+        with decisions.open("a", encoding="utf-8") as f:
+            f.write('reject term "relais tout ou rien"\n')
+    aligned: Counter = Counter()
+    make_aligner = align._aligner
+
+    def counting_aligner(ontology, stopwords):
+        inner = make_aligner(ontology, stopwords)
+
+        def counted(term, head):
+            aligned[term] += 1
+            return inner(term, head)
+
+        return counted
+
+    monkeypatch.setattr(align, "_aligner", counting_aligner)
+    result = run_pipeline(config)
+    assert not result.stages["align"].cache_hit and not result.stages["index"].cache_hit
+    out = config.output
+    labels = {row["label"] for row in json.loads((out / "candidates.json").read_text("utf-8"))}
+    terms = {row["term"] for row in json.loads((out / "alignment.json").read_text("utf-8"))[
+        "alignments"]}
+    assert terms and terms < labels
+    assert aligned == Counter(labels)
 
 
 def test_a_run_opens_no_non_document_and_changes_to_them_keep_every_stage_cached(
@@ -543,6 +590,15 @@ def test_cli_dsl_parse_error_is_exit_2_naming_the_file_and_line(tmp_path, capsys
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         f"ontoterm: E_SYNTAX: {dsl}: line 2: E_UNKNOWN_GENUS: unknown genus: 'zz'\n"
+    )
+
+
+def test_cli_ok_check_reports_a_missing_root_at_the_last_line(tmp_path, capsys):
+    dsl = tmp_path / "rootless.dsl"
+    dsl.write_text("axis a values x, y\naxis b values u, v\n", encoding="utf-8")
+    assert main(["ok-check", "--dsl", str(dsl)]) == 2
+    assert capsys.readouterr().err == (
+        f"ontoterm: E_SYNTAX: {dsl}: line 2: E_SYNTAX: no root concept declared\n"
     )
 
 

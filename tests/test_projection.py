@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genutil import closure_oracle, random_taxonomy, recursive_cycle_oracle
+from genutil import closure_oracle, concept_id_oracle, random_taxonomy, recursive_cycle_oracle
 from ontoterm.errors import CycleError, UnknownConceptError
 from ontoterm.lexnet import (
     Evidence,
@@ -35,6 +35,23 @@ RELAY_CHILDREN = (
     "relais tout ou rien",
     "relais électromagnétique",
 )
+
+
+#: Every character the regex ``\s`` matches, found by a scan of all code points.
+WHITESPACE = "".join(filter(re.compile(r"\s").fullmatch, map(chr, range(0x110000))))
+
+
+def test_concept_id_collapses_every_regex_whitespace_character():
+    assert len(WHITESPACE) >= 25
+    for space in WHITESPACE:
+        label = f"{space}Relais{space}{space}à\u0301  seuil{space}"
+        assert concept_id(label) == concept_id_oracle(label) == "relais à\u0301 seuil"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(WHITESPACE + "aÉé\u0301ß_-'’")) | st.text())
+def test_concept_id_matches_the_regex_oracle(label):
+    assert concept_id(label) == concept_id_oracle(label)
 
 
 def validated_relay_net():
