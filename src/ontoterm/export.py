@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import ConfigError, quoted
+from .graph import walk
 from .okmodel import OkOntology, require_consistent
 
 DEFAULT_IRI = "http://example.org/ontology#"
@@ -79,14 +80,7 @@ def mangle_labels(labels: Iterable[str]) -> dict[str, str]:
 
 def _preorder(ontology: OkOntology) -> list[str]:
     """Concepts depth-first from each root, children in declaration order."""
-    children = ontology.children_view()
-    order = []
-    stack = list(reversed(ontology.roots()))
-    while stack:
-        name = stack.pop()
-        order.append(name)
-        stack.extend(reversed(children.get(name, ())))
-    return order
+    return [name for name, entering in walk(ontology.children_view(), ontology.roots()) if entering]
 
 
 def _sibling_axis_groups(ontology: OkOntology) -> list[list[str]]:

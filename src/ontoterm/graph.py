@@ -1,8 +1,10 @@
-"""The graph walks of the toolkit, each in one place."""
+"""Graph walks, each in one place, and the concept hierarchy both structures build on."""
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Iterator, Mapping
+
+from .errors import UnknownConceptError
 
 
 def descendants(children: Mapping, start: str) -> set[str]:
@@ -16,6 +18,32 @@ def descendants(children: Mapping, start: str) -> set[str]:
                 seen.add(child)
                 queue.append(child)
     return seen
+
+
+def walk(children: Mapping, roots: Iterable, done: Container = ()) -> Iterator[tuple[str, bool]]:
+    """Depth-first from ``roots`` through ``children`` (node → successors),
+    in root and child order: ``(node, True)`` on entering a node, ``(node,
+    False)`` on leaving it.  A node is entered at most once, never while it
+    is in ``done`` (read as the walk goes).  Iterative: O(nodes + edges)."""
+    entered = set()
+    path = []  # the entered nodes not yet left that have children
+    pending = [iter(roots)]
+    while pending:
+        for node in pending[-1]:
+            if node in entered or node in done:
+                continue
+            entered.add(node)
+            yield node, True
+            kids = children.get(node)
+            if kids:
+                path.append(node)
+                pending.append(iter(kids))
+                break
+            yield node, False
+        else:
+            pending.pop()
+            if path:
+                yield path.pop(), False
 
 
 def acyclic(successors: Mapping, nodes: Iterable[str]) -> bool:
@@ -68,3 +96,30 @@ def find_cycle(edges: Iterable[tuple[str, str]]) -> list[str] | None:
                 done.add(node)
                 pending.pop()
     return None
+
+
+class Hierarchy:
+    """What the projected taxonomy and the expert tree share: ``concepts``
+    by name and the parent → children view ``_children``, set when built."""
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.concepts
+
+    def require(self, *names: str) -> None:
+        """Raise ``UnknownConceptError`` for the first unknown of ``names``."""
+        for name in names:
+            if name not in self.concepts:
+                raise UnknownConceptError(f"unknown concept: {name!r}")
+
+    def children_view(self) -> Mapping:
+        """Parent → direct children; childless concepts are absent.  The
+        view is shared: read it, never mutate it."""
+        return self._children
+
+    def children(self, name: str) -> list[str]:
+        return list(self._children.get(name, ()))
+
+    def subsumed_closure(self, name: str) -> set[str]:
+        """``name`` and everything it subsumes: O(answer)."""
+        self.require(name)
+        return descendants(self._children, name)

@@ -75,9 +75,6 @@ class LexNet:
     terms: dict[str, Term]
     relations: dict[tuple[RelationKind, str, str], LexicalRelation]
 
-    def incident(self, label: str) -> list[LexicalRelation]:
-        return [r for r in self.relations.values() if label in (r.source, r.target)]
-
     def validated_terms(self) -> list[Term]:
         return [t for t in self.terms.values() if t.status is Status.VALIDATED]
 

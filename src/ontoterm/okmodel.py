@@ -41,11 +41,10 @@ from .errors import (
     DslParseError,
     InconsistentOntologyError,
     TypeMismatchError,
-    UnknownConceptError,
     input_lines,
     read_text,
 )
-from .graph import descendants, find_cycle
+from .graph import Hierarchy, descendants, find_cycle, walk
 
 
 @dataclass(frozen=True)
@@ -136,11 +135,11 @@ class Violation:
 
 
 @dataclass
-class OkOntology:
+class OkOntology(Hierarchy):
     """An expert ontology as a value.  Its five mappings are read-only
-    copies taken when it is built, and the genus → children view is
-    indexed then, once; ``dataclasses.replace`` makes a variant, indexed
-    afresh.
+    copies taken when it is built, and the genus → children view (roots
+    under ``None``, in declaration order) is indexed then, once;
+    ``dataclasses.replace`` makes a variant, indexed afresh.
 
     Its genus links form a forest: building one raises ``ValueError`` when
     a genus names no concept or when some concept is not reachable from a
@@ -168,20 +167,8 @@ class OkOntology:
             edges = [(name, c.genus) for name, c in self.concepts.items() if c.genus is not None]
             raise ValueError("genus cycle: " + " -> ".join(find_cycle(edges)))
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.concepts
-
     def roots(self) -> list[str]:
         return list(self._children.get(None, ()))
-
-    def children_view(self) -> Mapping[str | None, tuple[str, ...]]:
-        """Genus → direct children in declaration order (roots under ``None``),
-        built with the ontology.  The view is shared: read it, never mutate it."""
-        return self._children
-
-    def children(self, name: str) -> list[str]:
-        """Direct children, in declaration order."""
-        return list(self._children.get(name, ()))
 
     def genus_chain(self, name: str) -> list[str]:
         """Ancestors from the immediate genus up to the root: O(depth), the
@@ -212,12 +199,6 @@ class OkOntology:
             for attr in self.concepts[node].attributes:
                 visible.setdefault(attr.name, (attr, node))
         return visible
-
-    def subsumed_closure(self, name: str) -> set[str]:
-        """``name`` and everything below it: O(answer) over the children view."""
-        if name not in self.concepts:
-            raise UnknownConceptError(f"unknown concept: {name!r}")
-        return descendants(self._children, name)
 
 
 # ---------------------------------------------------------------------------
@@ -326,25 +307,24 @@ _Findings = tuple[Sequence[Violation], Sequence[Violation]]
 
 
 def _path_findings(ontology: OkOntology) -> dict[str, _Findings]:
-    """R4 and R5 shadowing findings of every node, in one top-down pass over
+    """R4 and R5 shadowing findings of every node, in one ``walk`` over
     ``children_view`` from the roots: O(concepts + findings).
 
-    The pass keeps, for the current path, the nodes using each axis and the
+    The walk keeps, for the current path, the nodes using each axis and the
     ancestors declaring each attribute name, pushed on entering a node and
     popped on leaving it.
     """
-    children = ontology.children_view()
     concepts = ontology.concepts
     axis_users: dict[str, list[str]] = {}
     declarers: dict[str, list[tuple[int, str]]] = {}  # attribute → (depth, ancestor)
     found: dict[str, _Findings] = {}
-    stack = [(name, 0, False) for name in ontology.roots()]
-    while stack:
-        name, depth, leaving = stack.pop()
+    depth = 0
+    for name, entering in walk(ontology.children_view(), ontology.roots()):
         concept = concepts[name]
         axis = concept.differentia.axis if concept.differentia is not None else None
         declared = dict.fromkeys(a.name for a in concept.attributes)
-        if leaving:
+        if not entering:
+            depth -= 1
             if axis is not None:
                 axis_users[axis].pop()
             for attr_name in declared:
@@ -363,8 +343,7 @@ def _path_findings(ontology: OkOntology) -> dict[str, _Findings]:
             axis_users.setdefault(axis, []).append(name)
         for attr_name in declared:
             declarers.setdefault(attr_name, []).append((depth, name))
-        stack.append((name, depth, True))
-        stack.extend((child, depth + 1, False) for child in children.get(name, ()))
+        depth += 1
     return found
 
 
@@ -382,9 +361,7 @@ def require_consistent(ontology: OkOntology) -> None:
 
 def subsumes(ontology: OkOntology, general: str, specific: str) -> bool:
     """True iff ``general`` lies on ``specific``'s genus chain (reflexive)."""
-    for name in (general, specific):
-        if name not in ontology.concepts:
-            raise UnknownConceptError(f"unknown concept: {name!r}")
+    ontology.require(general, specific)
     return general == specific or general in ontology.genus_chain(specific)
 
 
@@ -401,9 +378,7 @@ def similarity(ontology: OkOntology, c1: str, c2: str) -> SimilarityResult:
     The shared part is the differentia path down to the lowest common
     ancestor; the two residual paths distinguish the concepts.
     """
-    for name in (c1, c2):
-        if name not in ontology.concepts:
-            raise UnknownConceptError(f"unknown concept: {name!r}")
+    ontology.require(c1, c2)
     above_c2 = {c2, *ontology.genus_chain(c2)}
     lca = next((n for n in [c1, *ontology.genus_chain(c1)] if n in above_c2), None)
     if lca is None:
@@ -452,8 +427,7 @@ class ClassificationResult:
 def classify_object(ontology: OkOntology, instance: ObjectInstance) -> ClassificationResult:
     """Classes whose base subsumes the instance's concept and whose predicate
     holds on its state; sets need only the predicate, whatever the concept."""
-    if instance.concept not in ontology.concepts:
-        raise UnknownConceptError(f"unknown concept: {instance.concept!r}")
+    ontology.require(instance.concept)
     visible = ontology.visible_attributes(instance.concept)
     for key, value in instance.state.items():
         if key not in visible:

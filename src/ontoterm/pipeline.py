@@ -68,6 +68,7 @@ from .projection import project, taxonomy_from_json, taxonomy_to_json
 from .retrieval import index_corpus, index_to_json_obj
 
 _CONFIG_LINE = re.compile(r'^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$')
+_SYNONYM_LINE = re.compile(r'^"([^"]+)"\s+"([^"]+)"$')
 
 
 @dataclass(frozen=True)
@@ -147,9 +148,8 @@ def read_artifact(path: str | Path, decode: Callable[[str], object]):
 def load_synonym_declarations(path: str | Path) -> list[tuple[str, str]]:
     """Synonym declarations: two quoted labels per line."""
     pairs = []
-    pattern = re.compile(r'^"([^"]+)"\s+"([^"]+)"$')
     for lineno, raw in input_lines(read_text(path)):
-        m = pattern.match(raw.strip())
+        m = _SYNONYM_LINE.match(raw.strip())
         if not m:
             raise ConfigError(f"{path}: line {lineno}: expected '\"label a\" \"label b\"'")
         pairs.append((m.group(1), m.group(2)))

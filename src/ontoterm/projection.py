@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import CycleError, UnknownConceptError, json_text, quoted
-from .graph import acyclic, descendants, find_cycle
+from .errors import CycleError, json_text, quoted
+from .graph import Hierarchy, acyclic, find_cycle
 from .lexnet import LexNet, RelationKind, Status, find_validated_hyponymy_cycle
 
 
@@ -33,7 +33,7 @@ class Concept:
 
 
 @dataclass
-class Taxonomy:
+class Taxonomy(Hierarchy):
     """Concepts and (child, parent) edges as a value: both are fixed when it
     is built, and the edges are indexed once, child → sorted parents and
     parent → sorted children.
@@ -59,30 +59,12 @@ class Taxonomy:
         if not acyclic(self._children, self.concepts):
             raise ValueError("subsumption cycle: " + " -> ".join(find_cycle(self.subsumption)))
 
-    def __contains__(self, cid: str) -> bool:
-        return cid in self.concepts
-
     @property
     def roots(self) -> list[str]:
         return sorted(cid for cid in self.concepts if cid not in self._parents)
 
     def parents(self, cid: str) -> list[str]:
         return list(self._parents.get(cid, ()))
-
-    def children_view(self) -> Mapping[str, tuple[str, ...]]:
-        """Parent → its children, sorted, built with the taxonomy; concepts
-        without children are absent.  The view is shared: read it, never
-        mutate it."""
-        return self._children
-
-    def children(self, cid: str) -> list[str]:
-        return list(self._children.get(cid, ()))
-
-    def subsumed_closure(self, cid: str) -> set[str]:
-        """The concept plus everything it subsumes (reflexive-transitive): O(answer)."""
-        if cid not in self.concepts:
-            raise UnknownConceptError(f"unknown concept: {cid!r}")
-        return descendants(self._children, cid)
 
 
 def _synonym_groups(net: LexNet, validated_labels: set[str]) -> dict[str, list[str]]:

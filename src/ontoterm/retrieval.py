@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 from .align import AlignmentResult, DEFAULT_STOPWORDS, align_term
 from .corpus import TermCandidate
 from .errors import ArtifactError, UnknownConceptError, UnresolvableLabelError, json_text
+from .graph import walk
 from .okmodel import OkOntology
 from .projection import Taxonomy, concept_id
 
@@ -88,33 +89,27 @@ class DocIndex:
         ``structure``, each once, in no set order; read it, never mutate it.
 
         The first call for a concept fills the entries of its sub-DAG that
-        are missing, bottom-up by an iterative post-order walk over
-        ``structure.children_view()``: O(postings and edges of the sub-DAG).
-        After that it is a lookup.  An entry is a leaf's own posting list,
-        shared, or a tuple: the union of the concept's postings and its
-        children's entries.
+        are missing, each on leaving it in a ``walk`` over
+        ``structure.children_view()`` that skips the filled ones:
+        O(postings and edges of the sub-DAG).  After that it is a lookup.
+        An entry is a leaf's own posting list, shared, or a tuple: the union
+        of the concept's postings and its children's entries.
         """
-        if concept not in structure:
-            raise UnknownConceptError(f"unknown concept: {concept!r}")
         memo = self._closed
         if memo is None or memo[0] is not structure:
             memo = self._closed = (structure, {})
         table = memo[1]
         if concept in table:
             return table[concept]
+        structure.require(concept)
         children, postings = structure.children_view(), self.docs_by_concept
-        stack = [concept]
-        while stack:
-            node = stack[-1]
-            if node in table:  # reached again through another parent
-                stack.pop()
+        if concept not in children:  # a leaf, filled without starting a walk (half the cost)
+            table[concept] = postings.get(concept, ())
+            return table[concept]
+        for node, entering in walk(children, (concept,), table):
+            if entering:
                 continue
             kids = children.get(node, ())
-            missing = [kid for kid in kids if kid not in table]
-            if missing:
-                stack += missing
-                continue
-            stack.pop()
             if kids:
                 docs = set(postings.get(node, ()))
                 for kid in kids:

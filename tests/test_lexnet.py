@@ -266,7 +266,9 @@ def test_reject_term_cascades_to_relations():
         build_network(terms, relations), parse_decisions('reject term "xyzzy unit"')
     )
     assert net.terms["xyzzy unit"].status is Status.REJECTED
-    assert all(r.status is Status.REJECTED for r in net.incident("xyzzy unit"))
+    touching = [r for r in net.relations.values() if "xyzzy unit" in (r.source, r.target)]
+    assert len(touching) == 2
+    assert all(r.status is Status.REJECTED for r in touching)
 
 
 def test_rejection_beats_later_relation_validation():
