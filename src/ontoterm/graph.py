@@ -100,7 +100,8 @@ def find_cycle(edges: Iterable[tuple[str, str]]) -> list[str] | None:
 
 class Hierarchy:
     """What the projected taxonomy and the expert tree share: ``concepts``
-    by name and the parent → children view ``_children``, set when built."""
+    by name, the parent → children view ``_children`` and the ``_roots``,
+    set when built."""
 
     def __contains__(self, name: str) -> bool:
         return name in self.concepts
@@ -118,6 +119,10 @@ class Hierarchy:
 
     def children(self, name: str) -> list[str]:
         return list(self._children.get(name, ()))
+
+    def roots(self) -> list[str]:
+        """The concepts with no parent: O(answer)."""
+        return list(self._roots)
 
     def subsumed_closure(self, name: str) -> set[str]:
         """``name`` and everything it subsumes: O(answer)."""

@@ -30,10 +30,10 @@ from __future__ import annotations
 import json
 import operator
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import (
     ConfigError,
@@ -160,15 +160,13 @@ class OkOntology(Hierarchy):
         for name, concept in self.concepts.items():
             view.setdefault(concept.genus, []).append(name)
         self._children = {genus: tuple(names) for genus, names in view.items()}
+        self._roots = self._children.get(None, ())
         unknown = sorted(view.keys() - self.concepts.keys() - {None})
         if unknown:
             raise ValueError(f"genus names no concept: {unknown}")
         if len(descendants(self._children, None)) <= len(self.concepts):  # None is counted too
             edges = [(name, c.genus) for name, c in self.concepts.items() if c.genus is not None]
             raise ValueError("genus cycle: " + " -> ".join(find_cycle(edges)))
-
-    def roots(self) -> list[str]:
-        return list(self._children.get(None, ()))
 
     def genus_chain(self, name: str) -> list[str]:
         """Ancestors from the immediate genus up to the root: O(depth), the
@@ -208,6 +206,7 @@ class OkOntology(Hierarchy):
 def check_consistency(ontology: OkOntology) -> list[Violation]:
     """Report every rule violation; an empty list means consistent."""
     violations: list[Violation] = []
+    concepts, axes = ontology.concepts, ontology.axes
 
     roots = ontology.roots()
     if len(roots) == 0:
@@ -215,58 +214,51 @@ def check_consistency(ontology: OkOntology) -> list[Violation]:
     elif len(roots) > 1:
         violations.append(Violation("R1", "multiple roots: " + ", ".join(sorted(roots))))
 
-    for name, concept in ontology.concepts.items():
-        if concept.genus is None:
-            if concept.differentia is not None:
+    # R2 per concept; R3 (sibling distinctness per axis) in the same pass,
+    # reported by parent and, under one parent, in declaration order
+    first: dict[tuple[str, str, str], str] = {}  # (genus, axis, value) → first sibling
+    shared: list[tuple[str, Violation]] = []
+    for name, concept in concepts.items():
+        genus, d = concept.genus, concept.differentia
+        if genus is None:
+            if d is not None:
                 violations.append(Violation("R2", f"root {name!r} must not carry a differentia"))
             continue
-        d = concept.differentia
         if d is None:
             violations.append(Violation("R2", f"{name!r} has no differentia"))
-        elif d.axis not in ontology.axes:
+            continue
+        axis = axes.get(d.axis)
+        if axis is None:
             violations.append(Violation("R2", f"{name!r}: unknown axis {d.axis!r}"))
-        elif d.value not in ontology.axes[d.axis].values:
+        elif d.value not in axis.values:
             violations.append(
                 Violation("R2", f"{name!r}: value {d.value!r} is not on axis {d.axis!r}")
             )
-
-    # R3: sibling distinctness per axis
-    children = ontology.children_view()
-    for parent in sorted(genus for genus in children if genus is not None):
-        seen: dict[Differentia, str] = {}
-        for name in children[parent]:
-            concept = ontology.concepts[name]
-            if concept.differentia is None:
-                continue
-            prior = seen.get(concept.differentia)
-            if prior is not None:
-                violations.append(
-                    Violation(
-                        "R3",
-                        f"siblings {prior!r} and {name!r} under {parent!r} "
-                        f"share {concept.differentia}",
-                    )
-                )
-            else:
-                seen[concept.differentia] = name
+        prior = first.setdefault((genus, d.axis, d.value), name)
+        if prior != name:
+            shared.append((genus, Violation(
+                "R3", f"siblings {prior!r} and {name!r} under {genus!r} share {d}"
+            )))
+    shared.sort(key=lambda found: found[0])  # stable
+    violations += [violation for _, violation in shared]
 
     # R4: one use of an axis per root-to-node path; R5: attribute shadowing
     # along a path.  Both are reported per node, in declaration order.
-    on_path = _path_findings(ontology)
-    findings = [on_path[name] for name in ontology.concepts]
-    for axis_reuse, _ in findings:
-        violations.extend(axis_reuse)
-    for (name, concept), (_, shadowing) in zip(ontology.concepts.items(), findings):
+    reuse, shadowing = _path_findings(ontology)
+    violations += [reuse[name] for name in concepts if name in reuse]
+    for name, concept in concepts.items():
+        if not concept.attributes:
+            continue
         own = [a.name for a in concept.attributes]
         for attr_name in own:
             if own.count(attr_name) > 1:
                 violations.append(
                     Violation("R5", f"attribute {attr_name!r} declared twice on {name!r}")
                 )
-        violations.extend(shadowing)
+        violations += shadowing.get(name, ())
 
     for cdef in ontology.class_defs.values():
-        if cdef.base_concept not in ontology.concepts:
+        if cdef.base_concept not in concepts:
             violations.append(
                 Violation("R6", f"class {cdef.name!r}: unknown base concept {cdef.base_concept!r}")
             )
@@ -283,7 +275,7 @@ def check_consistency(ontology: OkOntology) -> list[Violation]:
                 )
 
     for term, target in sorted(ontology.denotation.items()):
-        if target not in ontology.concepts:
+        if target not in concepts:
             violations.append(
                 Violation("R7", f"term {term!r} denotes unknown concept {target!r}")
             )
@@ -302,49 +294,53 @@ def _shadowing(attr_name: str, name: str, ancestor: str) -> Violation:
     return Violation("R5", f"attribute {attr_name!r} on {name!r} shadows the one on {ancestor!r}")
 
 
-#: (R4 violations, R5 shadowing violations) of one node
-_Findings = tuple[Sequence[Violation], Sequence[Violation]]
-
-
-def _path_findings(ontology: OkOntology) -> dict[str, _Findings]:
-    """R4 and R5 shadowing findings of every node, in one ``walk`` over
-    ``children_view`` from the roots: O(concepts + findings).
+def _path_findings(ontology: OkOntology) -> tuple[dict[str, Violation], dict[str, list[Violation]]]:
+    """The R4 violation and the R5 shadowing violations of each node that has
+    any, in one ``walk`` over ``children_view`` from the roots:
+    O(concepts + findings).
 
     The walk keeps, for the current path, the nodes using each axis and the
-    ancestors declaring each attribute name, pushed on entering a node and
-    popped on leaving it.
+    ancestors declaring each attribute name.  Entering a node appends it to
+    the lists of its axis and of its attributes and keeps those lists on a
+    stack; leaving it pops them.  A node that declares no attribute touches
+    no attribute list.
     """
     concepts = ontology.concepts
     axis_users: dict[str, list[str]] = {}
     declarers: dict[str, list[tuple[int, str]]] = {}  # attribute → (depth, ancestor)
-    found: dict[str, _Findings] = {}
-    depth = 0
+    reuse: dict[str, Violation] = {}
+    shadowing: dict[str, list[Violation]] = {}
+    entered: list[tuple[list | None, list]] = []  # per node on the path: the lists it joined
     for name, entering in walk(ontology.children_view(), ontology.roots()):
-        concept = concepts[name]
-        axis = concept.differentia.axis if concept.differentia is not None else None
-        declared = dict.fromkeys(a.name for a in concept.attributes)
         if not entering:
-            depth -= 1
-            if axis is not None:
-                axis_users[axis].pop()
-            for attr_name in declared:
-                declarers[attr_name].pop()
+            users, held = entered.pop()
+            if users is not None:
+                users.pop()
+            for declared in held:
+                declared.pop()
             continue
-        reuse = ()
-        if axis is not None and axis_users.get(axis):
-            reuse = (_axis_reuse(axis, name, [name] + axis_users[axis]),)
-        shadows = sorted(  # nearest ancestor first, then in declaration order
-            (-at, i, ancestor, attr.name)
-            for i, attr in enumerate(concept.attributes)
-            for at, ancestor in declarers.get(attr.name, ())
-        )
-        found[name] = (reuse, tuple(_shadowing(a, name, anc) for _, _, anc, a in shadows))
-        if axis is not None:
-            axis_users.setdefault(axis, []).append(name)
-        for attr_name in declared:
-            declarers.setdefault(attr_name, []).append((depth, name))
-        depth += 1
-    return found
+        concept = concepts[name]
+        users, held = None, ()
+        if concept.differentia is not None:
+            axis = concept.differentia.axis
+            users = axis_users.setdefault(axis, [])
+            if users:
+                reuse[name] = _axis_reuse(axis, name, [name, *users])
+            users.append(name)
+        if concept.attributes:
+            shadows = sorted(  # nearest ancestor first, then in declaration order
+                (-at, i, ancestor, attr.name)
+                for i, attr in enumerate(concept.attributes)
+                for at, ancestor in declarers.get(attr.name, ())
+            )
+            if shadows:
+                shadowing[name] = [_shadowing(a, name, anc) for _, _, anc, a in shadows]
+            names = dict.fromkeys(a.name for a in concept.attributes)
+            held = [declarers.setdefault(attr_name, []) for attr_name in names]
+            for declared in held:
+                declared.append((len(entered), name))  # the depth of ``name``
+        entered.append((users, held))
+    return reuse, shadowing
 
 
 def require_consistent(ontology: OkOntology) -> None:
@@ -473,8 +469,6 @@ def load_instances(path: str | Path) -> list[ObjectInstance]:
 
 def _strip_comment(line: str) -> str:
     """``line`` up to its first ``#`` outside double quotes."""
-    if "#" not in line:
-        return line
     in_quotes = False
     for i, ch in enumerate(line):
         if ch == '"':
@@ -520,10 +514,20 @@ def _unique(declared: Mapping[str, object], kind: str, name: str) -> None:
         raise _Rejected("E_DUP_NAME", f"{kind} already declared: {name!r}")
 
 
+def _known(concepts: Mapping[str, OkConcept], name: str) -> OkConcept:
+    """The concept ``name`` declared so far."""
+    concept = concepts.get(name)
+    if concept is None:
+        raise _Rejected("E_UNKNOWN_CONCEPT", f"unknown concept: {name!r}")
+    return concept
+
+
 @dataclass
 class _DslReader:
-    """``OkOntology``'s fields as declared so far.  A directive method stores its line's
-    declaration or raises ``_Rejected``; one with bad predicate clauses returns them."""
+    """``OkOntology``'s fields as declared so far, and the ``Differentia`` of
+    each ``axis=value`` text a concept line has used.  A directive method
+    stores its line's declaration or raises ``_Rejected``; one with bad
+    predicate clauses returns them."""
 
     name: str = ""
     axes: dict[str, Axis] = field(default_factory=dict)
@@ -531,6 +535,7 @@ class _DslReader:
     class_defs: dict[str, ClassDef] = field(default_factory=dict)
     set_defs: dict[str, SetDef] = field(default_factory=dict)
     denotation: dict[str, str] = field(default_factory=dict)
+    differentiae: dict[str, Differentia] = field(default_factory=dict)
 
     def ontology(self, body: str) -> None:
         m = re.match(r'^"([^"]*)"$', body)
@@ -550,7 +555,8 @@ class _DslReader:
         self.axes[name] = Axis(name, values)
 
     def concept(self, body: str) -> None:
-        if " genus " not in body:
+        name, sep, rest = body.partition(" genus ")
+        if not sep:
             if not body.endswith(" root"):  # a stripped body ending so has a name before it
                 raise _Rejected("E_SYNTAX", "expected 'concept <Id> root' or "
                                 "'concept <Id> genus <Parent> diff <axis>=<value>'")
@@ -558,25 +564,29 @@ class _DslReader:
             _unique(self.concepts, "concept", name)
             self.concepts[name] = OkConcept(name)
             return
-        name, _, rest = body.partition(" genus ")
-        genus, sep, differentia = rest.partition(" diff ")
+        genus, sep, text = rest.partition(" diff ")
         name, genus = name.strip(), genus.strip()
         if not (sep and name and genus):
             raise _Rejected("E_SYNTAX", "expected 'concept <Id> genus <Parent> diff <axis>=<value>'")
-        if " genus " in differentia:
-            raise _Rejected("E_MULTIPLE_GENUS", f"concept {name!r} declares more than one genus")
-        axis, eq, value = differentia.partition("=")
-        axis, value = axis.strip(), value.strip()
-        if not (eq and axis and value):
-            raise _Rejected("E_SYNTAX", "differentia must be '<axis>=<value>'")
+        differentia = self.differentiae.get(text)  # a text used before passed every check
+        if differentia is None:
+            if " genus " in text:
+                raise _Rejected("E_MULTIPLE_GENUS", f"concept {name!r} declares more than one genus")
+            axis, eq, value = text.partition("=")
+            axis, value = axis.strip(), value.strip()
+            if not (eq and axis and value):
+                raise _Rejected("E_SYNTAX", "differentia must be '<axis>=<value>'")
         _unique(self.concepts, "concept", name)
         if genus not in self.concepts:
             raise _Rejected("E_UNKNOWN_GENUS", f"unknown genus: {genus!r}")
-        if axis not in self.axes:
-            raise _Rejected("E_UNKNOWN_AXIS", f"unknown axis: {axis!r}")
-        if value not in self.axes[axis].values:
-            raise _Rejected("E_BAD_VALUE", f"value {value!r} is not on axis {axis!r}")
-        self.concepts[name] = OkConcept(name, genus, Differentia(axis, value))
+        if differentia is None:
+            declared = self.axes.get(axis)
+            if declared is None:
+                raise _Rejected("E_UNKNOWN_AXIS", f"unknown axis: {axis!r}")
+            if value not in declared.values:
+                raise _Rejected("E_BAD_VALUE", f"value {value!r} is not on axis {axis!r}")
+            differentia = self.differentiae[text] = Differentia(axis, value)
+        self.concepts[name] = OkConcept(name, genus, differentia)
 
     def attribute(self, body: str) -> None:
         name, sep_on, rest = body.partition(" on ")
@@ -587,9 +597,7 @@ class _DslReader:
         enum = re.match(r"^enum\((.+)\)$", type_name)
         if not enum and type_name not in ("number", "string"):
             raise _Rejected("E_SYNTAX", f"unknown attribute type {type_name!r}")
-        if concept not in self.concepts:
-            raise _Rejected("E_UNKNOWN_CONCEPT", f"unknown concept: {concept!r}")
-        holder = self.concepts[concept]
+        holder = _known(self.concepts, concept)
         if any(a.name == name for a in holder.attributes):
             raise _Rejected("E_DUP_NAME", f"attribute {name!r} already on {concept!r}")
         values = tuple(v.strip() for v in enum.group(1).split(",") if v.strip()) if enum else ()
@@ -603,8 +611,7 @@ class _DslReader:
         if not (sep_over and sep_where and name and base and predicate.strip()):
             raise _Rejected("E_SYNTAX", "expected 'class <Id> over <Concept> where <pred>'")
         _unique(self.class_defs, "class", name)
-        if base not in self.concepts:
-            raise _Rejected("E_UNKNOWN_CONCEPT", f"unknown concept: {base!r}")
+        _known(self.concepts, base)
         comparisons, problems = _parse_predicate(predicate)
         self.class_defs[name] = ClassDef(name, base, comparisons)
         return problems
@@ -648,12 +655,13 @@ def parse_dsl(text: str) -> OkOntology:
     reader = _DslReader()
     issues: list[DslIssue] = []
     for lineno, raw in input_lines(text):
-        line = _strip_comment(raw).strip()
+        line = (_strip_comment(raw) if "#" in raw else raw).strip()
         keyword, _, body = line.partition(" ")
+        handler = _DIRECTIVES.get(keyword)
         try:
-            if keyword not in _DIRECTIVES:
+            if handler is None:
                 raise _Rejected("E_SYNTAX", f"unknown directive {keyword!r}")
-            problems = _DIRECTIVES[keyword](reader, body.strip())
+            problems = handler(reader, body.strip())
         except _Rejected as rejected:
             problems = (rejected.args,)
         if problems:
@@ -663,7 +671,7 @@ def parse_dsl(text: str) -> OkOntology:
         issues.append(DslIssue(max(1, len(text.splitlines())), "E_SYNTAX", "no root concept declared"))
     if issues:
         raise DslParseError(issues)
-    return OkOntology(**vars(reader))
+    return OkOntology(**{f.name: getattr(reader, f.name) for f in fields(OkOntology)})
 
 
 def load_dsl(path: str | Path) -> OkOntology:

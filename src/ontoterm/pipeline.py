@@ -141,7 +141,7 @@ def read_artifact(path: str | Path, decode: Callable[[str], object]):
     path = Path(path)
     try:
         return decode(path.read_text(encoding="utf-8"))
-    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError, ArtifactError) as exc:
         raise ArtifactError(f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from None
 
 

@@ -36,7 +36,7 @@ class Concept:
 class Taxonomy(Hierarchy):
     """Concepts and (child, parent) edges as a value: both are fixed when it
     is built, and the edges are indexed once, child → sorted parents and
-    parent → sorted children.
+    parent → sorted children, with the sorted roots.
 
     The edges form a DAG: building one raises ``ValueError`` when an edge
     names an unknown concept or when the edges hold a cycle (one cycle is
@@ -56,12 +56,9 @@ class Taxonomy(Hierarchy):
             self._parents.setdefault(child, []).append(parent)
             children.setdefault(parent, []).append(child)
         self._children = {parent: tuple(kids) for parent, kids in children.items()}
+        self._roots = tuple(sorted(self.concepts.keys() - self._parents.keys()))
         if not acyclic(self._children, self.concepts):
             raise ValueError("subsumption cycle: " + " -> ".join(find_cycle(self.subsumption)))
-
-    @property
-    def roots(self) -> list[str]:
-        return sorted(cid for cid in self.concepts if cid not in self._parents)
 
     def parents(self, cid: str) -> list[str]:
         return list(self._parents.get(cid, ()))
@@ -132,17 +129,21 @@ def taxonomy_to_json(taxonomy: Taxonomy) -> str:
             for c in sorted(taxonomy.concepts.values(), key=lambda c: c.id)
         ],
         "subsumption": sorted([child, parent] for child, parent in taxonomy.subsumption),
-        "roots": taxonomy.roots,
+        "roots": taxonomy.roots(),
     }
     return json_text(payload)
 
 
 def taxonomy_from_json(text: str) -> Taxonomy:
+    """The taxonomy of ``taxonomy.json``'s text.  A concept id, label or
+    denoting term that is not a string raises ``TypeError`` (from
+    ``str.join``), before any stage reads it."""
     payload = json.loads(text)
     concepts = {
         row["id"]: Concept(row["id"], row["label"], tuple(row["denoting_terms"]))
         for row in payload["concepts"]
     }
+    "".join([s for c in concepts.values() for s in (c.id, c.label, *c.denoting_terms)])
     return Taxonomy(concepts, {(child, parent) for child, parent in payload["subsumption"]})
 
 

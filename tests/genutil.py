@@ -15,7 +15,10 @@ the top level through ``pathlib`` instead of ``os.scandir``, and the label-mangl
 oracle normalizes each whole label the way the per-character folding
 replaced.  The artifact-decoder oracles are the decoders the one-pass ones
 replaced, kept verbatim: they build each enum member with an ``Enum(...)``
-call, and the concept-id oracle collapses whitespace with ``re.sub``.
+call, and the concept-id oracle collapses whitespace with ``re.sub``.  The
+DSL-reader oracle is the reader the leaner one replaced, kept verbatim: it
+builds a ``Differentia`` for every concept line and scans every line for a
+comment.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import random
 import re
 import unicodedata
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -56,13 +59,23 @@ from ontoterm.corpus import (
     _validate_patterns,
 )
 from ontoterm.lexnet import Evidence, LexicalRelation, LexNet, RelationKind, Status, Term
-from ontoterm.errors import UnknownConceptError, UnresolvableLabelError
+from ontoterm.errors import (
+    DslIssue,
+    DslParseError,
+    UnknownConceptError,
+    UnresolvableLabelError,
+    input_lines,
+)
 from ontoterm.okmodel import (
+    _OP_ALIASES,
+    AtomicComparison,
     AttributeDef,
     Axis,
+    ClassDef,
     Differentia,
     OkConcept,
     OkOntology,
+    SetDef,
     ValueType,
     Violation,
     subsumes,
@@ -1000,6 +1013,204 @@ def camel_oracle(label: str) -> str:
     if camel[0].isdigit():
         camel = "C" + camel
     return camel
+
+
+# --- the DSL reader ------------------------------------------------------------
+
+
+def _strip_comment(line: str) -> str:
+    """``line`` up to its first ``#`` outside double quotes."""
+    if "#" not in line:
+        return line
+    in_quotes = False
+    for i, ch in enumerate(line):
+        if ch == '"':
+            in_quotes = not in_quotes
+        elif ch == "#" and not in_quotes:
+            return line[:i]
+    return line
+
+
+def _parse_literal(text: str) -> object:
+    text = text.strip()
+    if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
+        return text[1:-1]
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
+    return text
+
+
+class _Rejected(Exception):
+    """A DSL line that declares nothing; ``args`` is its issue's code and message."""
+
+
+def _parse_predicate(text: str) -> tuple[tuple[AtomicComparison, ...], list[tuple[str, str]]]:
+    """The comparisons of ``text``, and the (code, message) of each clause that is none."""
+    comparisons, problems = [], []
+    for clause in re.split(r"\s+and\s+", text.strip()):
+        m = re.match(r"^(\S+)\s*(>=|<=|!=|≥|≤|≠|=|<|>)\s*(.+)$", clause.strip())
+        if m:
+            attr, op, literal = m.groups()
+            comparisons.append(AtomicComparison(attr, _OP_ALIASES.get(op, op), _parse_literal(literal)))
+        else:
+            problems.append(("E_SYNTAX", f"cannot parse comparison {clause.strip()!r}"))
+    if not comparisons:
+        problems.append(("E_SYNTAX", "empty predicate"))
+    return tuple(comparisons), problems
+
+
+def _unique(declared: Mapping[str, object], kind: str, name: str) -> None:
+    if name in declared:
+        raise _Rejected("E_DUP_NAME", f"{kind} already declared: {name!r}")
+
+
+@dataclass
+class _DslReader:
+    """``OkOntology``'s fields as declared so far.  A directive method stores its line's
+    declaration or raises ``_Rejected``; one with bad predicate clauses returns them."""
+
+    name: str = ""
+    axes: dict[str, Axis] = field(default_factory=dict)
+    concepts: dict[str, OkConcept] = field(default_factory=dict)
+    class_defs: dict[str, ClassDef] = field(default_factory=dict)
+    set_defs: dict[str, SetDef] = field(default_factory=dict)
+    denotation: dict[str, str] = field(default_factory=dict)
+
+    def ontology(self, body: str) -> None:
+        m = re.match(r'^"([^"]*)"$', body)
+        if not m:
+            raise _Rejected("E_SYNTAX", 'expected \'ontology "<name>"\'')
+        self.name = m.group(1)
+
+    def axis(self, body: str) -> None:
+        head, sep, rest = body.partition(" values ")
+        name = head.strip()
+        if not sep or not name:
+            raise _Rejected("E_SYNTAX", "expected 'axis <id> values <v1>, <v2>[, ...]'")
+        values = tuple(v.strip() for v in rest.split(",") if v.strip())
+        _unique(self.axes, "axis", name)
+        if len(values) < 2 or len(set(values)) != len(values):
+            raise _Rejected("E_SYNTAX", f"axis {name!r} needs two or more distinct values")
+        self.axes[name] = Axis(name, values)
+
+    def concept(self, body: str) -> None:
+        if " genus " not in body:
+            if not body.endswith(" root"):  # a stripped body ending so has a name before it
+                raise _Rejected("E_SYNTAX", "expected 'concept <Id> root' or "
+                                "'concept <Id> genus <Parent> diff <axis>=<value>'")
+            name = body[: -len(" root")].strip()
+            _unique(self.concepts, "concept", name)
+            self.concepts[name] = OkConcept(name)
+            return
+        name, _, rest = body.partition(" genus ")
+        genus, sep, differentia = rest.partition(" diff ")
+        name, genus = name.strip(), genus.strip()
+        if not (sep and name and genus):
+            raise _Rejected("E_SYNTAX", "expected 'concept <Id> genus <Parent> diff <axis>=<value>'")
+        if " genus " in differentia:
+            raise _Rejected("E_MULTIPLE_GENUS", f"concept {name!r} declares more than one genus")
+        axis, eq, value = differentia.partition("=")
+        axis, value = axis.strip(), value.strip()
+        if not (eq and axis and value):
+            raise _Rejected("E_SYNTAX", "differentia must be '<axis>=<value>'")
+        _unique(self.concepts, "concept", name)
+        if genus not in self.concepts:
+            raise _Rejected("E_UNKNOWN_GENUS", f"unknown genus: {genus!r}")
+        if axis not in self.axes:
+            raise _Rejected("E_UNKNOWN_AXIS", f"unknown axis: {axis!r}")
+        if value not in self.axes[axis].values:
+            raise _Rejected("E_BAD_VALUE", f"value {value!r} is not on axis {axis!r}")
+        self.concepts[name] = OkConcept(name, genus, Differentia(axis, value))
+
+    def attribute(self, body: str) -> None:
+        name, sep_on, rest = body.partition(" on ")
+        concept, sep_type, type_name = rest.partition(" type ")
+        name, concept, type_name = name.strip(), concept.strip(), type_name.strip()
+        if not (sep_on and sep_type and name and concept and type_name):
+            raise _Rejected("E_SYNTAX", "expected 'attribute <id> on <Concept> type <type>'")
+        enum = re.match(r"^enum\((.+)\)$", type_name)
+        if not enum and type_name not in ("number", "string"):
+            raise _Rejected("E_SYNTAX", f"unknown attribute type {type_name!r}")
+        if concept not in self.concepts:
+            raise _Rejected("E_UNKNOWN_CONCEPT", f"unknown concept: {concept!r}")
+        holder = self.concepts[concept]
+        if any(a.name == name for a in holder.attributes):
+            raise _Rejected("E_DUP_NAME", f"attribute {name!r} already on {concept!r}")
+        values = tuple(v.strip() for v in enum.group(1).split(",") if v.strip()) if enum else ()
+        attribute = AttributeDef(name, ValueType("enum" if enum else type_name, values))
+        self.concepts[concept] = replace(holder, attributes=holder.attributes + (attribute,))
+
+    def class_(self, body: str) -> list[tuple[str, str]]:
+        name, sep_over, rest = body.partition(" over ")
+        base, sep_where, predicate = rest.partition(" where ")
+        name, base = name.strip(), base.strip()
+        if not (sep_over and sep_where and name and base and predicate.strip()):
+            raise _Rejected("E_SYNTAX", "expected 'class <Id> over <Concept> where <pred>'")
+        _unique(self.class_defs, "class", name)
+        if base not in self.concepts:
+            raise _Rejected("E_UNKNOWN_CONCEPT", f"unknown concept: {base!r}")
+        comparisons, problems = _parse_predicate(predicate)
+        self.class_defs[name] = ClassDef(name, base, comparisons)
+        return problems
+
+    def set_(self, body: str) -> list[tuple[str, str]]:
+        name, sep_where, predicate = body.partition(" where ")
+        name = name.strip()
+        if not (sep_where and name and predicate.strip()):
+            raise _Rejected("E_SYNTAX", "expected 'set <Id> where <pred>'")
+        _unique(self.set_defs, "set", name)
+        comparisons, problems = _parse_predicate(predicate)
+        self.set_defs[name] = SetDef(name, comparisons)
+        return problems
+
+    def term(self, body: str) -> None:
+        m = re.match(r'^"([^"]+)"\s+denotes\s+(.+)$', body)
+        if not m:
+            raise _Rejected("E_SYNTAX", 'expected \'term "<label>" denotes <Concept>\'')
+        # target existence is a consistency rule (R7), not a parse error
+        self.denotation[m.group(1)] = m.group(2).strip()
+
+    def compound(self, body: str) -> None:
+        raise _Rejected("E_UNSUPPORTED", "compound concepts are reserved but not supported")
+
+
+_DIRECTIVES = {
+    "ontology": _DslReader.ontology, "axis": _DslReader.axis, "concept": _DslReader.concept,
+    "attribute": _DslReader.attribute, "class": _DslReader.class_, "set": _DslReader.set_,
+    "term": _DslReader.term, "compound": _DslReader.compound,
+}
+
+
+def parse_dsl_oracle(text: str) -> OkOntology:
+    """Parse ontology source; raises DslParseError listing every problem.
+
+    Parsing resolves structural references (genus, axis, attribute hosts,
+    class bases) against earlier lines but runs no semantic checks: rule
+    checking is ``check_consistency``'s job.  The ``compound`` keyword is
+    reserved and rejected as unsupported.
+    """
+    reader = _DslReader()
+    issues: list[DslIssue] = []
+    for lineno, raw in input_lines(text):
+        line = _strip_comment(raw).strip()
+        keyword, _, body = line.partition(" ")
+        try:
+            if keyword not in _DIRECTIVES:
+                raise _Rejected("E_SYNTAX", f"unknown directive {keyword!r}")
+            problems = _DIRECTIVES[keyword](reader, body.strip())
+        except _Rejected as rejected:
+            problems = (rejected.args,)
+        if problems:
+            issues += [DslIssue(lineno, code, message) for code, message in problems]
+    if not any(concept.genus is None for concept in reader.concepts.values()):
+        # reported at the last line, as ``input_lines`` numbers lines
+        issues.append(DslIssue(max(1, len(text.splitlines())), "E_SYNTAX", "no root concept declared"))
+    if issues:
+        raise DslParseError(issues)
+    return OkOntology(**vars(reader))
 
 
 # --- artifact decoders ----------------------------------------------------------

@@ -42,7 +42,8 @@ def fixture_artifacts(tmp_path_factory) -> dict[str, str]:
         dsl=data / "relais.dsl", decisions=data / "decisions.txt",
         stopwords=data / "stopwords.txt", output=out,
     ))
-    return {name: (out / name).read_text(encoding="utf-8") for name in DECODERS}
+    names = [*DECODERS, "taxonomy.json", "doc_index.json"]
+    return {name: (out / name).read_text(encoding="utf-8") for name in names}
 
 
 def assert_decodes_like_the_oracle(text: str, name: str) -> None:
@@ -58,8 +59,8 @@ def assert_decodes_like_the_oracle(text: str, name: str) -> None:
 
 
 def test_decoders_match_the_oracles_on_the_fixture(fixture_artifacts):
-    for name, text in fixture_artifacts.items():
-        assert_decodes_like_the_oracle(text, name)
+    for name in DECODERS:
+        assert_decodes_like_the_oracle(fixture_artifacts[name], name)
 
 
 def test_decoders_match_the_oracles_on_random_artifacts():
@@ -148,3 +149,60 @@ def test_cli_validate_on_an_unknown_status_is_exit_2_without_traceback(tmp_path,
     assert err.startswith(f"ontoterm: E_ARTIFACT: {lexnet}: malformed artifact (")
     assert "MAYBE" in err and "Traceback" not in err
     assert not Path(tmp_path / "validated.json").exists()
+
+
+#: The read commands that decode ``taxonomy.json`` or ``doc_index.json``,
+#: given the paths of the two.
+_READ_COMMANDS = {
+    "query-projected": lambda taxonomy, index: [
+        "query", "--index", index, "--structure", "projected", "--taxonomy", taxonomy,
+        "--concept", "relais à seuil"],
+    "query-ok": lambda taxonomy, index: [
+        "query", "--index", index, "--structure", "ok", "--dsl", str(data_path("relais.dsl")),
+        "--concept", "relais à seuil"],
+    "compare-recall": lambda taxonomy, index: [
+        "compare-recall", "--index", index, "--taxonomy", taxonomy,
+        "--dsl", str(data_path("relais.dsl")), "--concept", "relais à seuil"],
+    "align": lambda taxonomy, index: [
+        "align", "--taxonomy", taxonomy, "--dsl", str(data_path("relais.dsl"))],
+}
+
+
+@pytest.mark.parametrize("command, name", [
+    (command, name) for command in _READ_COMMANDS for name in ("taxonomy.json", "doc_index.json")
+    if (command, name) not in {("query-ok", "taxonomy.json"), ("align", "doc_index.json")}
+])
+def test_read_commands_on_mutated_artifacts_exit_0_or_2_without_traceback(
+    fixture_artifacts, tmp_path_factory, capsys, command, name
+):
+    """``taxonomy_from_json`` and ``index_from_json_obj`` through the CLI:
+    a mutated artifact is read, or refused as ``E_ARTIFACT`` with exit 2,
+    naming the file, and no other exception escapes ``main``.  It fails
+    when a taxonomy decodes a concept label or denoting term that is not a
+    string, which ``align`` sorts and hashes, or when an annotation's
+    source is refused without the file's name."""
+    directory = tmp_path_factory.mktemp("mutated")
+    paths = {artifact: directory / artifact for artifact in ("taxonomy.json", "doc_index.json")}
+    for artifact, path in paths.items():
+        path.write_text(fixture_artifacts[artifact], encoding="utf-8")
+    argv = _READ_COMMANDS[command](str(paths["taxonomy.json"]), str(paths["doc_index.json"]))
+    assert main(argv) == 0
+    capsys.readouterr()
+    seen: Counter = Counter()
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(mutated(fixture_artifacts[name]))
+    def exits_0_or_2_without_traceback(text):
+        paths[name].write_text(text, encoding="utf-8")
+        status = main(argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if status == 0:
+            seen["read"] += 1
+            return
+        assert status == 2 and err.startswith(f"ontoterm: E_ARTIFACT: {paths[name]}: "), err
+        seen["refused"] += 1
+
+    exits_0_or_2_without_traceback()
+    assert seen["read"] and seen["refused"], seen

@@ -36,7 +36,7 @@ def test_walk_matches_the_oracles_on_random_structures():
         children = structure.children_view()
         nodes = set(structure.concepts)
         edges = _edges(children)
-        roots = [n for n in structure.concepts if n not in {child for child, _ in edges}]
+        roots = structure.roots()
 
         start = rng.choice(sorted(nodes))
         events = list(walk(children, [start]))

@@ -4,7 +4,8 @@ import operator
 import random
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from genutil import (
     ancestors_oracle,
     check_consistency_oracle,
+    parse_dsl_oracle,
     random_ok_tree,
     random_ok_variant,
     scan_children,
@@ -299,6 +301,131 @@ def test_parse_dsl_returns_an_ontology_or_raises_a_parse_error(text):
         return
     assert isinstance(ontology, OkOntology)
     assert isinstance(check_consistency(ontology), list)
+
+
+def parse_outcome(parse, text: str) -> list:
+    """The ``(line, code, message)`` of each issue ``parse`` raises on
+    ``text``, or else every field of the ontology it builds, in order."""
+    try:
+        ontology = parse(text)
+    except DslParseError as exc:
+        return [(issue.line, issue.code, issue.message) for issue in exc.issues]
+    values = [getattr(ontology, f.name) for f in fields(OkOntology)]
+    return [list(v.items()) if isinstance(v, Mapping) else v for v in values] + [ontology.roots()]
+
+
+_RELAIS_LINES = data_path("relais.dsl").read_text(encoding="utf-8").splitlines()
+_WORDS = ("relais", "ghost", "seuil", "genus", "diff", "root", "values", "on", "type", "where",
+          "over", "and", "=", "comportement=seuil", "nope=zz", "#", '"', "enum(a, b)", "bool",
+          "compound")
+#: Lines failing several checks at the end of ``relais.dsl``, and the code that wins.
+_SEVERAL_FAULTS = [
+    ("concept relais à seuil genus ghost diff comportement=seuil", "E_DUP_NAME"),
+    ("concept relais genus ghost diff comportement=zz", "E_DUP_NAME"),
+    ("concept nouveau genus ghost diff nope=zz", "E_UNKNOWN_GENUS"),
+    ("concept nouveau genus ghost diff comportement", "E_SYNTAX"),
+    ("concept relais genus relais diff comportement=seuil genus relais", "E_MULTIPLE_GENUS"),
+    ("concept nouveau genus relais diff nope=seuil genus ghost", "E_MULTIPLE_GENUS"),
+    ("concept nouveau genus relais diff nope=zz", "E_UNKNOWN_AXIS"),
+    ("attribute seuil_volts on ghost type bool", "E_SYNTAX"),
+    ("attribute seuil_volts on ghost type number", "E_UNKNOWN_CONCEPT"),
+    ("class SeuilHauteTension over ghost where x ~ 1", "E_DUP_NAME"),
+    ("class Nouvelle over ghost where x ~ 1", "E_UNKNOWN_CONCEPT"),
+    ("set Calibre500 where and", "E_DUP_NAME"),
+]
+
+
+def mutated_relais(rng: random.Random) -> str:
+    """``relais.dsl`` after one to three line edits: a line dropped,
+    repeated, moved, truncated, with a word swapped, put in or taken out,
+    or a line of ``_EVERY_ISSUE`` or ``_SEVERAL_FAULTS`` put in."""
+    lines = list(_RELAIS_LINES)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        roll = rng.random()
+        if roll < 0.1:
+            del lines[i]
+        elif roll < 0.2:
+            lines.insert(rng.randrange(len(lines) + 1), lines[i])
+        elif roll < 0.3:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif roll < 0.4:
+            lines[i] = lines[i][: rng.randrange(len(lines[i]) + 1)]
+        elif roll < 0.7:
+            words = lines[i].split(" ")
+            k = rng.randrange(len(words))
+            edit = rng.choice(("swap", "insert", "drop"))
+            if edit == "drop":
+                del words[k]
+            else:
+                words[k: k + (edit == "swap")] = [rng.choice(_WORDS)]
+            lines[i] = " ".join(words)
+        elif roll < 0.85:
+            lines.insert(i, rng.choice(_EVERY_ISSUE)[0])
+        else:
+            lines.insert(i, rng.choice(_SEVERAL_FAULTS)[0])
+        if not lines:
+            lines = [""]
+    return "\n".join(lines)
+
+
+def generated_dsl(rng: random.Random, n: int = 600) -> str:
+    """A DSL of ``n`` concepts under one root on eight eight-valued axes,
+    each under a random earlier concept, with attributes, comments, terms,
+    a class and a set.  It parses; the checker finds much in it."""
+    axes = [f"a{i}" for i in range(8)]
+    lines = ['ontology "generated"  # 600 concepts', ""]
+    lines += [f"axis {a} values {', '.join(f'{a}v{j}' for j in range(8))}" for a in axes]
+    lines.append("concept c0 root")
+    for i in range(1, n):
+        axis = rng.choice(axes)
+        comment = "  # note" if i % 7 == 0 else ""
+        lines.append(f"concept c{i} genus c{rng.randrange(i)} diff {axis}={axis}v{rng.randrange(8)}{comment}")
+        if rng.random() < 0.1:
+            lines.append(f"attribute p{rng.randrange(12)} on c{i} type number")
+    lines += [f'term "t{i}" denotes c{rng.randrange(n + 5)}' for i in range(30)]
+    lines += ["class K over c1 where p1 >= 2 and p2 < 3", 'set S where p3 = "x # y"']
+    return "\n".join(lines)
+
+
+def test_parse_dsl_matches_the_oracle_on_the_fixture_and_a_generated_600_concept_dsl():
+    generated = generated_dsl(random.Random(600))
+    for text in (data_path("relais.dsl").read_text(encoding="utf-8"), generated):
+        assert parse_outcome(parse_dsl, text) == parse_outcome(parse_dsl_oracle, text)
+    ontology = parse_dsl(generated)
+    assert len(ontology.concepts) == 600
+    assert check_consistency(ontology) == check_consistency_oracle(ontology)
+    assert {v.rule for v in check_consistency(ontology)} >= {"R3", "R4", "R5", "R7"}
+
+
+def test_parse_dsl_matches_the_oracle_on_mutated_fixture_lines():
+    """The issues come out alike, so on a line with several faults the
+    same check fails first."""
+    for line, code in _SEVERAL_FAULTS:
+        text = "\n".join([*_RELAIS_LINES, line])
+        issues = parse_outcome(parse_dsl_oracle, text)
+        assert issues[-1][:2] == (len(_RELAIS_LINES) + 1, code)
+        assert parse_outcome(parse_dsl, text) == issues
+    rng = random.Random(20101019)
+    codes = Counter()
+    for _ in range(2500):
+        text = mutated_relais(rng)
+        expected = parse_outcome(parse_dsl_oracle, text)
+        assert parse_outcome(parse_dsl, text) == expected, text
+        codes.update(issue[1] for issue in expected if isinstance(issue, tuple))
+        codes["parsed"] += not isinstance(expected[0], tuple)
+    assert set(codes) == {
+        "E_SYNTAX", "E_DUP_NAME", "E_UNKNOWN_GENUS", "E_UNKNOWN_AXIS", "E_BAD_VALUE",
+        "E_MULTIPLE_GENUS", "E_UNKNOWN_CONCEPT", "E_UNSUPPORTED", "parsed",
+    }, codes
+    assert min(codes.values()) >= 20, codes
+
+
+@given(_DSL_TEXTS)
+@settings(max_examples=300, deadline=None)
+def test_parse_dsl_matches_the_oracle_on_generated_texts(text):
+    assert parse_outcome(parse_dsl, text) == parse_outcome(parse_dsl_oracle, text)
 
 
 # --- construction -----------------------------------------------------------
@@ -679,6 +806,7 @@ def test_children_and_closure_match_the_scan_on_random_ontologies():
         if ontology is None:
             continue
         seen["roots"] += len(scan_children(ontology, None)) > 1
+        assert ontology.roots() == scan_children(ontology, None)
         for name in [None, "ghost"] + names:
             assert ontology.children(name) == scan_children(ontology, name)
         for name in ontology.roots() + sample:
@@ -726,6 +854,50 @@ def test_check_consistency_matches_the_chain_walk_on_random_ontologies():
         rules.update({v.rule for v in expected})
     shapes = ("R1", "R2", "R3", "R4", "R5", "cycle", "unknown genus")
     assert all(rules[shape] >= 50 for shape in shapes), rules
+
+
+_ON_PATH = re.compile(r"^R4: .* on the path to (?P<r4>'.*') \(|^R5: attribute '.*' on (?P<r5>'.*') shadows")
+
+
+def test_check_consistency_matches_the_chain_walk_with_reuse_and_shadowing_on_one_path():
+    """Trees where some concepts declare attributes and others none, edited
+    so that a concept reuses an ancestor's axis, shadows an ancestor's
+    attribute or declares one twice: often both on one node."""
+    rng = random.Random(20101020)
+    seen = Counter()
+    for _ in range(400):
+        ontology = random_ok_tree(rng, max_nodes=60, n_axes=4, attributes=True)
+        concepts = dict(ontology.concepts)
+        for _ in range(rng.randint(0, 4)):
+            name = rng.choice(list(concepts))
+            chain = ontology.genus_chain(name)
+            if not chain:
+                continue
+            concept = concepts[name]
+            differentia, attributes = concept.differentia, concept.attributes
+            roll = rng.random()
+            if roll < 0.7 and len(chain) > 1:  # an ancestor below the root has an axis
+                axis = concepts[rng.choice(chain[:-1])].differentia.axis
+                differentia = Differentia(axis, rng.choice(ontology.axes[axis].values))
+            if roll > 0.3:
+                inherited = [a for node in chain for a in concepts[node].attributes]
+                extra = inherited or attributes or (AttributeDef("p", ValueType("string")),)
+                attributes += (rng.choice(extra),)
+            concepts[name] = OkConcept(name, concept.genus, differentia, attributes)
+        variant = replace(ontology, concepts=concepts)
+        expected = check_consistency_oracle(variant)
+        assert check_consistency(variant) == expected
+        declaring = [bool(c.attributes) for c in concepts.values()]
+        seen["mixed"] += any(declaring) and not all(declaring)
+        found = Counter(
+            (kind, node) for v in expected if (m := _ON_PATH.match(str(v)))
+            for kind, node in m.groupdict().items() if node
+        )
+        seen["R4"] += any(kind == "r4" for kind, _ in found)
+        seen["R5"] += any(kind == "r5" for kind, _ in found)
+        seen["R4 and R5 on one node"] += any({("r4", node), ("r5", node)} <= found.keys()
+                                             for _, node in found)
+    assert seen["mixed"] >= 300 and min(seen.values()) >= 50, seen
 
 
 def test_check_consistency_of_a_10k_deep_chain_with_reuse_and_shadowing():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ontoterm import align, corpus as corpus_module, pipeline
+from ontoterm import align, corpus as corpus_module, okmodel, pipeline
 from ontoterm.cli import main
 from ontoterm.corpus import load_corpus
 from ontoterm.errors import ConfigError, InconsistentOntologyError, json_text
@@ -452,6 +452,43 @@ def test_a_run_aligns_each_label_once(tmp_path, monkeypatch, edit):
         "alignments"]}
     assert terms and terms < labels
     assert aligned == Counter(labels)
+
+
+@pytest.mark.parametrize("kind, parses, checks", [
+    ("cold", 4, 2), ("decisions-edit", 2, 0), ("warm", 0, 0),
+])
+def test_the_ontology_kernels_run_a_fixed_number_of_times_per_run_kind(
+    tmp_path, monkeypatch, kind, parses, checks
+):
+    """``load_dsl`` once per DSL stage that renders (ok-check, align, index,
+    export) and ``check_consistency`` once in ok-check and once in export's
+    ``require_consistent``.  The four parses of a cold run are the ones the
+    benchmark's self-test pins (``okmodel.parses == 4``): a change that
+    parses once per run changes both."""
+    decisions = tmp_path / "decisions.txt"
+    shutil.copy(data_path("decisions.txt"), decisions)
+    config = load_config(write_config(tmp_path, decisions=str(decisions)))
+    if kind != "cold":
+        run_pipeline(config)
+    if kind == "decisions-edit":
+        with decisions.open("a", encoding="utf-8") as f:
+            f.write('reject term "relais tout ou rien"\n')
+    calls: Counter = Counter()
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counted(pipeline, "load_dsl")
+    counted(pipeline, "check_consistency")
+    counted(okmodel, "check_consistency")  # what export's ``require_consistent`` calls
+    run_pipeline(config)
+    assert calls == Counter(load_dsl=parses, check_consistency=checks)
 
 
 def test_a_run_opens_no_non_document_and_changes_to_them_keep_every_stage_cached(

@@ -67,7 +67,7 @@ def validated_relay_net():
 
 def test_project_relay_network():
     taxonomy = project(validated_relay_net())
-    assert taxonomy.roots == ["relais"]
+    assert taxonomy.roots() == ["relais"]
     assert set(taxonomy.children("relais")) == {concept_id(c) for c in RELAY_CHILDREN}
     assert len(taxonomy.subsumption) == 4
 
@@ -146,7 +146,7 @@ def test_project_10k_deep_chain_with_labels_sorted_leaf_first():
     taxonomy = project(build_network(terms, relations))
     assert len(taxonomy.concepts) == n
     assert len(taxonomy.subsumption) == n - 1
-    assert taxonomy.roots == [labels[0]]
+    assert taxonomy.roots() == [labels[0]]
 
 
 # --- closure ----------------------------------------------------------------
@@ -207,7 +207,7 @@ def test_taxonomy_views_match_edge_scans_on_random_taxonomies():
         taxonomy = Taxonomy(concepts, edges)
         empty += not taxonomy.concepts
         assert taxonomy.subsumption == edges
-        assert taxonomy.roots == sorted(
+        assert taxonomy.roots() == sorted(
             cid for cid in taxonomy.concepts if not any(child == cid for child, _ in edges)
         )
         assert taxonomy.children_view() == {
