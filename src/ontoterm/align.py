@@ -81,48 +81,71 @@ class AlignmentResult:
     candidates: tuple[str, ...] = ()
 
 
+#: A concept bag as sorted ``(token, count)`` pairs (see ``_bag``).
+Bag = tuple[tuple[str, int], ...]
+
+
 @lru_cache(maxsize=4)
 def _concept_index(
     names: tuple[str, ...], stopwords: frozenset[str]
-) -> tuple[dict[str, tuple[tuple[str, int], ...]], dict[str, tuple[str, ...]]]:
-    """Each concept's content bag, and the concepts holding each content
-    token, in declaration order.
+) -> tuple[dict[str, Bag], dict[str, tuple[str, ...]], dict[Bag, str | None]]:
+    """Each concept's content bag, the concepts holding each content token
+    in declaration order, and the one concept holding each bag (``None``
+    when several do).
 
     A bag is sorted ``(token, count)`` pairs shared across concepts, which
     keeps the index smaller than one ``Counter`` per concept would be.  The
     memo key is the concept names and stopwords, not the ontology object:
     the align and index stages each parse their own equal ontology, and
-    both read one index.
+    both read one index.  ``_aligner`` reads it once per ontology and
+    stopword set, and keeps what it read on the ontology.
     """
     shared: dict[tuple[str, int], tuple[str, int]] = {}
     bags = {}
     holders: dict[str, list[str]] = {}
+    by_bag: dict[Bag, str | None] = {}
     for name in names:
         bag = tuple(
             shared.setdefault(pair, pair) for pair in _bag(_content_tokens(name, stopwords))
         )
         bags[name] = bag
+        by_bag[bag] = None if bag in by_bag else name
         for token, _ in bag:
             holders.setdefault(token, []).append(name)
-    return bags, {token: tuple(names) for token, names in holders.items()}
+    return bags, {token: tuple(names) for token, names in holders.items()}, by_bag
 
 
 def _aligner(ontology: OkOntology, stopwords: frozenset[str]):
-    """``align(term, head)`` over the memoised index of ``ontology``."""
-    bags, holders_of = _concept_index(tuple(ontology.concepts), stopwords)
-    declared = {concept_id(t): c for t, c in ontology.denotation.items()}
+    """``align(term, head)`` over the index of ``ontology``.
+
+    The index and the declared-denotation map are kept on the ontology,
+    one entry per stopword set: an ``OkOntology`` is immutable, so an entry
+    never goes stale.  The entry holds data only and the closure is built
+    per call, so the ontology is never part of a reference cycle."""
+    memo = ontology._align_index
+    data = memo.get(stopwords)
+    if data is None:
+        declared = {concept_id(t): c for t, c in ontology.denotation.items()}
+        data = memo[stopwords] = (*_concept_index(tuple(ontology.concepts), stopwords), declared)
+    bags, holders_of, by_bag, declared = data
 
     def align(term: str, head: str | None) -> AlignmentResult:
         target = declared.get(concept_id(term))
         if target is not None and target in ontology.concepts:
             return AlignmentResult(term, AlignKind.DECLARED, target)
 
-        # an exact or elliptical match holds every token of the term: a
-        # term with no token, or with one no concept holds, matches none
         tokens = _content_tokens(term, stopwords)
-        if not tokens or any(token not in holders_of for token in tokens):
+        if not tokens:
             return AlignmentResult(term, AlignKind.UNMATCHED)
         bag = _bag(tokens)
+        exact = by_bag.get(bag)
+        if exact is not None:
+            return AlignmentResult(term, AlignKind.EXACT, exact)
+
+        # an elliptical match holds every token of the term: a term with a
+        # token no concept holds matches none
+        if any(token not in holders_of for token, _ in bag):
+            return AlignmentResult(term, AlignKind.UNMATCHED)
         if head is None:
             head = tokens[0]
         else:
@@ -130,10 +153,6 @@ def _aligner(ontology: OkOntology, stopwords: frozenset[str]):
 
         # the holders of the term's rarest token are all the candidates there are
         holders = min((holders_of[token] for token, _ in bag), key=len)
-        exact = [name for name in holders if bags[name] == bag]
-        if len(exact) == 1:
-            return AlignmentResult(term, AlignKind.EXACT, exact[0])
-
         sub = []
         for name in holders:
             cbag = bags[name]
@@ -172,12 +191,12 @@ def align_term(
     defaults to the first content token, which is the head position of the
     noun phrases this pipeline extracts.
 
-    Concept bags come from an index memoised on the concept names, in
-    declaration order, and the stopwords; it is built in O(concepts) once
-    per key.  A call costs O(concepts) to form that key, O(declared terms)
-    to read the denotation, and O(holders) for the concepts holding the
-    term's rarest content token; denotation, depths and subsumption are
-    read from the live ontology on every call.
+    Concept bags come from an index built in O(concepts) once per concept
+    names and stopwords, and kept on the ontology with its declared
+    denotations.  After the first call on an ontology and stopword set, a
+    call costs O(term tokens) up to a unique exact match, and O(holders)
+    more, for the concepts holding the term's rarest content token,
+    otherwise; depths and subsumption are read from the ontology.
     """
     return _aligner(ontology, stopwords)(term, head)
 

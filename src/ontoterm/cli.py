@@ -42,7 +42,7 @@ from .retrieval import (
     comparison_to_json,
     index_from_json_obj,
     query,
-    resolve_label,
+    require_label,
 )
 
 EXIT_OK = 0
@@ -195,9 +195,7 @@ def cmd_query(args) -> int:
             raise ConfigError("query --structure ok needs --dsl")
         structure = load_dsl(args.dsl)
     (index,) = _load_index_sides(args.index, args.structure)
-    concept = resolve_label(structure, args.concept, values["stopwords"])
-    if concept is None:
-        raise OntoTermError(f"concept not found in {args.structure} structure: {args.concept!r}")
+    concept = require_label(structure, args.concept, values["stopwords"])
     docs = sorted(query(index, structure, concept))
     if args.format == "json":
         sys.stdout.write(json_text({"concept": concept, "documents": docs}))

@@ -139,7 +139,8 @@ class OkOntology(Hierarchy):
     """An expert ontology as a value.  Its five mappings are read-only
     copies taken when it is built, and the genus → children view (roots
     under ``None``, in declaration order) is indexed then, once;
-    ``dataclasses.replace`` makes a variant, indexed afresh.
+    ``dataclasses.replace`` makes a variant, indexed afresh, whose
+    alignment index starts empty.
 
     Its genus links form a forest: building one raises ``ValueError`` when
     a genus names no concept or when some concept is not reachable from a
@@ -161,6 +162,7 @@ class OkOntology(Hierarchy):
             view.setdefault(concept.genus, []).append(name)
         self._children = {genus: tuple(names) for genus, names in view.items()}
         self._roots = self._children.get(None, ())
+        self._align_index: dict = {}  # stopwords → alignment index, kept by ``align._aligner``
         unknown = sorted(view.keys() - self.concepts.keys() - {None})
         if unknown:
             raise ValueError(f"genus names no concept: {unknown}")

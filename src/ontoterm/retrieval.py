@@ -188,6 +188,23 @@ def resolve_label(
     return result.concept
 
 
+def require_label(
+    structure: Structure, label: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS
+) -> str:
+    """``resolve_label``, raising ``UnresolvableLabelError`` for a label
+    that resolves to nothing; an ambiguous label's message names its
+    candidates."""
+    concept = resolve_label(structure, label, stopwords)
+    if concept is not None:
+        return concept
+    message = f"label {label!r} is not resolvable in the {structure_name(structure)} structure"
+    if isinstance(structure, OkOntology):
+        candidates = align_term(label, structure, stopwords).candidates
+        if candidates:
+            message += ": ambiguous between " + ", ".join(map(repr, candidates))
+    raise UnresolvableLabelError(message)
+
+
 @dataclass
 class RecallComparison:
     concept_label: str
@@ -213,37 +230,43 @@ def compare_recall(
     """Run one query against both structures and explain the difference.
 
     Each side's documents come from its index's closed posting lists; its
-    closure is computed once, for the explanations."""
-    resolved = []
-    for structure in (structure_a, structure_b):
-        concept = resolve_label(structure, concept_label, stopwords)
-        if concept is None:
-            raise UnresolvableLabelError(
-                f"label {concept_label!r} is not resolvable in the "
-                f"{structure_name(structure)} structure"
-            )
-        resolved.append(concept)
-    concept_a, concept_b = resolved
+    closure is computed once, for the explanations.  The documents of both
+    sides are sorted once, and every field is read off that one order."""
+    concept_a = require_label(structure_a, concept_label, stopwords)
+    concept_b = require_label(structure_b, concept_label, stopwords)
     closure_a = structure_a.subsumed_closure(concept_a)
     closure_b = structure_b.subsumed_closure(concept_b)
     docs_a = set(index_a.closed_docs(structure_a, concept_a))
     docs_b = set(index_b.closed_docs(structure_b, concept_b))
     by_doc_a, by_doc_b = index_a.concepts_by_doc, index_b.concepts_by_doc
+    in_closure_a, in_closure_b = closure_a.__contains__, closure_b.__contains__
+    sorted_a, sorted_b, only_a, only_b, either = [], [], [], [], []
     explanations = {}
     for doc in sorted(docs_a | docs_b):
-        explanations[doc] = {
-            "a": tuple(c for c in by_doc_a.get(doc, ()) if c in closure_a),
-            "b": tuple(c for c in by_doc_b.get(doc, ()) if c in closure_b),
-        }
+        # a document outside a side's answer has no concept in its closure
+        a = b = ()
+        if doc in docs_a:
+            sorted_a.append(doc)
+            a = tuple(filter(in_closure_a, by_doc_a[doc]))
+        if doc in docs_b:
+            sorted_b.append(doc)
+            b = tuple(filter(in_closure_b, by_doc_b[doc]))
+        if doc not in docs_b:
+            only_a.append(doc)
+            either.append(doc)
+        elif doc not in docs_a:
+            only_b.append(doc)
+            either.append(doc)
+        explanations[doc] = {"a": a, "b": b}
     return RecallComparison(
         concept_label=concept_label,
         concept_a=concept_a,
         concept_b=concept_b,
-        docs_a=tuple(sorted(docs_a)),
-        docs_b=tuple(sorted(docs_b)),
-        only_a=tuple(sorted(docs_a - docs_b)),
-        only_b=tuple(sorted(docs_b - docs_a)),
-        symmetric_difference=tuple(sorted(docs_a ^ docs_b)),
+        docs_a=tuple(sorted_a),
+        docs_b=tuple(sorted_b),
+        only_a=tuple(only_a),
+        only_b=tuple(only_b),
+        symmetric_difference=tuple(either),
         explanations=explanations,
     )
 

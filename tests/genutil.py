@@ -10,7 +10,8 @@ position) is the one the columnar ``DocTokens`` front end replaced.  The cycle
 oracle is the recursive depth-first search the iterative one replaced;
 the children, closure, consistency and structure-comparison oracles are
 the per-call scans the indexed versions replaced, and the retrieval oracle
-scans every (document, concept) annotation.  The corpus-read oracle lists
+scans every (document, concept) annotation and resolves labels with the
+alignment oracle.  The corpus-read oracle lists
 the top level through ``pathlib`` instead of ``os.scandir``, and the label-mangling
 oracle normalizes each whole label the way the per-character folding
 replaced.  The artifact-decoder oracles are the decoders the one-pass ones
@@ -36,6 +37,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import pytest
 
 from ontoterm.align import (
+    DEFAULT_STOPWORDS,
     AlignKind,
     AlignmentResult,
     DiscrepancyEntry,
@@ -81,7 +83,7 @@ from ontoterm.okmodel import (
     subsumes,
 )
 from ontoterm.projection import Concept, Taxonomy, concept_id
-from ontoterm.retrieval import RecallComparison, resolve_label, structure_name
+from ontoterm.retrieval import RecallComparison, structure_name
 
 
 def closure_oracle(edges: set[tuple[str, str]], nodes: set[str], start: str) -> set[str]:
@@ -925,10 +927,16 @@ def recall_oracle(
     label: str,
 ) -> RecallComparison:
     """``compare_recall`` by scanning every (document, concept) annotation,
-    once for the result and once per result document for its explanation."""
+    once for the result and once per result document for its explanation.
+    Labels resolve through ``concept_id_oracle`` on a taxonomy and through
+    ``align_oracle``, with the default stopwords, on an expert ontology."""
     resolved = []
     for structure in (structure_a, structure_b):
-        concept = resolve_label(structure, label)
+        if isinstance(structure, Taxonomy):
+            concept = concept_id_oracle(label)
+            concept = concept if concept in structure.concepts else None
+        else:
+            concept = align_oracle(label, structure, DEFAULT_STOPWORDS).concept
         if concept is None:
             raise UnresolvableLabelError(
                 f"label {label!r} is not resolvable in the {structure_name(structure)} structure"

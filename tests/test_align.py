@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ontoterm import align
 from ontoterm.align import (
     AlignKind,
     AlignmentResult,
@@ -213,6 +216,79 @@ def test_align_sees_a_concept_added_in_place(relay):
     assert (result.kind, result.concept) == (AlignKind.ELLIPSIS, "relais à seuil de courant")
     assert resolve_label(ontology, "relais de courant") == "relais à seuil de courant"
     assert resolve_label(relay, "relais de courant") is None
+
+
+# --- the per-ontology index memo -----------------------------------------------
+
+
+@pytest.fixture
+def index_reads(monkeypatch):
+    """Count the reads of ``align._concept_index``, the names-keyed index."""
+    reads = Counter()
+    inner = align._concept_index
+
+    def spy(names, stopwords):
+        reads[names, stopwords] += 1
+        return inner(names, stopwords)
+
+    monkeypatch.setattr(align, "_concept_index", spy)
+    return reads
+
+
+def test_resolve_label_reads_the_concept_index_once_per_ontology(index_reads):
+    ontology = load_dsl(data_path("relais.dsl"))
+    labels = ["relais", "relais de tension", "seuil", "fantôme", "relais à seuil"]
+    for i in range(200):
+        resolve_label(ontology, labels[i % len(labels)])
+    assert sum(index_reads.values()) == 1
+
+
+def test_a_replaced_variant_and_another_stopword_set_get_their_own_entry(index_reads):
+    ontology = load_dsl(data_path("relais.dsl"))
+    variant = replace(ontology, denotation={**ontology.denotation, "bobine": RAST})
+    other = DEFAULT_STOPWORDS | {"tension"}
+    for _ in range(3):
+        assert resolve_label(ontology, "bobine") is None
+        assert resolve_label(variant, "bobine") == RAST
+        assert resolve_label(ontology, "relais de tension", other) == "relais"
+        assert resolve_label(ontology, "relais de tension") == RAST
+    names = tuple(ontology.concepts)
+    # the variant has the same concept names, so it reads the same index
+    assert index_reads == {(names, DEFAULT_STOPWORDS): 2, (names, other): 1}
+
+
+def test_align_matches_the_oracle_across_interleaved_ontologies_and_stopword_sets():
+    """Each ontology answers half its queries under its own stopwords and
+    half under the default ones, every query three times, all of them
+    shuffled together, so entries are made and read in any order."""
+    rng = random.Random(20100216)
+    cases = []
+    for _ in range(1000):
+        ontology, stopwords, queries = random_align_case(rng)
+        for i, (term, head) in enumerate(queries):
+            words = (stopwords, DEFAULT_STOPWORDS)[i % 2]
+            cases.append((ontology, words, term, head, align_oracle(term, ontology, words, head)))
+    calls = cases * 3
+    rng.shuffle(calls)
+    kinds = Counter()
+    for ontology, words, term, head, expected in calls:
+        assert align_term(term, ontology, words, head) == expected, (term, head, words)
+        kinds[expected.kind] += 1
+    assert all(kinds[kind] >= 100 for kind in AlignKind), kinds
+
+
+def test_an_aligned_ontology_is_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        ontology = load_dsl(data_path("relais.dsl"))
+        assert resolve_label(ontology, "relais de tension") == RAST
+        ontology_alignments(["relais", "seuil"], ontology, DEFAULT_STOPWORDS - {"de"})
+        freed = weakref.ref(ontology)
+        del ontology
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 # --- head-match necessity property --------------------------------------------

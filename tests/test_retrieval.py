@@ -9,14 +9,16 @@ from collections import Counter
 import pytest
 
 from genutil import (
+    align_oracle,
     closure_oracle,
+    random_align_case,
     random_ok_tree,
     random_ok_variant,
     random_taxonomy,
     recall_oracle,
     structure_closure_oracle,
 )
-from ontoterm.align import ontology_alignments, taxonomy_alignments
+from ontoterm.align import DEFAULT_STOPWORDS, ontology_alignments, taxonomy_alignments
 from ontoterm.corpus import (
     annotate,
     extract_candidates,
@@ -35,16 +37,18 @@ from ontoterm.lexnet import (
     Term,
     build_network,
 )
-from ontoterm.okmodel import OkConcept, OkOntology, load_dsl
-from ontoterm.projection import Concept, Taxonomy, project
+from ontoterm.okmodel import OkConcept, OkOntology, load_dsl, parse_dsl
+from ontoterm.projection import Concept, Taxonomy, concept_id, project, taxonomy_to_json
 from ontoterm.retrieval import (
     DocAnnotation,
     DocIndex,
+    RecallComparison,
     compare_recall,
     index_corpus,
     index_from_json_obj,
     index_to_json_obj,
     query,
+    require_label,
     resolve_label,
 )
 
@@ -176,6 +180,72 @@ def test_compare_recall_unresolvable_label(experiment, relay, taxonomy):
     assert "projected" in str(exc.value)
 
 
+def test_require_label_names_the_candidates_of_an_ambiguous_label(relay, taxonomy):
+    assert require_label(relay, "relais de tension") == RAST
+    with pytest.raises(UnresolvableLabelError) as exc:
+        require_label(relay, "relais de xyz")
+    assert str(exc.value) == "label 'relais de xyz' is not resolvable in the ok structure"
+    with pytest.raises(UnresolvableLabelError) as exc:
+        require_label(taxonomy, "relais de xyz")
+    assert str(exc.value) == "label 'relais de xyz' is not resolvable in the projected structure"
+    with pytest.raises(UnresolvableLabelError) as exc:
+        require_label(AMBIGUOUS_DSL, "relais de tension")
+    assert str(exc.value) == (
+        "label 'relais de tension' is not resolvable in the ok structure: ambiguous between "
+        "'relais de tension alternative', 'relais de tension continue'"
+    )
+
+
+AMBIGUOUS_TEXT = (
+    "axis forme values alternative, continue\n"
+    "concept relais root\n"
+    "concept relais de tension alternative genus relais diff forme=alternative\n"
+    "concept relais de tension continue genus relais diff forme=continue\n"
+)
+AMBIGUOUS_DSL = parse_dsl(AMBIGUOUS_TEXT)
+
+
+@pytest.fixture
+def read_side_files(tmp_path, experiment, taxonomy):
+    """The fixture's read side as the files ``query`` and ``compare-recall``
+    read, with a second DSL whose «relais de tension» is ambiguous."""
+    _, _, projected, ok_index = experiment
+    index = tmp_path / "doc_index.json"
+    index.write_text(json.dumps(
+        {"projected": index_to_json_obj(projected), "ok": index_to_json_obj(ok_index)}
+    ), encoding="utf-8")
+    taxonomy_path = tmp_path / "taxonomy.json"
+    taxonomy_path.write_text(taxonomy_to_json(taxonomy), encoding="utf-8")
+    ambiguous = tmp_path / "ambiguous.dsl"
+    ambiguous.write_text(AMBIGUOUS_TEXT, encoding="utf-8")
+    return {"--index": str(index), "--taxonomy": str(taxonomy_path),
+            "--dsl": str(data_path("relais.dsl")), "ambiguous": str(ambiguous)}
+
+
+@pytest.mark.parametrize("command", ["query", "compare-recall"])
+@pytest.mark.parametrize("label, dsl, message", [
+    pytest.param("relais de xyz", "--dsl",
+                 "label 'relais de xyz' is not resolvable in the ok structure", id="unmatched"),
+    pytest.param("relais de tension", "ambiguous",
+                 "ambiguous between 'relais de tension alternative', 'relais de tension continue'",
+                 id="ambiguous"),
+])
+def test_a_label_that_resolves_to_nothing_exits_2_with_e_unresolvable(
+    read_side_files, capsys, command, label, dsl, message
+):
+    files = read_side_files
+    argv = [command, "--index", files["--index"], "--dsl", files[dsl], "--concept", label]
+    if command == "query":
+        argv += ["--structure", "ok"]
+    else:
+        argv += ["--taxonomy", files["--taxonomy"]]
+        if dsl == "--dsl":  # the fixture's taxonomy has no «relais de xyz» either
+            message = message.replace("ok structure", "projected structure")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ontoterm: E_UNRESOLVABLE: ") and message in err, err
+
+
 def test_resolve_label(relay, taxonomy):
     assert resolve_label(taxonomy, "Relais à seuil") == "relais à seuil"
     assert resolve_label(relay, "relais de tension") == RAST
@@ -266,6 +336,49 @@ def test_query_and_compare_recall_match_an_annotation_scan():
             outcomes["compared"] += 1
             outcomes["differ"] += bool(expected.symmetric_difference)
     assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_compare_recall_on_one_warm_read_side_matches_the_annotation_scan():
+    """Many labels, each asked three times in shuffled order, against one
+    read side whose closed posting lists and alignment index stay warm."""
+    rng = random.Random(20100223)
+    ontology = None
+    while ontology is None or len(ontology.concepts) < 30:
+        ontology, _, queries = random_align_case(rng)
+    shortcuts = {
+        " ".join(rng.sample(name.split(), rng.randint(1, len(name.split()))))
+        for name in ontology.concepts
+    }
+    labels = sorted({*ontology.concepts, *shortcuts, *(term for term, _ in queries)})
+    ids = sorted({concept_id(label) for label in labels if rng.random() < 0.9})
+    edges = {(ids[i], rng.choice(ids[:i])) for i in range(1, len(ids))}
+    taxonomy = Taxonomy({cid: Concept(cid, cid, (cid,)) for cid in ids}, edges)
+    docs = [f"d{i}" for i in range(60)]
+    pairs_a = random_pairs(rng, docs, ids, 150)
+    pairs_b = random_pairs(rng, docs, sorted(ontology.concepts), 150)
+    index_a = DocIndex(pairs_a)
+    index_b = DocIndex(pairs_b)
+    expected = {}
+    for label in labels:
+        try:
+            expected[label] = recall_oracle(pairs_a, taxonomy, pairs_b, ontology, label)
+        except UnresolvableLabelError as exc:
+            expected[label] = exc
+    asked = labels * 3
+    rng.shuffle(asked)
+    for label in asked:
+        if isinstance(expected[label], UnresolvableLabelError):
+            with pytest.raises(UnresolvableLabelError, match=re.escape(str(expected[label]))):
+                compare_recall(index_a, taxonomy, index_b, ontology, label)
+        else:
+            assert compare_recall(index_a, taxonomy, index_b, ontology, label) == expected[label]
+    compared = [c for c in expected.values() if isinstance(c, RecallComparison)]
+    kinds = Counter(
+        align_oracle(c.concept_label, ontology, DEFAULT_STOPWORDS).kind.value for c in compared
+    )
+    assert len(compared) >= 30 and kinds["ELLIPSIS"] >= 3, kinds
+    assert len(expected) - len(compared) >= 30
+    assert sum(bool(c.symmetric_difference) for c in compared) >= 20
 
 
 def test_compare_recall_computes_each_closure_once():
