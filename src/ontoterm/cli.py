@@ -331,7 +331,8 @@ def build_parser() -> _Parser:
     p = add("run", cmd_run, "run the whole pipeline from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--output", help="override the configured output directory")
-    p.add_argument("--force", action="store_true", help="ignore cached stage artifacts")
+    p.add_argument("--force", action="store_true",
+                   help="read and hash every input and render every stage")
 
     add("fixture-path", cmd_fixture_path, "print the bundled fixture directory")
     return parser

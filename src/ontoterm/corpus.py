@@ -188,16 +188,15 @@ def load_lexicon(path: str | Path) -> Lexicon:
     return Lexicon(entries)
 
 
-def read_corpus_files(directory: str | Path) -> dict[str, bytes]:
-    """The bytes of each top-level ``*.txt`` file of ``directory`` (a
-    symlink counts as what it names; one that dangles, loops or runs
-    through a file is skipped), by name, sorted: what the pipeline
-    fingerprints a corpus by and ``load_corpus`` decodes.  A directory
-    that cannot be listed raises ``OSError``."""
+def _document_entries(directory: str | Path) -> list[os.DirEntry]:
+    """The top-level ``*.txt`` files of ``directory``, sorted by name: the
+    one rule for which files of a corpus are documents.  A symlink counts
+    as what it names; one that dangles, loops or runs through a file is
+    skipped.  A directory that cannot be listed raises ``OSError``."""
     directory = Path(directory)
     if not directory.is_dir():
         raise NoCorpusError(f"not a directory: {directory}")
-    files = {}
+    entries = []
     with os.scandir(directory) as scan:
         for entry in scan:
             name = entry.name
@@ -210,9 +209,32 @@ def read_corpus_files(directory: str | Path) -> dict[str, bytes]:
                 if exc.errno not in (errno.ELOOP, errno.ENOTDIR):
                     raise
                 continue
-            with open(entry.path, "rb") as f:
-                files[name] = f.read()
-    return dict(sorted(files.items()))
+            entries.append(entry)
+    entries.sort(key=attrgetter("name"))
+    return entries
+
+
+def corpus_stats(directory: str | Path) -> dict[str, os.stat_result]:
+    """The stat data of each file ``read_corpus_files`` reads, by name,
+    sorted, without opening any."""
+    return {entry.name: entry.stat() for entry in _document_entries(directory)}
+
+
+def read_corpus_files(
+    directory: str | Path, stats: dict[str, os.stat_result] | None = None
+) -> dict[str, bytes]:
+    """The bytes of each document file of ``directory`` (see
+    ``_document_entries``), by name, sorted: what the pipeline fingerprints
+    a corpus by and ``load_corpus`` decodes.  When ``stats`` is given, it
+    receives each file's stat data, taken from the open file before it is
+    read."""
+    files = {}
+    for entry in _document_entries(directory):
+        with open(entry.path, "rb") as f:
+            if stats is not None:
+                stats[entry.name] = os.fstat(f.fileno())
+            files[entry.name] = f.read()
+    return files
 
 
 def _document_texts(

@@ -8,6 +8,15 @@ inputs produce identical files, and a rerun skips every stage whose inputs
 kept their hashes and whose artifact still has the hash it was written
 with.
 
+The manifest keeps each input's hash beside its stat data (for the corpus,
+a digest of its documents' stat data) and the time the hash was taken.  A
+rerun reuses that hash, without reading the input, while the stat data are
+unchanged and every file's ``ctime`` is older than that time by more than
+``RACY_NS``; a file changed closer to its hashing than that is "racily
+clean" and is read and hashed again, as in git's index.  Each artifact,
+and the manifest last, is written to a temp file in the output directory
+and renamed over its name, so a killed run never leaves a torn file.
+
 Each stage has one body, ``render_<stage>``, shared by ``run_pipeline`` and
 the CLI subcommands: it reads its inputs from a ``RunValues`` and returns
 the artifact text.
@@ -17,7 +26,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import time
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping
@@ -38,6 +49,7 @@ from .corpus import (
     candidates_from_json,
     candidates_to_json,
     corpus_doc_ids,
+    corpus_stats,
     extract_candidates,
     load_corpus,
     load_lexicon,
@@ -318,6 +330,17 @@ GRAPH = (
 STAGES = tuple(stage.name for stage in GRAPH)
 
 
+#: A file whose ``ctime`` lies within this many ns before its recorded hash
+#: time is rehashed: FAT's 2-s timestamp step, the coarsest a file system
+#: keeps, so an edit in the same timestamp step as the hash is never missed.
+RACY_NS = 2_000_000_000
+
+#: The wall clock each recorded hash time is read from.
+_now_ns = time.time_ns
+
+_SHA256 = re.compile(r"[0-9a-f]{64}")
+
+
 def _hash_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -329,10 +352,75 @@ def _hash_files(files: Mapping[str, bytes]) -> str:
     return _hash_bytes(listing.encode("utf-8", "surrogateescape"))
 
 
-def _hash_path(path: Path) -> str:
-    if path.is_file():
-        return _hash_bytes(path.read_bytes())
-    return "missing"
+def _hash_path(path: Path) -> tuple[str, os.stat_result | None]:
+    """The hash of the file at ``path`` and its stat data, taken from the
+    open file before it is read; ``("missing", None)`` for no file."""
+    if not path.is_file():
+        return "missing", None
+    with open(path, "rb") as f:
+        stat = os.fstat(f.fileno())
+        return _hash_bytes(f.read()), stat
+
+
+def _file_stat(stat: os.stat_result) -> tuple[dict, int]:
+    """A file's stat data as its record keeps them, and its ``ctime_ns``."""
+    return {
+        "size": stat.st_size, "mtime_ns": stat.st_mtime_ns, "ctime_ns": stat.st_ctime_ns,
+        "ino": stat.st_ino, "dev": stat.st_dev,
+    }, stat.st_ctime_ns
+
+
+def _corpus_stat(stats: Mapping[str, os.stat_result]) -> tuple[dict, int]:
+    """A corpus's stat data as its record keeps them, one digest of each
+    document's name and stat data, NUL-separated (no file name holds a
+    NUL); and the newest ``ctime_ns`` among its documents."""
+    listing = "\0".join(
+        f"{name}\0{st.st_size}\0{st.st_mtime_ns}\0{st.st_ctime_ns}\0{st.st_ino}\0{st.st_dev}"
+        for name, st in stats.items()
+    )
+    newest = max((st.st_ctime_ns for st in stats.values()), default=0)
+    return {"listing": _hash_bytes(listing.encode("utf-8", "surrogateescape"))}, newest
+
+
+def _current_stat(path: Path, corpus: bool) -> tuple[dict, int] | None:
+    """The stat data an input's record is checked against, and the newest
+    ``ctime_ns`` among its files; None for an input file that cannot be
+    stat'ed."""
+    if corpus:
+        return _corpus_stat(corpus_stats(path))
+    try:
+        return _file_stat(os.stat(path))
+    except OSError:
+        return None
+
+
+def _matching(record: object, stat: dict) -> dict | None:
+    """``record`` rebuilt from its own fields when it is well formed and its
+    stat data equal ``stat``, each value of the same type; otherwise None,
+    and the input is read and hashed again."""
+    if not isinstance(record, dict):
+        return None
+    sha256, hashed_ns = record.get("sha256"), record.get("hashed_ns")
+    if not (isinstance(sha256, str) and _SHA256.fullmatch(sha256) and type(hashed_ns) is int):
+        return None
+    if any(type(record.get(key)) is not type(value) or record[key] != value
+           for key, value in stat.items()):
+        return None
+    return {"sha256": sha256, **stat, "hashed_ns": hashed_ns}
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it over
+    ``path``: a reader sees the old file or the new one, never part of one.
+    A failed write removes its temp file."""
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "wb") as f:
+            f.write(data)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -353,16 +441,20 @@ class PipelineResult:
         return [self.output_dir / outcome.artifact for outcome in self.stages.values()]
 
 
-def _previous_stages(manifest_path: Path) -> dict[str, dict]:
-    """Stage records of the last run; a missing or unreadable manifest, one
-    nested too deep to decode, or one of another shape, means a cold cache."""
+def _previous_manifest(manifest_path: Path) -> tuple[str | None, dict, dict]:
+    """The last run's manifest text and its stage and input records; a
+    missing or unreadable manifest, one nested too deep to decode, or one
+    of another shape, means a cold cache."""
     try:
-        stages = json.loads(manifest_path.read_text(encoding="utf-8"))["stages"]
+        text = manifest_path.read_text(encoding="utf-8")
+        manifest = json.loads(text)
+        stages, inputs = manifest["stages"], manifest.get("inputs")
     except (OSError, ValueError, TypeError, KeyError, RecursionError):
-        return {}
+        return None, {}, {}
     if not isinstance(stages, dict):
-        return {}
-    return {stage: record for stage, record in stages.items() if isinstance(record, dict)}
+        return text, {}, {}
+    stages = {stage: record for stage, record in stages.items() if isinstance(record, dict)}
+    return text, stages, inputs if isinstance(inputs, dict) else {}
 
 
 def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
@@ -370,9 +462,14 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
 
     A stage is a cache hit when its fingerprint (its input files, upstream
     artifacts and settings) and its artifact's sha256 match the last run's
-    manifest.  Each input and artifact is hashed at most once per run, and
-    each value is computed at most once; a value is dropped once no later
-    stage reads it.
+    manifest.  An input whose stat data match the last manifest's, and
+    whose files all changed more than ``RACY_NS`` before that hash was
+    taken, keeps its recorded hash unread; any other input is read and
+    hashed, at most once per run.  ``force`` trusts no record and renders
+    every stage.  Each value is computed at most once; a value is dropped
+    once no later stage reads it.  Artifacts and the manifest are replaced
+    atomically, the manifest last, and a manifest that would not change is
+    not written.
 
     Stops after ok-check when the expert ontology is inconsistent (the
     downstream stages require consistency); the report artifact is still
@@ -381,26 +478,51 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
     out = config.output
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
-    previous = _previous_stages(manifest_path)
+    previous_text, previous, previous_inputs = _previous_manifest(manifest_path)
+    if force:
+        previous_inputs = {}
     artifacts = {s.name: s.artifact.format(format=config.export_format) for s in GRAPH}
     values = RunValues({
         **vars(config),
         **{s.value: out / artifacts[s.name] for s in GRAPH if s.value is not None},
     })
-    file_hashes: dict[Path, str] = {}
+    inputs: dict[str, dict] = {}
     result = PipelineResult(out)
+
+    def input_record(name: str, path: Path) -> dict:
+        """The input's record: the last run's, when it can be trusted, else
+        one hashed now; the corpus is hashed from the bytes its loader
+        decodes."""
+        hashed_ns = _now_ns()  # before any stat, so an edit during the read is never trusted
+        last = previous_inputs.get(name)
+        current = None if last is None else _current_stat(path, name == "corpus")
+        record = None if current is None else _matching(last, current[0])
+        if record is not None and current[1] < record["hashed_ns"] - RACY_NS:
+            return record
+        if name == "corpus":
+            stats: dict[str, os.stat_result] = {}
+            files = values["corpus_files"] = read_corpus_files(path, stats)
+            sha256, (stat, ctime_ns) = _hash_files(files), _corpus_stat(stats)
+        else:
+            sha256, file_stat = _hash_path(path)
+            if file_stat is None:
+                return {"sha256": sha256}
+            stat, ctime_ns = _file_stat(file_stat)
+        # A file still racily clean now keeps the time of its last equal hash:
+        # the next run rehashes it under either time, and the manifest is unchanged.
+        record = _matching(last, stat)
+        if record is not None and record["sha256"] == sha256 and ctime_ns >= hashed_ns - RACY_NS:
+            return record
+        return {"sha256": sha256, **stat, "hashed_ns": hashed_ns}
 
     def fingerprint(stage: Stage) -> str:
         parts = [f"{artifacts[u]}:{result.stages[u].sha256}" for u in stage.upstream]
         for name in stage.files:
             path = getattr(config, name)
             if path is not None:
-                if path not in file_hashes:
-                    # the corpus is hashed from the bytes its loader decodes
-                    file_hashes[path] = (
-                        _hash_files(values["corpus_files"]) if name == "corpus" else _hash_path(path)
-                    )
-                parts.append(f"{name}:{file_hashes[path]}")
+                if name not in inputs:
+                    inputs[name] = input_record(name, path)
+                parts.append(f"{name}:{inputs[name]['sha256']}")
         parts += [__version__] + [str(getattr(config, name)) for name in stage.settings]
         return _hash_bytes("\n".join(parts).encode())
 
@@ -413,7 +535,7 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
             not force
             and cached.get("artifact") == artifact
             and cached.get("fingerprint") == key
-            and cached.get("sha256") == _hash_path(path)
+            and cached.get("sha256") == _hash_path(path)[0]
         )
         if hit:
             sha256 = cached["sha256"]
@@ -421,7 +543,7 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
             # looked up at call time, like every layer function the stages call
             render = globals()["render_" + stage.name.replace("-", "_")]
             data = render(values).encode("utf-8")
-            path.write_bytes(data)
+            _write_atomic(path, data)
             sha256 = _hash_bytes(data)
         result.stages[stage.name] = StageOutcome(artifact, key, hit, sha256)
 
@@ -439,10 +561,12 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
             for name in set(values) - needed:
                 del values[name]
     finally:
-        manifest = {
+        text = json_text({
             "tool": "ontoterm",
             "version": __version__,
+            "inputs": inputs,
             "stages": {stage: vars(outcome) for stage, outcome in result.stages.items()},
-        }
-        manifest_path.write_text(json_text(manifest), encoding="utf-8")
+        })
+        if text != previous_text:
+            _write_atomic(manifest_path, text.encode("utf-8"))
     return result

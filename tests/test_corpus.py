@@ -38,6 +38,7 @@ from ontoterm.corpus import (
     candidates_from_json,
     candidates_to_json,
     corpus_doc_ids,
+    corpus_stats,
     extract_candidates,
     load_corpus,
     load_lexicon,
@@ -173,6 +174,27 @@ def unprivileged(argv: list[str]) -> list[str]:
     if shutil.which("setpriv") is None:
         pytest.skip("running as root, and setpriv is not installed to drop the override")
     return ["setpriv", "--bounding-set=-dac_override,-dac_read_search", *argv]
+
+
+def test_corpus_stats_lists_the_files_read_corpus_files_reads_with_their_stat_data(tmp_path):
+    """One walk decides which files are documents: the stat listing names
+    the files the reader reads, each with the stat data the reader takes
+    from the open file."""
+    rng = random.Random(20101026)
+    listed: Counter = Counter()  # documents listed, by whether a symlink names them
+    for case in range(200):
+        directory = tmp_path / f"case{case}"
+        directory.mkdir()
+        random_corpus_tree(rng, directory)
+        read: dict[str, os.stat_result] = {}
+        files = read_corpus_files(directory, read)
+        stats = corpus_stats(directory)
+        assert list(stats) == list(read) == list(files)
+        fields = ("st_size", "st_mtime_ns", "st_ctime_ns", "st_ino", "st_dev")
+        for name, stat in stats.items():
+            assert [getattr(stat, f) for f in fields] == [getattr(read[name], f) for f in fields]
+        listed += Counter(os.path.islink(directory / name) for name in stats)
+    assert listed[False] >= 100 and listed[True] >= 5, listed
 
 
 def test_read_corpus_files_meets_unreadable_directories_like_the_pathlib_walk(tmp_path):

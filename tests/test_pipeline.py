@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import builtins
+import errno
 import hashlib
+import itertools
 import json
 import os
 import shutil
+import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +20,7 @@ from ontoterm.cli import main
 from ontoterm.corpus import load_corpus
 from ontoterm.errors import ConfigError, InconsistentOntologyError, json_text
 from ontoterm.fixtures import data_path
-from ontoterm.pipeline import STAGES, load_config, parse_config, run_pipeline
+from ontoterm.pipeline import RACY_NS, STAGES, load_config, parse_config, run_pipeline
 
 EXPECTED_ARTIFACTS = {
     "candidates.json",
@@ -46,6 +50,22 @@ def write_config(tmp_path: Path, **overrides) -> Path:
     config = tmp_path / "config.toml"
     config.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return config
+
+
+@pytest.fixture
+def racy_clock(monkeypatch):
+    """Dates each recorded hash a few ns after the epoch, each later than
+    the last, so every input file is racily clean and a rerun reads and
+    hashes it again."""
+    monkeypatch.setattr(pipeline, "_now_ns", itertools.count().__next__)
+
+
+@pytest.fixture
+def settled_clock(monkeypatch):
+    """Dates every recorded hash an hour ahead, so each input file changed
+    more than ``RACY_NS`` before its hash and a rerun trusts unchanged stat
+    data."""
+    monkeypatch.setattr(pipeline, "_now_ns", lambda: time.time_ns() + 3600 * 10**9)
 
 
 # --- config -------------------------------------------------------------------
@@ -302,7 +322,8 @@ def test_pipeline_drops_tokens_once_net_has_used_them(tmp_path, monkeypatch):
 
 def spy_on_run(monkeypatch, out: Path, corpus: Path | None = None) -> Counter:
     """Count corpus reads and loads, annotated documents, hashed paths,
-    decoded artifacts, files read under ``out``, documents decoded, keyed
+    decoded artifacts, files read under ``out`` (as text, or as bytes
+    through ``Path.read_bytes`` or ``open``), documents decoded, keyed
     ("decoded", file name), and, keyed ("corpus", relative path), opens and
     reads of files under ``corpus`` while the pipeline runs."""
     calls: Counter = Counter()
@@ -339,10 +360,13 @@ def spy_on_run(monkeypatch, out: Path, corpus: Path | None = None) -> Counter:
         monkeypatch.setattr(Path, method, read)
     builtin_open = builtins.open
 
-    def open_(file, *args, **kwargs):
+    def open_(file, mode="r", *args, **kwargs):
         if isinstance(file, (str, os.PathLike)):
-            count_corpus_read(Path(file).absolute())
-        return builtin_open(file, *args, **kwargs)
+            path = Path(file).absolute()
+            if path.parent == out and mode == "rb":
+                calls[("read_bytes", path.name)] += 1
+            count_corpus_read(path)
+        return builtin_open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", open_)
     decode_text = corpus_module.decode_text
@@ -402,7 +426,7 @@ def test_cold_run_loads_and_hashes_each_input_once_and_reads_nothing_back(tmp_pa
 
 @pytest.mark.parametrize("edit", ["warm", "decisions-edit"])
 def test_warm_and_edit_runs_read_each_corpus_file_once_and_load_no_documents(
-    tmp_path, monkeypatch, edit
+    tmp_path, monkeypatch, racy_clock, edit
 ):
     corpus, files = corpus_with_skipped_files(tmp_path)
     decisions = tmp_path / "decisions.txt"
@@ -491,9 +515,10 @@ def test_the_ontology_kernels_run_a_fixed_number_of_times_per_run_kind(
     assert calls == Counter(load_dsl=parses, check_consistency=checks)
 
 
-def test_a_run_opens_no_non_document_and_changes_to_them_keep_every_stage_cached(
-    tmp_path, monkeypatch
-):
+def check_non_document_changes(tmp_path: Path, monkeypatch, rereads: bool) -> None:
+    """Adding, editing and deleting files that are no documents keeps every
+    stage a hit; each rerun reads each document once when ``rereads``, and
+    none otherwise."""
     corpus, documents = corpus_with_skipped_files(tmp_path)
     odd = write_non_utf8_name(corpus, b"notes\xff.md", b"pas un document\n")
     config = load_config(write_config(tmp_path, corpus=str(corpus)))
@@ -513,9 +538,22 @@ def test_a_run_opens_no_non_document_and_changes_to_them_keep_every_stage_cached
         with monkeypatch.context() as patch:
             calls = spy_on_run(patch, config.output, corpus)
             result = run_pipeline(config)
-        assert corpus_reads(calls) == dict.fromkeys(documents, 1), edit
+        reads = 1 if rereads or edit == "cold" else 0
+        assert corpus_reads(calls) == {doc: reads for doc in documents if reads}, edit
         hits = [stage for stage, outcome in result.stages.items() if outcome.cache_hit]
         assert hits == ([] if edit == "cold" else list(STAGES)), edit
+
+
+def test_a_run_opens_no_non_document_and_changes_to_them_keep_every_stage_cached(
+    tmp_path, monkeypatch, racy_clock
+):
+    check_non_document_changes(tmp_path, monkeypatch, rereads=True)
+
+
+def test_a_settled_run_opens_no_file_of_the_corpus_and_non_documents_keep_every_stage_cached(
+    tmp_path, monkeypatch, settled_clock
+):
+    check_non_document_changes(tmp_path, monkeypatch, rereads=False)
 
 
 def test_editing_a_document_or_filling_a_blank_one_reruns_the_corpus_stages(tmp_path):
@@ -543,6 +581,280 @@ def test_warm_run_decodes_only_the_ok_report(tmp_path, monkeypatch):
     assert set(hashed(calls).values()) == {1}
     assert {key[1] for key in calls if key[0] == "read_text"} == {"manifest.json", "ok_report.json"}
     assert {key[1] for key in calls if key[0] == "read_bytes"} == EXPECTED_ARTIFACTS
+
+
+INPUTS = ("lexicon", "patterns", "dsl", "decisions", "stopwords", "synonyms")
+
+
+def project_config(root: Path, output: str | Path = "out") -> Path:
+    """A copy of the fixture's inputs under ``root``, plus a one-line
+    ``synonyms.txt``, and a config naming them by relative paths; returns
+    the config's path."""
+    data = data_path()
+    shutil.copytree(data / "corpus", root / "corpus")
+    files = {"lexicon": "lexicon.tsv", "patterns": "patterns.txt", "dsl": "relais.dsl",
+             "decisions": "decisions.txt", "stopwords": "stopwords.txt"}
+    for name in files.values():
+        shutil.copy(data / name, root / name)
+    (root / "synonyms.txt").write_text("\n", encoding="utf-8")  # one byte: no declaration
+    return write_config(root, corpus="corpus", synonyms="synonyms.txt", output=str(output), **files)
+
+
+def manifest_of(out: Path) -> dict:
+    return json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+
+
+def inputs_hashed(calls: Counter, config) -> dict[str, int]:
+    """How often each non-corpus input was read and hashed, by name."""
+    counts = hashed(calls)
+    paths = {name: str(getattr(config, name)) for name in INPUTS}
+    return {name: counts[path] for name, path in paths.items() if path in counts}
+
+
+def test_a_settled_warm_run_opens_no_document_and_reads_no_input(
+    tmp_path, monkeypatch, settled_clock
+):
+    config = load_config(project_config(tmp_path / "project", tmp_path / "out"))
+    write_non_utf8_name(config.corpus, b"blank\xff.txt", b" \n")  # a document, though blank
+    run_pipeline(config)
+    calls = spy_on_run(monkeypatch, config.output, tmp_path / "project")
+    result = run_pipeline(config)
+    assert all(outcome.cache_hit for outcome in result.stages.values())
+    assert calls["read_corpus_files"] == 0 and calls["hash_files"] == 0
+    assert corpus_reads(calls) == {}  # no file under the project is opened or read
+    assert set(hashed(calls)) == {str(config.output / name) for name in EXPECTED_ARTIFACTS}
+
+
+@pytest.mark.parametrize("clock", ["settled_clock", "racy_clock"])
+def test_a_warm_run_after_a_warm_run_leaves_the_manifest_unwritten(
+    tmp_path, monkeypatch, request, clock
+):
+    """Racily clean inputs are read and hashed again, but keep the time of
+    their last equal hash, so their records do not change either."""
+    request.getfixturevalue(clock)
+    config = load_config(project_config(tmp_path))
+    run_pipeline(config)
+    run_pipeline(config)
+    manifest = config.output / "manifest.json"
+    before = manifest.stat()
+    calls = spy_on_run(monkeypatch, config.output)
+    result = run_pipeline(config)
+    assert all(outcome.cache_hit for outcome in result.stages.values())
+    after = manifest.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert calls["read_corpus_files"] == (clock == "racy_clock")
+
+
+def test_a_racy_input_is_read_until_a_run_finds_it_settled(tmp_path, monkeypatch):
+    config = load_config(project_config(tmp_path))
+    files = [path for path in tmp_path.rglob("*") if path.is_file()]
+    ctime = max(path.stat().st_ctime_ns for path in files)
+    now = [ctime + RACY_NS // 2]
+    monkeypatch.setattr(pipeline, "_now_ns", lambda: now[0])
+    run_pipeline(config)
+    reads = []
+    for now[0] in (ctime + RACY_NS // 2, ctime + RACY_NS + 1, ctime + RACY_NS + 2):
+        with monkeypatch.context() as patch:
+            calls = spy_on_run(patch, config.output)
+            run_pipeline(config)
+        reads.append(calls["read_corpus_files"] + len(inputs_hashed(calls, config)))
+    # racy at its hash and now; racy at its hash, settled now; trusted
+    assert reads == [1 + len(INPUTS), 1 + len(INPUTS), 0]
+
+
+def test_force_reads_and_hashes_every_input(tmp_path, monkeypatch, capsys, settled_clock):
+    config_path = project_config(tmp_path)
+    config = load_config(config_path)
+    run_pipeline(config)
+    calls = spy_on_run(monkeypatch, config.output, tmp_path / "corpus")
+    assert main(["run", "--config", str(config_path), "--force"]) == 0
+    assert "8 stages, 0 cache hits" in capsys.readouterr().out
+    assert calls["read_corpus_files"] == 1 and calls["hash_files"] == 1
+    assert corpus_reads(calls) == {p.name: 1 for p in (tmp_path / "corpus").iterdir()}
+    assert inputs_hashed(calls, config) == dict.fromkeys(INPUTS, 1)
+
+
+def _set(record: str, **fields):
+    return lambda manifest: manifest["inputs"][record].update(fields)
+
+
+def _drop(record: str, field: str):
+    return lambda manifest: manifest["inputs"][record].pop(field)
+
+
+def _replace(record: str, value):
+    return lambda manifest: manifest["inputs"].update({record: value})
+
+
+# ``synonyms.txt`` is one byte long, so ``size: true`` would equal it under ``==``
+MALFORMED_RECORDS = {
+    "size-true": (_set("synonyms", size=True), {"synonyms"}),
+    "size-negative": (_set("synonyms", size=-1), {"synonyms"}),
+    "ino-string": (_set("synonyms", ino="1"), {"synonyms"}),
+    "mtime-missing": (_drop("synonyms", "mtime_ns"), {"synonyms"}),
+    "hashed-missing": (_drop("synonyms", "hashed_ns"), {"synonyms"}),
+    "hashed-float": (_set("synonyms", hashed_ns=1e300), {"synonyms"}),
+    "sha256-int": (_set("synonyms", sha256=5), {"synonyms"}),
+    "sha256-not-hex": (_set("synonyms", sha256="x" * 64), {"synonyms"}),
+    "record-list": (_replace("synonyms", []), {"synonyms"}),
+    "record-null": (_replace("dsl", None), {"dsl"}),
+    "corpus-listing-int": (_set("corpus", listing=5), {"corpus"}),
+    "corpus-record-string": (_replace("corpus", "x"), {"corpus"}),
+    "inputs-list": (lambda m: m.update(inputs=[]), {"corpus", *INPUTS}),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_RECORDS)
+def test_a_malformed_input_record_means_read_and_hash(tmp_path, monkeypatch, settled_clock, case):
+    mutate, reread = MALFORMED_RECORDS[case]
+    config = load_config(project_config(tmp_path))
+    run_pipeline(config)
+    records = manifest_of(config.output)["inputs"]
+    manifest = manifest_of(config.output)
+    mutate(manifest)
+    (config.output / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    calls = spy_on_run(monkeypatch, config.output)
+    result = run_pipeline(config)
+    assert all(outcome.cache_hit for outcome in result.stages.values())
+    assert set(inputs_hashed(calls, config)) == reread - {"corpus"}
+    assert calls["read_corpus_files"] == ("corpus" in reread)
+    # each record read again is written whole, with the hash and stat data it had
+    rewritten = manifest_of(config.output)["inputs"]
+    assert set(rewritten) == set(records)
+    for name, record in rewritten.items():
+        if name in reread:
+            assert record.pop("hashed_ns") > records[name].pop("hashed_ns")
+        assert record == records[name], name
+
+
+def comment_out_a_decision(decisions: Path) -> None:
+    """A same-size edit that drops a decision, so the validate stage's
+    artifact changes."""
+    text = decisions.read_text(encoding="utf-8")
+    decisions.write_text(text.replace('validate term "relais à seuil"',
+                                      '#alidate term "relais à seuil"'), encoding="utf-8")
+    assert decisions.read_text(encoding="utf-8") != text
+
+
+def cold_artifacts(tmp_path: Path, config) -> dict[str, bytes]:
+    """The artifacts of a cold run on ``config``'s inputs as they are now."""
+    return artifact_bytes(run_pipeline(replace(config, output=tmp_path / "cold")).output_dir)
+
+
+@pytest.mark.parametrize("hashed_after_ctime, noticed", [(RACY_NS, True), (RACY_NS + 1, False)])
+def test_a_same_size_edit_that_keeps_the_stat_data_is_noticed_within_the_racy_step(
+    tmp_path, hashed_after_ctime, noticed
+):
+    """The edit lands in the timestamp step of its hash, so the file's stat
+    data look unchanged: the manifest is given the edited file's stat data
+    and a hash time ``hashed_after_ctime`` after its ``ctime``.  Only the
+    racy rule can notice the edit; a hash older than the file by more than
+    ``RACY_NS`` is trusted."""
+    config = load_config(project_config(tmp_path))
+    run_pipeline(config)
+    comment_out_a_decision(config.decisions)
+    stat = config.decisions.stat()
+    manifest = manifest_of(config.output)
+    manifest["inputs"]["decisions"].update(
+        size=stat.st_size, mtime_ns=stat.st_mtime_ns, ctime_ns=stat.st_ctime_ns,
+        ino=stat.st_ino, dev=stat.st_dev, hashed_ns=stat.st_ctime_ns + hashed_after_ctime,
+    )
+    (config.output / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    result = run_pipeline(config)
+    assert result.stages["validate"].cache_hit is not noticed
+    if noticed:
+        assert artifact_bytes(config.output) == cold_artifacts(tmp_path, config)
+
+
+@pytest.mark.parametrize("edited, stage", [
+    ("decisions.txt", "validate"), ("corpus/doc03_tension.txt", "extract"),
+])
+def test_a_same_size_edit_set_back_to_the_recorded_mtime_is_noticed(
+    tmp_path, settled_clock, edited, stage
+):
+    config = load_config(project_config(tmp_path))
+    path = tmp_path / edited
+    run_pipeline(config)
+    before = path.stat()
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b"e", b"E", 1))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    result = run_pipeline(config)
+    assert not result.stages[stage].cache_hit
+    assert artifact_bytes(config.output) == cold_artifacts(tmp_path, config)
+
+
+def test_a_copied_project_rehashes_every_input_and_every_stage_still_hits(
+    tmp_path, monkeypatch, settled_clock
+):
+    project_config(tmp_path / "a")
+    run_pipeline(load_config(tmp_path / "a" / "config.toml"))
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    config = load_config(tmp_path / "b" / "config.toml")
+    calls = spy_on_run(monkeypatch, config.output)
+    result = run_pipeline(config)
+    assert all(outcome.cache_hit for outcome in result.stages.values())
+    assert calls["read_corpus_files"] == 1
+    assert inputs_hashed(calls, config) == dict.fromkeys(INPUTS, 1)
+
+
+class HalfWriter:
+    """A file that writes half of what it is given, then fails as a full
+    disk would."""
+
+    def __init__(self, f) -> None:
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.f.close()
+
+    def write(self, data: bytes) -> int:
+        self.f.write(data[: len(data) // 2])
+        self.f.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("fault", ["write", "render"])
+def test_a_run_that_fails_in_a_stage_leaves_no_partial_file_and_the_next_renders_it(
+    tmp_path, monkeypatch, fault
+):
+    """The project stage fails after validate wrote; its old artifact stays
+    whole, no temp file is left, and the next run renders it again."""
+    config = load_config(project_config(tmp_path))
+    run_pipeline(config)
+    before = artifact_bytes(config.output)
+    with config.decisions.open("a", encoding="utf-8") as f:
+        f.write('reject term "relais tout ou rien"\n')
+    with monkeypatch.context() as patch:
+        if fault == "write":
+            builtin_open = builtins.open
+
+            def open_(file, mode="r", *args, **kwargs):
+                f = builtin_open(file, mode, *args, **kwargs)
+                if os.path.basename(file).startswith(".taxonomy.json.") and mode == "wb":
+                    return HalfWriter(f)
+                return f
+
+            patch.setattr(builtins, "open", open_)
+        else:
+            def render_project(values):
+                raise RuntimeError("killed between two stages")
+
+            patch.setattr(pipeline, "render_project", render_project)
+        with pytest.raises(OSError if fault == "write" else RuntimeError):
+            run_pipeline(config)
+    assert {p.name for p in config.output.iterdir()} == EXPECTED_ARTIFACTS | {"manifest.json"}
+    assert (config.output / "taxonomy.json").read_bytes() == before["taxonomy.json"]
+    assert set(manifest_of(config.output)["stages"]) == {"extract", "net", "validate"}
+    result = run_pipeline(config)
+    misses = {name for name, outcome in result.stages.items() if not outcome.cache_hit}
+    assert misses == {"project", "ok-check", "align", "index", "export"}
+    assert artifact_bytes(config.output) == cold_artifacts(tmp_path, config)
 
 
 # --- CLI ----------------------------------------------------------------------
