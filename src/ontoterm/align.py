@@ -3,10 +3,11 @@
 Technical prose abbreviates: a term often names a concept by a shortcut
 that drops function words and intermediate genus markers («relais de
 tension» for the concept whose full label is «relais à seuil de tension»).
-Alignment therefore compares bags of content tokens and accepts a strict
-sub-bag as an elliptical match, provided the term's head survives in the
-concept label.  Any ambiguity that label evidence cannot settle is
-reported, never guessed.
+Alignment therefore compares bags of content tokens and accepts, as an
+elliptical match, a concept label whose bag holds the term's as a strict
+sub-bag; the term's head, its first content token, is in the term's bag,
+so it survives in the concept label.  Any ambiguity that label evidence
+cannot settle is reported, never guessed.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def _concept_index(
 
 
 def _aligner(ontology: OkOntology, stopwords: frozenset[str]):
-    """``align(term, head)`` over the index of ``ontology``.
+    """``align(term)`` over the index of ``ontology``.
 
     The index and the declared-denotation map are kept on the ontology,
     one entry per stopword set: an ``OkOntology`` is immutable, so an entry
@@ -129,7 +130,7 @@ def _aligner(ontology: OkOntology, stopwords: frozenset[str]):
         data = memo[stopwords] = (*_concept_index(tuple(ontology.concepts), stopwords), declared)
     bags, holders_of, by_bag, declared = data
 
-    def align(term: str, head: str | None) -> AlignmentResult:
+    def align(term: str) -> AlignmentResult:
         target = declared.get(concept_id(term))
         if target is not None and target in ontology.concepts:
             return AlignmentResult(term, AlignKind.DECLARED, target)
@@ -146,10 +147,6 @@ def _aligner(ontology: OkOntology, stopwords: frozenset[str]):
         # token no concept holds matches none
         if any(token not in holders_of for token, _ in bag):
             return AlignmentResult(term, AlignKind.UNMATCHED)
-        if head is None:
-            head = tokens[0]
-        else:
-            head = unicodedata.normalize("NFC", head).lower()
 
         # the holders of the term's rarest token are all the candidates there are
         holders = min((holders_of[token] for token, _ in bag), key=len)
@@ -157,7 +154,7 @@ def _aligner(ontology: OkOntology, stopwords: frozenset[str]):
         for name in holders:
             cbag = bags[name]
             counts = dict(cbag)
-            if cbag != bag and head in counts and all(counts.get(t, 0) >= n for t, n in bag):
+            if cbag != bag and all(counts.get(t, 0) >= n for t, n in bag):
                 sub.append(name)
         sub.sort()
         if len(sub) == 1:
@@ -179,17 +176,17 @@ def align_term(
     term: str,
     ontology: OkOntology,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-    head: str | None = None,
 ) -> AlignmentResult:
     """Resolve a term label against the concept tree.
 
     Resolution order: a declared denotation wins; then a unique exact
-    content-bag match; then an elliptical match (strict sub-bag containing
-    the term's head token); several elliptical candidates are accepted
-    only when they sit on one genus chain, in which case the deepest, most
-    specific one is chosen; otherwise the term stays AMBIGUOUS.  ``head``
-    defaults to the first content token, which is the head position of the
-    noun phrases this pipeline extracts.
+    content-bag match; then an elliptical match, a concept whose bag holds
+    the term's as a strict sub-bag; several elliptical candidates are
+    accepted only when they sit on one genus chain, in which case the
+    deepest, most specific one is chosen; otherwise the term stays
+    AMBIGUOUS.  The term's first content token, the head position of the
+    noun phrases this pipeline extracts, is in its bag, so every elliptical
+    target holds the term's head.
 
     Concept bags come from an index built in O(concepts) once per concept
     names and stopwords, and kept on the ontology with its declared
@@ -198,19 +195,17 @@ def align_term(
     more, for the concepts holding the term's rarest content token,
     otherwise; depths and subsumption are read from the ontology.
     """
-    return _aligner(ontology, stopwords)(term, head)
+    return _aligner(ontology, stopwords)(term)
 
 
 def ontology_alignments(
     terms: Iterable[str],
     ontology: OkOntology,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-    heads: Mapping[str, str] | None = None,
 ) -> dict[str, AlignmentResult]:
     """``align_term`` for every term, sharing one index and denotation map."""
-    heads = heads or {}
     align = _aligner(ontology, stopwords)
-    return {t: align(t, heads.get(t)) for t in terms}
+    return {t: align(t) for t in terms}
 
 
 def taxonomy_alignments(taxonomy: Taxonomy) -> dict[str, AlignmentResult]:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, InconsistentOntologyError, OntoTermError, json_text
-from .export import DEFAULT_IRI
+from .export import DEFAULT_IRI, check_iri
 from .fixtures import data_path
 from .okmodel import load_dsl
 from .pipeline import (
@@ -230,6 +230,7 @@ def cmd_compare_recall(args) -> int:
 
 
 def cmd_export(args) -> int:
+    check_iri(args.iri)  # whatever the format, as ``run`` checks a config's ``iri``
     _emit(render_export(_values(args, export_format=args.format)), args.out)
     return EXIT_OK
 

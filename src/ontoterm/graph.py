@@ -46,34 +46,25 @@ def walk(children: Mapping, roots: Iterable, done: Container = ()) -> Iterator[t
                 yield path.pop(), False
 
 
-def acyclic(successors: Mapping, nodes: Iterable[str]) -> bool:
-    """Whether ``successors`` (node → successors) has no cycle, every node
-    it names being among ``nodes``: Kahn's peel, O(nodes + edges).
-    ``find_cycle`` names a cycle when there is one."""
-    waiting = dict.fromkeys(nodes, 0)
-    for targets in successors.values():
-        for target in targets:
-            waiting[target] += 1
-    ready = [node for node, count in waiting.items() if not count]
-    for node in ready:  # grows while it is read
-        for target in successors.get(node, ()):
-            waiting[target] -= 1
-            if not waiting[target]:
-                ready.append(target)
-    return len(ready) == len(waiting)
-
-
 def find_cycle(edges: Iterable[tuple[str, str]]) -> list[str] | None:
     """Return the nodes of one cycle of a directed edge set, first node
-    repeated at the end, or None.
-
-    Depth-first in sorted order of nodes and successors, so the cycle
-    reported is deterministic; iterative, so long paths cannot exhaust the
-    interpreter's recursion limit.
-    """
+    repeated at the end, or None: ``cycle_in`` over the edges' successor
+    map, nodes and successors in sorted order, so the cycle reported is
+    deterministic."""
     successors: dict[str, list[str]] = {}
     for source, target in sorted(edges):
         successors.setdefault(source, []).append(target)
+    return cycle_in(successors)
+
+
+def cycle_in(successors: Mapping) -> list[str] | None:
+    """Return the nodes of one cycle of ``successors`` (node → successors),
+    first node repeated at the end, or None.
+
+    Depth-first from each key in key order, successors in the order given;
+    iterative, so long paths cannot exhaust the interpreter's recursion
+    limit.  O(nodes + edges).
+    """
     done: set[str] = set()
     for start in successors:
         if start in done:

@@ -8,14 +8,17 @@ inputs produce identical files, and a rerun skips every stage whose inputs
 kept their hashes and whose artifact still has the hash it was written
 with.
 
-The manifest keeps each input's hash beside its stat data (for the corpus,
-a digest of its documents' stat data) and the time the hash was taken.  A
-rerun reuses that hash, without reading the input, while the stat data are
+The manifest keeps one record per input, of one shape: its hash, a
+``listing`` digest of its files' names and stat data (the corpus's
+documents, or the one input file) and the time the hash was taken.  A
+rerun reuses that hash, without reading the input, while the listing is
 unchanged and every file's ``ctime`` is older than that time by more than
 ``RACY_NS``; a file changed closer to its hashing than that is "racily
-clean" and is read and hashed again, as in git's index.  Each artifact,
-and the manifest last, is written to a temp file in the output directory
-and renamed over its name, so a killed run never leaves a torn file.
+clean" and is read and hashed again, as in git's index.  A stage or input
+record stands until a run replaces it, so a run that fails keeps the
+records of the stages it did not reach.  Each artifact, and the manifest
+last, is written to a temp file in the output directory and renamed over
+its name, so a killed run never leaves a torn file.
 
 Each stage has one body, ``render_<stage>``, shared by ``run_pipeline`` and
 the CLI subcommands: it reads its inputs from a ``RunValues`` and returns
@@ -298,36 +301,39 @@ def render_export(v: RunValues) -> str:
 @dataclass(frozen=True)
 class Stage:
     """One node of the stage graph: what its fingerprint covers, and which
-    run values its render reads and leaves behind."""
+    run values its render reads and leaves behind.  The fingerprint covers
+    ``files``, ``settings`` and the artifact of each stage whose ``value``
+    is in ``reads``."""
 
     name: str
     artifact: str  # file under the output directory; {format} is the export format
     files: tuple[str, ...]  # config fields whose content feeds the fingerprint
-    upstream: tuple[str, ...]  # stages whose artifacts feed the fingerprint
     reads: tuple[str, ...]  # run values the render reads
     value: str | None = None  # the run value the artifact holds
     settings: tuple[str, ...] = ()  # config fields fingerprinted by value
 
 
 GRAPH = (
-    Stage("extract", "candidates.json", ("corpus", "lexicon", "patterns"), (),
+    Stage("extract", "candidates.json", ("corpus", "lexicon", "patterns"),
           ("tokens", "patterns"), "candidates"),
-    Stage("net", "lexnet.json", ("corpus", "lexicon", "synonyms"), ("extract",),
+    Stage("net", "lexnet.json", ("corpus", "lexicon", "synonyms"),
           ("candidates", "tokens", "synonyms"), "network"),
-    Stage("validate", "lexnet_validated.json", ("decisions",), ("net",),
-          ("network", "decisions"), "validated"),
-    Stage("project", "taxonomy.json", (), ("validate",), ("validated",), "taxonomy"),
-    Stage("ok-check", "ok_report.json", ("dsl",), (), (), "ok_report"),
-    Stage("align", "alignment.json", ("dsl", "stopwords"), ("project",),
-          ("taxonomy", "stopwords")),
+    Stage("validate", "lexnet_validated.json", ("decisions",), ("network", "decisions"),
+          "validated"),
+    Stage("project", "taxonomy.json", (), ("validated",), "taxonomy"),
+    Stage("ok-check", "ok_report.json", ("dsl",), (), "ok_report"),
+    Stage("align", "alignment.json", ("dsl", "stopwords"), ("taxonomy", "stopwords")),
     # corpus_files stays held for the doc_ids of a run whose extract hits
-    Stage("index", "doc_index.json", ("corpus", "dsl", "stopwords"), ("extract", "project"),
+    Stage("index", "doc_index.json", ("corpus", "dsl", "stopwords"),
           ("corpus_files", "doc_ids", "candidates", "taxonomy", "stopwords",
            "label_alignments")),
-    Stage("export", "ontology.{format}", ("dsl",), (), (), settings=("export_format", "iri")),
+    Stage("export", "ontology.{format}", ("dsl",), (), settings=("export_format", "iri")),
 )
 
 STAGES = tuple(stage.name for stage in GRAPH)
+
+#: Each run value an artifact holds → the stage that writes that artifact.
+_PRODUCERS = {stage.value: stage.name for stage in GRAPH if stage.value is not None}
 
 
 #: A file whose ``ctime`` lies within this many ns before its recorded hash
@@ -362,51 +368,47 @@ def _hash_path(path: Path) -> tuple[str, os.stat_result | None]:
         return _hash_bytes(f.read()), stat
 
 
-def _file_stat(stat: os.stat_result) -> tuple[dict, int]:
-    """A file's stat data as its record keeps them, and its ``ctime_ns``."""
-    return {
-        "size": stat.st_size, "mtime_ns": stat.st_mtime_ns, "ctime_ns": stat.st_ctime_ns,
-        "ino": stat.st_ino, "dev": stat.st_dev,
-    }, stat.st_ctime_ns
+def _listing(stats: Mapping[str, os.stat_result]) -> tuple[str, int]:
+    """The ``listing`` of an input's files: one digest of each file's name
+    and stat data, NUL-separated (no file name holds a NUL); and the newest
+    ``ctime_ns`` among the files."""
+    parts, newest = [], 0
+    for name, st in stats.items():
+        parts.append(
+            f"{name}\0{st.st_size}\0{st.st_mtime_ns}\0{st.st_ctime_ns}\0{st.st_ino}\0{st.st_dev}"
+        )
+        newest = max(newest, st.st_ctime_ns)
+    return _hash_bytes("\0".join(parts).encode("utf-8", "surrogateescape")), newest
 
 
-def _corpus_stat(stats: Mapping[str, os.stat_result]) -> tuple[dict, int]:
-    """A corpus's stat data as its record keeps them, one digest of each
-    document's name and stat data, NUL-separated (no file name holds a
-    NUL); and the newest ``ctime_ns`` among its documents."""
-    listing = "\0".join(
-        f"{name}\0{st.st_size}\0{st.st_mtime_ns}\0{st.st_ctime_ns}\0{st.st_ino}\0{st.st_dev}"
-        for name, st in stats.items()
-    )
-    newest = max((st.st_ctime_ns for st in stats.values()), default=0)
-    return {"listing": _hash_bytes(listing.encode("utf-8", "surrogateescape"))}, newest
-
-
-def _current_stat(path: Path, corpus: bool) -> tuple[dict, int] | None:
-    """The stat data an input's record is checked against, and the newest
-    ``ctime_ns`` among its files; None for an input file that cannot be
-    stat'ed."""
+def _current_listing(path: Path, corpus: bool) -> tuple[str, int] | None:
+    """The ``_listing`` an input's record is checked against: the corpus's
+    documents, or the one input file; None for an input file that cannot
+    be stat'ed."""
     if corpus:
-        return _corpus_stat(corpus_stats(path))
+        return _listing(corpus_stats(path))
     try:
-        return _file_stat(os.stat(path))
+        return _listing({path.name: os.stat(path)})
     except OSError:
         return None
 
 
-def _matching(record: object, stat: dict) -> dict | None:
+def _racy(ctime_ns: int, hashed_ns: int) -> bool:
+    """Whether a file changed at ``ctime_ns`` may have changed again, unseen
+    in its stat data, after a hash taken at ``hashed_ns``."""
+    return ctime_ns >= hashed_ns - RACY_NS
+
+
+def _matching(record: object, listing: str) -> dict | None:
     """``record`` rebuilt from its own fields when it is well formed and its
-    stat data equal ``stat``, each value of the same type; otherwise None,
-    and the input is read and hashed again."""
-    if not isinstance(record, dict):
+    listing is ``listing``; otherwise None, and the input is read and
+    hashed again."""
+    if not isinstance(record, dict) or record.get("listing") != listing:
         return None
     sha256, hashed_ns = record.get("sha256"), record.get("hashed_ns")
     if not (isinstance(sha256, str) and _SHA256.fullmatch(sha256) and type(hashed_ns) is int):
         return None
-    if any(type(record.get(key)) is not type(value) or record[key] != value
-           for key, value in stat.items()):
-        return None
-    return {"sha256": sha256, **stat, "hashed_ns": hashed_ns}
+    return {"sha256": sha256, "listing": listing, "hashed_ns": hashed_ns}
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -442,9 +444,10 @@ class PipelineResult:
 
 
 def _previous_manifest(manifest_path: Path) -> tuple[str | None, dict, dict]:
-    """The last run's manifest text and its stage and input records; a
-    missing or unreadable manifest, one nested too deep to decode, or one
-    of another shape, means a cold cache."""
+    """The last run's manifest text, its records of the stages in
+    ``STAGES`` and its input records; a missing or unreadable manifest, one
+    nested too deep to decode, or one of another shape, means a cold
+    cache."""
     try:
         text = manifest_path.read_text(encoding="utf-8")
         manifest = json.loads(text)
@@ -453,23 +456,26 @@ def _previous_manifest(manifest_path: Path) -> tuple[str | None, dict, dict]:
         return None, {}, {}
     if not isinstance(stages, dict):
         return text, {}, {}
-    stages = {stage: record for stage, record in stages.items() if isinstance(record, dict)}
+    stages = {stage: record for stage, record in stages.items()
+              if stage in STAGES and isinstance(record, dict)}
     return text, stages, inputs if isinstance(inputs, dict) else {}
 
 
 def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
     """Run all stages, reusing cached artifacts whose inputs are unchanged.
 
-    A stage is a cache hit when its fingerprint (its input files, upstream
-    artifacts and settings) and its artifact's sha256 match the last run's
-    manifest.  An input whose stat data match the last manifest's, and
-    whose files all changed more than ``RACY_NS`` before that hash was
-    taken, keeps its recorded hash unread; any other input is read and
-    hashed, at most once per run.  ``force`` trusts no record and renders
-    every stage.  Each value is computed at most once; a value is dropped
-    once no later stage reads it.  Artifacts and the manifest are replaced
-    atomically, the manifest last, and a manifest that would not change is
-    not written.
+    A stage is a cache hit when its fingerprint (its input files, the
+    artifacts of the stages that produce what it reads, and its settings)
+    and its artifact's sha256 match the last run's manifest.  An input
+    whose listing matches the last manifest's, and whose files all changed
+    more than ``RACY_NS`` before that hash was taken, keeps its recorded
+    hash unread; any other input is read and hashed, at most once per run.
+    ``force`` trusts no input record and renders every stage.  Each value
+    is computed at most once; a value is dropped once no later stage reads
+    it.  The manifest keeps the last run's record of each stage, and of
+    each input the config still names, that this run did not replace.
+    Artifacts and the manifest are replaced atomically, the manifest last,
+    and a manifest that would not change is not written.
 
     Stops after ok-check when the expert ontology is inconsistent (the
     downstream stages require consistency); the report artifact is still
@@ -479,12 +485,13 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
     previous_text, previous, previous_inputs = _previous_manifest(manifest_path)
-    if force:
-        previous_inputs = {}
+    named = {name for s in GRAPH for name in s.files if getattr(config, name) is not None}
+    previous_inputs = {} if force else {
+        name: record for name, record in previous_inputs.items() if name in named
+    }
     artifacts = {s.name: s.artifact.format(format=config.export_format) for s in GRAPH}
     values = RunValues({
-        **vars(config),
-        **{s.value: out / artifacts[s.name] for s in GRAPH if s.value is not None},
+        **vars(config), **{value: out / artifacts[stage] for value, stage in _PRODUCERS.items()},
     })
     inputs: dict[str, dict] = {}
     result = PipelineResult(out)
@@ -495,28 +502,30 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
         decodes."""
         hashed_ns = _now_ns()  # before any stat, so an edit during the read is never trusted
         last = previous_inputs.get(name)
-        current = None if last is None else _current_stat(path, name == "corpus")
+        current = None if last is None else _current_listing(path, name == "corpus")
         record = None if current is None else _matching(last, current[0])
-        if record is not None and current[1] < record["hashed_ns"] - RACY_NS:
+        if record is not None and not _racy(current[1], record["hashed_ns"]):
             return record
         if name == "corpus":
             stats: dict[str, os.stat_result] = {}
             files = values["corpus_files"] = read_corpus_files(path, stats)
-            sha256, (stat, ctime_ns) = _hash_files(files), _corpus_stat(stats)
+            sha256 = _hash_files(files)
         else:
-            sha256, file_stat = _hash_path(path)
-            if file_stat is None:
+            sha256, stat = _hash_path(path)
+            if stat is None:
                 return {"sha256": sha256}
-            stat, ctime_ns = _file_stat(file_stat)
+            stats = {path.name: stat}
+        listing, ctime_ns = _listing(stats)
         # A file still racily clean now keeps the time of its last equal hash:
         # the next run rehashes it under either time, and the manifest is unchanged.
-        record = _matching(last, stat)
-        if record is not None and record["sha256"] == sha256 and ctime_ns >= hashed_ns - RACY_NS:
+        record = _matching(last, listing)
+        if record is not None and record["sha256"] == sha256 and _racy(ctime_ns, hashed_ns):
             return record
-        return {"sha256": sha256, **stat, "hashed_ns": hashed_ns}
+        return {"sha256": sha256, "listing": listing, "hashed_ns": hashed_ns}
 
     def fingerprint(stage: Stage) -> str:
-        parts = [f"{artifacts[u]}:{result.stages[u].sha256}" for u in stage.upstream]
+        upstream = [_PRODUCERS[name] for name in stage.reads if name in _PRODUCERS]
+        parts = [f"{artifacts[u]}:{result.stages[u].sha256}" for u in upstream]
         for name in stage.files:
             path = getattr(config, name)
             if path is not None:
@@ -564,8 +573,8 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
         text = json_text({
             "tool": "ontoterm",
             "version": __version__,
-            "inputs": inputs,
-            "stages": {stage: vars(outcome) for stage, outcome in result.stages.items()},
+            "inputs": {**previous_inputs, **inputs},
+            "stages": {**previous, **{stage: vars(o) for stage, o in result.stages.items()}},
         })
         if text != previous_text:
             _write_atomic(manifest_path, text.encode("utf-8"))

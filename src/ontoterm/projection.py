@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import CycleError, json_text, quoted
-from .graph import Hierarchy, acyclic, find_cycle
+from .graph import Hierarchy, cycle_in, find_cycle
 from .lexnet import LexNet, RelationKind, Status, find_validated_hyponymy_cycle
 
 
@@ -57,8 +57,9 @@ class Taxonomy(Hierarchy):
             children.setdefault(parent, []).append(child)
         self._children = {parent: tuple(kids) for parent, kids in children.items()}
         self._roots = tuple(sorted(self.concepts.keys() - self._parents.keys()))
-        if not acyclic(self._children, self.concepts):
-            raise ValueError("subsumption cycle: " + " -> ".join(find_cycle(self.subsumption)))
+        cycle = cycle_in(self._parents)  # the successor map ``find_cycle`` would build
+        if cycle:
+            raise ValueError("subsumption cycle: " + " -> ".join(cycle))
 
     def parents(self, cid: str) -> list[str]:
         return list(self._parents.get(cid, ()))

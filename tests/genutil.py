@@ -412,9 +412,7 @@ def copula_oracle(docs: list[DocTokens], known_terms: list[str]) -> set[tuple[st
     return found
 
 
-def align_oracle(
-    term: str, ontology: OkOntology, stopwords: frozenset[str], head: str | None = None
-) -> AlignmentResult:
+def align_oracle(term: str, ontology: OkOntology, stopwords: frozenset[str]) -> AlignmentResult:
     """Resolve ``term`` by comparing its content bag with every concept's,
     rebuilt on each call."""
     declared = {concept_id(t): c for t, c in ontology.denotation.items()}
@@ -424,10 +422,6 @@ def align_oracle(
     bag = normalize_label(term, stopwords)
     if not bag:
         return AlignmentResult(term, AlignKind.UNMATCHED)
-    if head is None:
-        head = next(iter(bag))
-    else:
-        head = unicodedata.normalize("NFC", head).lower()
     bags = {name: normalize_label(name, stopwords) for name in ontology.concepts}
     exact = [name for name, cbag in bags.items() if cbag == bag]
     if len(exact) == 1:
@@ -435,7 +429,7 @@ def align_oracle(
     sub = sorted(
         name
         for name, cbag in bags.items()
-        if cbag != bag and all(cbag[t] >= n for t, n in bag.items()) and cbag[head] > 0
+        if cbag != bag and all(cbag[t] >= n for t, n in bag.items())
     )
     if not sub:
         return AlignmentResult(term, AlignKind.UNMATCHED)
@@ -598,13 +592,11 @@ def random_front_end_case(
     return docs, Lexicon(entries), patterns
 
 
-def random_align_case(
-    rng: random.Random,
-) -> tuple[OkOntology, frozenset[str], list[tuple[str, str | None]]]:
+def random_align_case(rng: random.Random) -> tuple[OkOntology, frozenset[str], list[str]]:
     """A ``random_ok_tree`` relabelled with short multi-word labels, a few
-    declared terms and a stopword set, plus (term, explicit head or None)
-    queries: labels of the tree, their sub-bags, reordered and stopword-laden
-    variants and unknown words.  «bobine» is in no label, so terms holding it,
+    declared terms and a stopword set, plus query terms: labels of the
+    tree, their sub-bags, reordered and stopword-laden variants and unknown
+    words.  «bobine» is in no label, so terms holding it,
     declared ones among them, hold a token no concept holds."""
     tree = random_ok_tree(rng, max_nodes=40)
     words = ["relais", "seuil", "tension", "courant", "tout", "rien", "de", "à"]
@@ -635,7 +627,7 @@ def random_align_case(
             rng.choice(labels) if rng.random() < 0.8 else "ghost"
         )
     ontology = OkOntology("random", tree.axes, concepts, denotation=denotation)
-    queries: list[tuple[str, str | None]] = []
+    queries: list[str] = []
     for _ in range(12):
         kind = rng.random()
         if kind < 0.3:
@@ -647,8 +639,9 @@ def random_align_case(
             term = rng.choice(list(ontology.denotation)).lower()
         else:
             term = " ".join(rng.choice(words + ["bobine"]) for _ in range(rng.randint(1, 3)))
-        head = rng.choice(words + ["bobine"]) if rng.random() < 0.2 else None
-        queries.append((term, head))
+        if rng.random() < 0.2:  # two draws kept so each seed yields the cases it always has
+            rng.choice(words + ["bobine"])
+        queries.append(term)
     return ontology, stopwords, queries
 
 

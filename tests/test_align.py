@@ -186,13 +186,11 @@ def test_align_matches_brute_force_oracle():
     for _ in range(1000):
         ontology, stopwords, queries = random_align_case(rng)
         held = set().union(*(normalize_label(name, stopwords) for name in ontology.concepts))
-        heads = {term: head for term, head in queries if head is not None}
-        batch = ontology_alignments([term for term, _ in queries], ontology, stopwords, heads)
-        for term, head in queries:
-            expected = align_oracle(term, ontology, stopwords, head)
-            assert align_term(term, ontology, stopwords, head) == expected, (term, head)
-            if term not in heads or heads[term] == head:
-                assert batch[term] == expected
+        batch = ontology_alignments(queries, ontology, stopwords)
+        for term in queries:
+            expected = align_oracle(term, ontology, stopwords)
+            assert align_term(term, ontology, stopwords) == expected, term
+            assert batch[term] == expected
             kinds[expected.kind] += 1
             if not normalize_label(term, stopwords).keys() <= held:
                 unheld[expected.kind] += 1
@@ -265,14 +263,14 @@ def test_align_matches_the_oracle_across_interleaved_ontologies_and_stopword_set
     cases = []
     for _ in range(1000):
         ontology, stopwords, queries = random_align_case(rng)
-        for i, (term, head) in enumerate(queries):
+        for i, term in enumerate(queries):
             words = (stopwords, DEFAULT_STOPWORDS)[i % 2]
-            cases.append((ontology, words, term, head, align_oracle(term, ontology, words, head)))
+            cases.append((ontology, words, term, align_oracle(term, ontology, words)))
     calls = cases * 3
     rng.shuffle(calls)
     kinds = Counter()
-    for ontology, words, term, head, expected in calls:
-        assert align_term(term, ontology, words, head) == expected, (term, head, words)
+    for ontology, words, term, expected in calls:
+        assert align_term(term, ontology, words) == expected, (term, words)
         kinds[expected.kind] += 1
     assert all(kinds[kind] >= 100 for kind in AlignKind), kinds
 

@@ -100,10 +100,12 @@ def test_owl_takes_an_iri_with_non_ascii_letters(relay):
 
 
 def test_cli_export_with_a_bad_iri_is_exit_1_naming_it(capsys):
-    iri = "http://x.org/a> Ontology(<evil"
-    argv = ["export", "--dsl", str(data_path("relais.dsl")), "--format", "owl", "--iri", iri]
-    assert main(argv) == 1
-    assert capsys.readouterr() == ("", f"ontoterm: E_CONFIG: {iri_error(iri)}\n")
+    for iri in ("http://x.org/a> Ontology(<evil", "http://x y"):
+        for export_format in ("owl", "kif"):  # KIF holds no IRI, yet the argument is checked
+            argv = ["export", "--dsl", str(data_path("relais.dsl")), "--format", export_format,
+                    "--iri", iri]
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", f"ontoterm: E_CONFIG: {iri_error(iri)}\n")
 
 
 def test_owl_refuses_inconsistent_ontology():

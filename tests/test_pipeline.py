@@ -305,6 +305,51 @@ def test_pipeline_decisions_edit_renders_exactly_its_downstream(tmp_path):
     assert misses == {"validate", "project", "align", "index"}
 
 
+class RecordingSources(dict):
+    """A run's sources that record each name looked up."""
+
+    def __init__(self, sources) -> None:
+        super().__init__(sources)
+        self.read: set[str] = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+    def get(self, name, default=None):
+        self.read.add(name)
+        return super().get(name, default)
+
+
+class RecordingValues(pipeline.RunValues):
+    """Run values that record each value looked up, by a render or a loader."""
+
+    def __init__(self, sources) -> None:
+        super().__init__(RecordingSources(sources))
+        self.touched: set[str] = set()
+
+    def __getitem__(self, name):
+        self.touched.add(name)
+        return super().__getitem__(name)
+
+
+def test_each_stage_fingerprint_covers_what_its_render_reads(tmp_path):
+    """Each stage renders from fresh run values over a cold run's sources,
+    so every value it reads goes through its loader.  The sources it reads
+    are its ``files``, its ``settings`` and the artifacts holding values in
+    its ``reads``, the artifacts its fingerprint covers; and it reads every
+    value in its ``reads``."""
+    config = load_config(project_config(tmp_path))
+    run_pipeline(config)
+    artifacts = {s.value: config.output / s.artifact for s in pipeline.GRAPH if s.value is not None}
+    for stage in pipeline.GRAPH:
+        values = RecordingValues({**vars(config), **artifacts})
+        getattr(pipeline, "render_" + stage.name.replace("-", "_"))(values)
+        covered = {*stage.files, *stage.settings, *(artifacts.keys() & set(stage.reads))}
+        assert values.sources.read <= covered, (stage.name, values.sources.read - covered)
+        assert set(stage.reads) <= values.touched, (stage.name, set(stage.reads) - values.touched)
+
+
 def test_pipeline_drops_tokens_once_net_has_used_them(tmp_path, monkeypatch):
     config = load_config(write_config(tmp_path))
     held = {}
@@ -461,9 +506,9 @@ def test_a_run_aligns_each_label_once(tmp_path, monkeypatch, edit):
     def counting_aligner(ontology, stopwords):
         inner = make_aligner(ontology, stopwords)
 
-        def counted(term, head):
+        def counted(term):
             aligned[term] += 1
-            return inner(term, head)
+            return inner(term)
 
         return counted
 
@@ -675,23 +720,32 @@ def test_force_reads_and_hashes_every_input(tmp_path, monkeypatch, capsys, settl
 
 
 def _set(record: str, **fields):
-    return lambda manifest: manifest["inputs"][record].update(fields)
+    return lambda manifest, config: manifest["inputs"][record].update(fields)
 
 
 def _drop(record: str, field: str):
-    return lambda manifest: manifest["inputs"][record].pop(field)
+    return lambda manifest, config: manifest["inputs"][record].pop(field)
 
 
 def _replace(record: str, value):
-    return lambda manifest: manifest["inputs"].update({record: value})
+    return lambda manifest, config: manifest["inputs"].update({record: value})
 
 
-# ``synonyms.txt`` is one byte long, so ``size: true`` would equal it under ``==``
+def _stat_fields(manifest, config) -> None:
+    """The synonyms record in the shape earlier versions wrote for an input
+    file: its stat data as five fields, and no listing."""
+    stat = config.synonyms.stat()
+    record = manifest["inputs"]["synonyms"]
+    del record["listing"]
+    record.update(size=stat.st_size, mtime_ns=stat.st_mtime_ns, ctime_ns=stat.st_ctime_ns,
+                  ino=stat.st_ino, dev=stat.st_dev)
+
+
 MALFORMED_RECORDS = {
-    "size-true": (_set("synonyms", size=True), {"synonyms"}),
-    "size-negative": (_set("synonyms", size=-1), {"synonyms"}),
-    "ino-string": (_set("synonyms", ino="1"), {"synonyms"}),
-    "mtime-missing": (_drop("synonyms", "mtime_ns"), {"synonyms"}),
+    "listing-true": (_set("synonyms", listing=True), {"synonyms"}),
+    "listing-other-digest": (_set("synonyms", listing="0" * 64), {"synonyms"}),
+    "stat-fields": (_stat_fields, {"synonyms"}),
+    "listing-missing": (_drop("synonyms", "listing"), {"synonyms"}),
     "hashed-missing": (_drop("synonyms", "hashed_ns"), {"synonyms"}),
     "hashed-float": (_set("synonyms", hashed_ns=1e300), {"synonyms"}),
     "sha256-int": (_set("synonyms", sha256=5), {"synonyms"}),
@@ -700,7 +754,7 @@ MALFORMED_RECORDS = {
     "record-null": (_replace("dsl", None), {"dsl"}),
     "corpus-listing-int": (_set("corpus", listing=5), {"corpus"}),
     "corpus-record-string": (_replace("corpus", "x"), {"corpus"}),
-    "inputs-list": (lambda m: m.update(inputs=[]), {"corpus", *INPUTS}),
+    "inputs-list": (lambda manifest, config: manifest.update(inputs=[]), {"corpus", *INPUTS}),
 }
 
 
@@ -711,14 +765,14 @@ def test_a_malformed_input_record_means_read_and_hash(tmp_path, monkeypatch, set
     run_pipeline(config)
     records = manifest_of(config.output)["inputs"]
     manifest = manifest_of(config.output)
-    mutate(manifest)
+    mutate(manifest, config)
     (config.output / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     calls = spy_on_run(monkeypatch, config.output)
     result = run_pipeline(config)
     assert all(outcome.cache_hit for outcome in result.stages.values())
     assert set(inputs_hashed(calls, config)) == reread - {"corpus"}
     assert calls["read_corpus_files"] == ("corpus" in reread)
-    # each record read again is written whole, with the hash and stat data it had
+    # each record read again is written whole, with the hash and listing it had
     rewritten = manifest_of(config.output)["inputs"]
     assert set(rewritten) == set(records)
     for name, record in rewritten.items():
@@ -746,19 +800,16 @@ def test_a_same_size_edit_that_keeps_the_stat_data_is_noticed_within_the_racy_st
     tmp_path, hashed_after_ctime, noticed
 ):
     """The edit lands in the timestamp step of its hash, so the file's stat
-    data look unchanged: the manifest is given the edited file's stat data
+    data look unchanged: the manifest is given the edited file's listing
     and a hash time ``hashed_after_ctime`` after its ``ctime``.  Only the
     racy rule can notice the edit; a hash older than the file by more than
     ``RACY_NS`` is trusted."""
     config = load_config(project_config(tmp_path))
     run_pipeline(config)
     comment_out_a_decision(config.decisions)
-    stat = config.decisions.stat()
+    listing, ctime_ns = pipeline._current_listing(config.decisions, corpus=False)
     manifest = manifest_of(config.output)
-    manifest["inputs"]["decisions"].update(
-        size=stat.st_size, mtime_ns=stat.st_mtime_ns, ctime_ns=stat.st_ctime_ns,
-        ino=stat.st_ino, dev=stat.st_dev, hashed_ns=stat.st_ctime_ns + hashed_after_ctime,
-    )
+    manifest["inputs"]["decisions"].update(listing=listing, hashed_ns=ctime_ns + hashed_after_ctime)
     (config.output / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     result = run_pipeline(config)
     assert result.stages["validate"].cache_hit is not noticed
@@ -824,7 +875,9 @@ def test_a_run_that_fails_in_a_stage_leaves_no_partial_file_and_the_next_renders
     tmp_path, monkeypatch, fault
 ):
     """The project stage fails after validate wrote; its old artifact stays
-    whole, no temp file is left, and the next run renders it again."""
+    whole, no temp file is left, the manifest keeps the last records of the
+    stages the run did not reach, and the next run renders only the
+    project stage and the stages that read its artifact."""
     config = load_config(project_config(tmp_path))
     run_pipeline(config)
     before = artifact_bytes(config.output)
@@ -850,11 +903,38 @@ def test_a_run_that_fails_in_a_stage_leaves_no_partial_file_and_the_next_renders
             run_pipeline(config)
     assert {p.name for p in config.output.iterdir()} == EXPECTED_ARTIFACTS | {"manifest.json"}
     assert (config.output / "taxonomy.json").read_bytes() == before["taxonomy.json"]
-    assert set(manifest_of(config.output)["stages"]) == {"extract", "net", "validate"}
+    assert set(manifest_of(config.output)["stages"]) == set(STAGES)
     result = run_pipeline(config)
     misses = {name for name, outcome in result.stages.items() if not outcome.cache_hit}
-    assert misses == {"project", "ok-check", "align", "index", "export"}
+    assert misses == {"project", "align", "index"}
     assert artifact_bytes(config.output) == cold_artifacts(tmp_path, config)
+
+
+def test_a_dsl_that_does_not_parse_keeps_the_records_of_the_stages_after_ok_check(
+    tmp_path, capsys
+):
+    config_path = project_config(tmp_path)
+    config = load_config(config_path)
+    run_pipeline(config)
+    dsl = config.dsl.read_bytes()
+    config.dsl.write_text("concept relais root\nconcept r genus zz diff a=b\n", encoding="utf-8")
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert "E_SYNTAX" in capsys.readouterr().err
+    config.dsl.write_bytes(dsl)
+    result = run_pipeline(config)
+    assert all(outcome.cache_hit for outcome in result.stages.values())
+
+
+def test_the_manifest_keeps_no_record_of_an_input_or_stage_the_run_does_not_have(tmp_path):
+    config = load_config(project_config(tmp_path))
+    run_pipeline(config)
+    manifest = manifest_of(config.output)
+    manifest["stages"]["tag"] = manifest["stages"]["extract"]
+    (config.output / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    run_pipeline(replace(config, synonyms=None))
+    manifest = manifest_of(config.output)
+    assert set(manifest["inputs"]) == {"corpus", *INPUTS} - {"synonyms"}
+    assert set(manifest["stages"]) == set(STAGES)
 
 
 # --- CLI ----------------------------------------------------------------------

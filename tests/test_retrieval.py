@@ -349,7 +349,7 @@ def test_compare_recall_on_one_warm_read_side_matches_the_annotation_scan():
         " ".join(rng.sample(name.split(), rng.randint(1, len(name.split()))))
         for name in ontology.concepts
     }
-    labels = sorted({*ontology.concepts, *shortcuts, *(term for term, _ in queries)})
+    labels = sorted({*ontology.concepts, *shortcuts, *queries})
     ids = sorted({concept_id(label) for label in labels if rng.random() < 0.9})
     edges = {(ids[i], rng.choice(ids[:i])) for i in range(1, len(ids))}
     taxonomy = Taxonomy({cid: Concept(cid, cid, (cid,)) for cid in ids}, edges)
