@@ -216,14 +216,12 @@ def cmd_compare_recall(args) -> int:
     if args.format == "json":
         sys.stdout.write(comparison_to_json(comparison))
     else:
-        rows = []
-        for doc in sorted(set(comparison.docs_a) | set(comparison.docs_b)):
-            rows.append([
-                doc,
-                "x" if doc in comparison.docs_a else "",
-                "x" if doc in comparison.docs_b else "",
-                "; ".join(comparison.explanations[doc]["b"] or comparison.explanations[doc]["a"]),
-            ])
+        in_a, in_b = set(comparison.docs_a), set(comparison.docs_b)
+        rows = [  # the explanations' keys are the sorted union of both sides
+            [doc, "x" if doc in in_a else "", "x" if doc in in_b else "",
+             "; ".join(sides["b"] or sides["a"])]
+            for doc, sides in comparison.explanations.items()
+        ]
         print(_render_table(["document", "projected", "ok", "via concept"], rows))
         print(f"symmetric difference: {list(comparison.symmetric_difference)}")
     return EXIT_OK

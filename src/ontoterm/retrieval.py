@@ -5,10 +5,11 @@ concept returns the documents of that concept and of every concept it
 subsumes.  Running the same query against the projected taxonomy and the
 expert tree makes the structural difference directly measurable.
 
-A ``DocIndex`` answers from a table of closed posting lists (each
-concept's documents together with those of everything below it), filled
-bottom-up on first use per concept and kept for one structure at a time,
-so a query does not walk the closure again.
+A ``DocIndex`` keeps each concept's postings as a tuple and answers from
+a table of closed posting lists (each concept's documents together with
+those of everything below it, also tuples), filled bottom-up on first use
+per concept and kept for one structure at a time, so a query does not walk
+the closure again and hands back the entry itself.
 """
 
 from __future__ import annotations
@@ -44,15 +45,16 @@ class DocIndex:
 
     ``concepts_by_doc`` maps each annotated document, in order, to its
     concepts and answers the explanations of ``compare_recall``;
-    ``docs_by_concept`` maps each concept to its documents.  Both are built
-    once from (document, concept) pairs or ``DocAnnotation``s, each pair
-    kept once; read them, never mutate them.  ``annotations`` is a view
-    derived from them, built on each access.
+    ``docs_by_concept`` maps each concept to the tuple of its documents.
+    Both are built once from (document, concept) pairs or
+    ``DocAnnotation``s, each pair kept once; read them, never mutate them.
+    ``annotations`` is a view derived from them, built on each access.
 
     ``closed_docs`` answers ``query`` and ``compare_recall`` from a table of
-    closed posting lists for the structure last asked about.  The index and
-    both structures are immutable values, so an entry, once filled, never
-    goes stale; asking about another structure starts a new table.
+    closed posting lists for the structure last asked about, each a tuple.
+    The index and both structures are immutable values, so an entry, once
+    filled, never goes stale; asking about another structure starts a new
+    table.
     """
 
     def __init__(
@@ -78,22 +80,24 @@ class DocIndex:
                     by_concept[concept] = [doc]
                 else:
                     docs.append(doc)
-        self.concepts_by_doc, self.docs_by_concept = by_doc, by_concept
+        self.concepts_by_doc = by_doc
+        # tuples, once, so that every entry of the closed table is immutable
+        self.docs_by_concept = {concept: tuple(docs) for concept, docs in by_concept.items()}
         self.unannotated_docs = tuple(unannotated_docs)
         self.skipped_ambiguous = tuple(skipped_ambiguous)
         # (structure, concept → closed posting list), swapped as one value
-        self._closed: tuple[Structure, dict[str, Sequence[str]]] | None = None
+        self._closed: tuple[Structure, dict[str, tuple[str, ...]]] | None = None
 
-    def closed_docs(self, structure: Structure, concept: str) -> Sequence[str]:
+    def closed_docs(self, structure: Structure, concept: str) -> tuple[str, ...]:
         """The documents of ``concept`` and of every concept it subsumes in
-        ``structure``, each once, in no set order; read it, never mutate it.
+        ``structure``, each once, in no set order.
 
         The first call for a concept fills the entries of its sub-DAG that
         are missing, each on leaving it in a ``walk`` over
         ``structure.children_view()`` that skips the filled ones:
         O(postings and edges of the sub-DAG).  After that it is a lookup.
-        An entry is a leaf's own posting list, shared, or a tuple: the union
-        of the concept's postings and its children's entries.
+        An entry is a leaf's own posting tuple, shared, or a new tuple: the
+        union of the concept's postings and its children's entries.
         """
         memo = self._closed
         if memo is None or memo[0] is not structure:
@@ -171,10 +175,11 @@ def index_corpus(
     return DocIndex(pairs, unannotated, sorted(skipped))
 
 
-def query(index: DocIndex, structure: Structure, concept: str) -> set[str]:
-    """Documents of ``concept`` and of every concept it subsumes, as a new
-    set: O(answer) once ``index.closed_docs`` holds the concept's entry."""
-    return set(index.closed_docs(structure, concept))
+def query(index: DocIndex, structure: Structure, concept: str) -> tuple[str, ...]:
+    """Documents of ``concept`` and of every concept it subsumes, each once,
+    in no set order: ``index.closed_docs``'s entry itself, shared by every
+    caller and immutable, so O(1) once the entry is filled."""
+    return index.closed_docs(structure, concept)
 
 
 def resolve_label(
@@ -284,17 +289,30 @@ def index_to_json_obj(index: DocIndex) -> dict:
 
 
 def index_from_json_obj(payload: dict) -> DocIndex:
-    pairs = []
+    """The doc index of one side of ``doc_index.json``.  An annotation of
+    another source, a ``doc_id`` or ``concept`` that is not a string, or an
+    ``unannotated_docs`` or ``skipped_ambiguous`` that is not a list of
+    strings raises ``ArtifactError``."""
+    docs, concepts = [], []
     for row in payload["annotations"]:
         if row.get("source") != _SOURCE:
             raise ArtifactError(
                 f"annotation of {row.get('doc_id')!r} has source {row.get('source')!r}, "
                 f"expected {_SOURCE!r}"
             )
-        pairs.append((row["doc_id"], row["concept"]))
-    return DocIndex(
-        pairs, payload.get("unannotated_docs", ()), payload.get("skipped_ambiguous", ())
-    )
+        docs.append(row["doc_id"])
+        concepts.append(row["concept"])
+    unannotated = payload.get("unannotated_docs", [])
+    skipped = payload.get("skipped_ambiguous", [])
+    if type(unannotated) is not list or type(skipped) is not list:
+        raise ArtifactError("unannotated_docs and skipped_ambiguous must be lists")
+    try:
+        "".join([*docs, *concepts, *unannotated, *skipped])  # every value a string, at C speed
+    except TypeError:
+        raise ArtifactError(
+            "a doc_id, concept, unannotated_docs or skipped_ambiguous entry is not a string"
+        ) from None
+    return DocIndex(zip(docs, concepts), unannotated, skipped)
 
 
 def comparison_to_json(comparison: RecallComparison) -> str:

@@ -165,6 +165,61 @@ def test_pipeline_fixture_artifacts_are_byte_identical_to_the_recorded_ones(tmp_
     } == FIXTURE_SHA256
 
 
+#: sha256 of what ``query`` (on each structure) and ``compare-recall`` print
+#: on the fixture's artifacts, by (command, concept label, format).
+FIXTURE_READ_SHA256 = {
+    ("query-ok", "relais à seuil", "table"): "8bfc3c50bb72557b8beb655ebc9f31d5d3e067a50281d94be8e917fe5ef6d59d",
+    ("query-ok", "relais à seuil", "json"): "eba3a7503d84c3c703c0794d8757c2e30366177ff0598984a87a6639e96d4742",
+    ("query-projected", "relais à seuil", "table"): "6dc38cda4fa2fc4734bc4bca21638db074dd298f7e67e7ce96fe4b685d699af4",
+    ("query-projected", "relais à seuil", "json"): "3363e874d454e4d6f743a78957a3a111ec1918091885d330ff53ce72251b6c29",
+    ("compare-recall", "relais à seuil", "table"): "db089f68050a909acb784e3c6de18ef83f7ae367713e3424fef3fb4f7599583a",
+    ("compare-recall", "relais à seuil", "json"): "20a62eeb6b844def9b99ad910fa1b3c53a5b1d5a774c88cdc8f50a07837e89ec",
+    ("query-ok", "relais", "table"): "594059f3a239ca73c723a1c844395b636594ad7b06850246eea03ab0646d36f2",
+    ("query-ok", "relais", "json"): "83faa02c5aadf1c1240de9d45c3cfdfffa6a5f39914cd6b2d3931e315bd06691",
+    ("query-projected", "relais", "table"): "594059f3a239ca73c723a1c844395b636594ad7b06850246eea03ab0646d36f2",
+    ("query-projected", "relais", "json"): "83faa02c5aadf1c1240de9d45c3cfdfffa6a5f39914cd6b2d3931e315bd06691",
+    ("compare-recall", "relais", "table"): "a72ae241655e1f17b55d05ec5a0a02afc5c34cea3d6690ae9b9e0b3c8dcc37a4",
+    ("compare-recall", "relais", "json"): "b0a7144d5af1a64e96b3dd35d0ae6125c3efc63d06617b147add0830a7ec51ed",
+}
+
+
+def test_query_and_compare_recall_print_the_recorded_bytes_on_the_fixture(tmp_path, capsys):
+    out = run_pipeline(load_config(write_config(tmp_path))).output_dir
+    index, taxonomy = str(out / "doc_index.json"), str(out / "taxonomy.json")
+    dsl = str(data_path("relais.dsl"))
+    printed = {}
+    for command, label, fmt in FIXTURE_READ_SHA256:
+        argv = {
+            "query-ok": ["query", "--structure", "ok", "--dsl", dsl],
+            "query-projected": ["query", "--structure", "projected", "--taxonomy", taxonomy],
+            "compare-recall": ["compare-recall", "--taxonomy", taxonomy, "--dsl", dsl],
+        }[command] + ["--index", index, "--concept", label, "--format", fmt]
+        assert main(argv) == 0
+        printed[command, label, fmt] = capsys.readouterr().out
+    assert printed["compare-recall", "relais", "table"] == (
+        "document           projected  ok  via concept\n"
+        "-----------------  ---------  --  ------------------------------------------------\n"
+        "doc01_protection   x          x   relais\n"
+        "doc02_technologie  x          x   relais électromagnétique\n"
+        "doc03_tension      x          x   relais; relais à seuil de tension\n"
+        "doc04_seuil        x          x   relais à seuil\n"
+        "doc05_commutation  x          x   relais tout ou rien\n"
+        "doc06_definitions  x          x   relais; relais à seuil; relais électromagnétique\n"
+        "symmetric difference: []\n"
+    )
+    assert printed["compare-recall", "relais à seuil", "table"] == (
+        "document           projected  ok  via concept\n"
+        "-----------------  ---------  --  -------------------------\n"
+        "doc03_tension                 x   relais à seuil de tension\n"
+        "doc04_seuil        x          x   relais à seuil\n"
+        "doc06_definitions  x          x   relais à seuil\n"
+        "symmetric difference: ['doc03_tension']\n"
+    )
+    assert {
+        key: hashlib.sha256(text.encode("utf-8")).hexdigest() for key, text in printed.items()
+    } == FIXTURE_READ_SHA256
+
+
 def dumps_artifact(payload) -> str:
     return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
@@ -1180,6 +1235,8 @@ def test_cli_stages_write_the_pipelines_bytes(tmp_path, capsys):
     ("align-dangling-taxonomy-edge", "E_ARTIFACT"),
     ("query-cyclic-taxonomy", "E_ARTIFACT"),
     ("project-deeply-nested", "E_ARTIFACT"),
+    ("compare-recall-integer-doc-ids", "E_ARTIFACT"),
+    ("query-unannotated-docs-a-string", "E_ARTIFACT"),
 ])
 def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case, code):
     missing = str(tmp_path / "missing")
@@ -1205,6 +1262,16 @@ def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case,
     projected_side.write_text('{"projected": {"annotations": []}}', encoding="utf-8")
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    row = {"doc_id": "d1", "concept": "relais à seuil", "source": "TERM_OCCURRENCE"}
+    integer_ids = tmp_path / "integer_ids.json"
+    integer_ids.write_text(json.dumps({
+        "projected": {"annotations": [row]},
+        "ok": {"annotations": [{**row, "doc_id": 1}, {**row, "doc_id": 2}]},
+    }), encoding="utf-8")
+    unannotated_string = tmp_path / "unannotated_string.json"
+    unannotated_string.write_text(json.dumps(
+        {"ok": {"annotations": [row], "unannotated_docs": "abc"}}
+    ), encoding="utf-8")
     dsl = str(data_path("relais.dsl"))
     argv = {
         "project-missing": ["project", "--lexnet", missing],
@@ -1224,6 +1291,12 @@ def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case,
         "query-cyclic-taxonomy": ["query", "--index", str(projected_side), "--structure",
                                   "projected", "--concept", "c", "--taxonomy", str(cyclic)],
         "project-deeply-nested": ["project", "--lexnet", str(deep)],
+        "compare-recall-integer-doc-ids": ["compare-recall", "--index", str(integer_ids),
+                                           "--taxonomy", str(taxonomy), "--dsl", dsl,
+                                           "--concept", "relais à seuil"],
+        "query-unannotated-docs-a-string": ["query", "--index", str(unannotated_string),
+                                            "--structure", "ok", "--concept", "relais à seuil",
+                                            "--dsl", dsl],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -1231,6 +1304,10 @@ def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case,
     assert "Traceback" not in err
     if case == "query-cyclic-taxonomy":
         assert "subsumption cycle: a -> b -> a" in err
+    if case == "compare-recall-integer-doc-ids":
+        assert err.startswith(f"ontoterm: E_ARTIFACT: {integer_ids}: ")
+    if case == "query-unannotated-docs-a-string":
+        assert err.startswith(f"ontoterm: E_ARTIFACT: {unannotated_string}: ")
 
 
 @pytest.mark.parametrize("kind", [

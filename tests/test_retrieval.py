@@ -137,17 +137,17 @@ def test_ambiguous_terms_are_skipped_and_logged(taxonomy):
 
 def test_query_projected_misses_the_elided_document(experiment, taxonomy):
     _, _, projected, _ = experiment
-    assert query(projected, taxonomy, "relais à seuil") == {"d2"}
+    assert sorted(query(projected, taxonomy, "relais à seuil")) == ["d2"]
 
 
 def test_query_expert_structure_subsumes_it(experiment, relay):
     _, _, _, ok_index = experiment
-    assert query(ok_index, relay, "relais à seuil") == {"d1", "d2"}
+    assert sorted(query(ok_index, relay, "relais à seuil")) == ["d1", "d2"]
 
 
 def test_query_root_returns_every_annotated_document(experiment, relay):
     _, _, _, ok_index = experiment
-    assert query(ok_index, relay, "relais") == {"d1", "d2"}
+    assert sorted(query(ok_index, relay, "relais")) == ["d1", "d2"]
 
 
 def test_query_unknown_concept(experiment, relay):
@@ -277,7 +277,7 @@ def test_query_matches_per_document_scan_on_random_indexes():
             for doc in docs:  # independent per-document scan
                 if any(a.doc_id == doc and a.concept in closure for a in annotations):
                     expected.add(doc)
-            assert query(index, taxonomy, concept) == expected
+            assert sorted(query(index, taxonomy, concept)) == sorted(expected)
 
 
 def test_query_monotone_under_subsumption():
@@ -292,7 +292,7 @@ def test_query_monotone_under_subsumption():
         for concept in nodes:
             outer = query(index, taxonomy, concept)
             for inner in taxonomy.subsumed_closure(concept):
-                assert query(index, taxonomy, inner) <= outer
+                assert set(query(index, taxonomy, inner)) <= set(outer)
 
 
 # --- posting lists against a scan of every annotation -------------------------
@@ -320,7 +320,9 @@ def test_query_and_compare_recall_match_an_annotation_scan():
             for concept in rng.sample(sorted(members), min(5, len(members))):
                 if structure is not None:
                     closure = structure_closure_oracle(structure, concept)
-                    assert query(index, structure, concept) == {d for d, c in pairs if c in closure}
+                    assert sorted(query(index, structure, concept)) == sorted(
+                        {d for d, c in pairs if c in closure}
+                    )
         labels = rng.sample(names, min(4, len(names)))
         if ontology is None:
             continue
@@ -457,6 +459,27 @@ def test_an_annotation_of_another_source_is_an_artifact_error(tmp_path, capsys, 
     assert "E_ARTIFACT" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change", [
+    pytest.param({"doc_id": 1}, id="integer-doc-id"),
+    pytest.param({"concept": ["relais"]}, id="list-concept"),
+    pytest.param({"unannotated_docs": "abc"}, id="unannotated-a-string"),
+    pytest.param({"unannotated_docs": ["d2", 3]}, id="unannotated-an-integer"),
+    pytest.param({"skipped_ambiguous": None}, id="skipped-null"),
+    pytest.param({"skipped_ambiguous": [["x"]]}, id="skipped-a-list"),
+])
+def test_a_doc_index_value_that_is_not_a_string_is_an_artifact_error(change):
+    row = {"doc_id": "d1", "concept": "relais", "source": "TERM_OCCURRENCE"}
+    side = {"annotations": [row], "unannotated_docs": ["d2"], "skipped_ambiguous": ["x"]}
+    index_from_json_obj(side)
+    for key, value in change.items():
+        if key in row:
+            side["annotations"] = [row, {**row, key: value}]
+        else:
+            side[key] = value
+    with pytest.raises(ArtifactError):
+        index_from_json_obj(side)
+
+
 # --- closed posting lists against the pair scan --------------------------------
 
 
@@ -484,11 +507,31 @@ def test_closed_posting_lists_match_the_pair_scan_in_any_fill_order():
             closure = structure_closure_oracle(structure, concept)
             expected = {d for d, c in pairs if c in closure}
             answer = query(index, structure, concept)
-            assert answer == expected
-            answer.add("intruder")
-            answer.discard(next(iter(expected), None))
-            assert query(index, structure, concept) == expected
+            assert sorted(answer) == sorted(expected)
+            with pytest.raises(TypeError):  # immutable: no caller can change the next answer
+                answer[0] = "intruder"
+            assert query(index, structure, concept) is answer
     assert min(seen.values()) >= 50, seen
+
+
+def test_query_hands_back_the_closed_entry_itself_a_tuple_without_duplicates():
+    rng = random.Random(20101024)
+    for case in range(100):
+        if case % 2:
+            structure = random_ok_tree(rng, max_nodes=30)
+        else:
+            structure = random_taxonomy(rng, max_nodes=30, prefix="n")
+        concepts = sorted(structure.concepts)
+        docs = [f"d{i}" for i in range(rng.randint(1, 20))]
+        index = DocIndex(random_pairs(rng, docs, concepts + ["ghost"], rng.randint(0, 60)))
+        for concept in rng.sample(concepts, len(concepts)):
+            answer = query(index, structure, concept)
+            assert answer is index.closed_docs(structure, concept)
+            assert query(index, structure, concept) is answer
+        for postings in (index.docs_by_concept, index._closed[1]):
+            for entry in postings.values():
+                assert type(entry) is tuple and len(set(entry)) == len(entry)
+        assert len(index._closed[1]) == len(concepts)
 
 
 def test_one_index_answers_for_two_structures_queried_in_turn():
@@ -504,7 +547,9 @@ def test_one_index_answers_for_two_structures_queried_in_turn():
             for structure in (taxonomy, ontology):
                 if concept in structure:
                     closure = structure_closure_oracle(structure, concept)
-                    assert query(index, structure, concept) == {d for d, c in pairs if c in closure}
+                    assert sorted(query(index, structure, concept)) == sorted(
+                        {d for d, c in pairs if c in closure}
+                    )
 
 
 def test_unknown_concept_raises_the_same_error_and_fills_nothing():
@@ -515,7 +560,7 @@ def test_unknown_concept_raises_the_same_error_and_fills_nothing():
     for structure in (taxonomy, ontology):
         with pytest.raises(UnknownConceptError, match=re.escape("unknown concept: 'ghost'")):
             query(index, structure, "ghost")
-        assert query(index, structure, "a") == {"d1"}
+        assert sorted(query(index, structure, "a")) == ["d1"]
         with pytest.raises(UnknownConceptError, match=re.escape("unknown concept: 'ghost'")):
             structure.subsumed_closure("ghost")
 
@@ -528,7 +573,7 @@ def test_a_leaf_query_fills_only_the_leaf_and_shares_its_posting_list():
     assert leaves and inner
     for leaf in leaves:
         index = DocIndex(pairs)
-        assert query(index, taxonomy, leaf) == set(index.docs_by_concept[leaf])
+        assert sorted(query(index, taxonomy, leaf)) == sorted(index.docs_by_concept[leaf])
         assert index.closed_docs(taxonomy, leaf) is index.docs_by_concept[leaf]
         assert list(index._closed[1]) == [leaf]
     index = DocIndex(pairs)
@@ -542,8 +587,8 @@ def test_query_on_a_chain_deeper_than_the_recursion_limit():
     ids = [f"c{k:05d}" for k in range(n)]
     taxonomy = Taxonomy({cid: Concept(cid, cid, (cid,)) for cid in ids}, set(zip(ids[1:], ids)))
     index = DocIndex((f"d{k}", cid) for k, cid in enumerate(ids) if k % 100 == 0)
-    assert query(index, taxonomy, ids[0]) == {f"d{k}" for k in range(0, n, 100)}
-    assert query(index, taxonomy, ids[-1]) == set()
+    assert sorted(query(index, taxonomy, ids[0])) == sorted(f"d{k}" for k in range(0, n, 100))
+    assert sorted(query(index, taxonomy, ids[-1])) == []
 
 
 def test_closed_posting_lists_of_a_1200_concept_tree_hold_under_half_a_megabyte():
