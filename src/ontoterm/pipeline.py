@@ -20,6 +20,13 @@ records of the stages it did not reach.  Each artifact, and the manifest
 last, is written to a temp file in the output directory and renamed over
 its name, so a killed run never leaves a torn file.
 
+The extract stage's record also keeps ``doc_ids``, the ids of the
+documents its render annotated, in corpus order; a hit copies them.  They
+depend only on the documents' names and bytes, which extract's fingerprint
+covers, so an index stage that renders after extract hit takes its ids
+from that record and reads no corpus document.  A record without a usable
+list falls back to the corpus, and the run records the ids it read.
+
 Each stage has one body, ``render_<stage>``, shared by ``run_pipeline`` and
 the CLI subcommands: it reads its inputs from a ``RunValues`` and returns
 the artifact text.
@@ -107,8 +114,8 @@ _SETTINGS = ("export_format", "iri")  # the fields that are not paths
 def parse_config(text: str, base_dir: Path) -> PipelineConfig:
     """Parse a flat ``key = value`` config; relative paths resolve against
     the config file's directory.  A key that is not a ``PipelineConfig``
-    field, a key given twice, a missing required key and a bad
-    ``export_format`` or ``iri`` raise ``ConfigError``."""
+    field, a key given twice, a missing required key, a path that is empty
+    or blank and a bad ``export_format`` or ``iri`` raise ``ConfigError``."""
     values: dict[str, str] = {}
     for lineno, raw in input_lines(text):
         m = _CONFIG_LINE.match(raw.strip())
@@ -121,6 +128,8 @@ def parse_config(text: str, base_dir: Path) -> PipelineConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if value.startswith('"') and value.endswith('"') and len(value) >= 2:
             value = value[1:-1]
+        if key not in _SETTINGS and not value.strip():  # "" would name the config's directory
+            raise ConfigError(f"line {lineno}: empty path for key {key!r}")
         values[key] = value
 
     for f in _FIELDS.values():
@@ -323,10 +332,8 @@ GRAPH = (
     Stage("project", "taxonomy.json", (), ("validated",), "taxonomy"),
     Stage("ok-check", "ok_report.json", ("dsl",), (), "ok_report"),
     Stage("align", "alignment.json", ("dsl", "stopwords"), ("taxonomy", "stopwords")),
-    # corpus_files stays held for the doc_ids of a run whose extract hits
     Stage("index", "doc_index.json", ("corpus", "dsl", "stopwords"),
-          ("corpus_files", "doc_ids", "candidates", "taxonomy", "stopwords",
-           "label_alignments")),
+          ("doc_ids", "candidates", "taxonomy", "stopwords", "label_alignments")),
     Stage("export", "ontology.{format}", ("dsl",), (), settings=("export_format", "iri")),
 )
 
@@ -411,6 +418,16 @@ def _matching(record: object, listing: str) -> dict | None:
     return {"sha256": sha256, "listing": listing, "hashed_ns": hashed_ns}
 
 
+def _usable_ids(ids: object) -> list[str] | None:
+    """``ids`` when it is a non-empty list of strings, sorted and without
+    duplicates, as ``corpus_doc_ids`` returns them; otherwise None, and the
+    ids are taken from the corpus."""
+    if (isinstance(ids, list) and ids and all(type(i) is str for i in ids)
+            and all(a < b for a, b in zip(ids, ids[1:]))):
+        return ids
+    return None
+
+
 def _write_atomic(path: Path, data: bytes) -> None:
     """Write ``data`` to a temp file beside ``path``, then rename it over
     ``path``: a reader sees the old file or the new one, never part of one.
@@ -472,7 +489,8 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
     hash unread; any other input is read and hashed, at most once per run.
     ``force`` trusts no input record and renders every stage.  Each value
     is computed at most once; a value is dropped once no later stage reads
-    it.  The manifest keeps the last run's record of each stage, and of
+    it.  An index stage that renders after extract hit takes its
+    ``doc_ids`` from extract's record (see the module docstring).  The manifest keeps the last run's record of each stage, and of
     each input the config still names, that this run did not replace.
     Artifacts and the manifest are replaced atomically, the manifest last,
     and a manifest that would not change is not written.
@@ -494,6 +512,7 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
         **vars(config), **{value: out / artifacts[stage] for value, stage in _PRODUCERS.items()},
     })
     inputs: dict[str, dict] = {}
+    records: dict[str, dict] = {}  # this run's stage records
     result = PipelineResult(out)
 
     def input_record(name: str, path: Path) -> dict:
@@ -549,12 +568,20 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
         if hit:
             sha256 = cached["sha256"]
         else:
+            if stage.name == "index" and records["extract"]["cache_hit"]:
+                # the ids extract's record holds, or the corpus's when it holds none usable
+                extract = records["extract"]
+                extract["doc_ids"] = values["doc_ids"] = (
+                    _usable_ids(extract["doc_ids"]) or values["doc_ids"])
             # looked up at call time, like every layer function the stages call
             render = globals()["render_" + stage.name.replace("-", "_")]
             data = render(values).encode("utf-8")
             _write_atomic(path, data)
             sha256 = _hash_bytes(data)
-        result.stages[stage.name] = StageOutcome(artifact, key, hit, sha256)
+        outcome = result.stages[stage.name] = StageOutcome(artifact, key, hit, sha256)
+        record = records[stage.name] = dict(vars(outcome))
+        if stage.name == "extract":
+            record["doc_ids"] = cached.get("doc_ids") if hit else values["doc_ids"]
 
     try:
         for i, stage in enumerate(GRAPH):
@@ -574,7 +601,7 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
             "tool": "ontoterm",
             "version": __version__,
             "inputs": {**previous_inputs, **inputs},
-            "stages": {**previous, **{stage: vars(o) for stage, o in result.stages.items()}},
+            "stages": {**previous, **records},
         })
         if text != previous_text:
             _write_atomic(manifest_path, text.encode("utf-8"))

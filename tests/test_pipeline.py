@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import shutil
 import time
 from collections import Counter
@@ -99,6 +100,27 @@ def test_config_rejects_bad_export_format(tmp_path):
             + '\nexport_format = "xml"\n',
             tmp_path,
         )
+
+
+@pytest.mark.parametrize("value", ['""', '"  "', '" \t"'])
+@pytest.mark.parametrize("key", ["output", "synonyms", "corpus"])
+def test_config_refuses_an_empty_path_naming_its_key_and_line(tmp_path, capsys, key, value):
+    """An empty path would resolve to the config's own directory: the run
+    would write its artifacts beside the config, or read a directory as a
+    file."""
+    config = write_config(tmp_path)  # seven lines
+    lines = config.read_text(encoding="utf-8").splitlines()
+    lines = [line for line in lines if not line.startswith(f"{key} =")] + [f"{key} = {value}"]
+    config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    line = len(lines)
+    with pytest.raises(ConfigError) as exc:
+        load_config(config)
+    assert str(exc.value) == f"{config}: line {line}: empty path for key {key!r}"
+    assert main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"ontoterm: E_CONFIG: {config}: line {line}: empty path for key {key!r}\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.toml"]
 
 
 def test_config_bad_line(tmp_path):
@@ -420,6 +442,34 @@ def test_pipeline_drops_tokens_once_net_has_used_them(tmp_path, monkeypatch):
     assert "tokens" not in held
 
 
+@pytest.mark.parametrize("clock", ["settled_clock", "racy_clock"])
+def test_pipeline_drops_the_corpus_bytes_once_extract_is_done(tmp_path, monkeypatch, request, clock):
+    """A cold run, and a decisions edit whose racy corpus is read for its
+    hash, hold no document's bytes in any stage after extract."""
+    request.getfixturevalue(clock)
+    decisions = tmp_path / "decisions.txt"
+    shutil.copy(data_path("decisions.txt"), decisions)
+    config = load_config(write_config(tmp_path, decisions=str(decisions)))
+    held: dict[str, set[str]] = {}
+
+    def spy(stage, render):
+        def wrapped(values):
+            held[stage] = set(values)
+            return render(values)
+
+        monkeypatch.setattr(pipeline, "render_" + stage.replace("-", "_"), wrapped)
+
+    for stage in STAGES[1:]:
+        spy(stage, getattr(pipeline, "render_" + stage.replace("-", "_")))
+    for run in ("cold", "decisions edit"):
+        if run == "decisions edit":
+            reject(decisions)
+        held.clear()
+        run_pipeline(config)
+        assert "index" in held, run
+        assert not any({"corpus_files", "corpus"} & names for names in held.values()), run
+
+
 def spy_on_run(monkeypatch, out: Path, corpus: Path | None = None) -> Counter:
     """Count corpus reads and loads, annotated documents, hashed paths,
     decoded artifacts, files read under ``out`` (as text, or as bytes
@@ -542,8 +592,9 @@ def test_warm_and_edit_runs_read_each_corpus_file_once_and_load_no_documents(
     assert calls["read_corpus_files"] == 1
     assert calls["load_corpus"] == 0
     assert corpus_reads(calls) == dict.fromkeys(files, 1)
-    # the index's document ids come from the bytes the fingerprint read
-    assert documents_decoded(calls) == ({} if edit == "warm" else dict.fromkeys(files, 1))
+    # the racy corpus is read for its hash only: the index's document ids
+    # come from the extract stage's manifest record
+    assert documents_decoded(calls) == {}
 
 
 @pytest.mark.parametrize("edit", ["cold", "decisions-edit"])
@@ -836,6 +887,222 @@ def test_a_malformed_input_record_means_read_and_hash(tmp_path, monkeypatch, set
         assert record == records[name], name
 
 
+def extract_ids(out: Path) -> object:
+    return manifest_of(out)["stages"]["extract"]["doc_ids"]
+
+
+def oracle_ids(corpus: Path) -> list[str]:
+    return corpus_module.corpus_doc_ids(corpus, corpus_module.read_corpus_files(corpus))
+
+
+def reject(decisions: Path, term: str = "relais de tension") -> None:
+    """A decisions edit that changes the projected taxonomy, so the index
+    stage renders again."""
+    with decisions.open("a", encoding="utf-8") as f:
+        f.write(f'reject term "{term}"\n')
+
+
+def test_a_settled_decisions_edit_opens_no_corpus_document(tmp_path, monkeypatch, settled_clock):
+    config = load_config(project_config(tmp_path / "project", tmp_path / "out"))
+    run_pipeline(config)
+    reject(config.decisions)
+    calls = spy_on_run(monkeypatch, config.output, config.corpus)
+    result = run_pipeline(config)
+    assert result.stages["extract"].cache_hit and not result.stages["index"].cache_hit
+    assert calls["read_corpus_files"] == 0 and calls["hash_files"] == 0
+    assert corpus_reads(calls) == {} and documents_decoded(calls) == {}
+    monkeypatch.undo()
+    assert extract_ids(config.output) == oracle_ids(config.corpus)
+    assert artifact_bytes(config.output) == cold_artifacts(tmp_path, config)
+
+
+_CORPUS_LINES = [
+    line
+    for path in sorted(data_path("corpus").iterdir())
+    for line in path.read_text(encoding="utf-8").splitlines()
+    if line.strip()
+]
+_DOCUMENT_NAMES = ("a.txt", "a-b.txt", "a b.txt", "b.txt", "doc é.txt", "z0.txt", "Z.txt")
+
+
+def random_ids_corpus(rng, corpus: Path) -> None:
+    """A corpus of up to seven documents whose name order and id order may
+    disagree, some blank or whitespace-only, some with CRLF line ends, one
+    always holding «relais de tension»; beside them files that are no
+    documents (a nested ``*.txt``, ``README``, ``c.TXT``), a symlink to a
+    document and one that dangles."""
+    corpus.mkdir()
+    names = rng.sample(_DOCUMENT_NAMES, rng.randint(1, len(_DOCUMENT_NAMES)))
+    for i, name in enumerate(names):
+        kind = rng.random()
+        if i == 0:
+            text = "Un relais de tension est un relais.\n"
+        elif kind < 0.2:
+            text = ""
+        elif kind < 0.4:
+            text = rng.choice([" ", "\n", " \r\n\t", "\r\n\r\n"])
+        else:
+            text = "\n".join(rng.sample(_CORPUS_LINES, rng.randint(1, 4))) + "\n"
+        if rng.random() < 0.3:
+            text = text.replace("\n", "\r\n")
+        (corpus / name).write_bytes(text.encode("utf-8"))
+    if rng.random() < 0.5:
+        (corpus / "notes").mkdir()
+        (corpus / "notes" / "nested.txt").write_text("relais imbriqué\n", encoding="utf-8")
+    if rng.random() < 0.5:
+        (corpus / "README").write_text("relais\n", encoding="utf-8")
+        (corpus / "c.TXT").write_text("relais\n", encoding="utf-8")
+    if rng.random() < 0.5:
+        os.symlink(rng.choice(names), corpus / "link.txt")
+    if rng.random() < 0.5:
+        os.symlink("missing.txt", corpus / "gone.txt")
+
+
+CORPUS_FEATURES = ("blank", "CRLF", "nested .txt", "README", "symlink", "dangling symlink",
+                   "name order is not id order")
+
+
+def corpus_features(corpus: Path) -> set[str]:
+    """Which of ``CORPUS_FEATURES`` a corpus from ``random_ids_corpus`` has."""
+    documents = sorted(p.name for p in corpus.iterdir() if p.suffix == ".txt" and p.is_file())
+    texts = [(corpus / name).read_bytes() for name in documents]
+    ids = [name[:-4] for name in documents]
+    features = {
+        "blank": any(not text.strip() for text in texts),
+        "CRLF": any(b"\r\n" in text for text in texts),
+        "nested .txt": (corpus / "notes" / "nested.txt").exists(),
+        "README": (corpus / "README").exists(),
+        "symlink": (corpus / "link.txt").exists(),
+        "dangling symlink": (corpus / "gone.txt").is_symlink(),
+        "name order is not id order": ids != sorted(ids),
+    }
+    return {feature for feature, present in features.items() if present}
+
+
+def test_the_ids_an_edit_run_restores_are_the_corpus_ids(tmp_path, monkeypatch, settled_clock):
+    """On the fixture and on 200 random corpora, through a cold run, a
+    decisions edit, a warm run and a lexicon edit: the extract stage's
+    record holds ``corpus_doc_ids`` of the corpus after every run, and the
+    decisions edit indexes those ids without reading the corpus."""
+    rng = random.Random(20101025)
+    base = load_config(project_config(tmp_path / "project"))
+    decisions, lexicon = base.decisions.read_bytes(), base.lexicon.read_bytes()
+    indexed: list[list[str]] = []
+    index_corpus = pipeline.index_corpus
+
+    def spy(doc_ids, *args):
+        indexed.append(list(doc_ids))
+        return index_corpus(doc_ids, *args)
+
+    reads = []
+    read_corpus_files = pipeline.read_corpus_files
+
+    def read_spy(*args):
+        reads.append(args[0])
+        return read_corpus_files(*args)
+
+    monkeypatch.setattr(pipeline, "index_corpus", spy)
+    monkeypatch.setattr(pipeline, "read_corpus_files", read_spy)
+    trees = Counter()
+    for case in range(201):
+        config = replace(base, output=tmp_path / f"out{case}")
+        shutil.rmtree(config.corpus)
+        if case == 0:
+            shutil.copytree(data_path("corpus"), config.corpus)
+        else:
+            random_ids_corpus(rng, config.corpus)
+            trees.update(corpus_features(config.corpus))
+            decisions = (  # about the terms every random corpus holds
+                b'validate term "relais"\nvalidate term "relais de tension"\n'
+                b'validate relation hyponymy "relais de tension" "relais"\n')
+        config.decisions.write_bytes(decisions)
+        config.lexicon.write_bytes(lexicon)
+        ids = oracle_ids(config.corpus)
+        for run in ("cold", "decisions edit", "warm", "lexicon edit"):
+            if run == "decisions edit":
+                reject(config.decisions)
+            elif run == "lexicon edit":
+                with config.lexicon.open("a", encoding="utf-8") as f:
+                    f.write("xyzzy\txyzzy\tNOUN\n")
+            indexed.clear()
+            reads.clear()
+            result = run_pipeline(config)
+            assert extract_ids(config.output) == ids, (case, run)
+            assert result.stages["extract"].cache_hit == (run in ("decisions edit", "warm"))
+            # the lexicon edit renders extract, whose candidates stay the same
+            indexes = run in ("cold", "decisions edit")
+            assert result.stages["index"].cache_hit is not indexes, (case, run)
+            assert indexed == ([ids, ids] if indexes else []), (case, run)
+            assert len(reads) == (run in ("cold", "lexicon edit")), (case, run)
+    assert min(trees[feature] for feature in CORPUS_FEATURES) >= 30, trees
+
+
+def _drop_ids(manifest) -> None:
+    del manifest["stages"]["extract"]["doc_ids"]
+
+
+def _set_ids(value):
+    return lambda manifest: manifest["stages"]["extract"].update(doc_ids=value)
+
+
+def _edit_ids(edit):
+    return lambda manifest: manifest["stages"]["extract"].update(
+        doc_ids=edit(manifest["stages"]["extract"]["doc_ids"]))
+
+
+MALFORMED_IDS = {
+    "missing": _drop_ids,
+    "null": _set_ids(None),
+    "string": _set_ids("doc01_protection"),
+    "holding-an-int": _edit_ids(lambda ids: [*ids[:-1], 7]),
+    "empty": _set_ids([]),
+    "unsorted": _edit_ids(lambda ids: ids[::-1]),
+    "duplicate": _edit_ids(lambda ids: ids[:1] + ids),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_IDS)
+def test_a_malformed_ids_record_means_read_the_corpus_and_record_them(
+    tmp_path, monkeypatch, settled_clock, case
+):
+    """"missing" is the extract record an earlier version wrote: one edit
+    run upgrades it, and the next reads no corpus document."""
+    config = load_config(project_config(tmp_path / "project", tmp_path / "out"))
+    documents = sorted(p.name for p in config.corpus.iterdir())
+    run_pipeline(config)
+    manifest = manifest_of(config.output)
+    MALFORMED_IDS[case](manifest)
+    (config.output / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    reject(config.decisions)
+    with monkeypatch.context() as patch:
+        calls = spy_on_run(patch, config.output, config.corpus)
+        result = run_pipeline(config)
+    assert result.stages["extract"].cache_hit and not result.stages["index"].cache_hit
+    assert calls["read_corpus_files"] == 1 and calls["hash_files"] == 0
+    assert corpus_reads(calls) == documents_decoded(calls) == dict.fromkeys(documents, 1)
+    assert extract_ids(config.output) == oracle_ids(config.corpus)
+    assert artifact_bytes(config.output) == cold_artifacts(tmp_path, config)
+    reject(config.decisions, "relais tout ou rien")
+    with monkeypatch.context() as patch:
+        calls = spy_on_run(patch, config.output, config.corpus)
+        result = run_pipeline(config)
+    assert not result.stages["index"].cache_hit
+    assert calls["read_corpus_files"] == 0 and corpus_reads(calls) == {}
+
+
+def test_force_renders_extract_and_records_its_ids_over_the_record(tmp_path, settled_clock):
+    config = load_config(project_config(tmp_path / "project", tmp_path / "out"))
+    run_pipeline(config)
+    manifest = manifest_of(config.output)
+    _set_ids(["not", "these"])(manifest)
+    (config.output / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    reject(config.decisions)
+    result = run_pipeline(config, force=True)
+    assert not any(outcome.cache_hit for outcome in result.stages.values())
+    assert extract_ids(config.output) == oracle_ids(config.corpus)
+    assert artifact_bytes(config.output) == cold_artifacts(tmp_path, config)
+
+
 def comment_out_a_decision(decisions: Path) -> None:
     """A same-size edit that drops a decision, so the validate stage's
     artifact changes."""
@@ -936,8 +1203,7 @@ def test_a_run_that_fails_in_a_stage_leaves_no_partial_file_and_the_next_renders
     config = load_config(project_config(tmp_path))
     run_pipeline(config)
     before = artifact_bytes(config.output)
-    with config.decisions.open("a", encoding="utf-8") as f:
-        f.write('reject term "relais tout ou rien"\n')
+    reject(config.decisions, "relais tout ou rien")
     with monkeypatch.context() as patch:
         if fault == "write":
             builtin_open = builtins.open
