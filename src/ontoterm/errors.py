@@ -54,9 +54,11 @@ def input_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def json_text(payload) -> str:
+def json_text(payload, depth: int = 0) -> str:
     """The artifact text of ``payload``: ``json.dumps(payload,
-    ensure_ascii=False, indent=2, sort_keys=True)`` plus a newline.
+    ensure_ascii=False, indent=2, sort_keys=True)`` plus a newline.  At a
+    ``depth`` above 0, the text of ``payload`` nested that deep in such an
+    artifact, as it follows its key, with no newline after it.
 
     ``json.dumps`` falls back to its pure-Python encoder when indenting;
     this builds the same text as one list of chunks, with strings encoded
@@ -104,8 +106,9 @@ def json_text(payload) -> str:
                 encode(item, inner)
         emit(newline + closing)
 
-    encode(payload, "\n")
-    emit("\n")
+    encode(payload, "\n" + "  " * depth)
+    if not depth:
+        emit("\n")
     return "".join(chunks)
 
 

@@ -27,6 +27,16 @@ covers, so an index stage that renders after extract hit takes its ids
 from that record and reads no corpus document.  A record without a usable
 list falls back to the corpus, and the run records the ids it read.
 
+The index stage's record also keeps ``ok_inputs``, a fingerprint of what
+the ``ok`` side of ``doc_index.json`` is rendered from (the candidates,
+the corpus, the DSL and the stopwords), and ``ok_length``, that side's
+length in the artifact's text; a hit copies them.  An index that renders
+(say after a decisions edit, which changes only the ``projected`` side)
+keeps the ``ok`` side of the last artifact, and so parses no DSL and
+aligns no label for it, when the run is not forced, the fingerprint is
+unchanged, the artifact still hashes to the record's ``sha256`` and its
+frame holds at ``ok_length``; otherwise it renders both sides.
+
 Each stage has one body, ``render_<stage>``, shared by ``run_pipeline`` and
 the CLI subcommands: it reads its inputs from a ``RunValues`` and returns
 the artifact text.
@@ -87,7 +97,7 @@ from .lexnet import (
 )
 from .okmodel import check_consistency, load_dsl
 from .projection import project, taxonomy_from_json, taxonomy_to_json
-from .retrieval import index_corpus, index_to_json_obj
+from .retrieval import doc_index_text, index_corpus, index_to_json_obj, ok_side_text
 
 _CONFIG_LINE = re.compile(r'^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$')
 _SYNONYM_LINE = re.compile(r'^"([^"]+)"\s+"([^"]+)"$')
@@ -197,6 +207,7 @@ class RunValues(dict):
     stage of the run computed its value.  ``label_alignments`` starts
     empty in each run and holds each label the align and index stages
     aligned against the expert tree, so no label is aligned twice.
+    ``ok_side``, when set, holds the text of the doc index's ``ok`` side.
     """
 
     def __init__(self, sources: Mapping[str, object]) -> None:
@@ -231,10 +242,12 @@ _LOADERS: dict[str, Callable[[RunValues], object]] = {
 # ---------------------------------------------------------------------------
 # stages: one body each, shared by run_pipeline and the CLI
 #
-# The ok-check, align, index and export stages each parse the DSL: the
-# benchmark's trace counts one parse per DSL stage, so parsing it once per
-# run waits on a change to the benchmark.  Align and index parse it from
-# the same file in one run, so the labels one aligns hold for the other.
+# The ok-check, align, index and export stages each parse the DSL when they
+# render, except an index that keeps its ``ok`` side, so a decisions edit
+# parses it once, in align.  The benchmark's trace counts one parse per DSL
+# stage of a cold run, so parsing it once per cold run waits on a change to
+# the benchmark.  Align and index parse it from the same file in one run,
+# so the labels one aligns hold for the other.
 
 
 def render_extract(v: RunValues) -> str:
@@ -285,15 +298,20 @@ def render_align(v: RunValues) -> str:
 
 
 def render_index(v: RunValues) -> str:
-    """Aligns only the labels that ``label_alignments`` does not hold yet."""
+    """Renders the ``ok`` side only when ``ok_side`` does not hold its text
+    yet, and stores it there; aligns only the labels that
+    ``label_alignments`` does not hold yet."""
     candidates, taxonomy, doc_ids = v["candidates"], v["taxonomy"], v["doc_ids"]
-    ontology = load_dsl(v.sources["dsl"])
-    aligned = v["label_alignments"]
-    unaligned = [c.label for c in candidates if c.label not in aligned]
-    aligned.update(ontology_alignments(unaligned, ontology, v["stopwords"]))
+    ok = v.get("ok_side")
+    if ok is None:
+        ontology = load_dsl(v.sources["dsl"])
+        aligned = v["label_alignments"]
+        unaligned = [c.label for c in candidates if c.label not in aligned]
+        aligned.update(ontology_alignments(unaligned, ontology, v["stopwords"]))
+        ok_index = index_corpus(doc_ids, candidates, ontology, aligned)
+        ok = v["ok_side"] = json_text(index_to_json_obj(ok_index), 1)
     projected = index_corpus(doc_ids, candidates, taxonomy, taxonomy_alignments(taxonomy))
-    ok_index = index_corpus(doc_ids, candidates, ontology, aligned)
-    return json_text({"projected": index_to_json_obj(projected), "ok": index_to_json_obj(ok_index)})
+    return doc_index_text(ok, json_text(index_to_json_obj(projected), 1))
 
 
 def render_export(v: RunValues) -> str:
@@ -338,6 +356,12 @@ GRAPH = (
 )
 
 STAGES = tuple(stage.name for stage in GRAPH)
+
+#: What the ``ok`` side of the index stage's artifact is rendered from: the
+#: candidates, the corpus (its document ids), the DSL and the stopwords,
+#: but not the decisions, synonyms or taxonomy the ``projected`` side reads.
+_OK_SIDE = Stage("index ok side", "doc_index.json", ("corpus", "dsl", "stopwords"),
+                 ("doc_ids", "candidates", "stopwords"))
 
 #: Each run value an artifact holds → the stage that writes that artifact.
 _PRODUCERS = {stage.value: stage.name for stage in GRAPH if stage.value is not None}
@@ -428,6 +452,19 @@ def _usable_ids(ids: object) -> list[str] | None:
     return None
 
 
+def _kept_ok_side(path: Path, record: Mapping) -> str | None:
+    """The ``ok`` side of the doc index at ``path`` when the file hashes to
+    ``record``'s ``sha256`` and its frame holds at ``record``'s
+    ``ok_length``; otherwise None, and the side is rendered again."""
+    try:
+        data = path.read_bytes()
+        if _hash_bytes(data) == record.get("sha256"):
+            return ok_side_text(data.decode("utf-8"), record.get("ok_length"))
+    except (OSError, UnicodeDecodeError):
+        pass
+    return None
+
+
 def _write_atomic(path: Path, data: bytes) -> None:
     """Write ``data`` to a temp file beside ``path``, then rename it over
     ``path``: a reader sees the old file or the new one, never part of one.
@@ -460,22 +497,21 @@ class PipelineResult:
         return [self.output_dir / outcome.artifact for outcome in self.stages.values()]
 
 
-def _previous_manifest(manifest_path: Path) -> tuple[str | None, dict, dict]:
-    """The last run's manifest text, its records of the stages in
+def _previous_manifest(manifest_path: Path) -> tuple[object, dict, dict]:
+    """The last run's manifest, decoded, its records of the stages in
     ``STAGES`` and its input records; a missing or unreadable manifest, one
     nested too deep to decode, or one of another shape, means a cold
     cache."""
     try:
-        text = manifest_path.read_text(encoding="utf-8")
-        manifest = json.loads(text)
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         stages, inputs = manifest["stages"], manifest.get("inputs")
     except (OSError, ValueError, TypeError, KeyError, RecursionError):
         return None, {}, {}
     if not isinstance(stages, dict):
-        return text, {}, {}
+        return manifest, {}, {}
     stages = {stage: record for stage, record in stages.items()
               if stage in STAGES and isinstance(record, dict)}
-    return text, stages, inputs if isinstance(inputs, dict) else {}
+    return manifest, stages, inputs if isinstance(inputs, dict) else {}
 
 
 def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
@@ -490,10 +526,13 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
     ``force`` trusts no input record and renders every stage.  Each value
     is computed at most once; a value is dropped once no later stage reads
     it.  An index stage that renders after extract hit takes its
-    ``doc_ids`` from extract's record (see the module docstring).  The manifest keeps the last run's record of each stage, and of
-    each input the config still names, that this run did not replace.
-    Artifacts and the manifest are replaced atomically, the manifest last,
-    and a manifest that would not change is not written.
+    ``doc_ids`` from extract's record, and one whose ``ok`` side's inputs
+    are unchanged keeps that side (see the module docstring).  The
+    manifest keeps the last run's record of each stage, and of each input
+    the config still names, that this run did not replace.  Artifacts and
+    the manifest are replaced atomically, the manifest last; a manifest
+    whose records equal the last run's, as decoded, is neither encoded nor
+    written.
 
     Stops after ok-check when the expert ontology is inconsistent (the
     downstream stages require consistency); the report artifact is still
@@ -502,7 +541,7 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
     out = config.output
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
-    previous_text, previous, previous_inputs = _previous_manifest(manifest_path)
+    previous_manifest, previous, previous_inputs = _previous_manifest(manifest_path)
     named = {name for s in GRAPH for name in s.files if getattr(config, name) is not None}
     previous_inputs = {} if force else {
         name: record for name, record in previous_inputs.items() if name in named
@@ -568,11 +607,15 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
         if hit:
             sha256 = cached["sha256"]
         else:
-            if stage.name == "index" and records["extract"]["cache_hit"]:
-                # the ids extract's record holds, or the corpus's when it holds none usable
-                extract = records["extract"]
-                extract["doc_ids"] = values["doc_ids"] = (
-                    _usable_ids(extract["doc_ids"]) or values["doc_ids"])
+            if stage.name == "index":
+                ok_key = fingerprint(_OK_SIDE)
+                if records["extract"]["cache_hit"]:
+                    # the ids extract's record holds, or the corpus's when it holds none usable
+                    extract = records["extract"]
+                    extract["doc_ids"] = values["doc_ids"] = (
+                        _usable_ids(extract["doc_ids"]) or values["doc_ids"])
+                if not force and cached.get("ok_inputs") == ok_key:
+                    values["ok_side"] = _kept_ok_side(path, cached)  # None: render it
             # looked up at call time, like every layer function the stages call
             render = globals()["render_" + stage.name.replace("-", "_")]
             data = render(values).encode("utf-8")
@@ -582,6 +625,10 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
         record = records[stage.name] = dict(vars(outcome))
         if stage.name == "extract":
             record["doc_ids"] = cached.get("doc_ids") if hit else values["doc_ids"]
+        elif stage.name == "index":
+            record["ok_inputs"], record["ok_length"] = (
+                (cached.get("ok_inputs"), cached.get("ok_length")) if hit
+                else (ok_key, len(values["ok_side"])))
 
     try:
         for i, stage in enumerate(GRAPH):
@@ -597,12 +644,12 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
             for name in set(values) - needed:
                 del values[name]
     finally:
-        text = json_text({
+        manifest = {
             "tool": "ontoterm",
             "version": __version__,
             "inputs": {**previous_inputs, **inputs},
             "stages": {**previous, **records},
-        })
-        if text != previous_text:
-            _write_atomic(manifest_path, text.encode("utf-8"))
+        }
+        if manifest != previous_manifest:
+            _write_atomic(manifest_path, json_text(manifest).encode("utf-8"))
     return result

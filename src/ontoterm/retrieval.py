@@ -288,6 +288,27 @@ def index_to_json_obj(index: DocIndex) -> dict:
     }
 
 
+#: The frame of ``doc_index.json`` around its two sides, in key order.
+_OK_HEAD, _PROJECTED_HEAD, _TAIL = '{\n  "ok": ', ',\n  "projected": ', "\n}\n"
+
+
+def doc_index_text(ok: str, projected: str) -> str:
+    """The text of ``doc_index.json`` from the ``json_text(..., 1)`` of its
+    sides' ``index_to_json_obj``: ``json_text({"ok": ..., "projected": ...})``."""
+    return _OK_HEAD + ok + _PROJECTED_HEAD + projected + _TAIL
+
+
+def ok_side_text(text: str, length: object) -> str | None:
+    """The ``ok`` side's text in ``doc_index_text``'s ``text``, when it is
+    ``length`` characters long; None when the frame does not hold there.
+    No side holds ``_PROJECTED_HEAD`` (its lines are indented deeper), so
+    at most one ``length`` frames it."""
+    if type(length) is not int or length <= 0 or not text.startswith(_OK_HEAD):
+        return None
+    end = len(_OK_HEAD) + length
+    return text[len(_OK_HEAD):end] if text.startswith(_PROJECTED_HEAD, end) else None
+
+
 def index_from_json_obj(payload: dict) -> DocIndex:
     """The doc index of one side of ``doc_index.json``.  An annotation of
     another source, a ``doc_id`` or ``concept`` that is not a string, or an

@@ -16,12 +16,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genutil import read_corpus_files_oracle
 from ontoterm import align, corpus as corpus_module, okmodel, pipeline
 from ontoterm.cli import main
 from ontoterm.corpus import load_corpus
 from ontoterm.errors import ConfigError, InconsistentOntologyError, json_text
 from ontoterm.fixtures import data_path
 from ontoterm.pipeline import RACY_NS, STAGES, load_config, parse_config, run_pipeline
+from ontoterm.retrieval import doc_index_text, ok_side_text
 
 EXPECTED_ARTIFACTS = {
     "candidates.json",
@@ -286,6 +288,33 @@ def test_json_text_reencodes_every_fixture_artifact(tmp_path):
     for path in paths:
         text = path.read_text(encoding="utf-8")
         assert json_text(json.loads(text)) == text, path.name
+
+
+def check_doc_index_frame(ok, projected) -> None:
+    """The frame of two depth-1 renders is the two sides' ``json_text``, and
+    the ``ok`` side's length is the one length that splits it out again."""
+    side = json_text(ok, 1)
+    text = doc_index_text(side, json_text(projected, 1))
+    assert text == json_text({"ok": ok, "projected": projected})
+    assert [n for n in range(-1, len(text) + 2) if ok_side_text(text, n) is not None] == [
+        len(side)]
+    assert ok_side_text(text, len(side)) == side
+    for length in (True, float(len(side)), str(len(side)), None, [len(side)]):
+        assert ok_side_text(text, length) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(JSON_VALUES, JSON_VALUES)
+def test_the_doc_index_frame_of_two_depth_one_renders_is_their_json_text(ok, projected):
+    check_doc_index_frame(ok, projected)
+
+
+def test_the_fixture_doc_index_is_its_two_sides_framed(tmp_path):
+    text = (run_pipeline(load_config(write_config(tmp_path))).output_dir
+            / "doc_index.json").read_text(encoding="utf-8")
+    payload = json.loads(text)
+    assert doc_index_text(json_text(payload["ok"], 1), json_text(payload["projected"], 1)) == text
+    check_doc_index_frame(payload["ok"], payload["projected"])
 
 
 def test_pipeline_invalidates_downstream_on_input_change(tmp_path):
@@ -626,20 +655,22 @@ def test_a_run_aligns_each_label_once(tmp_path, monkeypatch, edit):
     terms = {row["term"] for row in json.loads((out / "alignment.json").read_text("utf-8"))[
         "alignments"]}
     assert terms and terms < labels
-    assert aligned == Counter(labels)
+    # a decisions edit keeps the doc index's ok side, so only align aligns
+    assert aligned == Counter(labels if edit == "cold" else terms)
 
 
 @pytest.mark.parametrize("kind, parses, checks", [
-    ("cold", 4, 2), ("decisions-edit", 2, 0), ("warm", 0, 0),
+    ("cold", 4, 2), ("decisions-edit", 1, 0), ("warm", 0, 0),
 ])
 def test_the_ontology_kernels_run_a_fixed_number_of_times_per_run_kind(
     tmp_path, monkeypatch, kind, parses, checks
 ):
     """``load_dsl`` once per DSL stage that renders (ok-check, align, index,
-    export) and ``check_consistency`` once in ok-check and once in export's
-    ``require_consistent``.  The four parses of a cold run are the ones the
-    benchmark's self-test pins (``okmodel.parses == 4``): a change that
-    parses once per run changes both."""
+    export), except in an index that keeps its ``ok`` side, as a decisions
+    edit's does; ``check_consistency`` once in ok-check and once in
+    export's ``require_consistent``.  The four parses of a cold run are the
+    ones the benchmark's self-test pins (``okmodel.parses == 4``): a change
+    that parses once per run changes both."""
     decisions = tmp_path / "decisions.txt"
     shutil.copy(data_path("decisions.txt"), decisions)
     config = load_config(write_config(tmp_path, decisions=str(decisions)))
@@ -794,6 +825,20 @@ def test_a_warm_run_after_a_warm_run_leaves_the_manifest_unwritten(
     after = manifest.stat()
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
     assert calls["read_corpus_files"] == (clock == "racy_clock")
+
+
+@pytest.mark.parametrize("clock", ["settled_clock", "racy_clock"])
+def test_a_warm_run_never_encodes_the_manifest(tmp_path, monkeypatch, request, clock):
+    """Its records equal the last run's, as decoded, so it encodes nothing."""
+    request.getfixturevalue(clock)
+    config = load_config(project_config(tmp_path))
+    run_pipeline(config)
+    run_pipeline(config)
+    encoded = []
+    monkeypatch.setattr(pipeline, "json_text", lambda *args: encoded.append(args))
+    result = run_pipeline(config)
+    assert all(outcome.cache_hit for outcome in result.stages.values())
+    assert encoded == []
 
 
 def test_a_racy_input_is_read_until_a_run_finds_it_settled(tmp_path, monkeypatch):
@@ -983,7 +1028,8 @@ def test_the_ids_an_edit_run_restores_are_the_corpus_ids(tmp_path, monkeypatch, 
     """On the fixture and on 200 random corpora, through a cold run, a
     decisions edit, a warm run and a lexicon edit: the extract stage's
     record holds ``corpus_doc_ids`` of the corpus after every run, and the
-    decisions edit indexes those ids without reading the corpus."""
+    decisions edit indexes those ids, on the projected side only, without
+    reading the corpus."""
     rng = random.Random(20101025)
     base = load_config(project_config(tmp_path / "project"))
     decisions, lexicon = base.decisions.read_bytes(), base.lexicon.read_bytes()
@@ -1030,9 +1076,10 @@ def test_the_ids_an_edit_run_restores_are_the_corpus_ids(tmp_path, monkeypatch, 
             assert extract_ids(config.output) == ids, (case, run)
             assert result.stages["extract"].cache_hit == (run in ("decisions edit", "warm"))
             # the lexicon edit renders extract, whose candidates stay the same
-            indexes = run in ("cold", "decisions edit")
-            assert result.stages["index"].cache_hit is not indexes, (case, run)
-            assert indexed == ([ids, ids] if indexes else []), (case, run)
+            # a decisions edit keeps the ok side: it indexes the projected side only
+            indexes = {"cold": [ids, ids], "decisions edit": [ids]}.get(run, [])
+            assert result.stages["index"].cache_hit is not bool(indexes), (case, run)
+            assert indexed == indexes, (case, run)
             assert len(reads) == (run in ("cold", "lexicon edit")), (case, run)
     assert min(trees[feature] for feature in CORPUS_FEATURES) >= 30, trees
 
@@ -1101,6 +1148,158 @@ def test_force_renders_extract_and_records_its_ids_over_the_record(tmp_path, set
     assert not any(outcome.cache_hit for outcome in result.stages.values())
     assert extract_ids(config.output) == oracle_ids(config.corpus)
     assert artifact_bytes(config.output) == cold_artifacts(tmp_path, config)
+
+
+def _toggle_line(path: Path, line: str) -> None:
+    """Take ``line`` out of the file at ``path``, or append it when absent;
+    no file is an empty one."""
+    lines = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
+    kept = [x for x in lines if x != line]
+    path.write_text("\n".join(kept if len(kept) < len(lines) else [*lines, line]) + "\n",
+                    encoding="utf-8")
+
+
+def _set_ok_fields(**fields):
+    return lambda record: record.update(fields)
+
+
+def _drop_ok_field(field: str):
+    return lambda record: record.pop(field, None)
+
+
+def _shift_ok_length(by: int):
+    return lambda record: record.update(ok_length=(record.get("ok_length") or 0) + by)
+
+
+#: Index records the ``ok`` side cannot be kept from.
+MALFORMED_OK_RECORDS = {
+    "inputs-true": _set_ok_fields(ok_inputs=True),
+    "inputs-not-hex": _set_ok_fields(ok_inputs="x" * 64),
+    "inputs-missing": _drop_ok_field("ok_inputs"),
+    "length-true": _set_ok_fields(ok_length=True),
+    "length-negative": _set_ok_fields(ok_length=-1),
+    "length-too-large": _set_ok_fields(ok_length=10**9),
+    "length-one-short": _shift_ok_length(-1),
+    "length-one-long": _shift_ok_length(1),
+    "length-missing": _drop_ok_field("ok_length"),
+}
+
+
+def _edit_doc_index(config, how: str) -> None:
+    path = config.output / "doc_index.json"
+    data = path.read_bytes()
+    if how == "truncate":
+        path.write_bytes(data[: len(data) // 2])
+    else:  # same length, in the ok side, which comes first
+        path.write_bytes(data.replace(b'"unannotated_docs"', b'"unannotated_dogs"', 1))
+
+
+def _edit_manifest(config, case: str) -> None:
+    manifest = manifest_of(config.output)
+    MALFORMED_OK_RECORDS[case](manifest["stages"]["index"])
+    (config.output / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+#: The edits an ``ok``-side oracle step picks from; each gets ``(config, rng)``.
+OK_SIDE_EDITS = {
+    "decisions": lambda config, rng: _toggle_line(config.decisions,
+                                                  'reject term "relais de tension"'),
+    "dsl": lambda config, rng: _toggle_line(
+        config.dsl, "concept relais statique genus relais diff technologie=statique"),
+    "stopwords": lambda config, rng: _toggle_line(config.stopwords, "tension"),
+    "lexicon": lambda config, rng: _toggle_line(config.lexicon, "alarme\talarme\tNOUN"),
+    "corpus": lambda config, rng: _toggle_line(
+        config.corpus / rng.choice(["new.txt", *read_corpus_files_oracle(config.corpus)]),
+        rng.choice(_CORPUS_LINES)),
+    "doc_index": lambda config, rng: _edit_doc_index(config, rng.choice(["truncate", "edit"])),
+    "manifest": lambda config, rng: _edit_manifest(
+        config, rng.choice(sorted(MALFORMED_OK_RECORDS))),
+    "force": lambda config, rng: None,
+    "none": lambda config, rng: None,
+}
+
+
+def ok_inputs_digest(config) -> tuple:
+    """What the ``ok`` side is rendered from, read from the files."""
+    return (
+        (config.output / "candidates.json").read_bytes(),
+        read_corpus_files_oracle(config.corpus),
+        config.dsl.read_bytes(),
+        config.stopwords.read_bytes(),
+    )
+
+
+def test_the_doc_index_keeps_its_ok_side_exactly_when_its_inputs_are_kept(
+    tmp_path, monkeypatch, settled_clock
+):
+    """On the fixture, through every edit and every malformed index record,
+    and on 6 random corpora through 4 random edits each, each followed by a
+    decisions edit: after every run each artifact is a forced cold run's on
+    the same inputs, and an index that renders keeps the ``ok`` side of the
+    last artifact (it indexes the projected side only) exactly when the run
+    is not forced and the side's inputs, the last artifact and the index
+    record's ``ok`` fields are as the last run left them."""
+    indexed: list[int] = []
+    index_corpus = pipeline.index_corpus
+
+    def spy(*args):
+        indexed.append(1)
+        return index_corpus(*args)
+
+    monkeypatch.setattr(pipeline, "index_corpus", spy)
+    fixture_steps = ["decisions"]
+    for case in MALFORMED_OK_RECORDS:
+        fixture_steps += [f"manifest:{case}", "decisions"]
+    fixture_steps += ["decisions", "dsl", "decisions", "stopwords", "decisions", "lexicon",
+                      "decisions", "corpus", "decisions", "doc_index", "decisions", "force",
+                      "decisions", "none", "stopwords", "dsl"]
+    rng = random.Random(20101026)
+    kept = Counter()
+    oracles: dict[tuple, dict[str, bytes]] = {}  # a forced cold run's artifacts, by input bytes
+    for case in range(7):
+        root = tmp_path / f"project{case}"
+        config = load_config(project_config(root))
+        if case == 0:
+            steps = fixture_steps
+        else:
+            shutil.rmtree(config.corpus)
+            random_ids_corpus(rng, config.corpus)
+            config.decisions.write_bytes(
+                b'validate term "relais"\nvalidate term "relais de tension"\n'
+                b'validate relation hyponymy "relais de tension" "relais"\n')
+            steps = [step for _ in range(4)
+                     for step in (rng.choice(sorted(OK_SIDE_EDITS)), "decisions")]
+        oracle = replace(config, output=root / "oracle")
+        run_pipeline(config)
+        last, record_ok, tampered = ok_inputs_digest(config), True, False
+        for n, step in enumerate(steps):
+            edit, _, manifest_case = step.partition(":")
+            if manifest_case:
+                _edit_manifest(config, manifest_case)
+            else:
+                OK_SIDE_EDITS[edit](config, rng)
+            record_ok &= edit != "manifest"
+            tampered |= edit == "doc_index"
+            indexed.clear()
+            result = run_pipeline(config, force=edit == "force")
+            hit = result.stages["index"].cache_hit
+            digest = ok_inputs_digest(config)
+            keeps = not (edit == "force" or not record_ok or tampered or digest != last)
+            assert not (hit and tampered), (case, n, step)
+            assert len(indexed) == (0 if hit else 2 - keeps), (case, n, step)
+            inputs = (*read_corpus_files_oracle(config.corpus).items(),
+                      *(getattr(config, name).read_bytes() for name in INPUTS))
+            if inputs not in oracles:
+                oracles[inputs] = artifact_bytes(run_pipeline(oracle, force=True).output_dir)
+            assert artifact_bytes(config.output) == oracles[inputs], (case, n, step)
+            if not hit:
+                record = manifest_of(config.output)["stages"]["index"]
+                ok = json.loads((config.output / "doc_index.json").read_bytes())["ok"]
+                assert record["ok_length"] == len(json_text(ok, 1)), (case, n, step)
+                kept[keeps] += 1
+                record_ok = True
+            last, tampered = digest, False
+    assert kept[True] >= 25 and kept[False] >= 25, kept
 
 
 def comment_out_a_decision(decisions: Path) -> None:
