@@ -22,7 +22,7 @@ from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -237,17 +237,19 @@ def read_corpus_files(
     return files
 
 
-def _document_texts(
-    directory: str | Path, files: Mapping[str, bytes] | None
-) -> list[tuple[str, str]]:
-    """(id, text) of each document, sorted by id: the files of ``files``
-    (``read_corpus_files(directory)`` when None) that are not blank once
-    decoded.  A document whose bytes or name are not UTF-8 raises
-    ``EncodingError`` naming it; no document left raises ``NoCorpusError``."""
+def load_corpus(directory: str | Path, files: Mapping[str, bytes] | None = None) -> list[Document]:
+    """Load every ``*.txt`` file of ``directory`` as one UTF-8 document.
+
+    Document ids are file stems, sorted lexicographically.  Files that are
+    blank after trimming are skipped; if nothing remains the directory does
+    not constitute a corpus (``NoCorpusError``).  A document whose bytes or
+    name are not UTF-8 raises ``EncodingError`` naming it.  ``files`` is
+    ``read_corpus_files(directory)`` when the caller already holds it.
+    """
     directory = Path(directory)
     if files is None:
         files = read_corpus_files(directory)
-    texts = []
+    docs = []
     for name, data in files.items():
         path = os.path.join(directory, name)
         text = decode_text(data, path)
@@ -256,32 +258,11 @@ def _document_texts(
                 name.encode("utf-8")
             except UnicodeEncodeError:  # os.scandir keeps undecodable bytes as surrogates
                 raise EncodingError(f"file name is not UTF-8: {os.fsencode(path)!r}") from None
-            texts.append((name[:-4], text))
-    if not texts:
+            docs.append(Document(id=name[:-4], text=unicodedata.normalize("NFC", text)))
+    if not docs:
         raise NoCorpusError(f"no non-empty .txt documents in {directory}")
-    texts.sort(key=itemgetter(0))
-    return texts
-
-
-def load_corpus(directory: str | Path, files: Mapping[str, bytes] | None = None) -> list[Document]:
-    """Load every ``*.txt`` file of ``directory`` as one UTF-8 document.
-
-    Document ids are file stems, sorted lexicographically.  Files that are
-    blank after trimming are skipped; if nothing remains the directory does
-    not constitute a corpus.  ``files`` is ``read_corpus_files(directory)``
-    when the caller already holds it.
-    """
-    return [
-        Document(id=doc_id, text=unicodedata.normalize("NFC", text))
-        for doc_id, text in _document_texts(directory, files)
-    ]
-
-
-def corpus_doc_ids(directory: str | Path, files: Mapping[str, bytes]) -> list[str]:
-    """The ids of ``load_corpus(directory, files)``'s documents, in its
-    order and with its errors, without building the documents: what the
-    index stage takes from the corpus bytes a run already holds."""
-    return [doc_id for doc_id, _text in _document_texts(directory, files)]
+    docs.sort(key=attrgetter("id"))
+    return docs
 
 
 # Maximal runs of letters/digits, allowing internal hyphens and apostrophes;

@@ -20,22 +20,22 @@ records of the stages it did not reach.  Each artifact, and the manifest
 last, is written to a temp file in the output directory and renamed over
 its name, so a killed run never leaves a torn file.
 
-The extract stage's record also keeps ``doc_ids``, the ids of the
-documents its render annotated, in corpus order; a hit copies them.  They
-depend only on the documents' names and bytes, which extract's fingerprint
-covers, so an index stage that renders after extract hit takes its ids
-from that record and reads no corpus document.  A record without a usable
-list falls back to the corpus, and the run records the ids it read.
+A stage that hits keeps the last run's record whole, and restores from it
+what its render would have left behind.  The extract stage's record keeps
+``doc_ids``, the ids of the documents its render annotated, in corpus
+order.  They depend only on the documents' names and bytes, which
+extract's fingerprint covers, so extract hits only when they are usable,
+and a hit puts them in the run's values: an index stage that renders
+after extract hit reads no corpus document.
 
 The index stage's record also keeps ``ok_inputs``, a fingerprint of what
 the ``ok`` side of ``doc_index.json`` is rendered from (the candidates,
-the corpus, the DSL and the stopwords), and ``ok_length``, that side's
-length in the artifact's text; a hit copies them.  An index that renders
-(say after a decisions edit, which changes only the ``projected`` side)
-keeps the ``ok`` side of the last artifact, and so parses no DSL and
-aligns no label for it, when the run is not forced, the fingerprint is
-unchanged, the artifact still hashes to the record's ``sha256`` and its
-frame holds at ``ok_length``; otherwise it renders both sides.
+the corpus, the DSL and the stopwords).  An index that renders (say after
+a decisions edit, which changes only the ``projected`` side) keeps the
+``ok`` side of the last artifact, and so parses no DSL and aligns no
+label for it, when the run is not forced, the fingerprint is unchanged,
+the artifact still hashes to the record's ``sha256`` and its frame holds;
+otherwise it renders both sides.
 
 Each stage has one body, ``render_<stage>``, shared by ``run_pipeline`` and
 the CLI subcommands: it reads its inputs from a ``RunValues`` and returns
@@ -68,7 +68,6 @@ from .corpus import (
     annotate,
     candidates_from_json,
     candidates_to_json,
-    corpus_doc_ids,
     corpus_stats,
     extract_candidates,
     load_corpus,
@@ -207,6 +206,8 @@ class RunValues(dict):
     stage of the run computed its value.  ``label_alignments`` starts
     empty in each run and holds each label the align and index stages
     aligned against the expert tree, so no label is aligned twice.
+    ``doc_ids`` is stored by the extract stage, whether it renders or hits;
+    its loader, which only the CLI's ``index`` reaches, reads the corpus.
     ``ok_side``, when set, holds the text of the doc index's ``ok`` side.
     """
 
@@ -223,7 +224,7 @@ class RunValues(dict):
 _LOADERS: dict[str, Callable[[RunValues], object]] = {
     "corpus_files": lambda v: read_corpus_files(v.sources["corpus"]),
     "corpus": lambda v: load_corpus(v.sources["corpus"], v["corpus_files"]),
-    "doc_ids": lambda v: corpus_doc_ids(v.sources["corpus"], v["corpus_files"]),
+    "doc_ids": lambda v: [doc.id for doc in v["corpus"]],
     "lexicon": lambda v: _optional(load_lexicon, v.sources.get("lexicon"), Lexicon()),
     "patterns": lambda v: _optional(load_patterns, v.sources.get("patterns"), DEFAULT_PATTERNS),
     "tokens": lambda v: [annotate(doc, v["lexicon"]) for doc in v["corpus"]],
@@ -300,7 +301,9 @@ def render_align(v: RunValues) -> str:
 def render_index(v: RunValues) -> str:
     """Renders the ``ok`` side only when ``ok_side`` does not hold its text
     yet, and stores it there; aligns only the labels that
-    ``label_alignments`` does not hold yet."""
+    ``label_alignments`` does not hold yet.  In a run, ``doc_ids`` is the
+    extract stage's, rendered or restored by its hit; the CLI reads it from
+    the corpus."""
     candidates, taxonomy, doc_ids = v["candidates"], v["taxonomy"], v["doc_ids"]
     ok = v.get("ok_side")
     if ok is None:
@@ -442,24 +445,22 @@ def _matching(record: object, listing: str) -> dict | None:
     return {"sha256": sha256, "listing": listing, "hashed_ns": hashed_ns}
 
 
-def _usable_ids(ids: object) -> list[str] | None:
-    """``ids`` when it is a non-empty list of strings, sorted and without
-    duplicates, as ``corpus_doc_ids`` returns them; otherwise None, and the
-    ids are taken from the corpus."""
-    if (isinstance(ids, list) and ids and all(type(i) is str for i in ids)
-            and all(a < b for a, b in zip(ids, ids[1:]))):
-        return ids
-    return None
+def _usable_ids(ids: object) -> bool:
+    """Whether ``ids`` is a non-empty list of strings, sorted and without
+    duplicates, as ``load_corpus`` orders its documents' ids; an extract
+    record whose ``doc_ids`` are not is a miss."""
+    return (isinstance(ids, list) and bool(ids) and all(type(i) is str for i in ids)
+            and all(a < b for a, b in zip(ids, ids[1:])))
 
 
 def _kept_ok_side(path: Path, record: Mapping) -> str | None:
     """The ``ok`` side of the doc index at ``path`` when the file hashes to
-    ``record``'s ``sha256`` and its frame holds at ``record``'s
-    ``ok_length``; otherwise None, and the side is rendered again."""
+    ``record``'s ``sha256`` and its frame holds; otherwise None, and the
+    side is rendered again."""
     try:
         data = path.read_bytes()
         if _hash_bytes(data) == record.get("sha256"):
-            return ok_side_text(data.decode("utf-8"), record.get("ok_length"))
+            return ok_side_text(data.decode("utf-8"))
     except (OSError, UnicodeDecodeError):
         pass
     return None
@@ -525,14 +526,14 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
     hash unread; any other input is read and hashed, at most once per run.
     ``force`` trusts no input record and renders every stage.  Each value
     is computed at most once; a value is dropped once no later stage reads
-    it.  An index stage that renders after extract hit takes its
-    ``doc_ids`` from extract's record, and one whose ``ok`` side's inputs
-    are unchanged keeps that side (see the module docstring).  The
-    manifest keeps the last run's record of each stage, and of each input
-    the config still names, that this run did not replace.  Artifacts and
-    the manifest are replaced atomically, the manifest last; a manifest
-    whose records equal the last run's, as decoded, is neither encoded nor
-    written.
+    it.  A hit keeps the last run's record; an extract hit also needs, and
+    restores, the record's ``doc_ids``, and an index that renders with its
+    ``ok`` side's inputs unchanged keeps that side (see the module
+    docstring).  The manifest keeps the last run's record of each stage,
+    and of each input the config still names, that this run did not
+    replace.  Artifacts and the manifest are replaced atomically, the
+    manifest last; a manifest whose records equal the last run's, as
+    decoded, is neither encoded nor written.
 
     Stops after ok-check when the expert ontology is inconsistent (the
     downstream stages require consistency); the report artifact is still
@@ -602,33 +603,30 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
             not force
             and cached.get("artifact") == artifact
             and cached.get("fingerprint") == key
+            and (stage.name != "extract" or _usable_ids(cached.get("doc_ids")))
             and cached.get("sha256") == _hash_path(path)[0]
         )
         if hit:
-            sha256 = cached["sha256"]
+            if stage.name == "extract":
+                values["doc_ids"] = cached["doc_ids"]
+            record = {**cached, "cache_hit": True}
         else:
             if stage.name == "index":
                 ok_key = fingerprint(_OK_SIDE)
-                if records["extract"]["cache_hit"]:
-                    # the ids extract's record holds, or the corpus's when it holds none usable
-                    extract = records["extract"]
-                    extract["doc_ids"] = values["doc_ids"] = (
-                        _usable_ids(extract["doc_ids"]) or values["doc_ids"])
                 if not force and cached.get("ok_inputs") == ok_key:
                     values["ok_side"] = _kept_ok_side(path, cached)  # None: render it
             # looked up at call time, like every layer function the stages call
             render = globals()["render_" + stage.name.replace("-", "_")]
             data = render(values).encode("utf-8")
             _write_atomic(path, data)
-            sha256 = _hash_bytes(data)
-        outcome = result.stages[stage.name] = StageOutcome(artifact, key, hit, sha256)
-        record = records[stage.name] = dict(vars(outcome))
-        if stage.name == "extract":
-            record["doc_ids"] = cached.get("doc_ids") if hit else values["doc_ids"]
-        elif stage.name == "index":
-            record["ok_inputs"], record["ok_length"] = (
-                (cached.get("ok_inputs"), cached.get("ok_length")) if hit
-                else (ok_key, len(values["ok_side"])))
+            record = {"artifact": artifact, "fingerprint": key, "cache_hit": False,
+                      "sha256": _hash_bytes(data)}
+            if stage.name == "extract":
+                record["doc_ids"] = values["doc_ids"]
+            elif stage.name == "index":
+                record["ok_inputs"] = ok_key
+        records[stage.name] = record
+        result.stages[stage.name] = StageOutcome(artifact, key, hit, record["sha256"])
 
     try:
         for i, stage in enumerate(GRAPH):

@@ -147,12 +147,12 @@ def index_corpus(
 ) -> DocIndex:
     """Annotate documents from term occurrences.
 
-    ``doc_ids`` are the ids of the corpus's documents
-    (``corpus.corpus_doc_ids``); the candidates' occurrences say which
-    document each annotation goes to.  Every occurrence of an aligned term
-    yields one (document, concept) annotation.  Ambiguous terms contribute
-    nothing (silent guessing would make results unattributable) and
-    documents left without any annotation are listed so the gap is visible.
+    ``doc_ids`` are the ids of ``corpus.load_corpus``'s documents, in its
+    order; the candidates' occurrences say which document each annotation
+    goes to.  Every occurrence of an aligned term yields one (document,
+    concept) annotation.  Ambiguous terms contribute nothing (silent
+    guessing would make results unattributable) and documents left without
+    any annotation are listed so the gap is visible.
     """
     pairs = []
     skipped = set()
@@ -298,15 +298,13 @@ def doc_index_text(ok: str, projected: str) -> str:
     return _OK_HEAD + ok + _PROJECTED_HEAD + projected + _TAIL
 
 
-def ok_side_text(text: str, length: object) -> str | None:
-    """The ``ok`` side's text in ``doc_index_text``'s ``text``, when it is
-    ``length`` characters long; None when the frame does not hold there.
-    No side holds ``_PROJECTED_HEAD`` (its lines are indented deeper), so
-    at most one ``length`` frames it."""
-    if type(length) is not int or length <= 0 or not text.startswith(_OK_HEAD):
-        return None
-    end = len(_OK_HEAD) + length
-    return text[len(_OK_HEAD):end] if text.startswith(_PROJECTED_HEAD, end) else None
+def ok_side_text(text: str) -> str | None:
+    """The ``ok`` side's text in ``doc_index_text``'s ``text``; None when
+    the frame does not hold.  No side holds ``_PROJECTED_HEAD``: a depth-1
+    render indents each inner line by 4 or more spaces, and its strings
+    hold no raw newline.  So its first occurrence ends the ``ok`` side."""
+    end = text.find(_PROJECTED_HEAD, len(_OK_HEAD))
+    return text[len(_OK_HEAD):end] if end > len(_OK_HEAD) and text.startswith(_OK_HEAD) else None
 
 
 def index_from_json_obj(payload: dict) -> DocIndex:

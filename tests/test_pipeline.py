@@ -292,21 +292,50 @@ def test_json_text_reencodes_every_fixture_artifact(tmp_path):
 
 def check_doc_index_frame(ok, projected) -> None:
     """The frame of two depth-1 renders is the two sides' ``json_text``, and
-    the ``ok`` side's length is the one length that splits it out again."""
-    side = json_text(ok, 1)
-    text = doc_index_text(side, json_text(projected, 1))
+    ``ok_side_text`` splits the ``ok`` side out again; a text cut short of
+    the ``projected`` head, or without the ``ok`` head, has no ``ok`` side."""
+    side, projected_side = json_text(ok, 1), json_text(projected, 1)
+    text = doc_index_text(side, projected_side)
     assert text == json_text({"ok": ok, "projected": projected})
-    assert [n for n in range(-1, len(text) + 2) if ok_side_text(text, n) is not None] == [
-        len(side)]
-    assert ok_side_text(text, len(side)) == side
-    for length in (True, float(len(side)), str(len(side)), None, [len(side)]):
-        assert ok_side_text(text, length) is None
+    assert ok_side_text(text) == side
+    projected_at = len(text) - len(projected_side) - len("\n}\n")
+    assert ok_side_text(text[:projected_at - 1]) is None
+    assert ok_side_text(text[1:]) is None
+
+
+#: Text of the doc index's frame, for the strings and keys of a side.
+FRAME_TEXT = st.sampled_from([',\n  "projected": ', '"projected": ', "projected", ",\n  ", "\n"])
+FRAME_VALUES = st.recursive(
+    JSON_SCALARS | FRAME_TEXT,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=6) | FRAME_TEXT, inner, max_size=4)
+    ),
+    max_leaves=24,
+)
 
 
 @settings(max_examples=60, deadline=None)
-@given(JSON_VALUES, JSON_VALUES)
+@given(JSON_VALUES | FRAME_VALUES, JSON_VALUES | FRAME_VALUES)
 def test_the_doc_index_frame_of_two_depth_one_renders_is_their_json_text(ok, projected):
     check_doc_index_frame(ok, projected)
+
+
+#: ``ok`` sides whose strings hold the ``projected`` head, or whose
+#: ``"projected"`` keys sit one, two or more levels deep.
+FRAME_IMPOSTORS = {
+    "head-in-a-string": {"unannotated_docs": [',\n  "projected": ']},
+    "head-as-a-key": {',\n  "projected": ': {"projected": []}},
+    "head-as-the-side": ',\n  "projected": {}\n}\n',
+    "key-one-level-deep": {"projected": {"annotations": []}},
+    "key-two-levels-deep": {"annotations": [{"projected": "relais"}]},
+    "key-three-levels-deep": {"a": {"b": {"projected": {"projected": 1}}}},
+}
+
+
+@pytest.mark.parametrize("case", FRAME_IMPOSTORS)
+def test_the_first_projected_head_ends_the_ok_side(case):
+    check_doc_index_frame(FRAME_IMPOSTORS[case], {"projected": FRAME_IMPOSTORS[case]})
 
 
 def test_the_fixture_doc_index_is_its_two_sides_framed(tmp_path):
@@ -937,7 +966,7 @@ def extract_ids(out: Path) -> object:
 
 
 def oracle_ids(corpus: Path) -> list[str]:
-    return corpus_module.corpus_doc_ids(corpus, corpus_module.read_corpus_files(corpus))
+    return [doc.id for doc in load_corpus(corpus)]
 
 
 def reject(decisions: Path, term: str = "relais de tension") -> None:
@@ -967,6 +996,8 @@ _CORPUS_LINES = [
     for line in path.read_text(encoding="utf-8").splitlines()
     if line.strip()
 ]
+#: The one line of the first document of every ``random_ids_corpus``.
+_ANCHOR_LINE = "Un relais de tension est un relais."
 _DOCUMENT_NAMES = ("a.txt", "a-b.txt", "a b.txt", "b.txt", "doc é.txt", "z0.txt", "Z.txt")
 
 
@@ -981,7 +1012,7 @@ def random_ids_corpus(rng, corpus: Path) -> None:
     for i, name in enumerate(names):
         kind = rng.random()
         if i == 0:
-            text = "Un relais de tension est un relais.\n"
+            text = _ANCHOR_LINE + "\n"
         elif kind < 0.2:
             text = ""
         elif kind < 0.4:
@@ -1027,7 +1058,7 @@ def corpus_features(corpus: Path) -> set[str]:
 def test_the_ids_an_edit_run_restores_are_the_corpus_ids(tmp_path, monkeypatch, settled_clock):
     """On the fixture and on 200 random corpora, through a cold run, a
     decisions edit, a warm run and a lexicon edit: the extract stage's
-    record holds ``corpus_doc_ids`` of the corpus after every run, and the
+    record holds the ids of ``load_corpus`` after every run, and the
     decisions edit indexes those ids, on the projected side only, without
     reading the corpus."""
     rng = random.Random(20101025)
@@ -1112,8 +1143,10 @@ MALFORMED_IDS = {
 def test_a_malformed_ids_record_means_read_the_corpus_and_record_them(
     tmp_path, monkeypatch, settled_clock, case
 ):
-    """"missing" is the extract record an earlier version wrote: one edit
-    run upgrades it, and the next reads no corpus document."""
+    """Extract misses, and its render reads and decodes each document once
+    and records the ids.  "missing" is the extract record an earlier
+    version wrote: one edit run upgrades it, and the next reads no corpus
+    document."""
     config = load_config(project_config(tmp_path / "project", tmp_path / "out"))
     documents = sorted(p.name for p in config.corpus.iterdir())
     run_pipeline(config)
@@ -1124,7 +1157,7 @@ def test_a_malformed_ids_record_means_read_the_corpus_and_record_them(
     with monkeypatch.context() as patch:
         calls = spy_on_run(patch, config.output, config.corpus)
         result = run_pipeline(config)
-    assert result.stages["extract"].cache_hit and not result.stages["index"].cache_hit
+    assert not result.stages["extract"].cache_hit and not result.stages["index"].cache_hit
     assert calls["read_corpus_files"] == 1 and calls["hash_files"] == 0
     assert corpus_reads(calls) == documents_decoded(calls) == dict.fromkeys(documents, 1)
     assert extract_ids(config.output) == oracle_ids(config.corpus)
@@ -1133,7 +1166,7 @@ def test_a_malformed_ids_record_means_read_the_corpus_and_record_them(
     with monkeypatch.context() as patch:
         calls = spy_on_run(patch, config.output, config.corpus)
         result = run_pipeline(config)
-    assert not result.stages["index"].cache_hit
+    assert result.stages["extract"].cache_hit and not result.stages["index"].cache_hit
     assert calls["read_corpus_files"] == 0 and corpus_reads(calls) == {}
 
 
@@ -1167,31 +1200,35 @@ def _drop_ok_field(field: str):
     return lambda record: record.pop(field, None)
 
 
-def _shift_ok_length(by: int):
-    return lambda record: record.update(ok_length=(record.get("ok_length") or 0) + by)
-
-
 #: Index records the ``ok`` side cannot be kept from.
 MALFORMED_OK_RECORDS = {
     "inputs-true": _set_ok_fields(ok_inputs=True),
     "inputs-not-hex": _set_ok_fields(ok_inputs="x" * 64),
     "inputs-missing": _drop_ok_field("ok_inputs"),
-    "length-true": _set_ok_fields(ok_length=True),
-    "length-negative": _set_ok_fields(ok_length=-1),
-    "length-too-large": _set_ok_fields(ok_length=10**9),
-    "length-one-short": _shift_ok_length(-1),
-    "length-one-long": _shift_ok_length(1),
-    "length-missing": _drop_ok_field("ok_length"),
 }
 
 
+#: The ways an ``ok``-side oracle step edits ``doc_index.json``.
+DOC_INDEX_EDITS = ("truncate", "edit", "frame")
+
+
 def _edit_doc_index(config, how: str) -> None:
+    """"frame" breaks the ``projected`` head, makes the index record's
+    sha256 match, so only the frame shows the edit, and edits the decisions,
+    so the index renders."""
     path = config.output / "doc_index.json"
     data = path.read_bytes()
     if how == "truncate":
         path.write_bytes(data[: len(data) // 2])
-    else:  # same length, in the ok side, which comes first
+    elif how == "edit":  # same length, in the ok side, which comes first
         path.write_bytes(data.replace(b'"unannotated_docs"', b'"unannotated_dogs"', 1))
+    else:
+        data = data.replace(b',\n  "projected": ', b',\n  "projecteD": ', 1)
+        path.write_bytes(data)
+        manifest = manifest_of(config.output)
+        manifest["stages"]["index"]["sha256"] = hashlib.sha256(data).hexdigest()
+        (config.output / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        OK_SIDE_EDITS["decisions"](config, None)
 
 
 def _edit_manifest(config, case: str) -> None:
@@ -1199,6 +1236,10 @@ def _edit_manifest(config, case: str) -> None:
     MALFORMED_OK_RECORDS[case](manifest["stages"]["index"])
     (config.output / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
 
+
+#: The lines a corpus edit toggles: any but the anchor, which may be all a
+#: random corpus holds, so no edit leaves it without a document.
+_EDIT_LINES = [line for line in _CORPUS_LINES if line != _ANCHOR_LINE]
 
 #: The edits an ``ok``-side oracle step picks from; each gets ``(config, rng)``.
 OK_SIDE_EDITS = {
@@ -1210,8 +1251,8 @@ OK_SIDE_EDITS = {
     "lexicon": lambda config, rng: _toggle_line(config.lexicon, "alarme\talarme\tNOUN"),
     "corpus": lambda config, rng: _toggle_line(
         config.corpus / rng.choice(["new.txt", *read_corpus_files_oracle(config.corpus)]),
-        rng.choice(_CORPUS_LINES)),
-    "doc_index": lambda config, rng: _edit_doc_index(config, rng.choice(["truncate", "edit"])),
+        rng.choice(_EDIT_LINES)),
+    "doc_index": lambda config, rng: _edit_doc_index(config, rng.choice(DOC_INDEX_EDITS)),
     "manifest": lambda config, rng: _edit_manifest(
         config, rng.choice(sorted(MALFORMED_OK_RECORDS))),
     "force": lambda config, rng: None,
@@ -1232,13 +1273,15 @@ def ok_inputs_digest(config) -> tuple:
 def test_the_doc_index_keeps_its_ok_side_exactly_when_its_inputs_are_kept(
     tmp_path, monkeypatch, settled_clock
 ):
-    """On the fixture, through every edit and every malformed index record,
-    and on 6 random corpora through 4 random edits each, each followed by a
-    decisions edit: after every run each artifact is a forced cold run's on
-    the same inputs, and an index that renders keeps the ``ok`` side of the
-    last artifact (it indexes the projected side only) exactly when the run
-    is not forced and the side's inputs, the last artifact and the index
-    record's ``ok`` fields are as the last run left them."""
+    """On the fixture, through every edit, every malformed index record and
+    every edit of ``doc_index.json``, and on 6 random corpora through 4
+    random edits each, each followed by a decisions edit: after every run
+    each artifact is a forced cold run's on the same inputs, and an index
+    that renders keeps the ``ok`` side of the last artifact (it indexes the
+    projected side only) exactly when the run is not forced and the side's
+    inputs, the last artifact and the index record's ``ok`` fields are as
+    the last run left them.  The frame splits out the ``ok`` side of every
+    index the run renders."""
     indexed: list[int] = []
     index_corpus = pipeline.index_corpus
 
@@ -1250,8 +1293,10 @@ def test_the_doc_index_keeps_its_ok_side_exactly_when_its_inputs_are_kept(
     fixture_steps = ["decisions"]
     for case in MALFORMED_OK_RECORDS:
         fixture_steps += [f"manifest:{case}", "decisions"]
+    for how in DOC_INDEX_EDITS:
+        fixture_steps += [f"doc_index:{how}", "decisions"]
     fixture_steps += ["decisions", "dsl", "decisions", "stopwords", "decisions", "lexicon",
-                      "decisions", "corpus", "decisions", "doc_index", "decisions", "force",
+                      "decisions", "corpus", "decisions", "force",
                       "decisions", "none", "stopwords", "dsl"]
     rng = random.Random(20101026)
     kept = Counter()
@@ -1273,9 +1318,9 @@ def test_the_doc_index_keeps_its_ok_side_exactly_when_its_inputs_are_kept(
         run_pipeline(config)
         last, record_ok, tampered = ok_inputs_digest(config), True, False
         for n, step in enumerate(steps):
-            edit, _, manifest_case = step.partition(":")
-            if manifest_case:
-                _edit_manifest(config, manifest_case)
+            edit, _, variant = step.partition(":")
+            if variant:
+                {"manifest": _edit_manifest, "doc_index": _edit_doc_index}[edit](config, variant)
             else:
                 OK_SIDE_EDITS[edit](config, rng)
             record_ok &= edit != "manifest"
@@ -1293,13 +1338,33 @@ def test_the_doc_index_keeps_its_ok_side_exactly_when_its_inputs_are_kept(
                 oracles[inputs] = artifact_bytes(run_pipeline(oracle, force=True).output_dir)
             assert artifact_bytes(config.output) == oracles[inputs], (case, n, step)
             if not hit:
-                record = manifest_of(config.output)["stages"]["index"]
-                ok = json.loads((config.output / "doc_index.json").read_bytes())["ok"]
-                assert record["ok_length"] == len(json_text(ok, 1)), (case, n, step)
+                text = (config.output / "doc_index.json").read_text(encoding="utf-8")
+                assert ok_side_text(text) == json_text(json.loads(text)["ok"], 1), (case, n, step)
                 kept[keeps] += 1
                 record_ok = True
             last, tampered = digest, False
     assert kept[True] >= 25 and kept[False] >= 25, kept
+
+
+def test_an_ok_length_an_earlier_version_recorded_is_ignored(tmp_path, monkeypatch, settled_clock):
+    """An index record that still holds ``ok_length``, here one that frames
+    nothing, keeps its ``ok`` side on a decisions edit; the record the index
+    renders drops the field."""
+    config = load_config(project_config(tmp_path / "project", tmp_path / "out"))
+    run_pipeline(config)
+    manifest = manifest_of(config.output)
+    manifest["stages"]["index"]["ok_length"] = 1
+    (config.output / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    reject(config.decisions)
+    indexed = []
+    index_corpus = pipeline.index_corpus
+    monkeypatch.setattr(pipeline, "index_corpus",
+                        lambda *args: indexed.append(1) or index_corpus(*args))
+    result = run_pipeline(config)
+    assert not result.stages["index"].cache_hit and indexed == [1]
+    assert "ok_length" not in manifest_of(config.output)["stages"]["index"]
+    monkeypatch.undo()
+    assert artifact_bytes(config.output) == cold_artifacts(tmp_path, config)
 
 
 def comment_out_a_decision(decisions: Path) -> None:
@@ -1657,14 +1722,14 @@ def test_cli_stage_chain_standalone(tmp_path, capsys, monkeypatch):
     assert "digraph" in dot
 
 
-def test_cli_stages_write_the_pipelines_bytes(tmp_path, capsys):
+def check_cli_stages_write_the_pipelines_bytes(tmp_path, capsys, corpus_dir: Path) -> None:
     data = data_path()
-    config = load_config(write_config(tmp_path))
+    config = load_config(write_config(tmp_path, corpus=str(corpus_dir)))
     run_pipeline(config)
     cli = tmp_path / "cli"
     cli.mkdir()
     inputs = ["--dsl", str(data / "relais.dsl"), "--stopwords", str(data / "stopwords.txt")]
-    corpus = ["--corpus", str(data / "corpus"), "--lexicon", str(data / "lexicon.tsv")]
+    corpus = ["--corpus", str(corpus_dir), "--lexicon", str(data / "lexicon.tsv")]
     chain = [
         ["extract", *corpus, "--patterns", str(data / "patterns.txt"),
          "--out", str(cli / "candidates.json")],
@@ -1676,7 +1741,7 @@ def test_cli_stages_write_the_pipelines_bytes(tmp_path, capsys):
          "--out", str(cli / "taxonomy.json")],
         ["align", "--taxonomy", str(cli / "taxonomy.json"), *inputs,
          "--out", str(cli / "alignment.json")],
-        ["index", "--corpus", str(data / "corpus"), "--candidates", str(cli / "candidates.json"),
+        ["index", "--corpus", str(corpus_dir), "--candidates", str(cli / "candidates.json"),
          "--taxonomy", str(cli / "taxonomy.json"), *inputs, "--out", str(cli / "doc_index.json")],
         ["export", "--dsl", str(data / "relais.dsl"), "--format", "owl",
          "--out", str(cli / "ontology.owl")],
@@ -1687,6 +1752,29 @@ def test_cli_stages_write_the_pipelines_bytes(tmp_path, capsys):
     assert main(["ok-check", "--dsl", str(data / "relais.dsl"), "--format", "json"]) == 0
     (cli / "ok_report.json").write_text(capsys.readouterr().out, encoding="utf-8")
     assert artifact_bytes(cli) == artifact_bytes(config.output)
+
+
+def test_cli_stages_write_the_pipelines_bytes(tmp_path, capsys):
+    check_cli_stages_write_the_pipelines_bytes(tmp_path, capsys, data_path("corpus"))
+
+
+def test_cli_stages_write_the_pipelines_bytes_on_a_harder_corpus(tmp_path, capsys):
+    """The CLI's index takes its ids from the corpus, the pipeline's from the
+    extract stage: they agree on a corpus with a blank document, a
+    whitespace-only one, a CRLF one and one that no candidate annotates."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(data_path("corpus"), corpus)
+    (corpus / "blank.txt").write_bytes(b"")
+    (corpus / "space.txt").write_bytes(b" \r\n\t\n")
+    (corpus / "crlf.txt").write_bytes(
+        (corpus / "doc03_tension.txt").read_bytes().replace(b"\n", b"\r\n"))
+    (corpus / "unannotated.txt").write_text("Le chat dort sur le toit.\n", encoding="utf-8")
+    check_cli_stages_write_the_pipelines_bytes(tmp_path, capsys, corpus)
+    payload = json.loads((tmp_path / "cli" / "doc_index.json").read_bytes())
+    for side in payload.values():
+        annotated = {row["doc_id"] for row in side["annotations"]}
+        assert "crlf" in annotated and side["unannotated_docs"] == ["unannotated"]
+        assert not {"blank", "space"} & (annotated | set(side["unannotated_docs"]))
 
 
 @pytest.mark.parametrize("case, code", [
