@@ -47,6 +47,11 @@ class POS(str, Enum):
     OTHER = "OTHER"
 
 
+#: Each tag's value → its ``POS``; lexicon and pattern lines name a tag by
+#: its value, in any case.
+_TAGS = {member.value: member for member in POS}
+
+
 class HeadPosition(str, Enum):
     FIRST_NOUN = "first"
     LAST_NOUN = "last"
@@ -176,15 +181,15 @@ def load_lexicon(path: str | Path) -> Lexicon:
         parts = raw.split("\t")
         if len(parts) != 3:
             raise ConfigError(f"{path}: line {lineno}: expected 3 tab-separated columns")
-        surface, lemma, pos = (p.strip() for p in parts)
+        surface, lemma, pos = parts[0].strip(), parts[1].strip(), parts[2].strip()
         if not surface:
             raise ConfigError(f"{path}: line {lineno}: empty surface form")
         if not lemma:
             raise ConfigError(f"{path}: line {lineno}: empty lemma")
-        try:
-            entries.append(LexiconEntry(surface, lemma, POS(pos.upper())))
-        except ValueError:
-            raise ConfigError(f"{path}: line {lineno}: unknown POS tag {pos!r}") from None
+        tag = _TAGS.get(pos.upper())
+        if tag is None:
+            raise ConfigError(f"{path}: line {lineno}: unknown POS tag {pos!r}")
+        entries.append(LexiconEntry(surface, lemma, tag))
     return Lexicon(entries)
 
 
@@ -387,10 +392,9 @@ def load_patterns(path: str | Path) -> list[PatternDef]:
             if value not in ("first", "last"):
                 raise BadPatternError(f"{path}: line {lineno}: head must be 'first' or 'last'")
             head = HeadPosition(value)
-        try:
-            sequence = tuple(POS(p.upper()) for p in parts)
-        except ValueError:
-            raise BadPatternError(f"{path}: line {lineno}: unknown POS tag") from None
+        sequence = tuple(_TAGS.get(p.upper()) for p in parts)
+        if None in sequence:
+            raise BadPatternError(f"{path}: line {lineno}: unknown POS tag")
         patterns.append(PatternDef(ident.strip(), sequence, head))
     _validate_patterns(patterns)
     return patterns

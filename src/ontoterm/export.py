@@ -6,13 +6,17 @@ Differentia values travel as annotations rather than property
 restrictions: the export preserves the definitional structure instead of
 inventing logical axioms the model does not state.  Output is sorted and
 byte-stable so exports can be diffed.
+
+Local names are the labels in accent-stripped CamelCase.  A species' label
+usually extends its genus's label by a space («relais à seuil de tension»
+extends «relais à seuil»), and its name reuses the camel core of the label
+it extends, so a tree is named at about the cost of its labels' own parts.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from functools import lru_cache
 from typing import Iterable
 
 from .errors import ConfigError, quoted
@@ -37,28 +41,35 @@ _SEPARATORS = re.compile(r"[\s\-_'’]+")
 _NOT_ALNUM = re.compile(r"[^0-9A-Za-z]")
 
 
-@lru_cache(maxsize=4096)
-def _fold(ch: str) -> str:
-    """``ch`` in NFKD without its combining marks."""
-    return "".join(c for c in unicodedata.normalize("NFKD", ch) if not unicodedata.combining(c))
+class _Folds(dict):
+    """Code point → its character in NFKD without combining marks, as
+    ``str.translate`` reads it: ASCII maps to itself, and the first 4,096
+    other characters met are kept once folded."""
+
+    def __missing__(self, code: int) -> str:
+        folded = "".join(c for c in unicodedata.normalize("NFKD", chr(code))
+                         if not unicodedata.combining(c))
+        if len(self) < 128 + 4096:
+            self[code] = folded
+        return folded
 
 
-def _camel(label: str) -> str:
+_FOLDS = _Folds((code, code) for code in range(128))
+
+
+def _core(text: str) -> str:
+    """``text`` accent-folded, split at separators, each part capitalised,
+    joined and stripped of all but ASCII letters and digits.
+
+    Each step acts within one part, so the core of ``p + " " + r`` is the
+    core of ``p`` followed by the core of ``r``.
+    """
     # NFKD decomposes each character on its own and canonical reordering
     # moves only combining marks, which are dropped: so folding each
-    # distinct non-ASCII character gives NFKD(label) without its marks.
-    stripped = label
-    if not label.isascii():
-        for ch in set(label):
-            if not ch.isascii():
-                stripped = stripped.replace(ch, _fold(ch))
+    # character gives NFKD(text) without its marks.
+    stripped = text if text.isascii() else text.translate(_FOLDS)
     camel = "".join(t[:1].upper() + t[1:] for t in _SEPARATORS.split(stripped) if t)
-    camel = _NOT_ALNUM.sub("", camel)
-    if not camel:
-        return "C"
-    if camel[0].isdigit():
-        camel = "C" + camel
-    return camel
+    return _NOT_ALNUM.sub("", camel)
 
 
 def mangle_labels(labels: Iterable[str]) -> dict[str, str]:
@@ -67,11 +78,27 @@ def mangle_labels(labels: Iterable[str]) -> dict[str, str]:
     Base names are accent-stripped CamelCase; collisions get a numeric
     suffix in sorted-label order, so distinct labels always get distinct
     names and every name maps back to exactly one label.
+
+    A label's camel core (``_core``) is its base name before a leading
+    ``C``.  A label that extends an earlier label by a space, as a species'
+    label extends its genus's, takes the core of the longest such label,
+    which sorts before it, followed by the core of the rest; only a label
+    that extends none is folded whole.
     """
     result: dict[str, str] = {}
+    cores: dict[str, str] = {}
     used: dict[str, int] = {}
     for label in sorted(set(labels)):
-        base = _camel(label)
+        cut = label.rfind(" ")
+        while cut != -1 and label[:cut] not in cores:
+            cut = label.rfind(" ", 0, cut)
+        if cut == -1:
+            core = _core(label)
+        else:
+            core = cores[label[:cut]] + _core(label[cut + 1:])
+        cores[label] = core
+        # a name starts with a letter: C stands for an empty core, or before a digit
+        base = core if core[:1].isalpha() else "C" + core
         count = used.get(base, 0) + 1
         used[base] = count
         result[label] = base if count == 1 else f"{base}_{count}"

@@ -14,12 +14,13 @@ scans every (document, concept) annotation and resolves labels with the
 alignment oracle.  The corpus-read oracle lists
 the top level through ``pathlib`` instead of ``os.scandir``, and the label-mangling
 oracle normalizes each whole label the way the per-character folding
-replaced.  The artifact-decoder oracles are the decoders the one-pass ones
-replaced, kept verbatim: they build each enum member with an ``Enum(...)``
-call, and the concept-id oracle collapses whitespace with ``re.sub``.  The
-DSL-reader oracle is the reader the leaner one replaced, kept verbatim: it
-builds a ``Differentia`` for every concept line and scans every line for a
-comment.
+replaced, where ``mangle_labels`` reuses the core of a label that the label
+extends.  The artifact-decoder and lexicon-loader oracles are the decoders
+and the loader the one-pass ones replaced, kept verbatim: they build each
+enum member with an ``Enum(...)`` call, and the concept-id oracle collapses
+whitespace with ``re.sub``.  The DSL-reader oracle is the reader the leaner
+one replaced, kept verbatim: it builds a ``Differentia`` for every concept
+line and scans every line for a comment.
 """
 
 from __future__ import annotations
@@ -62,11 +63,13 @@ from ontoterm.corpus import (
 )
 from ontoterm.lexnet import Evidence, LexicalRelation, LexNet, RelationKind, Status, Term
 from ontoterm.errors import (
+    ConfigError,
     DslIssue,
     DslParseError,
     UnknownConceptError,
     UnresolvableLabelError,
     input_lines,
+    read_text,
 )
 from ontoterm.okmodel import (
     _OP_ALIASES,
@@ -1016,6 +1019,75 @@ def camel_oracle(label: str) -> str:
     return camel
 
 
+def mangle_labels_oracle(labels: Iterable[str]) -> dict[str, str]:
+    """``export.mangle_labels`` as it named each whole label through
+    ``camel_oracle``, collision suffixes in sorted-label order."""
+    result: dict[str, str] = {}
+    used: dict[str, int] = {}
+    for label in sorted(set(labels)):
+        base = camel_oracle(label)
+        count = used.get(base, 0) + 1
+        used[base] = count
+        result[label] = base if count == 1 else f"{base}_{count}"
+    return result
+
+
+#: Pieces of random labels: letters, precomposed and decomposed accents, a
+#: lone combining mark, compatibility forms, every separator, digits.
+_LABEL_PIECES = (
+    "relais", "a", "Z", "é", "e\u0301", "\u0301", "ñ", "ﬁ", "①", "ß", "ǅ", "İ", "Ω",
+    " ", "\u00a0", "\t", "'", "’", "-", "_", "0", "7",
+)
+
+
+def random_rest(rng: random.Random) -> str:
+    """Up to four ``_LABEL_PIECES``: a rest that may be empty, start with a
+    separator, a combining mark or a digit, or fold to an empty core."""
+    return "".join(rng.choice(_LABEL_PIECES) for _ in range(rng.randint(0, 4)))
+
+
+def random_label_family(rng: random.Random) -> list[str]:
+    """Up to 40 labels, most extending an earlier one by a space (chains,
+    prefixes ending in a separator, several labels on one prefix), some by
+    another separator, some standing alone."""
+    labels = [random_rest(rng)]
+    for _ in range(rng.randint(0, 39)):
+        kind = rng.random()
+        if kind < 0.6:
+            labels.append(rng.choice(labels) + " " + random_rest(rng))
+        elif kind < 0.8:
+            joint = rng.choice(("-", "_", "'", "\u00a0", ""))
+            labels.append(rng.choice(labels) + joint + random_rest(rng))
+        else:
+            labels.append(random_rest(rng))
+    return labels
+
+
+def species_labelled(rng: random.Random, ontology: OkOntology) -> OkOntology:
+    """``ontology`` (genera declared before their species, as
+    ``random_ok_tree`` makes them) with each species renamed to its genus's
+    new label, or now and then another concept's, a space and a
+    ``random_rest``; each attribute is renamed ``attr`` plus a space and its
+    concept's new name."""
+    label: dict[str, str] = {}
+    concepts = {}
+    for name, concept in ontology.concepts.items():
+        new = name
+        if concept.genus is not None:
+            base = label[concept.genus] if rng.random() < 0.8 else rng.choice(list(label.values()))
+            new = base + " " + random_rest(rng)
+            while new in concepts:
+                new += rng.choice(_LABEL_PIECES)
+        label[name] = new
+        concepts[new] = replace(
+            concept,
+            name=new,
+            genus=None if concept.genus is None else label[concept.genus],
+            attributes=tuple(replace(a, name="attr " + new) for a in concept.attributes),
+        )
+    return replace(ontology, concepts=concepts)
+
+
 # --- the DSL reader ------------------------------------------------------------
 
 
@@ -1247,6 +1319,26 @@ def candidates_from_json_oracle(text: str) -> list[TermCandidate]:
         )
         for row in json.loads(text)
     ]
+
+
+def load_lexicon_oracle(path: str | Path) -> Lexicon:
+    """``corpus.load_lexicon`` as it built each tag with a ``POS(...)``
+    call and stripped the columns in a generator."""
+    entries = []
+    for lineno, raw in input_lines(read_text(path)):
+        parts = raw.split("\t")
+        if len(parts) != 3:
+            raise ConfigError(f"{path}: line {lineno}: expected 3 tab-separated columns")
+        surface, lemma, pos = (p.strip() for p in parts)
+        if not surface:
+            raise ConfigError(f"{path}: line {lineno}: empty surface form")
+        if not lemma:
+            raise ConfigError(f"{path}: line {lineno}: empty lemma")
+        try:
+            entries.append(LexiconEntry(surface, lemma, POS(pos.upper())))
+        except ValueError:
+            raise ConfigError(f"{path}: line {lineno}: unknown POS tag {pos!r}") from None
+    return Lexicon(entries)
 
 
 def concept_id_oracle(label: str) -> str:

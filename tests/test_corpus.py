@@ -17,6 +17,7 @@ from genutil import (
     annotate_per_token,
     copula_relations_per_token,
     extract_candidates_per_token,
+    load_lexicon_oracle,
     pattern_matches_per_token,
     random_corpus_tree,
     random_document,
@@ -533,3 +534,56 @@ def test_load_lexicon_reports_empty_lemma(tmp_path):
     path.write_text("relais\trelais\tNOUN\ntension\t \tNOUN\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="line 2: empty lemma"):
         load_lexicon(path)
+
+
+def lexicon_outcome(load, path):
+    """The entries ``load`` reads from ``path``, or its ``ConfigError`` text."""
+    try:
+        lexicon = load(path)
+    except ConfigError as exc:
+        return str(exc)
+    return [(key, e.surface, e.lemma, e.pos) for key, e in lexicon._entries.items()]
+
+
+#: A lexicon line of each kind the loader reads or refuses.
+LEXICON_LINE_KINDS = {
+    "2 columns": "relais\trelais",
+    "4 columns": "relais\trelais\tNOUN\tx",
+    "empty surface": " \trelais\tNOUN",
+    "empty lemma": "relais\t\tNOUN",
+    "unknown tag": "relais\trelais\tNOM",
+    "lower-case tag": "relais\trelais\tnoun",
+    "padded columns": " relais \t relais\u00a0\t ADJ ",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LEXICON_LINE_KINDS))
+def test_load_lexicon_reads_each_line_kind_as_the_enum_loader_did(tmp_path, kind):
+    path = tmp_path / "lex.tsv"
+    path.write_text(f"tension\ttension\tNOUN\n{LEXICON_LINE_KINDS[kind]}\n", encoding="utf-8")
+    assert lexicon_outcome(load_lexicon, path) == lexicon_outcome(load_lexicon_oracle, path)
+
+
+_LEXICON_WORDS = ("relais", "Relais", "tension", "é", "e\u0301", "l'", "ß", " seuil", "à\u00a0")
+_LEXICON_TAGS = (*(pos.value for pos in POS), "noun", "Adj", " prep ", "det\u00a0", "oThEr")
+
+
+def test_load_lexicon_matches_the_enum_loader_on_random_lexicons(tmp_path):
+    """Random lexicons, half of them with one line of a ``LEXICON_LINE_KINDS``
+    kind among well-formed ones."""
+    rng = random.Random(20101030)
+    path = tmp_path / "lex.tsv"
+    refused = 0
+    for _ in range(300):
+        lines = ["# surface, lemma, tag", ""] + [
+            "\t".join((rng.choice(_LEXICON_WORDS) + rng.choice(_LEXICON_WORDS),
+                       rng.choice(_LEXICON_WORDS), rng.choice(_LEXICON_TAGS)))
+            for _ in range(rng.randint(1, 12))
+        ]
+        if rng.random() < 0.5:
+            lines.insert(rng.randint(0, len(lines)), rng.choice(list(LEXICON_LINE_KINDS.values())))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        outcome = lexicon_outcome(load_lexicon, path)
+        assert outcome == lexicon_outcome(load_lexicon_oracle, path), lines
+        refused += isinstance(outcome, str)
+    assert 60 <= refused <= 150, refused

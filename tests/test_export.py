@@ -7,13 +7,19 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genutil import camel_oracle, random_ok_tree
+from genutil import (
+    camel_oracle,
+    mangle_labels_oracle,
+    random_label_family,
+    random_ok_tree,
+    species_labelled,
+)
 from ontoterm.cli import main
 from ontoterm.errors import ConfigError, InconsistentOntologyError
 from ontoterm.fixtures import data_path
 from ontoterm.okmodel import Axis, Differentia, OkConcept, OkOntology, load_dsl, parse_dsl
 from ontoterm import export
-from ontoterm.export import _camel, _preorder, mangle_labels, to_kif, to_owl
+from ontoterm.export import _preorder, mangle_labels, to_kif, to_owl
 
 
 @pytest.fixture(scope="module")
@@ -198,10 +204,31 @@ def test_camel_folds_each_character_like_normalizing_the_whole_label(relay, monk
     labels = [*relay.concepts, *attributes, ""] + [
         "".join(rng.choice(_CAMEL_POOL) for _ in range(rng.randint(0, 8))) for _ in range(10_000)
     ]
-    assert [_camel(label) for label in labels] == [camel_oracle(label) for label in labels]
+    assert [mangle_labels([label])[label] for label in labels] == [
+        camel_oracle(label) for label in labels
+    ]
     owl, kif = to_owl(relay), to_kif(relay)
-    monkeypatch.setattr(export, "_camel", camel_oracle)
+    monkeypatch.setattr(export, "mangle_labels", mangle_labels_oracle)
     assert (owl, kif) == (to_owl(relay), to_kif(relay))
+
+
+def test_a_label_extending_another_is_named_as_if_folded_whole():
+    rng = random.Random(20101028)
+    extending = 0
+    for _ in range(500):
+        labels = random_label_family(rng)
+        assert mangle_labels(labels) == mangle_labels_oracle(labels), labels
+        extending += sum(any(label.startswith(other + " ") for other in labels) for label in labels)
+    assert extending >= 5000, extending
+
+
+def test_owl_and_kif_name_species_labels_as_if_folded_whole(monkeypatch):
+    rng = random.Random(20101029)
+    ontologies = [species_labelled(rng, random_ok_tree(rng, max_nodes=40, attributes=True))
+                  for _ in range(300)]
+    texts = [(to_owl(ontology), to_kif(ontology)) for ontology in ontologies]
+    monkeypatch.setattr(export, "mangle_labels", mangle_labels_oracle)
+    assert texts == [(to_owl(ontology), to_kif(ontology)) for ontology in ontologies]
 
 
 # --- axiom-count formulas on random consistent ontologies ----------------------
