@@ -310,12 +310,27 @@ def find_validated_hyponymy_cycle(net: LexNet) -> list[str] | None:
     )
 
 
+#: What precedes each row's status in ``lexnet_to_json``'s text: ``json_text``
+#: writes a row's keys sorted, one per line, six spaces deep.  It occurs once
+#: per row, since no encoded string holds a raw newline.
+_STATUS_LINE = '\n      "status": "'
+#: Each status as its row's status line ends: the value and its closing quote.
+_QUOTED = {member: member.value + '"' for member in Status}
+
+
+def _rows(net: LexNet) -> tuple[list[LexicalRelation], list[Term]]:
+    """The network's rows in the order ``lexnet_to_json`` writes them: its
+    relations by (kind, source, target), then its terms by label (the
+    artifact's sorted keys put ``relations`` before ``terms``).  Each row's
+    status follows one ``_STATUS_LINE``."""
+    return (sorted(net.relations.values(), key=lambda r: (r.kind.value, r.source, r.target)),
+            sorted(net.terms.values(), key=lambda t: t.label))
+
+
 def lexnet_to_json(net: LexNet) -> str:
+    relations, terms = _rows(net)
     payload = {
-        "terms": [
-            {"label": t.label, "head": t.head, "status": t.status.value}
-            for t in sorted(net.terms.values(), key=lambda t: t.label)
-        ],
+        "terms": [{"label": t.label, "head": t.head, "status": t.status.value} for t in terms],
         "relations": [
             {
                 "kind": r.kind.value,
@@ -325,10 +340,33 @@ def lexnet_to_json(net: LexNet) -> str:
                 "evidence_sources": [e.value for e in r.evidence_sources],
                 "status": r.status.value,
             }
-            for r in sorted(net.relations.values(), key=lambda r: (r.kind.value, r.source, r.target))
+            for r in relations
         ],
     }
     return json_text(payload)
+
+
+def rewrite_statuses(text: str, net: LexNet, validated: LexNet) -> str | None:
+    """``lexnet_to_json(validated)``, from ``text``, the ``lexnet_to_json`` of
+    ``net``, where ``validated`` holds ``net``'s rows with other statuses
+    (``apply_validation``'s result): the status of each row whose status
+    changed is rewritten in place, and nothing is encoded.  None when the
+    status lines of ``text`` do not line up one-to-one with ``net``'s rows,
+    each holding its row's status."""
+    relations, terms = _rows(net)
+    parts = text.split(_STATUS_LINE)
+    if len(parts) != len(relations) + len(terms) + 1:
+        return None
+    new_relations, new_terms = validated.relations, validated.terms
+    changes = [(r.status, new_relations[r.kind, r.source, r.target].status) for r in relations]
+    changes += [(t.status, new_terms[t.label].status) for t in terms]
+    for i, (old, new) in enumerate(changes, 1):
+        part, written = parts[i], _QUOTED[old]
+        if not part.startswith(written):
+            return None
+        if new is not old:
+            parts[i] = _QUOTED[new] + part[len(written):]
+    return _STATUS_LINE.join(parts)
 
 
 # Value -> member, built once: a dict lookup costs a fraction of an

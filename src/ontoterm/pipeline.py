@@ -37,6 +37,14 @@ label for it, when the run is not forced, the fingerprint is unchanged,
 the artifact still hashes to the record's ``sha256`` and its frame holds;
 otherwise it renders both sides.
 
+A stage that hits keeps the bytes it hashed while a later stage reads its
+value, and the value is decoded from those bytes: no run reads an
+artifact twice, or decodes one it did not check.  The validate stage
+takes the network's artifact text the run holds (the net stage's hit's
+bytes, or its render's) and has ``lexnet.rewrite_statuses`` rewrite the
+statuses the decisions changed; only a text that does not line up with
+the network is encoded again.
+
 Each stage has one body, ``render_<stage>``, shared by ``run_pipeline`` and
 the CLI subcommands: it reads its inputs from a ``RunValues`` and returns
 the artifact text.
@@ -91,6 +99,7 @@ from .lexnet import (
     lexnet_from_json,
     lexnet_to_json,
     load_decisions,
+    rewrite_statuses,
     same_head_hyponyms,
     terms_from_candidates,
 )
@@ -166,14 +175,14 @@ def load_config(path: str | Path) -> PipelineConfig:
 # run values
 
 
-def read_artifact(path: str | Path, decode: Callable[[str], object]):
-    """Decode the artifact at ``path``.  Content the program never writes
-    (bad UTF-8 or JSON, JSON nested too deep to decode, a wrong shape or
-    value) raises ``ArtifactError``; a file that cannot be read raises
-    ``OSError``."""
+def read_artifact(path: str | Path, decode: Callable[[str], object], data: bytes | None = None):
+    """Decode the artifact at ``path``, or ``data``, bytes already read from
+    it.  Content the program never writes (bad UTF-8 or JSON, JSON nested
+    too deep to decode, a wrong shape or value) raises ``ArtifactError``; a
+    file that cannot be read raises ``OSError``."""
     path = Path(path)
     try:
-        return decode(path.read_text(encoding="utf-8"))
+        return decode(path.read_text(encoding="utf-8") if data is None else data.decode("utf-8"))
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError, ArtifactError) as exc:
         raise ArtifactError(f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from None
 
@@ -209,15 +218,26 @@ class RunValues(dict):
     ``doc_ids`` is stored by the extract stage, whether it renders or hits;
     its loader, which only the CLI's ``index`` reaches, reads the corpus.
     ``ok_side``, when set, holds the text of the doc index's ``ok`` side.
+
+    ``held`` maps a value to the bytes of the artifact that holds it, as
+    ``run_pipeline`` hashed them at its stage's hit, or wrote them at a
+    render whose value a later stage reads as text (``Stage.texts``).  A
+    value is decoded from its held bytes, not read again, and the bytes
+    are dropped with the value.
     """
 
     def __init__(self, sources: Mapping[str, object]) -> None:
         super().__init__()
         self.sources = sources
+        self.held: dict[str, bytes] = {}
 
     def __missing__(self, name: str):
         value = self[name] = _LOADERS[name](self)
         return value
+
+    def decoded(self, name: str, decode: Callable[[str], object]):
+        """The value ``name``, decoded from its held bytes or its artifact."""
+        return read_artifact(self.sources[name], decode, self.held.get(name))
 
 
 # Each loader looks the layer functions up at call time, in this module.
@@ -231,11 +251,11 @@ _LOADERS: dict[str, Callable[[RunValues], object]] = {
     "synonyms": lambda v: _optional(load_synonym_declarations, v.sources.get("synonyms"), ()),
     "decisions": lambda v: load_decisions(v.sources["decisions"]),
     "stopwords": lambda v: _optional(load_stopwords, v.sources.get("stopwords"), DEFAULT_STOPWORDS),
-    "candidates": lambda v: read_artifact(v.sources["candidates"], candidates_from_json),
-    "network": lambda v: read_artifact(v.sources["network"], lexnet_from_json),
-    "validated": lambda v: read_artifact(v.sources["validated"], lexnet_from_json),
-    "taxonomy": lambda v: read_artifact(v.sources["taxonomy"], taxonomy_from_json),
-    "ok_report": lambda v: read_artifact(v.sources["ok_report"], json.loads),
+    "candidates": lambda v: v.decoded("candidates", candidates_from_json),
+    "network": lambda v: v.decoded("network", lexnet_from_json),
+    "validated": lambda v: v.decoded("validated", lexnet_from_json),
+    "taxonomy": lambda v: v.decoded("taxonomy", taxonomy_from_json),
+    "ok_report": lambda v: v.decoded("ok_report", json.loads),
     "label_alignments": lambda v: {},
 }
 
@@ -267,8 +287,14 @@ def render_net(v: RunValues) -> str:
 
 
 def render_validate(v: RunValues) -> str:
-    v["validated"] = apply_validation(v["network"], v["decisions"])
-    return lexnet_to_json(v["validated"])
+    """Rewrites the statuses in the network's artifact text when the run
+    holds it, and encodes the validated network otherwise (as the CLI
+    does, whose network artifact may be any JSON of its shape)."""
+    network = v["network"]
+    validated = v["validated"] = apply_validation(network, v["decisions"])
+    held = v.held.get("network")
+    text = None if held is None else rewrite_statuses(held.decode("utf-8"), network, validated)
+    return lexnet_to_json(validated) if text is None else text
 
 
 def render_project(v: RunValues) -> str:
@@ -341,6 +367,7 @@ class Stage:
     reads: tuple[str, ...]  # run values the render reads
     value: str | None = None  # the run value the artifact holds
     settings: tuple[str, ...] = ()  # config fields fingerprinted by value
+    texts: tuple[str, ...] = ()  # values in ``reads`` whose artifact bytes the render reads too
 
 
 GRAPH = (
@@ -349,7 +376,7 @@ GRAPH = (
     Stage("net", "lexnet.json", ("corpus", "lexicon", "synonyms"),
           ("candidates", "tokens", "synonyms"), "network"),
     Stage("validate", "lexnet_validated.json", ("decisions",), ("network", "decisions"),
-          "validated"),
+          "validated", texts=("network",)),
     Stage("project", "taxonomy.json", (), ("validated",), "taxonomy"),
     Stage("ok-check", "ok_report.json", ("dsl",), (), "ok_report"),
     Stage("align", "alignment.json", ("dsl", "stopwords"), ("taxonomy", "stopwords")),
@@ -368,6 +395,9 @@ _OK_SIDE = Stage("index ok side", "doc_index.json", ("corpus", "dsl", "stopwords
 
 #: Each run value an artifact holds → the stage that writes that artifact.
 _PRODUCERS = {stage.value: stage.name for stage in GRAPH if stage.value is not None}
+
+#: The run values whose artifact bytes a render reads, kept when rendered.
+_TEXTS = {name for stage in GRAPH for name in stage.texts}
 
 
 #: A file whose ``ctime`` lies within this many ns before its recorded hash
@@ -392,14 +422,16 @@ def _hash_files(files: Mapping[str, bytes]) -> str:
     return _hash_bytes(listing.encode("utf-8", "surrogateescape"))
 
 
-def _hash_path(path: Path) -> tuple[str, os.stat_result | None]:
-    """The hash of the file at ``path`` and its stat data, taken from the
-    open file before it is read; ``("missing", None)`` for no file."""
+def _hash_path(path: Path) -> tuple[str, os.stat_result | None, bytes | None]:
+    """The hash of the file at ``path``, its stat data, taken from the open
+    file before it is read, and the bytes hashed; ``("missing", None,
+    None)`` for no file."""
     if not path.is_file():
-        return "missing", None
+        return "missing", None, None
     with open(path, "rb") as f:
         stat = os.fstat(f.fileno())
-        return _hash_bytes(f.read()), stat
+        data = f.read()
+        return _hash_bytes(data), stat, data
 
 
 def _listing(stats: Mapping[str, os.stat_result]) -> tuple[str, int]:
@@ -570,7 +602,7 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
             files = values["corpus_files"] = read_corpus_files(path, stats)
             sha256 = _hash_files(files)
         else:
-            sha256, stat = _hash_path(path)
+            sha256, stat, _ = _hash_path(path)
             if stat is None:
                 return {"sha256": sha256}
             stats = {path.name: stat}
@@ -604,11 +636,15 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
             and cached.get("artifact") == artifact
             and cached.get("fingerprint") == key
             and (stage.name != "extract" or _usable_ids(cached.get("doc_ids")))
-            and cached.get("sha256") == _hash_path(path)[0]
         )
+        if hit:
+            sha256, _, data = _hash_path(path)
+            hit = cached.get("sha256") == sha256
         if hit:
             if stage.name == "extract":
                 values["doc_ids"] = cached["doc_ids"]
+            if stage.value is not None:
+                values.held[stage.value] = data
             record = {**cached, "cache_hit": True}
         else:
             if stage.name == "index":
@@ -619,6 +655,8 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
             render = globals()["render_" + stage.name.replace("-", "_")]
             data = render(values).encode("utf-8")
             _write_atomic(path, data)
+            if stage.value in _TEXTS:
+                values.held[stage.value] = data
             record = {"artifact": artifact, "fingerprint": key, "cache_hit": False,
                       "sha256": _hash_bytes(data)}
             if stage.name == "extract":
@@ -639,8 +677,9 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
                     violations,
                 )
             needed = {name for later in GRAPH[i + 1:] for name in later.reads}
-            for name in set(values) - needed:
-                del values[name]
+            for held in (values, values.held):
+                for name in held.keys() - needed:
+                    del held[name]
     finally:
         manifest = {
             "tool": "ontoterm",

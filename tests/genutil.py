@@ -61,7 +61,9 @@ from ontoterm.corpus import (
     _split_elisions,
     _validate_patterns,
 )
-from ontoterm.lexnet import Evidence, LexicalRelation, LexNet, RelationKind, Status, Term
+from ontoterm.lexnet import (
+    Evidence, LexicalRelation, LexNet, RelationKind, Status, Term, build_network,
+)
 from ontoterm.errors import (
     ConfigError,
     DslIssue,
@@ -1371,6 +1373,44 @@ def random_lexnet(rng: random.Random) -> LexNet:
         )
         relations[rel.key] = rel
     return LexNet(terms, relations)
+
+
+#: Words whose encodings escape: a quote, a backslash, control characters,
+#: non-ASCII, and the status line of ``lexnet_to_json``'s layout itself.
+_VALIDATION_WORDS = (
+    "relais", "seuil", "é", "«x»", 'q"t', "\\", "\x01", "a\tb", "\u2028", "🔌",
+    '\n      "status": "',
+)
+
+
+def random_validation_case(rng: random.Random) -> tuple[LexNet, list[tuple[str, ...]]]:
+    """A network of 0–10 terms built with ``build_network`` (relations of
+    every kind, evidence and status, synonymy mirrored, declared synonyms)
+    and 0–8 decisions on its terms and relations, some on one row twice."""
+    labels = sorted({
+        " ".join(rng.choice(_VALIDATION_WORDS) for _ in range(rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 10))
+    })
+    terms = [Term(label, label[:4], rng.choice(list(Status))) for label in labels]
+    relations = [
+        LexicalRelation(rng.choice(list(RelationKind)), *rng.sample(labels, 2),
+                        rng.choice(list(Evidence)), status=rng.choice(list(Status)))
+        for _ in range(rng.randint(0, 15) if len(labels) > 1 else 0)
+    ]
+    pairs = rng.randint(0, 2) if len(labels) > 1 else 0
+    net = build_network(terms, relations, [tuple(rng.sample(labels, 2)) for _ in range(pairs)])
+    keys = sorted(net.relations)
+    decisions: list[tuple[str, ...]] = []
+    for _ in range(rng.randint(0, 8) if labels else 0):
+        verb = rng.choice(("validate", "reject"))
+        if keys and rng.random() < 0.6:
+            decisions.append(("relation", verb, *rng.choice(keys)))
+        else:
+            decisions.append(("term", verb, rng.choice(labels)))
+        if rng.random() < 0.2:  # the same row again, maybe back to its old status
+            row, _, *ref = decisions[-1]
+            decisions.append((row, rng.choice(("validate", "reject")), *ref))
+    return net, decisions
 
 
 def random_candidates(rng: random.Random) -> list[TermCandidate]:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,12 +27,22 @@ from ontoterm.lexnet import (
     find_validated_hyponymy_cycle,
     lexnet_from_json,
     lexnet_to_json,
+    load_decisions,
     parse_decisions,
+    rewrite_statuses,
     same_head_hyponyms,
     terms_from_candidates,
 )
 
-from genutil import copula_oracle, random_copula_case, recursive_cycle_oracle
+from ontoterm.fixtures import data_path
+from ontoterm.pipeline import load_config, run_pipeline
+
+from genutil import (
+    copula_oracle,
+    random_copula_case,
+    random_validation_case,
+    recursive_cycle_oracle,
+)
 
 HYP, SYN = RelationKind.HYPONYMY, RelationKind.SYNONYMY
 
@@ -352,6 +365,87 @@ def test_lexnet_json_roundtrip():
     net = relay_network()
     again = lexnet_from_json(lexnet_to_json(net))
     assert lexnet_to_json(again) == lexnet_to_json(net)
+
+
+def test_rewriting_the_fixture_statuses_equals_encoding_the_validated_network(tmp_path):
+    config = load_config(data_path("pipeline.toml"))
+    config = replace(config, output=tmp_path / "out")
+    run_pipeline(config)
+    text = (config.output / "lexnet.json").read_text(encoding="utf-8")
+    net = lexnet_from_json(text)
+    validated = apply_validation(net, load_decisions(config.decisions))
+    expected = lexnet_to_json(validated)
+    assert expected != text
+    assert rewrite_statuses(text, net, validated) == expected
+    assert (config.output / "lexnet_validated.json").read_text(encoding="utf-8") == expected
+
+
+def test_rewriting_statuses_matches_encoding_the_validated_network():
+    """The oracle: ``lexnet_to_json(apply_validation(net, decisions))``, on
+    seeded networks whose rows change by term decisions, their cascades,
+    synonymy mirrors and relation decisions, or go back to their status."""
+    seen: Counter = Counter()
+    for seed in range(400):
+        net, decisions = random_validation_case(random.Random(seed))
+        text = lexnet_to_json(net)
+        validated = apply_validation(net, decisions)
+        expected = lexnet_to_json(validated)
+        assert rewrite_statuses(text, net, validated) == expected, seed
+        decoded = lexnet_from_json(text)  # rows in the artifact's order, as a run's hit decodes them
+        assert rewrite_statuses(text, decoded, apply_validation(decoded, decisions)) == expected
+        seen.update(validation_features(net, decisions, validated))
+    for feature in ("no terms", "no relations", "cascade", "mirror", "relation rejected",
+                    "unchanged after a decision", 'label with "', "label with \\",
+                    "label with a control character", "label with non-ASCII"):
+        assert seen[feature] >= 10, (feature, seen)
+
+
+def validation_features(net, decisions, validated) -> set[str]:
+    """What a validation case covers."""
+    features = set()
+    if not net.terms:
+        features.add("no terms")
+    if not net.relations:
+        features.add("no relations")
+    decided = {tuple(d[2:]) for d in decisions if d[0] == "relation"}
+    mirrors = {(kind, dst, src) for kind, src, dst in decided if kind is SYN}
+    touched = decided | {(d[2],) for d in decisions if d[0] == "term"}
+    for key, rel in net.relations.items():
+        if validated.relations[key].status is not rel.status:
+            if key not in decided and key in mirrors:
+                features.add("mirror")
+            elif key not in decided | mirrors:
+                features.add("cascade")
+    if any(d[:2] == ("relation", "reject") for d in decisions):
+        features.add("relation rejected")
+    rows = [*((key, r.status) for key, r in net.relations.items()),
+            *(((label,), t.status) for label, t in net.terms.items())]
+    after = {**{key: r.status for key, r in validated.relations.items()},
+             **{(label,): t.status for label, t in validated.terms.items()}}
+    if any(key in touched and after[key] is status for key, status in rows):
+        features.add("unchanged after a decision")
+    labels = "".join(net.terms)
+    for feature, found in (('label with "', '"' in labels), ("label with \\", "\\" in labels),
+                           ("label with a control character", any(c < " " for c in labels)),
+                           ("label with non-ASCII", any(c > "~" for c in labels))):
+        if found:
+            features.add(feature)
+    return features
+
+
+def test_a_text_whose_status_lines_do_not_line_up_with_the_rows_is_not_rewritten():
+    net = relay_network()
+    validated = apply_validation(net, [("term", "reject", "relais")])
+    fewer = build_network([t for t in net.terms.values() if t.label != "relais à seuil"],
+                          [r for r in net.relations.values() if r.source != "relais à seuil"])
+    more = build_network([*net.terms.values(), Term("relais statique", "relais")],
+                         net.relations.values())
+    for text in (lexnet_to_json(fewer), lexnet_to_json(more)):  # a status line missing, one extra
+        assert rewrite_statuses(text, net, validated) is None
+    # lined up, but not holding the network's statuses: the validated text itself
+    assert rewrite_statuses(lexnet_to_json(validated), net, validated) is None
+    compact = json.dumps(json.loads(lexnet_to_json(net)), ensure_ascii=False)
+    assert rewrite_statuses(compact, net, validated) is None
 
 
 # --- properties -------------------------------------------------------------

@@ -22,6 +22,7 @@ from ontoterm.cli import main
 from ontoterm.corpus import load_corpus
 from ontoterm.errors import ConfigError, InconsistentOntologyError, json_text
 from ontoterm.fixtures import data_path
+from ontoterm.lexnet import LexNet, lexnet_to_json
 from ontoterm.pipeline import RACY_NS, STAGES, load_config, parse_config, run_pipeline
 from ontoterm.retrieval import doc_index_text, ok_side_text
 
@@ -790,8 +791,86 @@ def test_warm_run_decodes_only_the_ok_report(tmp_path, monkeypatch):
     assert calls["load_corpus"] == 0
     assert calls["decode"] == 0
     assert set(hashed(calls).values()) == {1}
-    assert {key[1] for key in calls if key[0] == "read_text"} == {"manifest.json", "ok_report.json"}
-    assert {key[1] for key in calls if key[0] == "read_bytes"} == EXPECTED_ARTIFACTS
+    # the ok report is decoded from the bytes its hit hashed, not read again
+    assert {key[1] for key in calls if key[0] == "read_text"} == {"manifest.json"}
+    assert {key[1]: n for key, n in calls.items() if key[0] == "read_bytes"} == dict.fromkeys(
+        EXPECTED_ARTIFACTS, 1)
+
+
+def test_an_edit_run_reads_each_artifact_once_and_encodes_no_network(tmp_path, monkeypatch):
+    """A decisions edit decodes the candidates and the network from the
+    bytes their hits hashed, and writes the validated network by rewriting
+    the statuses of those bytes, with no ``lexnet_to_json``."""
+    decisions = tmp_path / "decisions.txt"
+    shutil.copy(data_path("decisions.txt"), decisions)
+    config = load_config(write_config(tmp_path, decisions=str(decisions)))
+    run_pipeline(config)
+    reject(decisions)
+    calls = spy_on_run(monkeypatch, config.output)
+    encoded = Counter()
+    monkeypatch.setattr(pipeline, "lexnet_to_json",
+                        lambda net, inner=pipeline.lexnet_to_json: encoded.update([1]) or inner(net))
+    result = run_pipeline(config)
+    misses = {stage for stage, outcome in result.stages.items() if not outcome.cache_hit}
+    assert misses == {"validate", "project", "align", "index"}
+    assert calls["decode"] == 2 and not encoded  # candidates and network; no encode
+    assert {key[1] for key in calls if key[0] == "read_text"} == {"manifest.json"}
+    assert {key[1]: n for key, n in calls.items() if key[0] == "read_bytes"} == dict.fromkeys(
+        ["candidates.json", "lexnet.json", "ok_report.json", "doc_index.json", "ontology.owl"], 1)
+    (tmp_path / "fresh").mkdir()
+    fresh = load_config(write_config(tmp_path / "fresh", decisions=str(decisions)))
+    run_pipeline(fresh)
+    for name in EXPECTED_ARTIFACTS:
+        assert (config.output / name).read_bytes() == (fresh.output / name).read_bytes(), name
+
+
+def test_validate_encodes_the_network_when_its_held_text_does_not_line_up(tmp_path):
+    config = load_config(write_config(tmp_path))
+    run_pipeline(config)
+    text = (config.output / "lexnet.json").read_text(encoding="utf-8")
+    expected = (config.output / "lexnet_validated.json").read_text(encoding="utf-8")
+    values = pipeline.RunValues({**vars(config), "network": config.output / "lexnet.json"})
+    network = values["network"]
+    assert pipeline.render_validate(values) == expected  # nothing held: encoded
+    one_row_less = lexnet_to_json(LexNet(dict(list(network.terms.items())[1:]), network.relations))
+    one_line_more = text.replace("\n      ", '\n      "status": "X",\n      ', 1)
+    for held in (text, one_row_less, one_line_more):
+        values = pipeline.RunValues({**vars(config), "network": config.output / "lexnet.json"})
+        values["network"] = network
+        values.held["network"] = held.encode("utf-8")
+        assert pipeline.render_validate(values) == expected
+
+
+def test_the_validate_command_encodes_any_network_json_as_the_pipeline_writes_it(
+    tmp_path, capsys
+):
+    """``ontoterm validate`` trusts no layout of its input: given the
+    network in compact JSON, with its keys or rows in another order, it
+    writes ``lexnet_to_json``'s bytes, the run's ``lexnet_validated.json``."""
+    config = load_config(write_config(tmp_path))
+    run_pipeline(config)
+    text = (config.output / "lexnet.json").read_text(encoding="utf-8")
+    expected = (config.output / "lexnet_validated.json").read_bytes()
+    payload = json.loads(text)
+
+    def reordered(rows):
+        return [dict(reversed(row.items())) for row in reversed(rows)]
+
+    variants = {
+        "canonical": text,
+        "compact": json.dumps(payload, ensure_ascii=False),
+        "ascii": json.dumps(payload, indent=2),
+        "reordered": json.dumps({"terms": reordered(payload["terms"]),
+                                 "relations": reordered(payload["relations"])}, indent=6),
+    }
+    for name, variant in variants.items():
+        lexnet = tmp_path / f"{name}.json"
+        lexnet.write_text(variant, encoding="utf-8")
+        out = tmp_path / f"{name}.validated.json"
+        assert main(["validate", "--lexnet", str(lexnet), "--decisions", str(config.decisions),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == expected, name
+    capsys.readouterr()
 
 
 INPUTS = ("lexicon", "patterns", "dsl", "decisions", "stopwords", "synonyms")
