@@ -300,7 +300,7 @@ def alignments_to_json(alignments: Mapping[str, AlignmentResult]) -> list[dict]:
             "term": r.term,
             "kind": r.kind.value,
             "concept": r.concept,
-            "candidates": list(r.candidates),
+            "candidates": r.candidates,
         }
         for _, r in sorted(alignments.items())
     ]
@@ -311,7 +311,7 @@ def report_to_json(report: DiscrepancyReport) -> list[dict]:
         {
             "term": e.term,
             "projected_parent": e.projected_parent,
-            "ok_parent_chain": list(e.ok_parent_chain),
+            "ok_parent_chain": e.ok_parent_chain,
             "verdict": e.verdict.value,
         }
         for e in sorted(report.entries, key=lambda e: e.term)

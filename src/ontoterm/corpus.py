@@ -403,12 +403,12 @@ def load_patterns(path: str | Path) -> list[PatternDef]:
 def candidates_to_json(candidates: Sequence[TermCandidate]) -> str:
     rows = [
         {
-            "lemmas": list(c.lemmas),
+            "lemmas": c.lemmas,
             "label": c.label,
             "pattern_id": c.pattern_id,
             "head": c.head_lemma,
             "frequency": c.frequency,
-            "occurrences": [[doc, off] for doc, off in c.occurrences],
+            "occurrences": c.occurrences,
         }
         for c in candidates
     ]

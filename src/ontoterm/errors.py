@@ -47,7 +47,10 @@ def decode_text(data: bytes, path: str | Path) -> str:
 def input_lines(text: str) -> Iterator[tuple[int, str]]:
     """``(line number, line as written)`` of each line of an input file's
     text that is neither blank nor, once stripped, begins with ``#``: the
-    lines every line format reads."""
+    lines every line format reads.  One leading U+FEFF, the byte-order mark
+    some editors save UTF-8 with, is not part of the first line."""
+    if text.startswith("\ufeff"):
+        text = text[1:]
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
@@ -62,54 +65,77 @@ def json_text(payload, depth: int = 0) -> str:
 
     ``json.dumps`` falls back to its pure-Python encoder when indenting;
     this builds the same text as one list of chunks, with strings encoded
-    in C.  Dict keys must be strings.
+    in C.  Dict keys must be strings.  Each dict shape (its keys in
+    insertion order, at one indentation) is laid out once per call: its
+    keys sorted, checked and encoded, each with the text before its value.
+    A row of a list of same-shape dicts then costs only its values.
     """
     chunks: list[str] = []
     emit = chunks.append
+    layouts: dict[tuple, tuple] = {}
 
     def encode(value, newline: str) -> None:
         # ``newline`` starts a line at the value's own indentation
-        if isinstance(value, (list, tuple)):
-            if not value:
-                emit("[]")
-                return
-            items = enumerate(value)
-            opening, closing = "[", "]"
-        elif isinstance(value, dict):
+        if isinstance(value, dict):
             if not value:
                 emit("{}")
                 return
-            items = sorted(value.items())
-            opening, closing = "{", "}"
+            shape = (newline, *value)
+            layout = layouts.get(shape)
+            if layout is None:
+                layout = layouts[shape] = _layout(value, newline)
+            fields, inner, closing = layout
+            for key, prefix in fields:
+                emit(prefix)
+                item = value[key]
+                kind = type(item)
+                if kind is str:
+                    emit(encode_basestring(item))
+                elif kind is int:
+                    emit(int.__repr__(item))
+                else:
+                    encode(item, inner)
+            emit(closing)
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                emit("[]")
+                return
+            inner = newline + "  "
+            prefix, sep = "[" + inner, "," + inner
+            for item in value:
+                emit(prefix)
+                prefix = sep
+                kind = type(item)
+                if kind is str:
+                    emit(encode_basestring(item))
+                elif kind is int:
+                    emit(int.__repr__(item))
+                else:
+                    encode(item, inner)
+            emit(newline + "]")
         else:
             emit(_json_scalar(value))
-            return
-        inner = newline + "  "
-        sep = "," + inner
-        emit(opening + inner)
-        first = True
-        for key, item in items:
-            if first:
-                first = False
-            else:
-                emit(sep)
-            if closing == "}":
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                emit(encode_basestring(key) + ": ")
-            kind = type(item)
-            if kind is str:
-                emit(encode_basestring(item))
-            elif kind is int:
-                emit(int.__repr__(item))
-            else:
-                encode(item, inner)
-        emit(newline + closing)
 
     encode(payload, "\n" + "  " * depth)
     if not depth:
         emit("\n")
     return "".join(chunks)
+
+
+def _layout(value: dict, newline: str) -> tuple[tuple[tuple[str, str], ...], str, str]:
+    """How ``json_text`` writes a dict shaped like ``value`` whose first
+    line ends with ``newline``: each key in sorted order with the text
+    before its value, the newline of the values' own lines, and the
+    dict's closing text."""
+    inner = newline + "  "
+    fields = []
+    opening = "{"
+    for key in sorted(value):
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        fields.append((key, opening + inner + encode_basestring(key) + ": "))
+        opening = ","
+    return tuple(fields), inner, newline + "}"
 
 
 def quoted(text: str) -> str:

@@ -132,9 +132,13 @@ def copula_relations(
     determiner before the second term; the longest known term wins at each
     position (a label's lemmas are its whitespace-split words, and labels
     sharing one lemma sequence resolve to the smallest) and self-loops are
-    dropped.  Terms are indexed by lemma sequence once, so each position
-    costs one lookup per distinct term length: O(tokens × lengths), over
-    the documents that hold a copula.
+    dropped.  Terms are indexed by lemma sequence once.  The scan goes left
+    to right and resumes after each match, and a match can start only one
+    term length before a copula: so only those starts are tried, in order,
+    skipping any that an earlier match has passed.  A start costs one byte
+    test per distinct term length and one lookup per length that ends at a
+    copula: O(copulas × lengths) starts over the documents that hold a
+    copula, where a scan of every token would cost O(tokens × lengths).
     """
     by_lemmas: dict[tuple[str, ...], str] = {}
     for label in known_terms:
@@ -142,44 +146,42 @@ def copula_relations(
         if seq not in by_lemmas or label < by_lemmas[seq]:
             by_lemmas[seq] = label
     lengths = sorted({len(seq) for seq in by_lemmas}, reverse=True)
+    det = TAG_CODES[POS.DET]
 
     found = set()
     for doc in docs:
         copula = doc.copula
-        if 1 not in copula:
-            continue
+        starts = set()
+        j = copula.find(1)
+        while j >= 0:
+            starts.update(j - k for k in lengths if k <= j)
+            j = copula.find(1, j + 1)
         lemmas, tags, n = doc.lemmas, doc.tags, len(doc)
-
-        def term_at(i: int, stop: int):
-            """Labels starting at ``i`` and ending at or before ``stop``,
-            longest first, with their end positions."""
+        resume = 0  # the end of the last match
+        for i in sorted(starts):
+            if i < resume:
+                continue
+            # the longest first term followed by a copula and a second term
             for k in lengths:
-                if i + k <= stop:
-                    label = by_lemmas.get(lemmas[i:i + k])
-                    if label is not None:
-                        yield label, i + k
-
-        i = 0
-        while i < n:
-            hit = None
-            # the first term must leave room for the copula after it
-            for label_a, j in term_at(i, n - 1):
-                if not copula[j]:
+                j = i + k
+                if j >= n or not copula[j]:
+                    continue
+                source = by_lemmas.get(lemmas[i:j])
+                if source is None:
                     continue
                 j += 1
-                if j < n and tags[j] == TAG_CODES[POS.DET]:
+                if j < n and tags[j] == det:
                     j += 1
-                second = next(term_at(j, n), None)
-                if second is not None:
-                    hit = (label_a, *second)
-                    break
-            if hit is None:
-                i += 1
-            else:
-                source, target, end = hit
+                for k in lengths:  # the longest second term
+                    target = by_lemmas.get(lemmas[j:j + k]) if j + k <= n else None
+                    if target is not None:
+                        break
+                else:
+                    continue
                 if source != target:
                     found.add((source, target))
-                i = end
+                resume = j + k
+                break
     return [
         LexicalRelation(RelationKind.HYPONYMY, s, t, Evidence.COPULA_PATTERN)
         for s, t in sorted(found)

@@ -126,10 +126,10 @@ def project(net: LexNet) -> Taxonomy:
 def taxonomy_to_json(taxonomy: Taxonomy) -> str:
     payload = {
         "concepts": [
-            {"id": c.id, "label": c.label, "denoting_terms": list(c.denoting_terms)}
+            {"id": c.id, "label": c.label, "denoting_terms": c.denoting_terms}
             for c in sorted(taxonomy.concepts.values(), key=lambda c: c.id)
         ],
-        "subsumption": sorted([child, parent] for child, parent in taxonomy.subsumption),
+        "subsumption": sorted(taxonomy.subsumption),
         "roots": taxonomy.roots(),
     }
     return json_text(payload)

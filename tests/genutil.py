@@ -20,7 +20,10 @@ and the loader the one-pass ones replaced, kept verbatim: they build each
 enum member with an ``Enum(...)`` call, and the concept-id oracle collapses
 whitespace with ``re.sub``.  The DSL-reader oracle is the reader the leaner
 one replaced, kept verbatim: it builds a ``Differentia`` for every concept
-line and scans every line for a comment.
+line and scans every line for a comment.  The artifact-encoder oracle is
+the ``json_text`` that sorted and encoded every dict's keys again, and the
+copula-scan oracle the ``copula_relations`` that tried every token as a
+start; both are kept verbatim.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import random
 import re
 import unicodedata
 from array import array
+from json.encoder import encode_basestring
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -70,6 +74,7 @@ from ontoterm.errors import (
     DslParseError,
     UnknownConceptError,
     UnresolvableLabelError,
+    _json_scalar,
     input_lines,
     read_text,
 )
@@ -415,6 +420,62 @@ def copula_oracle(docs: list[DocTokens], known_terms: list[str]) -> set[tuple[st
                     found.add((source, target))
                 i = end
     return found
+
+
+def copula_relations_scan_oracle(
+    docs: Iterable[DocTokens], known_terms: Iterable[str]
+) -> list[LexicalRelation]:
+    """``copula_relations`` as it was before it tried only the starts one
+    term length before a copula: every token of a document that holds a
+    copula is tried as a start, at one lookup per distinct term length."""
+    by_lemmas: dict[tuple[str, ...], str] = {}
+    for label in known_terms:
+        seq = tuple(label.split())
+        if seq not in by_lemmas or label < by_lemmas[seq]:
+            by_lemmas[seq] = label
+    lengths = sorted({len(seq) for seq in by_lemmas}, reverse=True)
+
+    found = set()
+    for doc in docs:
+        copula = doc.copula
+        if 1 not in copula:
+            continue
+        lemmas, tags, n = doc.lemmas, doc.tags, len(doc)
+
+        def term_at(i: int, stop: int):
+            """Labels starting at ``i`` and ending at or before ``stop``,
+            longest first, with their end positions."""
+            for k in lengths:
+                if i + k <= stop:
+                    label = by_lemmas.get(lemmas[i:i + k])
+                    if label is not None:
+                        yield label, i + k
+
+        i = 0
+        while i < n:
+            hit = None
+            # the first term must leave room for the copula after it
+            for label_a, j in term_at(i, n - 1):
+                if not copula[j]:
+                    continue
+                j += 1
+                if j < n and tags[j] == TAG_CODES[POS.DET]:
+                    j += 1
+                second = next(term_at(j, n), None)
+                if second is not None:
+                    hit = (label_a, *second)
+                    break
+            if hit is None:
+                i += 1
+            else:
+                source, target, end = hit
+                if source != target:
+                    found.add((source, target))
+                i = end
+    return [
+        LexicalRelation(RelationKind.HYPONYMY, s, t, Evidence.COPULA_PATTERN)
+        for s, t in sorted(found)
+    ]
 
 
 def align_oracle(term: str, ontology: OkOntology, stopwords: frozenset[str]) -> AlignmentResult:
@@ -1422,3 +1483,98 @@ def random_candidates(rng: random.Random) -> list[TermCandidate]:
         occurrences = [(rng.choice(["d1", "d2", "doc é"]), rng.randint(0, 10**6)) for _ in range(n)]
         out[lemmas] = TermCandidate(lemmas, rng.choice(["n", "n_adj"]), lemmas[0], occurrences)
     return [out[key] for key in sorted(out)]
+
+
+def json_text_oracle(payload, depth: int = 0) -> str:
+    """``json_text`` as it was before each dict shape got one layout per
+    call: every dict sorts its items and encodes each key again."""
+    chunks: list[str] = []
+    emit = chunks.append
+
+    def encode(value, newline: str) -> None:
+        # ``newline`` starts a line at the value's own indentation
+        if isinstance(value, (list, tuple)):
+            if not value:
+                emit("[]")
+                return
+            items = enumerate(value)
+            opening, closing = "[", "]"
+        elif isinstance(value, dict):
+            if not value:
+                emit("{}")
+                return
+            items = sorted(value.items())
+            opening, closing = "{", "}"
+        else:
+            emit(_json_scalar(value))
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        emit(opening + inner)
+        first = True
+        for key, item in items:
+            if first:
+                first = False
+            else:
+                emit(sep)
+            if closing == "}":
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                emit(encode_basestring(key) + ": ")
+            kind = type(item)
+            if kind is str:
+                emit(encode_basestring(item))
+            elif kind is int:
+                emit(int.__repr__(item))
+            else:
+                encode(item, inner)
+        emit(newline + closing)
+
+    encode(payload, "\n" + "  " * depth)
+    if not depth:
+        emit("\n")
+    return "".join(chunks)
+
+
+#: Dict keys for ``random_json_payload``: plain, empty, and ones that need
+#: escapes (quote, backslash, control characters) or are not ASCII.
+_JSON_KEYS = ("a", "b", "label", "", "a b", '"', "\\", "\x00\x1f", "\n", "é", "«x»", "\u2028", "😀", "z")
+_JSON_STRINGS = ("", "relais", '"', "\\", "\x00\x1f\x7f", "\u2028", "relais à «seuil»", "😀")
+
+
+def random_json_payload(rng: random.Random):
+    """An artifact-like payload: lists of many dicts drawn from 2-4 key
+    sets, each dict's keys in a shuffled insertion order, one key set
+    used at several depths, with empty dicts and lists, and scalar, list,
+    tuple and dict values."""
+    key_sets = [rng.sample(_JSON_KEYS, rng.randint(1, 5)) for _ in range(rng.randint(2, 4))]
+
+    def scalar():
+        return rng.choice((
+            None, True, False, rng.randint(-3, 3), rng.randint(-10**20, 10**20),
+            rng.uniform(-1e6, 1e6), float("inf"), float("nan"), -0.0,
+            rng.choice(_JSON_STRINGS),
+        ))
+
+    def value(depth: int):
+        roll = rng.random()
+        if depth > 3 or roll < 0.45:
+            return scalar()
+        if roll < 0.6:
+            return [value(depth + 1) for _ in range(rng.randint(0, 3))]
+        if roll < 0.7:
+            return tuple(value(depth + 1) for _ in range(rng.randint(0, 3)))
+        if roll < 0.8:
+            return rows(depth + 1)
+        return row(depth + 1) if roll < 0.95 else {}
+
+    def row(depth: int) -> dict:
+        keys = rng.choice(key_sets)[:]
+        rng.shuffle(keys)
+        return {key: value(depth) for key in keys}
+
+    def rows(depth: int) -> list:
+        return [row(depth) for _ in range(rng.randint(0, 12))]
+
+    payload = {"rows": rows(1), "nested": {"rows": rows(2), "deeper": [rows(3), {}]}, "empty": {}}
+    return rng.choice((payload, payload, payload, payload["rows"], row(0), [], scalar()))

@@ -20,6 +20,7 @@ from ontoterm.errors import (
     DslParseError,
     EncodingError,
     UnknownRefError,
+    input_lines,
 )
 from ontoterm.lexnet import parse_decisions
 from ontoterm.okmodel import parse_dsl
@@ -170,3 +171,29 @@ def test_every_line_format_skips_blank_and_comment_lines(tmp_path, name):
     if bad is not None:
         with pytest.raises(error, match=f"line {len(padded) + 1}: "):
             parse("\n".join(padded + [bad]), tmp_path)
+
+
+#: U+FEFF, the byte-order mark an editor may save a UTF-8 file with.
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("first", ["", "# a comment\n", "\n"])
+@pytest.mark.parametrize("name", LINE_FORMATS)
+def test_every_line_format_reads_a_file_saved_with_a_byte_order_mark(tmp_path, name, first):
+    lines, bad, parse, value, error = LINE_FORMATS[name]
+    text = first + "\n".join(lines)
+    assert value(parse(BOM + text, tmp_path)) == value(parse(text, tmp_path))
+    if bad is not None:
+        # the mark numbers no line of its own
+        with pytest.raises(error, match=f"line {text.count(chr(10)) + 2}: "):
+            parse(BOM + text + "\n" + bad, tmp_path)
+
+
+def test_a_byte_order_mark_after_the_start_of_a_file_stays_content(tmp_path):
+    assert list(input_lines(BOM + "a\n" + BOM + "b")) == [(1, "a"), (2, BOM + "b")]
+    assert list(input_lines(BOM + BOM + "# c")) == [(1, BOM + "# c")]
+    stopwords = LINE_FORMATS["stopwords"][2]
+    assert stopwords(BOM + "de\n" + BOM + "la", tmp_path) == {"de", BOM + "la"}
+    assert stopwords(BOM + BOM + "de", tmp_path) == {BOM + "de"}
+    with pytest.raises(ConfigError, match="line 2: expected 'key = value'"):
+        parse_config(_REQUIRED.replace("\n", "\n" + BOM + "# c\n", 1), tmp_path)

@@ -39,6 +39,7 @@ from ontoterm.pipeline import load_config, run_pipeline
 
 from genutil import (
     copula_oracle,
+    copula_relations_scan_oracle,
     random_copula_case,
     random_validation_case,
     recursive_cycle_oracle,
@@ -158,8 +159,46 @@ def test_copula_matches_brute_force_oracle():
         got = copula_relations(tokens, labels)
         assert {(e.source, e.target) for e in got} == expected, (tokens, labels)
         assert [(e.source, e.target) for e in got] == sorted(expected)
+        assert got == copula_relations_scan_oracle(tokens, labels), (tokens, labels)
         found += bool(expected)
     assert found > 250  # the generator plants enough sentences to exercise matching
+
+
+@pytest.mark.parametrize(
+    "text, terms, expected",
+    [
+        # a copula at index 0: only the empty label can end there
+        ("est un relais", ["relais", ""], [("", "relais")]),
+        ("est relais de tension est relais", ["relais de tension", "relais"],
+         [("relais de tension", "relais")]),
+        # a copula as the last token: the empty label is the only second term
+        ("relais de tension est", ["relais de tension", "relais"], []),
+        ("relais est", ["relais", ""], [("relais", "")]),
+        # adjacent copulas: the second starts no second term, unless a label holds it
+        ("relais est est tension", ["relais", "tension"], []),
+        ("relais est sont tension", ["relais", "tension", "sont"], [("relais", "sont")]),
+        ("relais est est tension", ["relais", "être tension", "tension"],
+         [("relais", "être tension")]),
+        # a first term that holds the copula's lemma ends at the second copula
+        ("relais est est tension", ["relais être", "relais", "tension"],
+         [("relais être", "tension")]),
+        # the second term covers the starts before the next copula: the
+        # scan resumes after it, so «relais de tension est relais» and
+        # «tension est relais» are never tried
+        ("relais est relais de tension est relais", ["relais", "relais de tension", "tension"],
+         [("relais", "relais de tension")]),
+        # the longest first term covers the start one token later
+        ("tension relais est un relais de tension", ["relais", "tension relais", "relais de tension"],
+         [("tension relais", "relais de tension")]),
+        # a start that fails leaves the next one to be tried
+        ("tension est de relais est tension", ["relais", "tension"], [("relais", "tension")]),
+    ],
+)
+def test_copula_starts_one_term_length_before_each_copula(text, terms, expected):
+    tokens = copula_tokens(text)
+    got = copula_relations(tokens, terms)
+    assert [(e.source, e.target) for e in got] == expected
+    assert got == copula_relations_scan_oracle(tokens, terms)
 
 
 _COPULA_LABEL_DIGEST = """

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genutil import read_corpus_files_oracle
+from genutil import json_text_oracle, random_json_payload, read_corpus_files_oracle
 from ontoterm import align, corpus as corpus_module, okmodel, pipeline
 from ontoterm.cli import main
 from ontoterm.corpus import load_corpus
@@ -190,6 +190,22 @@ def test_pipeline_fixture_artifacts_are_byte_identical_to_the_recorded_ones(tmp_
     } == FIXTURE_SHA256
 
 
+def test_a_config_and_dsl_saved_with_a_byte_order_mark_run_like_the_fixture(tmp_path, capsys):
+    """A leading U+FEFF is no part of a line format's first line: the run
+    writes the fixture's artifacts, and ok-check passes the DSL."""
+    dsl = tmp_path / "relais.dsl"
+    dsl.write_bytes(b"\xef\xbb\xbf" + data_path("relais.dsl").read_bytes())
+    config = write_config(tmp_path, dsl=str(dsl))
+    config.write_bytes(b"\xef\xbb\xbf# saved with a byte-order mark\n" + config.read_bytes())
+    assert main(["ok-check", "--dsl", str(dsl)]) == 0
+    assert main(["run", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (tmp_path / "out").iterdir() if path.name != "manifest.json"
+    } == FIXTURE_SHA256
+
+
 #: sha256 of what ``query`` (on each structure) and ``compare-recall`` print
 #: on the fixture's artifacts, by (command, concept label, format).
 FIXTURE_READ_SHA256 = {
@@ -279,6 +295,26 @@ def test_json_text_encodes_non_finite_floats_like_json_dumps():
 def test_json_text_rejects_keys_that_are_not_strings():
     with pytest.raises(TypeError):
         json_text({1: "a"})
+    # a dict shape first laid out for string keys does not vouch for another
+    for payload in ([{"a": 1}, {1: "a"}], [{"a": 1}, {"a": 2, 1: "a"}], [{"a": {1: "a"}}, {"a": 1}]):
+        with pytest.raises(TypeError):
+            json_text(payload)
+
+
+def test_json_text_matches_its_oracle_and_json_dumps_on_same_shape_rows():
+    """Rows of a few key sets in shuffled insertion orders, one key set at
+    several depths, escaped and non-ASCII keys, empty dicts: each dict
+    shape's layout must hold at every depth and for every key order."""
+    rng = random.Random(20100301)
+    rows = 0
+    for _ in range(300):
+        payload = random_json_payload(rng)
+        text = json_text(payload)
+        assert text == json_text_oracle(payload) == dumps_artifact(payload), payload
+        for depth in (1, 3):
+            assert json_text(payload, depth) == json_text_oracle(payload, depth), (payload, depth)
+        rows += text.count("{\n")
+    assert rows > 10000  # enough dicts that most reuse a layout
 
 
 def test_json_text_reencodes_every_fixture_artifact(tmp_path):
