@@ -12,8 +12,6 @@ cannot settle is reported, never guessed.
 
 from __future__ import annotations
 
-import re
-import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -21,7 +19,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import input_lines, json_text, read_text
+from .errors import fold, input_lines, json_text, read_text
 from .okmodel import OkOntology, subsumes
 from .projection import Taxonomy, concept_id
 
@@ -33,21 +31,16 @@ DEFAULT_STOPWORDS = frozenset(
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    return frozenset(
-        unicodedata.normalize("NFC", line.strip()).lower()
-        for _, line in input_lines(read_text(path))
-    )
+    return frozenset(fold(line.strip()) for _, line in input_lines(read_text(path)))
 
 
-_TOKEN_SPLIT = re.compile(r"[\s'’]+")
-
-
-def _content_tokens(label: str, stopwords: frozenset[str]) -> list[str]:
-    # apostrophes separate tokens so elided articles («l'», «d'») reduce to
-    # their bare stopword forms
+def _content_tokens(folded: str, stopwords: frozenset[str]) -> list[str]:
+    """The content tokens of a ``fold``ed label.  Apostrophes separate
+    tokens, so elided articles («l'», «d'») reduce to their bare stopword
+    forms; ``str.split`` splits on the characters the regex ``\\s`` matches."""
     tokens = []
-    for token in _TOKEN_SPLIT.split(unicodedata.normalize("NFC", label).lower()):
-        if token and token not in stopwords:
+    for token in folded.replace("'", " ").replace("’", " ").split():
+        if token not in stopwords:
             tokens.append(token)
     return tokens
 
@@ -63,7 +56,7 @@ def _bag(tokens: list[str]) -> tuple[tuple[str, int], ...]:
 
 def normalize_label(label: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> Counter[str]:
     """Bag of content tokens: lowercase, NFC, stopwords dropped."""
-    return Counter(_content_tokens(label, stopwords))
+    return Counter(_content_tokens(fold(label), stopwords))
 
 
 class AlignKind(str, Enum):
@@ -98,7 +91,7 @@ def _concept_index(
     keeps the index smaller than one ``Counter`` per concept would be.  The
     memo key is the concept names and stopwords, not the ontology object:
     the align and index stages each parse their own equal ontology, and
-    both read one index.  ``_aligner`` reads it once per ontology and
+    both read one index.  ``_index_of`` reads it once per ontology and
     stopword set, and keeps what it read on the ontology.
     """
     shared: dict[tuple[str, int], tuple[str, int]] = {}
@@ -107,7 +100,7 @@ def _concept_index(
     by_bag: dict[Bag, str | None] = {}
     for name in names:
         bag = tuple(
-            shared.setdefault(pair, pair) for pair in _bag(_content_tokens(name, stopwords))
+            shared.setdefault(pair, pair) for pair in _bag(_content_tokens(fold(name), stopwords))
         )
         bags[name] = bag
         by_bag[bag] = None if bag in by_bag else name
@@ -116,60 +109,72 @@ def _concept_index(
     return bags, {token: tuple(names) for token, names in holders.items()}, by_bag
 
 
-def _aligner(ontology: OkOntology, stopwords: frozenset[str]):
-    """``align(term)`` over the index of ``ontology``.
+def _index_of(ontology: OkOntology, stopwords: frozenset[str]) -> tuple:
+    """The alignment index of ``ontology`` under ``stopwords``: its
+    concepts' bags, each token's holders, each bag's one concept and the
+    declared denotations keyed by ``concept_id``.
 
-    The index and the declared-denotation map are kept on the ontology,
-    one entry per stopword set: an ``OkOntology`` is immutable, so an entry
-    never goes stale.  The entry holds data only and the closure is built
-    per call, so the ontology is never part of a reference cycle."""
+    It is kept on the ontology, one entry per stopword set: an
+    ``OkOntology`` is immutable, so an entry never goes stale.  The entry
+    holds data only, and ``_resolve`` reads it as an argument, so the
+    ontology is never part of a reference cycle."""
     memo = ontology._align_index
     data = memo.get(stopwords)
     if data is None:
         declared = {concept_id(t): c for t, c in ontology.denotation.items()}
         data = memo[stopwords] = (*_concept_index(tuple(ontology.concepts), stopwords), declared)
+    return data
+
+
+def _resolve(
+    term: str, ontology: OkOntology, stopwords: frozenset[str], data: tuple
+) -> AlignmentResult:
+    """``align_term(term, ontology, stopwords)`` over ``_index_of``'s ``data``."""
     bags, holders_of, by_bag, declared = data
+    folded = fold(term)
+    target = declared.get(" ".join(folded.split()))  # concept_id(term), from the one fold
+    if target is not None and target in ontology.concepts:
+        return AlignmentResult(term, AlignKind.DECLARED, target)
 
-    def align(term: str) -> AlignmentResult:
-        target = declared.get(concept_id(term))
-        if target is not None and target in ontology.concepts:
-            return AlignmentResult(term, AlignKind.DECLARED, target)
-
-        tokens = _content_tokens(term, stopwords)
-        if not tokens:
-            return AlignmentResult(term, AlignKind.UNMATCHED)
-        bag = _bag(tokens)
-        exact = by_bag.get(bag)
-        if exact is not None:
-            return AlignmentResult(term, AlignKind.EXACT, exact)
-
-        # an elliptical match holds every token of the term: a term with a
-        # token no concept holds matches none
-        if any(token not in holders_of for token, _ in bag):
-            return AlignmentResult(term, AlignKind.UNMATCHED)
-
-        # the holders of the term's rarest token are all the candidates there are
-        holders = min((holders_of[token] for token, _ in bag), key=len)
-        sub = []
-        for name in holders:
-            cbag = bags[name]
-            counts = dict(cbag)
-            if cbag != bag and all(counts.get(t, 0) >= n for t, n in bag):
-                sub.append(name)
-        sub.sort()
-        if len(sub) == 1:
-            return AlignmentResult(term, AlignKind.ELLIPSIS, sub[0])
-        if len(sub) > 1:
-            chain = sorted(sub, key=ontology.depth)
-            on_one_chain = all(
-                subsumes(ontology, chain[i], chain[i + 1]) for i in range(len(chain) - 1)
-            )
-            if on_one_chain:
-                return AlignmentResult(term, AlignKind.ELLIPSIS, chain[-1])
-            return AlignmentResult(term, AlignKind.AMBIGUOUS, candidates=tuple(sub))
+    tokens = _content_tokens(folded, stopwords)
+    if not tokens:
         return AlignmentResult(term, AlignKind.UNMATCHED)
+    bag = _bag(tokens)
+    exact = by_bag.get(bag)
+    if exact is not None:
+        return AlignmentResult(term, AlignKind.EXACT, exact)
 
-    return align
+    # the holders of the term's rarest token are all the candidates there
+    # are; an elliptical match holds every token of the term, so a term with
+    # a token no concept holds matches none
+    holders = None
+    for token, _ in bag:
+        held = holders_of.get(token)
+        if held is None:
+            return AlignmentResult(term, AlignKind.UNMATCHED)
+        if holders is None or len(held) < len(holders):
+            holders = held
+    sub = []
+    for name in holders:
+        cbag = bags[name]
+        if cbag == bag:
+            continue
+        counts = dict(cbag)
+        for token, n in bag:
+            if counts.get(token, 0) < n:
+                break
+        else:
+            sub.append(name)
+    sub.sort()
+    if len(sub) == 1:
+        return AlignmentResult(term, AlignKind.ELLIPSIS, sub[0])
+    if len(sub) > 1:
+        chain = sorted(sub, key=ontology.depth)
+        for i in range(len(chain) - 1):
+            if not subsumes(ontology, chain[i], chain[i + 1]):
+                return AlignmentResult(term, AlignKind.AMBIGUOUS, candidates=tuple(sub))
+        return AlignmentResult(term, AlignKind.ELLIPSIS, chain[-1])
+    return AlignmentResult(term, AlignKind.UNMATCHED)
 
 
 def align_term(
@@ -191,11 +196,13 @@ def align_term(
     Concept bags come from an index built in O(concepts) once per concept
     names and stopwords, and kept on the ontology with its declared
     denotations.  After the first call on an ontology and stopword set, a
-    call costs O(term tokens) up to a unique exact match, and O(holders)
-    more, for the concepts holding the term's rarest content token,
-    otherwise; depths and subsumption are read from the ontology.
+    call folds the term once (NFC, then lowercase): the declared-denotation
+    key and the content tokens both come from that fold, split by string
+    methods.  It then costs O(term tokens) up to a unique exact match, and
+    O(holders) more, for the concepts holding the term's rarest content
+    token, otherwise; depths and subsumption are read from the ontology.
     """
-    return _aligner(ontology, stopwords)(term)
+    return _resolve(term, ontology, stopwords, _index_of(ontology, stopwords))
 
 
 def ontology_alignments(
@@ -204,8 +211,8 @@ def ontology_alignments(
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
 ) -> dict[str, AlignmentResult]:
     """``align_term`` for every term, sharing one index and denotation map."""
-    align = _aligner(ontology, stopwords)
-    return {t: align(t) for t in terms}
+    data = _index_of(ontology, stopwords)
+    return {t: _resolve(t, ontology, stopwords, data) for t in terms}
 
 
 def taxonomy_alignments(taxonomy: Taxonomy) -> dict[str, AlignmentResult]:

@@ -27,11 +27,13 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    ArtifactError,
     BadPatternError,
     ConfigError,
     EncodingError,
     NoCorpusError,
     decode_text,
+    fold,
     input_lines,
     json_text,
     read_text,
@@ -148,9 +150,7 @@ class Lexicon:
             self._entries[self._key(entry.surface)] = entry
         self._tags: dict[str, tuple[str, str, int]] = {}
 
-    @staticmethod
-    def _key(surface: str) -> str:
-        return unicodedata.normalize("NFC", surface).lower()
+    _key = staticmethod(fold)
 
     def lookup(self, surface: str) -> LexiconEntry | None:
         entry = self._entries.get(self._key(surface))
@@ -416,12 +416,53 @@ def candidates_to_json(candidates: Sequence[TermCandidate]) -> str:
 
 
 def candidates_from_json(text: str) -> list[TermCandidate]:
-    return [
-        TermCandidate(
-            tuple(row["lemmas"]),
-            row["pattern_id"],
-            row["head"],
-            [(doc, off) for doc, off in row["occurrences"]],
-        )
-        for row in json.loads(text)
-    ]
+    """The candidates of ``candidates.json``'s text.  A row whose
+    ``lemmas`` is not a list of strings, whose ``pattern_id`` or ``head``
+    is not a string, or whose ``occurrences`` are not ``[doc id, offset]``
+    pairs of a string and a non-negative int raises ``ArtifactError``
+    naming the row, counted from 0.  The rows are built in one pass and
+    their fields checked together at C speed; only a failed check looks for
+    the row to name.  An offset of JSON ``true`` or ``false`` passes, as
+    a ``bool`` is an ``int``."""
+    rows = json.loads(text)
+    candidates: list[TermCandidate] = []
+    strings: list = []
+    pairs: list = []
+    try:
+        for row in rows:
+            lemmas, pattern, head = row["lemmas"], row["pattern_id"], row["head"]
+            if type(lemmas) is not list:
+                raise TypeError("lemmas is not a list")
+            occurrences = list(map(tuple, row["occurrences"]))
+            strings += lemmas
+            strings += pattern, head
+            pairs += occurrences
+            candidates.append(TermCandidate(tuple(lemmas), pattern, head, occurrences))
+        _check_fields(strings, pairs)
+    except (TypeError, ValueError) as exc:
+        # name the first built row whose fields fail, else the row being built
+        for n, c in enumerate(candidates):
+            try:
+                _check_fields([*c.lemmas, c.pattern_id, c.head_lemma], c.occurrences)
+            except TypeError as failed:
+                raise ArtifactError(f"row {n}: {failed}") from None
+        raise ArtifactError(f"row {len(candidates)}: {exc}") from None
+    return candidates
+
+
+def _check_fields(strings: list, pairs: list) -> None:
+    """Raise ``TypeError`` unless each of ``strings`` is a string and each
+    of ``pairs`` a pair of a string and a non-negative int, at C speed."""
+    try:
+        docs, offsets = zip(*pairs, strict=True) if pairs else ((), ())
+    except ValueError:
+        raise TypeError("an occurrence is not a [doc id, offset] pair") from None
+    try:
+        "".join(strings)
+        "".join(docs)
+    except TypeError:
+        raise TypeError("a lemma, pattern_id, head or doc id is not a string") from None
+    try:
+        array("Q", offsets)
+    except (TypeError, OverflowError):
+        raise TypeError("an occurrence offset is not a non-negative int") from None

@@ -1,6 +1,6 @@
-"""Error types shared across the toolkit, and the file-format helpers
-every layer uses: reading an input's text and its lines, writing artifact
-JSON and quoting a string literal.
+"""Error types shared across the toolkit, and the text helpers every
+layer uses: reading an input's text and its lines, folding a label's
+case, writing artifact JSON and quoting a string literal.
 
 Every error carries a stable ``code`` so the CLI can map failures to exit
 codes and callers can branch on the failure class without parsing messages.
@@ -8,6 +8,7 @@ codes and callers can branch on the failure class without parsing messages.
 
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -55,6 +56,12 @@ def input_lines(text: str) -> Iterator[tuple[int, str]]:
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             yield lineno, line
+
+
+def fold(text: str) -> str:
+    """``text`` NFC-normalised, then lowercased: the one case fold that
+    labels, surfaces and stopwords are compared under."""
+    return unicodedata.normalize("NFC", text).lower()
 
 
 def json_text(payload, depth: int = 0) -> str:

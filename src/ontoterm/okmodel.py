@@ -162,7 +162,7 @@ class OkOntology(Hierarchy):
             view.setdefault(concept.genus, []).append(name)
         self._children = {genus: tuple(names) for genus, names in view.items()}
         self._roots = self._children.get(None, ())
-        self._align_index: dict = {}  # stopwords → alignment index, kept by ``align._aligner``
+        self._align_index: dict = {}  # stopwords → alignment index, kept by ``align._index_of``
         unknown = sorted(view.keys() - self.concepts.keys() - {None})
         if unknown:
             raise ValueError(f"genus names no concept: {unknown}")

@@ -9,12 +9,11 @@ conceptual structure, nothing more.
 from __future__ import annotations
 
 import json
-import unicodedata
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import CycleError, json_text, quoted
+from .errors import CycleError, fold, json_text, quoted
 from .graph import Hierarchy, cycle_in, find_cycle
 from .lexnet import LexNet, RelationKind, Status, find_validated_hyponymy_cycle
 
@@ -22,7 +21,7 @@ from .lexnet import LexNet, RelationKind, Status, find_validated_hyponymy_cycle
 def concept_id(label: str) -> str:
     """Stable join key: NFC, lowercased, whitespace collapsed.  ``str.split``
     splits on the characters the regex ``\\s`` matches, in a third of the time."""
-    return " ".join(unicodedata.normalize("NFC", label).lower().split())
+    return " ".join(fold(label).split())
 
 
 @dataclass(frozen=True)

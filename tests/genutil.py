@@ -23,7 +23,9 @@ one replaced, kept verbatim: it builds a ``Differentia`` for every concept
 line and scans every line for a comment.  The artifact-encoder oracle is
 the ``json_text`` that sorted and encoded every dict's keys again, and the
 copula-scan oracle the ``copula_relations`` that tried every token as a
-start; both are kept verbatim.
+start; both are kept verbatim.  The alignment oracle tokenises with the
+``_content_tokens`` that split with a regex, also kept verbatim, and keys
+declared denotations with the concept-id oracle.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import random
 import re
 import unicodedata
 from array import array
+from collections import Counter
 from json.encoder import encode_basestring
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -48,7 +51,6 @@ from ontoterm.align import (
     DiscrepancyEntry,
     DiscrepancyReport,
     Verdict,
-    normalize_label,
 )
 from ontoterm.corpus import (
     COPULA_SURFACES,
@@ -92,7 +94,7 @@ from ontoterm.okmodel import (
     Violation,
     subsumes,
 )
-from ontoterm.projection import Concept, Taxonomy, concept_id
+from ontoterm.projection import Concept, Taxonomy
 from ontoterm.retrieval import RecallComparison, structure_name
 
 
@@ -478,17 +480,33 @@ def copula_relations_scan_oracle(
     ]
 
 
+_TOKEN_SPLIT = re.compile(r"[\s'’]+")
+
+
+def content_tokens_oracle(label: str, stopwords: frozenset[str]) -> list[str]:
+    """The ``align._content_tokens`` that split with a regex, kept verbatim:
+    it takes the raw label and folds it itself."""
+    # apostrophes separate tokens so elided articles («l'», «d'») reduce to
+    # their bare stopword forms
+    tokens = []
+    for token in _TOKEN_SPLIT.split(unicodedata.normalize("NFC", label).lower()):
+        if token and token not in stopwords:
+            tokens.append(token)
+    return tokens
+
+
 def align_oracle(term: str, ontology: OkOntology, stopwords: frozenset[str]) -> AlignmentResult:
     """Resolve ``term`` by comparing its content bag with every concept's,
-    rebuilt on each call."""
-    declared = {concept_id(t): c for t, c in ontology.denotation.items()}
-    target = declared.get(concept_id(term))
+    rebuilt on each call, tokenised by ``content_tokens_oracle`` and keyed
+    by ``concept_id_oracle``."""
+    declared = {concept_id_oracle(t): c for t, c in ontology.denotation.items()}
+    target = declared.get(concept_id_oracle(term))
     if target is not None and target in ontology.concepts:
         return AlignmentResult(term, AlignKind.DECLARED, target)
-    bag = normalize_label(term, stopwords)
+    bag = Counter(content_tokens_oracle(term, stopwords))
     if not bag:
         return AlignmentResult(term, AlignKind.UNMATCHED)
-    bags = {name: normalize_label(name, stopwords) for name in ontology.concepts}
+    bags = {name: Counter(content_tokens_oracle(name, stopwords)) for name in ontology.concepts}
     exact = [name for name, cbag in bags.items() if cbag == bag]
     if len(exact) == 1:
         return AlignmentResult(term, AlignKind.EXACT, exact[0])
@@ -658,12 +676,19 @@ def random_front_end_case(
     return docs, Lexicon(entries), patterns
 
 
+#: What a query term of ``random_align_case`` may have between its words
+#: instead of a space: apostrophes, which separate tokens but not
+#: ``concept_id`` words, and whitespace other than the space.
+_TERM_SEPARATORS = ("'", "’", "’ ", " '", "\u00a0", "\u2009", "\u3000", "\x1f", "\u2028\t")
+
+
 def random_align_case(rng: random.Random) -> tuple[OkOntology, frozenset[str], list[str]]:
     """A ``random_ok_tree`` relabelled with short multi-word labels, a few
     declared terms and a stopword set, plus query terms: labels of the
     tree, their sub-bags, reordered and stopword-laden variants and unknown
-    words.  «bobine» is in no label, so terms holding it,
-    declared ones among them, hold a token no concept holds."""
+    words, a fifth of them with apostrophes or other whitespace between
+    their words (see ``_TERM_SEPARATORS``).  «bobine» is in no label, so terms
+    holding it, declared ones among them, hold a token no concept holds."""
     tree = random_ok_tree(rng, max_nodes=40)
     words = ["relais", "seuil", "tension", "courant", "tout", "rien", "de", "à"]
     stopwords = frozenset(rng.sample(["de", "à", "la", "tout"], rng.randint(0, 3)))
@@ -705,8 +730,8 @@ def random_align_case(rng: random.Random) -> tuple[OkOntology, frozenset[str], l
             term = rng.choice(list(ontology.denotation)).lower()
         else:
             term = " ".join(rng.choice(words + ["bobine"]) for _ in range(rng.randint(1, 3)))
-        if rng.random() < 0.2:  # two draws kept so each seed yields the cases it always has
-            rng.choice(words + ["bobine"])
+        if rng.random() < 0.2:  # a draw among nine, as before, so each seed keeps its cases
+            term = term.replace(" ", rng.choice(_TERM_SEPARATORS))
         queries.append(term)
     return ontology, stopwords, queries
 
@@ -1402,6 +1427,10 @@ def load_lexicon_oracle(path: str | Path) -> Lexicon:
         except ValueError:
             raise ConfigError(f"{path}: line {lineno}: unknown POS tag {pos!r}") from None
     return Lexicon(entries)
+
+
+#: Every character the regex ``\s`` matches, found by a scan of all code points.
+WHITESPACE = "".join(filter(re.compile(r"\s").fullmatch, map(chr, range(0x110000))))
 
 
 def concept_id_oracle(label: str) -> str:

@@ -22,14 +22,18 @@ from ontoterm.align import (
     ontology_alignments,
     taxonomy_alignments,
 )
+from ontoterm.corpus import annotate, extract_candidates, load_corpus, load_lexicon, load_patterns
+from ontoterm.errors import fold
 from ontoterm.fixtures import data_path
 from ontoterm.okmodel import Differentia, OkConcept, load_dsl, parse_dsl
 from ontoterm.projection import Concept, Taxonomy
 from ontoterm.retrieval import resolve_label
 
 from genutil import (
+    WHITESPACE,
     align_oracle,
     compare_structures_oracle,
+    content_tokens_oracle,
     random_align_case,
     random_ok_variant,
     random_taxonomy,
@@ -77,6 +81,24 @@ def test_normalize_keeps_contentful_small_words():
 
 def test_normalize_strips_elision_apostrophe():
     assert normalize_label("l'état d'alerte") == Counter({"état": 1, "alerte": 1})
+
+
+#: Pieces of labels the two tokenisers could tell apart: every whitespace
+#: character, both apostrophes, combining marks, letters whose NFC form or
+#: lowercase differs, and stopwords, one of them spelt decomposed.
+_LABEL_PIECES = st.sampled_from(
+    [*WHITESPACE, "'", "’", "\u0301", "\u0300", "\u0327", "ß", "ẞ", "É", "E\u0301", "a\u0300",
+     "De", "L", "d", "à", "relais", "seuil"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_LABEL_PIECES, max_size=12).map("".join) | st.text(),
+    st.sampled_from([DEFAULT_STOPWORDS, frozenset(), frozenset({"ß", "é", "relais"})]),
+)
+def test_content_tokens_match_the_regex_tokeniser(label, stopwords):
+    assert align._content_tokens(fold(label), stopwords) == content_tokens_oracle(label, stopwords)
 
 
 def test_load_stopwords_file():
@@ -197,6 +219,24 @@ def test_align_matches_brute_force_oracle():
     assert all(kinds[kind] >= 100 for kind in AlignKind), kinds
     assert unheld[AlignKind.UNMATCHED] >= 100 and unheld[AlignKind.DECLARED] >= 100, unheld
     assert unheld.keys() == {AlignKind.UNMATCHED, AlignKind.DECLARED}, unheld
+
+
+def test_align_matches_the_oracle_on_every_fixture_term(relay):
+    """Every candidate label the fixture's two corpora yield, every concept
+    name and every declared term of the fixture's ontology."""
+    lexicon = load_lexicon(data_path("lexicon.tsv"))
+    patterns = load_patterns(data_path("patterns.txt"))
+    labels = []
+    for corpus in ("corpus", "retrieval"):
+        docs = [annotate(doc, lexicon) for doc in load_corpus(data_path(corpus))]
+        labels += [c.label for c in extract_candidates(docs, patterns)]
+    stopwords = load_stopwords(data_path("stopwords.txt"))
+    kinds = Counter()
+    for term in [*labels, *relay.concepts, *relay.denotation]:
+        expected = align_oracle(term, relay, stopwords)
+        assert align_term(term, relay, stopwords) == expected, term
+        kinds[expected.kind] += 1
+    assert len(labels) >= 15 and kinds.keys() >= {AlignKind.EXACT, AlignKind.ELLIPSIS}, kinds
 
 
 def test_align_sees_a_concept_added_in_place(relay):

@@ -702,18 +702,13 @@ def test_a_run_aligns_each_label_once(tmp_path, monkeypatch, edit):
         with decisions.open("a", encoding="utf-8") as f:
             f.write('reject term "relais tout ou rien"\n')
     aligned: Counter = Counter()
-    make_aligner = align._aligner
+    resolve = align._resolve
 
-    def counting_aligner(ontology, stopwords):
-        inner = make_aligner(ontology, stopwords)
+    def counted(term, *args):
+        aligned[term] += 1
+        return resolve(term, *args)
 
-        def counted(term):
-            aligned[term] += 1
-            return inner(term)
-
-        return counted
-
-    monkeypatch.setattr(align, "_aligner", counting_aligner)
+    monkeypatch.setattr(align, "_resolve", counted)
     result = run_pipeline(config)
     assert not result.stages["align"].cache_hit and not result.stages["index"].cache_hit
     out = config.output
@@ -1909,6 +1904,8 @@ def test_cli_stages_write_the_pipelines_bytes_on_a_harder_corpus(tmp_path, capsy
     ("project-deeply-nested", "E_ARTIFACT"),
     ("compare-recall-integer-doc-ids", "E_ARTIFACT"),
     ("query-unannotated-docs-a-string", "E_ARTIFACT"),
+    ("net-candidate-lemmas-a-nested-list", "E_ARTIFACT"),
+    ("net-candidate-head-a-list", "E_ARTIFACT"),
 ])
 def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case, code):
     missing = str(tmp_path / "missing")
@@ -1944,6 +1941,16 @@ def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case,
     unannotated_string.write_text(json.dumps(
         {"ok": {"annotations": [row], "unannotated_docs": "abc"}}
     ), encoding="utf-8")
+    candidate = {"frequency": 1, "head": "relais", "label": "relais", "lemmas": ["relais"],
+                 "occurrences": [["d1", 0]], "pattern_id": "n"}
+    nested_lemmas = tmp_path / "nested_lemmas.json"
+    nested_lemmas.write_text(json.dumps([candidate, {**candidate, "lemmas": [["x"]]}]),
+                             encoding="utf-8")
+    listed_head = tmp_path / "listed_head.json"
+    listed_head.write_text(json.dumps([candidate, {**candidate, "head": ["x"]}]),
+                           encoding="utf-8")
+    net = ["--corpus", str(data_path("corpus")), "--lexicon", str(data_path("lexicon.tsv")),
+           "--out", str(tmp_path / "lexnet_out.json")]
     dsl = str(data_path("relais.dsl"))
     argv = {
         "project-missing": ["project", "--lexnet", missing],
@@ -1969,6 +1976,8 @@ def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case,
         "query-unannotated-docs-a-string": ["query", "--index", str(unannotated_string),
                                             "--structure", "ok", "--concept", "relais à seuil",
                                             "--dsl", dsl],
+        "net-candidate-lemmas-a-nested-list": ["net", "--candidates", str(nested_lemmas), *net],
+        "net-candidate-head-a-list": ["net", "--candidates", str(listed_head), *net],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -1980,6 +1989,10 @@ def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case,
         assert err.startswith(f"ontoterm: E_ARTIFACT: {integer_ids}: ")
     if case == "query-unannotated-docs-a-string":
         assert err.startswith(f"ontoterm: E_ARTIFACT: {unannotated_string}: ")
+    if case.startswith("net-candidate-"):
+        path = nested_lemmas if "lemmas" in case else listed_head
+        assert err.startswith(f"ontoterm: E_ARTIFACT: {path}: ") and "row 1: " in err
+        assert not (tmp_path / "lexnet_out.json").exists()
 
 
 @pytest.mark.parametrize("kind", [

@@ -7,7 +7,13 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genutil import closure_oracle, concept_id_oracle, random_taxonomy, recursive_cycle_oracle
+from genutil import (
+    WHITESPACE,
+    closure_oracle,
+    concept_id_oracle,
+    random_taxonomy,
+    recursive_cycle_oracle,
+)
 from ontoterm.errors import CycleError, UnknownConceptError
 from ontoterm.lexnet import (
     Evidence,
@@ -35,10 +41,6 @@ RELAY_CHILDREN = (
     "relais tout ou rien",
     "relais électromagnétique",
 )
-
-
-#: Every character the regex ``\s`` matches, found by a scan of all code points.
-WHITESPACE = "".join(filter(re.compile(r"\s").fullmatch, map(chr, range(0x110000))))
 
 
 def test_concept_id_collapses_every_regex_whitespace_character():
