@@ -419,11 +419,10 @@ def candidates_from_json(text: str) -> list[TermCandidate]:
     """The candidates of ``candidates.json``'s text.  A row whose
     ``lemmas`` is not a list of strings, whose ``pattern_id`` or ``head``
     is not a string, or whose ``occurrences`` are not ``[doc id, offset]``
-    pairs of a string and a non-negative int raises ``ArtifactError``
-    naming the row, counted from 0.  The rows are built in one pass and
-    their fields checked together at C speed; only a failed check looks for
-    the row to name.  An offset of JSON ``true`` or ``false`` passes, as
-    a ``bool`` is an ``int``."""
+    pairs of a string and a non-negative int (not a JSON ``true`` or
+    ``false``) raises ``ArtifactError`` naming the row, counted from 0.  The
+    rows are built in one pass and their fields checked together at C
+    speed; only a failed check looks for the row to name."""
     rows = json.loads(text)
     candidates: list[TermCandidate] = []
     strings: list = []
@@ -452,7 +451,8 @@ def candidates_from_json(text: str) -> list[TermCandidate]:
 
 def _check_fields(strings: list, pairs: list) -> None:
     """Raise ``TypeError`` unless each of ``strings`` is a string and each
-    of ``pairs`` a pair of a string and a non-negative int, at C speed."""
+    of ``pairs`` a pair of a string and a non-negative int, not a ``bool``,
+    at C speed."""
     try:
         docs, offsets = zip(*pairs, strict=True) if pairs else ((), ())
     except ValueError:
@@ -464,5 +464,7 @@ def _check_fields(strings: list, pairs: list) -> None:
         raise TypeError("a lemma, pattern_id, head or doc id is not a string") from None
     try:
         array("Q", offsets)
+        if bool in set(map(type, offsets)):  # the array takes a bool as an int
+            raise TypeError
     except (TypeError, OverflowError):
         raise TypeError("an occurrence offset is not a non-negative int") from None

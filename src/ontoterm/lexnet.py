@@ -380,18 +380,23 @@ _EVIDENCE = {member.value: member for member in Evidence}
 
 def lexnet_from_json(text: str) -> LexNet:
     """The network ``lexnet_to_json`` wrote, built in one pass over the
-    decoded rows."""
+    decoded rows.  A label, head, source or target that is not a string
+    raises ``TypeError`` (from one ``str.join``), before any stage reads it."""
     payload = json.loads(text)
     status, evidence = _STATUSES.__getitem__, _EVIDENCE.__getitem__
     terms = {}
+    strings = []
     for row in payload["terms"]:
-        label = row["label"]
-        terms[label] = Term(label, row["head"], status(row["status"]))
+        label, head = row["label"], row["head"]
+        strings += label, head
+        terms[label] = Term(label, head, status(row["status"]))
     relations = {}
     for row in payload["relations"]:
         kind, source, target = _KINDS[row["kind"]], row["source"], row["target"]
+        strings += source, target
         relations[kind, source, target] = LexicalRelation(
             kind, source, target, evidence(row["evidence"]),
             tuple(map(evidence, row["evidence_sources"])), status(row["status"]),
         )
+    "".join(strings)
     return LexNet(terms, relations)

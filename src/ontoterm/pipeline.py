@@ -20,22 +20,19 @@ records of the stages it did not reach.  Each artifact, and the manifest
 last, is written to a temp file in the output directory and renamed over
 its name, so a killed run never leaves a torn file.
 
-A stage that hits keeps the last run's record whole, and restores from it
-what its render would have left behind.  The extract stage's record keeps
-``doc_ids``, the ids of the documents its render annotated, in corpus
-order.  They depend only on the documents' names and bytes, which
-extract's fingerprint covers, so extract hits only when they are usable,
-and a hit puts them in the run's values: an index stage that renders
-after extract hit reads no corpus document.
-
-The index stage's record also keeps ``ok_inputs``, a fingerprint of what
-the ``ok`` side of ``doc_index.json`` is rendered from (the candidates,
-the corpus, the DSL and the stopwords).  An index that renders (say after
-a decisions edit, which changes only the ``projected`` side) keeps the
-``ok`` side of the last artifact, and so parses no DSL and aligns no
-label for it, when the run is not forced, the fingerprint is unchanged,
-the artifact still hashes to the record's ``sha256`` and its frame holds;
-otherwise it renders both sides.
+A stage that hits keeps the last run's record whole.  ``run_pipeline``
+names no stage: each ``Stage`` in ``GRAPH`` declares what its record
+keeps (``keeps``: extract's ``doc_ids``, with the check a hit restores
+them after), what part of its artifact a render may keep (``part``:
+index's ``ok`` side of ``doc_index.json``) and what stops the run
+(``gate``: ok-check's, on an inconsistent expert ontology).  The ids of
+the documents extract annotated depend only on what its fingerprint
+covers, so an index that renders after extract hit reads no document.
+The ``ok`` side is rendered from the candidates, the corpus, the DSL and
+the stopwords; the index record keeps their fingerprint as ``ok_inputs``,
+and a render (say after a decisions edit) keeps that side, parsing no
+DSL for it, while the run is not forced, ``ok_inputs`` holds, the
+artifact still hashes to the record's ``sha256`` and its frame holds.
 
 A stage that hits keeps the bytes it hashed while a later stage reads its
 value, and the value is decoded from those bytes: no run reads an
@@ -214,10 +211,11 @@ class RunValues(dict):
     stages take it from memory and an artifact is decoded only when no
     stage of the run computed its value.  ``label_alignments`` starts
     empty in each run and holds each label the align and index stages
-    aligned against the expert tree, so no label is aligned twice.
-    ``doc_ids`` is stored by the extract stage, whether it renders or hits;
-    its loader, which only the CLI's ``index`` reaches, reads the corpus.
-    ``ok_side``, when set, holds the text of the doc index's ``ok`` side.
+    aligned against the expert tree, so no label is aligned twice.  A
+    value a stage ``keeps`` (``doc_ids``) is stored by its render or
+    restored by its hit; its loader, which only the CLI's ``index``
+    reaches, reads the corpus.  A ``part``'s value (``ok_side``), when
+    set, holds the text of that part of its stage's artifact.
 
     ``held`` maps a value to the bytes of the artifact that holds it, as
     ``run_pipeline`` hashed them at its stage's hit, or wrote them at a
@@ -265,10 +263,9 @@ _LOADERS: dict[str, Callable[[RunValues], object]] = {
 #
 # The ok-check, align, index and export stages each parse the DSL when they
 # render, except an index that keeps its ``ok`` side, so a decisions edit
-# parses it once, in align.  The benchmark's trace counts one parse per DSL
-# stage of a cold run, so parsing it once per cold run waits on a change to
-# the benchmark.  Align and index parse it from the same file in one run,
-# so the labels one aligns hold for the other.
+# parses it once, in align; parsing it once per cold run waits on the
+# benchmark's trace, which counts one parse per such stage.  Align and index
+# parse the same file in one run, so the labels one aligns hold for the other.
 
 
 def render_extract(v: RunValues) -> str:
@@ -313,6 +310,14 @@ def render_ok_check(v: RunValues) -> str:
     return json_text(v["ok_report"])
 
 
+def _stop_if_inconsistent(v: RunValues, path: Path) -> None:
+    """Ok-check's gate: the stages after it require a consistent ontology."""
+    if not v["ok_report"]["consistent"]:
+        violations = v["ok_report"]["violations"]
+        message = f"expert ontology has {len(violations)} consistency violations; see {path}"
+        raise InconsistentOntologyError(message, violations)
+
+
 def render_align(v: RunValues) -> str:
     """Also stores the ``alignments`` and their ``discrepancies``."""
     taxonomy = v["taxonomy"]
@@ -355,11 +360,32 @@ def render_export(v: RunValues) -> str:
 
 
 @dataclass(frozen=True)
+class Part:
+    """A part of a stage's artifact that a render keeps, as the run value
+    ``value``, while the artifact's hash holds and so does the part's own
+    fingerprint of ``files`` and ``reads``, which the record keeps as ``key``."""
+
+    key: str
+    value: str
+    split: Callable[[str], str | None]  # the part's text in the artifact's; None: no frame
+    files: tuple[str, ...]
+    reads: tuple[str, ...]
+
+
+def _usable_ids(ids: object) -> bool:
+    """Whether ``ids`` is a non-empty list of strings, sorted and without
+    duplicates, as ``load_corpus`` orders its documents' ids; an extract
+    record whose ``doc_ids`` are not is a miss."""
+    return (isinstance(ids, list) and bool(ids) and all(type(i) is str for i in ids)
+            and all(a < b for a, b in zip(ids, ids[1:])))
+
+
+@dataclass(frozen=True)
 class Stage:
-    """One node of the stage graph: what its fingerprint covers, and which
-    run values its render reads and leaves behind.  The fingerprint covers
-    ``files``, ``settings`` and the artifact of each stage whose ``value``
-    is in ``reads``."""
+    """One node of the stage graph: what its fingerprint covers (``files``,
+    ``settings`` and the artifact of each stage whose ``value`` is in
+    ``reads``), which run values its render reads and leaves behind, and
+    its ``keeps``, ``part`` and ``gate``, as the module docstring says."""
 
     name: str
     artifact: str  # file under the output directory; {format} is the export format
@@ -368,30 +394,29 @@ class Stage:
     value: str | None = None  # the run value the artifact holds
     settings: tuple[str, ...] = ()  # config fields fingerprinted by value
     texts: tuple[str, ...] = ()  # values in ``reads`` whose artifact bytes the render reads too
+    keeps: tuple[tuple[str, Callable], ...] = ()  # (run value its record keeps, its check)
+    part: Part | None = None  # the part of the artifact a render may keep
+    gate: Callable[[RunValues, Path], None] | None = None  # raises to stop the run
 
 
 GRAPH = (
     Stage("extract", "candidates.json", ("corpus", "lexicon", "patterns"),
-          ("tokens", "patterns"), "candidates"),
+          ("tokens", "patterns"), "candidates", keeps=(("doc_ids", _usable_ids),)),
     Stage("net", "lexnet.json", ("corpus", "lexicon", "synonyms"),
           ("candidates", "tokens", "synonyms"), "network"),
     Stage("validate", "lexnet_validated.json", ("decisions",), ("network", "decisions"),
           "validated", texts=("network",)),
     Stage("project", "taxonomy.json", (), ("validated",), "taxonomy"),
-    Stage("ok-check", "ok_report.json", ("dsl",), (), "ok_report"),
+    Stage("ok-check", "ok_report.json", ("dsl",), (), "ok_report", gate=_stop_if_inconsistent),
     Stage("align", "alignment.json", ("dsl", "stopwords"), ("taxonomy", "stopwords")),
     Stage("index", "doc_index.json", ("corpus", "dsl", "stopwords"),
-          ("doc_ids", "candidates", "taxonomy", "stopwords", "label_alignments")),
+          ("doc_ids", "candidates", "taxonomy", "stopwords", "label_alignments"),
+          part=Part("ok_inputs", "ok_side", ok_side_text, ("corpus", "dsl", "stopwords"),
+                    ("doc_ids", "candidates", "stopwords"))),
     Stage("export", "ontology.{format}", ("dsl",), (), settings=("export_format", "iri")),
 )
 
 STAGES = tuple(stage.name for stage in GRAPH)
-
-#: What the ``ok`` side of the index stage's artifact is rendered from: the
-#: candidates, the corpus (its document ids), the DSL and the stopwords,
-#: but not the decisions, synonyms or taxonomy the ``projected`` side reads.
-_OK_SIDE = Stage("index ok side", "doc_index.json", ("corpus", "dsl", "stopwords"),
-                 ("doc_ids", "candidates", "stopwords"))
 
 #: Each run value an artifact holds → the stage that writes that artifact.
 _PRODUCERS = {stage.value: stage.name for stage in GRAPH if stage.value is not None}
@@ -477,25 +502,15 @@ def _matching(record: object, listing: str) -> dict | None:
     return {"sha256": sha256, "listing": listing, "hashed_ns": hashed_ns}
 
 
-def _usable_ids(ids: object) -> bool:
-    """Whether ``ids`` is a non-empty list of strings, sorted and without
-    duplicates, as ``load_corpus`` orders its documents' ids; an extract
-    record whose ``doc_ids`` are not is a miss."""
-    return (isinstance(ids, list) and bool(ids) and all(type(i) is str for i in ids)
-            and all(a < b for a, b in zip(ids, ids[1:])))
-
-
-def _kept_ok_side(path: Path, record: Mapping) -> str | None:
-    """The ``ok`` side of the doc index at ``path`` when the file hashes to
-    ``record``'s ``sha256`` and its frame holds; otherwise None, and the
-    side is rendered again."""
+def _kept_part(path: Path, record: Mapping, part: Part) -> str | None:
+    """``part``'s text in the artifact at ``path`` when the file hashes to
+    ``record``'s ``sha256`` and its frame holds; else None: render it."""
     try:
         data = path.read_bytes()
-        if _hash_bytes(data) == record.get("sha256"):
-            return ok_side_text(data.decode("utf-8"))
+        kept = _hash_bytes(data) == record.get("sha256")
+        return part.split(data.decode("utf-8")) if kept else None
     except (OSError, UnicodeDecodeError):
-        pass
-    return None
+        return None
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -548,28 +563,21 @@ def _previous_manifest(manifest_path: Path) -> tuple[object, dict, dict]:
 
 
 def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
-    """Run all stages, reusing cached artifacts whose inputs are unchanged.
+    """Run all stages, reusing cached artifacts whose inputs are unchanged
+    (see the module docstring).
 
     A stage is a cache hit when its fingerprint (its input files, the
     artifacts of the stages that produce what it reads, and its settings)
-    and its artifact's sha256 match the last run's manifest.  An input
-    whose listing matches the last manifest's, and whose files all changed
-    more than ``RACY_NS`` before that hash was taken, keeps its recorded
-    hash unread; any other input is read and hashed, at most once per run.
+    and its artifact's sha256 match the last run's manifest, and each value
+    its stage ``keeps`` passes its check.  An input is read and hashed at
+    most once per run, and not at all while its record can be trusted;
     ``force`` trusts no input record and renders every stage.  Each value
-    is computed at most once; a value is dropped once no later stage reads
-    it.  A hit keeps the last run's record; an extract hit also needs, and
-    restores, the record's ``doc_ids``, and an index that renders with its
-    ``ok`` side's inputs unchanged keeps that side (see the module
-    docstring).  The manifest keeps the last run's record of each stage,
-    and of each input the config still names, that this run did not
-    replace.  Artifacts and the manifest are replaced atomically, the
-    manifest last; a manifest whose records equal the last run's, as
-    decoded, is neither encoded nor written.
-
-    Stops after ok-check when the expert ontology is inconsistent (the
-    downstream stages require consistency); the report artifact is still
-    written and the raised error carries the violations.
+    is computed at most once, and dropped once no later stage reads it.
+    The manifest keeps each record of a stage, and of an input the config
+    still names, that this run did not replace; a manifest whose records
+    equal the last run's, as decoded, is neither encoded nor written.  A
+    stage's ``gate`` runs after its artifact is written or hit and stops
+    the run by raising, as ok-check's ``InconsistentOntologyError`` does.
     """
     out = config.output
     out.mkdir(parents=True, exist_ok=True)
@@ -614,68 +622,60 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> PipelineResult:
             return record
         return {"sha256": sha256, "listing": listing, "hashed_ns": hashed_ns}
 
-    def fingerprint(stage: Stage) -> str:
-        upstream = [_PRODUCERS[name] for name in stage.reads if name in _PRODUCERS]
+    def fingerprint(files: tuple[str, ...], reads: tuple[str, ...], settings=()) -> str:
+        upstream = [_PRODUCERS[name] for name in reads if name in _PRODUCERS]
         parts = [f"{artifacts[u]}:{result.stages[u].sha256}" for u in upstream]
-        for name in stage.files:
+        for name in files:
             path = getattr(config, name)
             if path is not None:
                 if name not in inputs:
                     inputs[name] = input_record(name, path)
                 parts.append(f"{name}:{inputs[name]['sha256']}")
-        parts += [__version__] + [str(getattr(config, name)) for name in stage.settings]
+        parts += [__version__] + [str(getattr(config, name)) for name in settings]
         return _hash_bytes("\n".join(parts).encode())
 
     def run_stage(stage: Stage) -> None:
         artifact = artifacts[stage.name]
         path = out / artifact
-        key = fingerprint(stage)
+        key = fingerprint(stage.files, stage.reads, stage.settings)
         cached = previous.get(stage.name, {})
         hit = (
             not force
             and cached.get("artifact") == artifact
             and cached.get("fingerprint") == key
-            and (stage.name != "extract" or _usable_ids(cached.get("doc_ids")))
+            and all(usable(cached.get(name)) for name, usable in stage.keeps)
         )
         if hit:
             sha256, _, data = _hash_path(path)
             hit = cached.get("sha256") == sha256
         if hit:
-            if stage.name == "extract":
-                values["doc_ids"] = cached["doc_ids"]
+            values.update((name, cached[name]) for name, _ in stage.keeps)
             if stage.value is not None:
                 values.held[stage.value] = data
             record = {**cached, "cache_hit": True}
         else:
-            if stage.name == "index":
-                ok_key = fingerprint(_OK_SIDE)
-                if not force and cached.get("ok_inputs") == ok_key:
-                    values["ok_side"] = _kept_ok_side(path, cached)  # None: render it
+            record = {"artifact": artifact, "fingerprint": key, "cache_hit": False}
+            part = stage.part
+            if part is not None:
+                record[part.key] = fingerprint(part.files, part.reads)
+                if not force and cached.get(part.key) == record[part.key]:
+                    values[part.value] = _kept_part(path, cached, part)  # None: render it
             # looked up at call time, like every layer function the stages call
             render = globals()["render_" + stage.name.replace("-", "_")]
             data = render(values).encode("utf-8")
             _write_atomic(path, data)
             if stage.value in _TEXTS:
                 values.held[stage.value] = data
-            record = {"artifact": artifact, "fingerprint": key, "cache_hit": False,
-                      "sha256": _hash_bytes(data)}
-            if stage.name == "extract":
-                record["doc_ids"] = values["doc_ids"]
-            elif stage.name == "index":
-                record["ok_inputs"] = ok_key
+            record["sha256"] = _hash_bytes(data)
+            record.update((name, values[name]) for name, _ in stage.keeps)
         records[stage.name] = record
         result.stages[stage.name] = StageOutcome(artifact, key, hit, record["sha256"])
+        if stage.gate is not None:
+            stage.gate(values, path)
 
     try:
         for i, stage in enumerate(GRAPH):
             run_stage(stage)
-            if stage.name == "ok-check" and not values["ok_report"]["consistent"]:
-                violations = values["ok_report"]["violations"]
-                raise InconsistentOntologyError(
-                    f"expert ontology has {len(violations)} consistency violations; "
-                    "see " + str(out / artifacts[stage.name]),
-                    violations,
-                )
             needed = {name for later in GRAPH[i + 1:] for name in later.reads}
             for held in (values, values.held):
                 for name in held.keys() - needed:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import builtins
+import copy
 import errno
 import hashlib
 import itertools
@@ -1293,6 +1294,41 @@ def test_force_renders_extract_and_records_its_ids_over_the_record(tmp_path, set
     assert artifact_bytes(config.output) == cold_artifacts(tmp_path, config)
 
 
+#: sha256 of ``json_text(manifest["stages"])`` after each of these runs of
+#: the fixture's project, in this order.  Each stage's fingerprint covers
+#: ``__version__``, so a version bump updates every pin.
+STAGE_RECORDS_SHA256 = {
+    "cold": "cf4b7fb9614d5b452cc88aa321ca33ef9406a9336712b981d30c34fb97965326",
+    "warm": "f5f6056cf2498d5642230992f5519c2d83d627460d54ef6fcae562d3ea7de266",
+    "decisions edit": "1185de59f8f778a36bb6fe34375edd6aa7cf274c9bd58a647be7ac60a892092b",
+    "corpus edit": "98b09cb9733ced7e32139e4623b0fa15fe97ad68b89a95cb25f73b949a1ca2a1",
+    "extract record without doc_ids": "4c6959f9108679208e338ba0c868ab87bc289b051d18ee24f8b257c1068e0ec2",
+    "forced": "66f8458d845b30bafbb81d81261205f117c6790159e7e0242463fac01a573a03",
+}
+
+
+def test_the_stage_records_after_each_kind_of_run_are_the_recorded_ones(tmp_path):
+    """Guards what a record keeps beside its artifact's hash: the ``doc_ids``
+    an extract hit restores, and the ``ok_inputs`` an index render keeps
+    its ``ok`` side by."""
+    config = load_config(project_config(tmp_path / "project", tmp_path / "out"))
+    pins = {}
+    for run in STAGE_RECORDS_SHA256:
+        if run == "decisions edit":
+            reject(config.decisions)
+        elif run == "corpus edit":
+            (config.corpus / "doc07_ajout.txt").write_text(
+                "Un relais de tension est un relais.\n", encoding="utf-8")
+        elif run == "extract record without doc_ids":
+            manifest = manifest_of(config.output)
+            _drop_ids(manifest)
+            (config.output / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        run_pipeline(config, force=run == "forced")
+        stages = json_text(manifest_of(config.output)["stages"])
+        pins[run] = hashlib.sha256(stages.encode("utf-8")).hexdigest()
+    assert pins == STAGE_RECORDS_SHA256
+
+
 def _toggle_line(path: Path, line: str) -> None:
     """Take ``line`` out of the file at ``path``, or append it when absent;
     no file is an empty one."""
@@ -1762,6 +1798,28 @@ def test_cli_inconsistent_ontology_is_exit_3(tmp_path, capsys):
     assert main(["run", "--config", str(config)]) == 3
 
 
+def test_an_inconsistent_ontology_stops_the_run_on_an_ok_check_hit_too(tmp_path, capsys):
+    """The second run's ok-check hits, and its report is decoded from the
+    bytes it hashed: it stops the run with the same violations, and no
+    stage after it writes its artifact."""
+    bad_dsl = tmp_path / "bad.dsl"
+    bad_dsl.write_text("concept a root\nconcept b root\n", encoding="utf-8")
+    config_path = write_config(tmp_path, dsl=str(bad_dsl))
+    config = load_config(config_path)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(InconsistentOntologyError) as exc:
+            run_pipeline(config)
+        raised.append((str(exc.value), exc.value.violations))
+    assert manifest_of(config.output)["stages"]["ok-check"]["cache_hit"]
+    assert raised[0] == raised[1] and raised[0][1]
+    written = {p.name for p in config.output.iterdir()}
+    assert not written & {"alignment.json", "doc_index.json", "ontology.owl"}
+    for _ in range(2):
+        assert main(["run", "--config", str(config_path)]) == 3
+        assert capsys.readouterr().err == f"ontoterm: E_INCONSISTENT: {raised[0][0]}\n"
+
+
 def test_cli_ok_check_reports_violations(tmp_path, capsys):
     bad_dsl = tmp_path / "bad.dsl"
     bad_dsl.write_text("concept a root\nconcept b root\n", encoding="utf-8")
@@ -1906,6 +1964,10 @@ def test_cli_stages_write_the_pipelines_bytes_on_a_harder_corpus(tmp_path, capsy
     ("query-unannotated-docs-a-string", "E_ARTIFACT"),
     ("net-candidate-lemmas-a-nested-list", "E_ARTIFACT"),
     ("net-candidate-head-a-list", "E_ARTIFACT"),
+    ("net-candidate-offset-true", "E_ARTIFACT"),
+    ("validate-lexnet-term-label-an-int", "E_ARTIFACT"),
+    ("project-lexnet-relation-source-null", "E_ARTIFACT"),
+    ("project-lexnet-term-label-an-int", "E_ARTIFACT"),
 ])
 def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case, code):
     missing = str(tmp_path / "missing")
@@ -1949,6 +2011,25 @@ def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case,
     listed_head = tmp_path / "listed_head.json"
     listed_head.write_text(json.dumps([candidate, {**candidate, "head": ["x"]}]),
                            encoding="utf-8")
+    offset_true = tmp_path / "offset_true.json"
+    offset_true.write_text(json.dumps([candidate, {**candidate, "occurrences": [["d1", True]]}]),
+                           encoding="utf-8")
+    term = {"head": "relais", "label": "relais", "status": "VALIDATED"}
+    relation = {"evidence": "SAME_HEAD", "evidence_sources": ["SAME_HEAD"], "kind": "HYPONYMY",
+                "source": "relais à seuil", "status": "VALIDATED", "target": "relais"}
+
+    def lexnet(name: str, terms: list, relations: list) -> str:
+        path = tmp_path / name
+        path.write_text(json.dumps({"terms": terms, "relations": relations}), encoding="utf-8")
+        return str(path)
+
+    seuil = {**term, "label": "relais à seuil"}
+    label_0 = lexnet("label_0.json", [{**term, "label": 0}, seuil], [relation])
+    source_null = lexnet("source_null.json", [term, seuil],
+                         [relation, {**relation, "source": None}])
+    label_7 = lexnet("label_7.json", [term, {**seuil, "label": 7}], [relation])
+    no_decisions = tmp_path / "no_decisions.txt"
+    no_decisions.write_text("", encoding="utf-8")
     net = ["--corpus", str(data_path("corpus")), "--lexicon", str(data_path("lexicon.tsv")),
            "--out", str(tmp_path / "lexnet_out.json")]
     dsl = str(data_path("relais.dsl"))
@@ -1978,6 +2059,12 @@ def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case,
                                             "--dsl", dsl],
         "net-candidate-lemmas-a-nested-list": ["net", "--candidates", str(nested_lemmas), *net],
         "net-candidate-head-a-list": ["net", "--candidates", str(listed_head), *net],
+        "net-candidate-offset-true": ["net", "--candidates", str(offset_true), *net],
+        "validate-lexnet-term-label-an-int": ["validate", "--lexnet", label_0,
+                                              "--decisions", str(no_decisions),
+                                              "--out", str(tmp_path / "validated_out.json")],
+        "project-lexnet-relation-source-null": ["project", "--lexnet", source_null],
+        "project-lexnet-term-label-an-int": ["project", "--lexnet", label_7],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -1990,9 +2077,77 @@ def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case,
     if case == "query-unannotated-docs-a-string":
         assert err.startswith(f"ontoterm: E_ARTIFACT: {unannotated_string}: ")
     if case.startswith("net-candidate-"):
-        path = nested_lemmas if "lemmas" in case else listed_head
+        field = case.split("-")[2]
+        path = {"lemmas": nested_lemmas, "head": listed_head, "offset": offset_true}[field]
         assert err.startswith(f"ontoterm: E_ARTIFACT: {path}: ") and "row 1: " in err
         assert not (tmp_path / "lexnet_out.json").exists()
+    if "-lexnet-" in case:
+        assert err.startswith(f"ontoterm: E_ARTIFACT: {argv[2]}: ")
+        assert not (tmp_path / "validated_out.json").exists()
+
+
+#: The values a fuzzed artifact's node is given in place of its own.
+RETYPED = (7, True, None, 1.5, [], {}, "x")
+
+
+def mutated(payload, rng: random.Random):
+    """A copy of ``payload`` with one node, picked at random, dropped (a
+    dict's key), duplicated (a list's row) or given a value of another
+    type."""
+    payload = copy.deepcopy(payload)
+    slots, stack = [], [payload]
+    while stack:
+        node = stack.pop()
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            slots.append((node, key))
+            if isinstance(value, (dict, list)):
+                stack.append(value)
+    node, key = rng.choice(slots)
+    if rng.random() < 0.5:
+        node[key] = rng.choice(RETYPED)
+    elif isinstance(node, dict):
+        del node[key]
+    else:
+        node.insert(key, copy.deepcopy(node[key]))
+    return payload
+
+
+def test_cli_commands_refuse_fuzzed_artifacts_without_a_traceback(tmp_path, capsys):
+    """Each artifact a command reads, mutated at one node 60 times over: the
+    command succeeds, or exits 2 with ``E_ARTIFACT``; no exception leaves
+    ``main``.  ``validate`` may also exit 2 with ``E_UNKNOWN_REF``: the
+    fixture's decisions name terms and relations a mutated network can lose."""
+    data = data_path()
+    out = run_pipeline(load_config(write_config(tmp_path))).output_dir
+    fuzzed, written = tmp_path / "fuzzed.json", str(tmp_path / "written.json")
+    dsl = ["--dsl", str(data / "relais.dsl"), "--stopwords", str(data / "stopwords.txt")]
+    commands = {
+        "candidates.json": ["net", "--candidates", str(fuzzed), "--corpus", str(data / "corpus"),
+                            "--lexicon", str(data / "lexicon.tsv"), "--out", written],
+        "lexnet.json": ["validate", "--lexnet", str(fuzzed),
+                        "--decisions", str(data / "decisions.txt"), "--out", written],
+        "lexnet_validated.json": ["project", "--lexnet", str(fuzzed), "--out", written],
+        "taxonomy.json": ["align", "--taxonomy", str(fuzzed), *dsl, "--out", written],
+        "doc_index.json": ["compare-recall", "--index", str(fuzzed), *dsl, "--taxonomy",
+                           str(out / "taxonomy.json"), "--concept", "relais à seuil"],
+    }
+    rng = random.Random(32)
+    escapes = []
+    for artifact, argv in commands.items():
+        refusals = ("ontoterm: E_ARTIFACT: ",)
+        if argv[0] == "validate":
+            refusals += ("ontoterm: E_UNKNOWN_REF: ",)
+        payload = json.loads((out / artifact).read_bytes())
+        for n in range(60):
+            fuzzed.write_text(json.dumps(mutated(payload, rng)), encoding="utf-8")
+            try:
+                code = main(argv)
+            except Exception as exc:  # an escape: collected, and the fuzz goes on
+                code = repr(exc)
+            err = capsys.readouterr().err
+            if code != 0 and not (code == 2 and err.startswith(refusals)):
+                escapes.append((artifact, n, code, err))
+    assert escapes == []
 
 
 @pytest.mark.parametrize("kind", [
