@@ -116,6 +116,9 @@ class Hierarchy:
         return list(self._roots)
 
     def subsumed_closure(self, name: str) -> set[str]:
-        """``name`` and everything it subsumes: O(answer)."""
+        """``name`` and everything it subsumes, as a new set: O(answer).
+        A leaf's is ``{name}``, made without starting a walk."""
         self.require(name)
+        if name not in self._children:
+            return {name}
         return descendants(self._children, name)

@@ -35,7 +35,9 @@ class Concept:
 class Taxonomy(Hierarchy):
     """Concepts and (child, parent) edges as a value: both are fixed when it
     is built, and the edges are indexed once, child → sorted parents and
-    parent → sorted children, with the sorted roots.
+    parent → sorted children, with the sorted roots.  A
+    ``dataclasses.replace`` variant is indexed afresh and keeps no label
+    resolution of the original.
 
     The edges form a DAG: building one raises ``ValueError`` when an edge
     names an unknown concept or when the edges hold a cycle (one cycle is
@@ -56,6 +58,7 @@ class Taxonomy(Hierarchy):
             children.setdefault(parent, []).append(child)
         self._children = {parent: tuple(kids) for parent, kids in children.items()}
         self._roots = tuple(sorted(self.concepts.keys() - self._parents.keys()))
+        self._resolved: dict = {}  # label → concept id or None, kept by ``retrieval.resolve_label``
         cycle = cycle_in(self._parents)  # the successor map ``find_cycle`` would build
         if cycle:
             raise ValueError("subsumption cycle: " + " -> ".join(cycle))

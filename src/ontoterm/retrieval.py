@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .align import AlignmentResult, DEFAULT_STOPWORDS, align_term
+from .align import AlignmentResult, DEFAULT_STOPWORDS, KEPT_RESOLUTIONS, kept_alignment
 from .corpus import TermCandidate
 from .errors import ArtifactError, UnknownConceptError, UnresolvableLabelError, json_text
 from .graph import walk
@@ -185,12 +185,24 @@ def query(index: DocIndex, structure: Structure, concept: str) -> tuple[str, ...
 def resolve_label(
     structure: Structure, label: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS
 ) -> str | None:
-    """Map a human-entered concept label to a structure-internal id."""
+    """Map a human-entered concept label to a structure-internal id: its
+    ``concept_id`` in a taxonomy, its ``align_term`` concept in an ontology.
+
+    Each structure keeps its resolutions, up to ``KEPT_RESOLUTIONS`` labels
+    (per stopword set on an ontology, see ``kept_alignment``), so a label
+    asked again is one lookup.  Both structures are immutable values, so a
+    kept resolution never goes stale."""
     if isinstance(structure, Taxonomy):
+        kept = structure._resolved
+        if label in kept:
+            return kept[label]
         cid = concept_id(label)
-        return cid if cid in structure.concepts else None
-    result = align_term(label, structure, stopwords)
-    return result.concept
+        if cid not in structure.concepts:
+            cid = None
+        if len(kept) < KEPT_RESOLUTIONS:
+            kept[label] = cid
+        return cid
+    return kept_alignment(label, structure, stopwords).concept
 
 
 def require_label(
@@ -198,13 +210,13 @@ def require_label(
 ) -> str:
     """``resolve_label``, raising ``UnresolvableLabelError`` for a label
     that resolves to nothing; an ambiguous label's message names its
-    candidates."""
+    candidates, read from the resolution the ontology kept."""
     concept = resolve_label(structure, label, stopwords)
     if concept is not None:
         return concept
     message = f"label {label!r} is not resolvable in the {structure_name(structure)} structure"
     if isinstance(structure, OkOntology):
-        candidates = align_term(label, structure, stopwords).candidates
+        candidates = kept_alignment(label, structure, stopwords).candidates
         if candidates:
             message += ": ambiguous between " + ", ".join(map(repr, candidates))
     raise UnresolvableLabelError(message)

@@ -27,7 +27,7 @@ from ontoterm.errors import fold
 from ontoterm.fixtures import data_path
 from ontoterm.okmodel import Differentia, OkConcept, load_dsl, parse_dsl
 from ontoterm.projection import Concept, Taxonomy
-from ontoterm.retrieval import resolve_label
+from ontoterm.retrieval import DocIndex, compare_recall, resolve_label
 
 from genutil import (
     WHITESPACE,
@@ -316,15 +316,22 @@ def test_align_matches_the_oracle_across_interleaved_ontologies_and_stopword_set
 
 
 def test_an_aligned_ontology_is_freed_without_the_cycle_collector():
+    """A comparison leaves a resolution kept on both structures, and each
+    is still freed by reference counting alone."""
     gc.collect()
     gc.disable()
     try:
         ontology = load_dsl(data_path("relais.dsl"))
+        taxonomy = Taxonomy({RAST: Concept(RAST, RAST, (RAST,)), "relais": Concept(
+            "relais", "relais", ("relais",))}, {(RAST, "relais")})
+        comparison = compare_recall(DocIndex(), taxonomy, DocIndex(), ontology, RAST)
+        assert (comparison.concept_a, comparison.concept_b) == (RAST, RAST)
+        assert taxonomy._resolved and ontology._align_index[DEFAULT_STOPWORDS][-1]
         assert resolve_label(ontology, "relais de tension") == RAST
         ontology_alignments(["relais", "seuil"], ontology, DEFAULT_STOPWORDS - {"de"})
-        freed = weakref.ref(ontology)
-        del ontology
-        assert freed() is None
+        freed = weakref.ref(ontology), weakref.ref(taxonomy)
+        del ontology, taxonomy
+        assert [ref() for ref in freed] == [None, None]
     finally:
         gc.enable()
 

@@ -96,3 +96,12 @@ def test_every_entry_point_names_the_first_unknown_concept(call):
         call()
     assert type(raised.value) is UnknownConceptError
     assert raised.value.args == ("unknown concept: 'ghost'",)
+
+
+@pytest.mark.parametrize("structure", [_TAXONOMY, _ONTOLOGY], ids=["taxonomy", "ontology"])
+def test_a_leaf_closure_is_a_new_set_on_every_call(structure):
+    first = structure.subsumed_closure("a")
+    assert first == {"a"}
+    first.add("changed")
+    second = structure.subsumed_closure("a")
+    assert second == {"a"} and second is not first

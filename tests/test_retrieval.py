@@ -5,12 +5,14 @@ import random
 import re
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from genutil import (
     align_oracle,
     closure_oracle,
+    concept_id_oracle,
     random_align_case,
     random_ok_tree,
     random_ok_variant,
@@ -18,7 +20,14 @@ from genutil import (
     recall_oracle,
     structure_closure_oracle,
 )
-from ontoterm.align import DEFAULT_STOPWORDS, ontology_alignments, taxonomy_alignments
+from ontoterm import align
+from ontoterm.align import (
+    DEFAULT_STOPWORDS,
+    KEPT_RESOLUTIONS,
+    align_term,
+    ontology_alignments,
+    taxonomy_alignments,
+)
 from ontoterm.corpus import (
     annotate,
     extract_candidates,
@@ -50,6 +59,7 @@ from ontoterm.retrieval import (
     query,
     require_label,
     resolve_label,
+    structure_name,
 )
 
 RAST = "relais à seuil de tension"
@@ -250,6 +260,114 @@ def test_resolve_label(relay, taxonomy):
     assert resolve_label(taxonomy, "Relais à seuil") == "relais à seuil"
     assert resolve_label(relay, "relais de tension") == RAST
     assert resolve_label(taxonomy, "fantôme") is None
+
+
+@pytest.fixture
+def resolutions(monkeypatch):
+    """Count the calls of ``align._resolve``, the one label resolver."""
+    calls = Counter()
+    inner = align._resolve
+
+    def counted(term, *args):
+        calls[term] += 1
+        return inner(term, *args)
+
+    monkeypatch.setattr(align, "_resolve", counted)
+    return calls
+
+
+def test_require_label_resolves_a_label_asked_twice_once(resolutions):
+    relay = load_dsl(data_path("relais.dsl"))
+    ambiguous = parse_dsl(AMBIGUOUS_TEXT)
+    for _ in range(2):
+        with pytest.raises(UnresolvableLabelError) as exc:
+            require_label(relay, "fantôme")
+        assert str(exc.value) == "label 'fantôme' is not resolvable in the ok structure"
+        assert require_label(relay, "seuil") == RAST
+        with pytest.raises(UnresolvableLabelError) as exc:
+            require_label(ambiguous, "relais de tension")
+        assert str(exc.value) == (
+            "label 'relais de tension' is not resolvable in the ok structure: ambiguous between "
+            "'relais de tension alternative', 'relais de tension continue'"
+        )
+    assert resolutions == {"fantôme": 1, "seuil": 1, "relais de tension": 1}
+
+
+def unkept_resolution(structure, label, stopwords):
+    """What ``resolve_label`` answers with no resolution kept."""
+    if isinstance(structure, Taxonomy):
+        cid = concept_id(label)
+        return cid if cid in structure.concepts else None
+    return align_term(label, structure, stopwords).concept
+
+
+def resolution_oracle(structure, label, stopwords):
+    if isinstance(structure, Taxonomy):
+        cid = concept_id_oracle(label)
+        return cid if cid in structure.concepts else None
+    return align_oracle(label, structure, stopwords).concept
+
+
+def matching_taxonomy(ontology):
+    """One concept per concept of ``ontology``, under its ``concept_id``,
+    and its genus links as the edges."""
+    ids = {name: concept_id(name) for name in ontology.concepts}
+    return Taxonomy(
+        {cid: Concept(cid, name, (name,)) for name, cid in ids.items()},
+        {(ids[name], ids[c.genus]) for name, c in ontology.concepts.items() if c.genus},
+    )
+
+
+def test_kept_resolutions_answer_per_stopword_set_and_per_variant():
+    """Each case asks its ontology and taxonomy about every query under
+    two stopword sets, interleaved, then asks the same of a ``replace``d
+    ontology and a rebuilt taxonomy without one leaf concept."""
+    rng = random.Random(20100223)
+    changed = 0
+    for _ in range(40):
+        ontology, stopwords, queries = random_align_case(rng)
+        if len(ontology.concepts) < 2:
+            continue
+        leaf = rng.choice([n for n in ontology.concepts if n not in ontology.children_view()])
+        variant = replace(ontology, concepts={
+            n: c for n, c in ontology.concepts.items() if n != leaf
+        })
+        for pair in ((ontology, matching_taxonomy(ontology)), (variant, matching_taxonomy(variant))):
+            asks = [
+                ((s, label, words), resolution_oracle(s, label, words))
+                for s in pair for label in [*queries, leaf] for words in (stopwords, DEFAULT_STOPWORDS)
+            ] * 2
+            rng.shuffle(asks)
+            for ask, expected in asks:
+                got = resolve_label(*ask)
+                assert got == expected == unkept_resolution(*ask), ask[1:]
+        changed += resolve_label(ontology, leaf) != resolve_label(variant, leaf)
+    assert changed >= 35
+
+
+def test_a_structure_keeps_at_most_a_fixed_number_of_resolutions():
+    rng = random.Random(20100224)
+    while True:
+        ontology, stopwords, _ = random_align_case(rng)
+        if 5 <= len(ontology.concepts) <= 8:  # few concepts: the oracle is O(concepts)
+            break
+    taxonomy = matching_taxonomy(ontology)
+    words = sorted({w for name in ontology.concepts for w in name.split()} | {"de", "bobine"})
+    labels = set(ontology.concepts)
+    while len(labels) < 5000:
+        labels.add(" ".join(rng.choice(words) for _ in range(rng.randint(1, 5))))
+    labels = sorted(labels)
+    rng.shuffle(labels)
+    resolved = Counter()
+    for structure in (ontology, taxonomy):
+        for label in labels:
+            got = resolve_label(structure, label, stopwords)
+            assert got == resolution_oracle(structure, label, stopwords), label
+            assert got == unkept_resolution(structure, label, stopwords)
+            resolved[structure_name(structure)] += got is not None
+    assert len(taxonomy._resolved) == KEPT_RESOLUTIONS
+    assert len(ontology._align_index[stopwords][-1]) == KEPT_RESOLUTIONS
+    assert resolved["ok"] >= 500 and resolved["projected"] >= len(taxonomy.concepts), resolved
 
 
 def test_indexing_is_deterministic(experiment, taxonomy):
