@@ -109,28 +109,21 @@ def _concept_index(
     return bags, {token: tuple(names) for token, names in holders.items()}, by_bag
 
 
-#: The most label resolutions a structure keeps, per stopword set; past it
-#: a label is resolved and not kept.
-KEPT_RESOLUTIONS = 4096
-
-
 def _index_of(ontology: OkOntology, stopwords: frozenset[str]) -> tuple:
     """The alignment index of ``ontology`` under ``stopwords``: its
-    concepts' bags, each token's holders, each bag's one concept, the
-    declared denotations keyed by ``concept_id`` and the resolutions
-    ``kept_alignment`` keeps, label → ``AlignmentResult``.
+    concepts' bags, each token's holders, each bag's one concept and the
+    declared denotations keyed by ``concept_id``.
 
-    It is kept on the ontology, one entry per stopword set: an
+    It is kept on the ontology, one entry per stopword set, in a table made
+    on first use, so a ``replace``d variant starts with none: an
     ``OkOntology`` is immutable, so an entry never goes stale.  The entry
     holds data only, and ``_resolve`` reads it as an argument, so the
     ontology is never part of a reference cycle."""
-    memo = ontology._align_index
+    memo = vars(ontology).setdefault("_align_index", {})
     data = memo.get(stopwords)
     if data is None:
         declared = {concept_id(t): c for t, c in ontology.denotation.items()}
-        data = memo[stopwords] = (
-            *_concept_index(tuple(ontology.concepts), stopwords), declared, {}
-        )
+        data = memo[stopwords] = (*_concept_index(tuple(ontology.concepts), stopwords), declared)
     return data
 
 
@@ -138,7 +131,7 @@ def _resolve(
     term: str, ontology: OkOntology, stopwords: frozenset[str], data: tuple
 ) -> AlignmentResult:
     """``align_term(term, ontology, stopwords)`` over ``_index_of``'s ``data``."""
-    bags, holders_of, by_bag, declared, _kept = data
+    bags, holders_of, by_bag, declared = data
     folded = fold(term)
     target = declared.get(" ".join(folded.split()))  # concept_id(term), from the one fold
     if target is not None and target in ontology.concepts:
@@ -211,23 +204,6 @@ def align_term(
     token, otherwise; depths and subsumption are read from the ontology.
     """
     return _resolve(term, ontology, stopwords, _index_of(ontology, stopwords))
-
-
-def kept_alignment(
-    term: str, ontology: OkOntology, stopwords: frozenset[str] = DEFAULT_STOPWORDS
-) -> AlignmentResult:
-    """``align_term``, kept in ``_index_of``'s entry for ``ontology`` and
-    ``stopwords`` up to ``KEPT_RESOLUTIONS`` terms: a term asked again is
-    one lookup.  A ``replace``d variant starts with no entry, so with no
-    resolution kept."""
-    data = _index_of(ontology, stopwords)
-    kept = data[4]
-    result = kept.get(term)
-    if result is None:
-        result = _resolve(term, ontology, stopwords, data)
-        if len(kept) < KEPT_RESOLUTIONS:
-            kept[term] = result
-    return result
 
 
 def ontology_alignments(

@@ -32,6 +32,7 @@ from .errors import (
     ConfigError,
     EncodingError,
     NoCorpusError,
+    check_strings,
     decode_text,
     fold,
     input_lines,
@@ -438,33 +439,30 @@ def candidates_from_json(text: str) -> list[TermCandidate]:
             pairs += occurrences
             candidates.append(TermCandidate(tuple(lemmas), pattern, head, occurrences))
         _check_fields(strings, pairs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArtifactError) as exc:
         # name the first built row whose fields fail, else the row being built
         for n, c in enumerate(candidates):
             try:
                 _check_fields([*c.lemmas, c.pattern_id, c.head_lemma], c.occurrences)
-            except TypeError as failed:
+            except ArtifactError as failed:
                 raise ArtifactError(f"row {n}: {failed}") from None
         raise ArtifactError(f"row {len(candidates)}: {exc}") from None
     return candidates
 
 
 def _check_fields(strings: list, pairs: list) -> None:
-    """Raise ``TypeError`` unless each of ``strings`` is a string and each
-    of ``pairs`` a pair of a string and a non-negative int, not a ``bool``,
-    at C speed."""
+    """Raise ``ArtifactError`` unless each of ``strings`` is a string and
+    each of ``pairs`` a pair of a string and a non-negative int, not a
+    ``bool``, at C speed."""
     try:
         docs, offsets = zip(*pairs, strict=True) if pairs else ((), ())
     except ValueError:
-        raise TypeError("an occurrence is not a [doc id, offset] pair") from None
-    try:
-        "".join(strings)
-        "".join(docs)
-    except TypeError:
-        raise TypeError("a lemma, pattern_id, head or doc id is not a string") from None
+        raise ArtifactError("an occurrence is not a [doc id, offset] pair") from None
+    check_strings(strings, "a lemma, pattern_id or head")
+    check_strings(docs, "an occurrence's doc id")
     try:
         array("Q", offsets)
         if bool in set(map(type, offsets)):  # the array takes a bool as an int
             raise TypeError
     except (TypeError, OverflowError):
-        raise TypeError("an occurrence offset is not a non-negative int") from None
+        raise ArtifactError("an occurrence offset is not a non-negative int") from None

@@ -12,7 +12,7 @@ import unicodedata
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 class OntoTermError(Exception):
@@ -209,6 +209,15 @@ class ArtifactError(OntoTermError):
     """A stage artifact holds a value the program never writes."""
 
     code = "E_ARTIFACT"
+
+
+def check_strings(values: Iterable, field: str) -> None:
+    """Raise ``ArtifactError`` saying that ``field`` is not a string unless
+    every one of ``values`` is a string: one ``str.join``, at C speed."""
+    try:
+        "".join(values)
+    except TypeError:
+        raise ArtifactError(f"{field} is not a string") from None
 
 
 @dataclass(frozen=True)

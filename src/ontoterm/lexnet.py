@@ -16,7 +16,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import POS, TAG_CODES, DocTokens, TermCandidate
-from .errors import UnknownRefError, UnknownTermError, input_lines, json_text, read_text
+from .errors import (
+    UnknownRefError, UnknownTermError, check_strings, input_lines, json_text, read_text
+)
 from .graph import find_cycle
 
 
@@ -381,7 +383,7 @@ _EVIDENCE = {member.value: member for member in Evidence}
 def lexnet_from_json(text: str) -> LexNet:
     """The network ``lexnet_to_json`` wrote, built in one pass over the
     decoded rows.  A label, head, source or target that is not a string
-    raises ``TypeError`` (from one ``str.join``), before any stage reads it."""
+    raises ``ArtifactError``, before any stage reads it."""
     payload = json.loads(text)
     status, evidence = _STATUSES.__getitem__, _EVIDENCE.__getitem__
     terms = {}
@@ -398,5 +400,5 @@ def lexnet_from_json(text: str) -> LexNet:
             kind, source, target, evidence(row["evidence"]),
             tuple(map(evidence, row["evidence_sources"])), status(row["status"]),
         )
-    "".join(strings)
+    check_strings(strings, "a term's label or head, or a relation's source or target")
     return LexNet(terms, relations)

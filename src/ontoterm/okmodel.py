@@ -139,8 +139,8 @@ class OkOntology(Hierarchy):
     """An expert ontology as a value.  Its five mappings are read-only
     copies taken when it is built, and the genus → children view (roots
     under ``None``, in declaration order) is indexed then, once;
-    ``dataclasses.replace`` makes a variant, indexed afresh, whose
-    alignment index (with its kept label resolutions) starts empty.
+    ``dataclasses.replace`` makes a variant, indexed afresh, that keeps
+    nothing another module kept on the original.
 
     Its genus links form a forest: building one raises ``ValueError`` when
     a genus names no concept or when some concept is not reachable from a
@@ -162,8 +162,6 @@ class OkOntology(Hierarchy):
             view.setdefault(concept.genus, []).append(name)
         self._children = {genus: tuple(names) for genus, names in view.items()}
         self._roots = self._children.get(None, ())
-        # stopwords → alignment index and kept label resolutions, kept by ``align._index_of``
-        self._align_index: dict = {}
         unknown = sorted(view.keys() - self.concepts.keys() - {None})
         if unknown:
             raise ValueError(f"genus names no concept: {unknown}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import CycleError, fold, json_text, quoted
+from .errors import CycleError, check_strings, fold, json_text, quoted
 from .graph import Hierarchy, cycle_in, find_cycle
 from .lexnet import LexNet, RelationKind, Status, find_validated_hyponymy_cycle
 
@@ -36,8 +36,8 @@ class Taxonomy(Hierarchy):
     """Concepts and (child, parent) edges as a value: both are fixed when it
     is built, and the edges are indexed once, child → sorted parents and
     parent → sorted children, with the sorted roots.  A
-    ``dataclasses.replace`` variant is indexed afresh and keeps no label
-    resolution of the original.
+    ``dataclasses.replace`` variant is indexed afresh and keeps nothing
+    that another module kept on the original.
 
     The edges form a DAG: building one raises ``ValueError`` when an edge
     names an unknown concept or when the edges hold a cycle (one cycle is
@@ -58,7 +58,6 @@ class Taxonomy(Hierarchy):
             children.setdefault(parent, []).append(child)
         self._children = {parent: tuple(kids) for parent, kids in children.items()}
         self._roots = tuple(sorted(self.concepts.keys() - self._parents.keys()))
-        self._resolved: dict = {}  # label → concept id or None, kept by ``retrieval.resolve_label``
         cycle = cycle_in(self._parents)  # the successor map ``find_cycle`` would build
         if cycle:
             raise ValueError("subsumption cycle: " + " -> ".join(cycle))
@@ -139,14 +138,14 @@ def taxonomy_to_json(taxonomy: Taxonomy) -> str:
 
 def taxonomy_from_json(text: str) -> Taxonomy:
     """The taxonomy of ``taxonomy.json``'s text.  A concept id, label or
-    denoting term that is not a string raises ``TypeError`` (from
-    ``str.join``), before any stage reads it."""
+    denoting term that is not a string raises ``ArtifactError``."""
     payload = json.loads(text)
     concepts = {
         row["id"]: Concept(row["id"], row["label"], tuple(row["denoting_terms"]))
         for row in payload["concepts"]
     }
-    "".join([s for c in concepts.values() for s in (c.id, c.label, *c.denoting_terms)])
+    fields = [s for c in concepts.values() for s in (c.id, c.label, *c.denoting_terms)]
+    check_strings(fields, "a concept id, label or denoting term")
     return Taxonomy(concepts, {(child, parent) for child, parent in payload["subsumption"]})
 
 

@@ -17,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .align import AlignmentResult, DEFAULT_STOPWORDS, KEPT_RESOLUTIONS, kept_alignment
+from .align import AlignmentResult, DEFAULT_STOPWORDS, align_term
 from .corpus import TermCandidate
-from .errors import ArtifactError, UnknownConceptError, UnresolvableLabelError, json_text
+from .errors import (
+    ArtifactError, UnknownConceptError, UnresolvableLabelError, check_strings, json_text
+)
 from .graph import walk
 from .okmodel import OkOntology
 from .projection import Taxonomy, concept_id
@@ -182,27 +184,47 @@ def query(index: DocIndex, structure: Structure, concept: str) -> tuple[str, ...
     return index.closed_docs(structure, concept)
 
 
+#: The most label resolutions a structure keeps, under all stopword sets
+#: together; past it a label is resolved and not kept.
+KEPT_RESOLUTIONS = 4096
+
+
+def _resolution(
+    structure: Structure, label: str, stopwords: frozenset[str]
+) -> tuple[str | None, tuple[str, ...]]:
+    """``label``'s concept in ``structure``, or None, and the candidates of
+    an ambiguous label: the structure's kept entry (see ``resolve_label``)."""
+    try:  # a hit reads one attribute, with no dict made per call
+        kept = structure._resolutions
+    except AttributeError:
+        kept = structure._resolutions = {}
+    key = label, stopwords
+    entry = kept.get(key)
+    if entry is None:
+        if isinstance(structure, Taxonomy):
+            cid = concept_id(label)
+            entry = cid if cid in structure.concepts else None, ()
+        else:
+            result = align_term(label, structure, stopwords)
+            entry = result.concept, result.candidates
+        if len(kept) < KEPT_RESOLUTIONS:
+            kept[key] = entry
+    return entry
+
+
 def resolve_label(
     structure: Structure, label: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS
 ) -> str | None:
     """Map a human-entered concept label to a structure-internal id: its
     ``concept_id`` in a taxonomy, its ``align_term`` concept in an ontology.
 
-    Each structure keeps its resolutions, up to ``KEPT_RESOLUTIONS`` labels
-    (per stopword set on an ontology, see ``kept_alignment``), so a label
-    asked again is one lookup.  Both structures are immutable values, so a
-    kept resolution never goes stale."""
-    if isinstance(structure, Taxonomy):
-        kept = structure._resolved
-        if label in kept:
-            return kept[label]
-        cid = concept_id(label)
-        if cid not in structure.concepts:
-            cid = None
-        if len(kept) < KEPT_RESOLUTIONS:
-            kept[label] = cid
-        return cid
-    return kept_alignment(label, structure, stopwords).concept
+    A structure keeps up to ``KEPT_RESOLUTIONS`` resolutions, under all
+    stopword sets together, in one table keyed by the label and stopwords,
+    so a label asked again is one lookup.  The table is made on first use,
+    in the structure's own attributes, where ``functools.cached_property``
+    keeps a value, so a ``replace``d or rebuilt structure starts with none.
+    Both structures are immutable values, so an entry never goes stale."""
+    return _resolution(structure, label, stopwords)[0]
 
 
 def require_label(
@@ -210,15 +232,14 @@ def require_label(
 ) -> str:
     """``resolve_label``, raising ``UnresolvableLabelError`` for a label
     that resolves to nothing; an ambiguous label's message names its
-    candidates, read from the resolution the ontology kept."""
+    candidates, read from the resolution the structure kept."""
     concept = resolve_label(structure, label, stopwords)
     if concept is not None:
         return concept
     message = f"label {label!r} is not resolvable in the {structure_name(structure)} structure"
-    if isinstance(structure, OkOntology):
-        candidates = kept_alignment(label, structure, stopwords).candidates
-        if candidates:
-            message += ": ambiguous between " + ", ".join(map(repr, candidates))
+    candidates = _resolution(structure, label, stopwords)[1]
+    if candidates:
+        message += ": ambiguous between " + ", ".join(map(repr, candidates))
     raise UnresolvableLabelError(message)
 
 
@@ -337,12 +358,10 @@ def index_from_json_obj(payload: dict) -> DocIndex:
     skipped = payload.get("skipped_ambiguous", [])
     if type(unannotated) is not list or type(skipped) is not list:
         raise ArtifactError("unannotated_docs and skipped_ambiguous must be lists")
-    try:
-        "".join([*docs, *concepts, *unannotated, *skipped])  # every value a string, at C speed
-    except TypeError:
-        raise ArtifactError(
-            "a doc_id, concept, unannotated_docs or skipped_ambiguous entry is not a string"
-        ) from None
+    check_strings(
+        [*docs, *concepts, *unannotated, *skipped],
+        "a doc_id, concept, unannotated_docs or skipped_ambiguous entry",
+    )
     return DocIndex(zip(docs, concepts), unannotated, skipped)
 
 

@@ -326,7 +326,7 @@ def test_an_aligned_ontology_is_freed_without_the_cycle_collector():
             "relais", "relais", ("relais",))}, {(RAST, "relais")})
         comparison = compare_recall(DocIndex(), taxonomy, DocIndex(), ontology, RAST)
         assert (comparison.concept_a, comparison.concept_b) == (RAST, RAST)
-        assert taxonomy._resolved and ontology._align_index[DEFAULT_STOPWORDS][-1]
+        assert vars(taxonomy)["_resolutions"] and vars(ontology)["_resolutions"]
         assert resolve_label(ontology, "relais de tension") == RAST
         ontology_alignments(["relais", "seuil"], ontology, DEFAULT_STOPWORDS - {"de"})
         freed = weakref.ref(ontology), weakref.ref(taxonomy)

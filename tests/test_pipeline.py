@@ -1958,6 +1958,7 @@ def test_cli_stages_write_the_pipelines_bytes_on_a_harder_corpus(tmp_path, capsy
     ("query-missing-index-side", "E_ARTIFACT"),
     ("compare-recall-missing-index-side", "E_ARTIFACT"),
     ("align-dangling-taxonomy-edge", "E_ARTIFACT"),
+    ("align-taxonomy-label-an-int", "E_ARTIFACT"),
     ("query-cyclic-taxonomy", "E_ARTIFACT"),
     ("project-deeply-nested", "E_ARTIFACT"),
     ("compare-recall-integer-doc-ids", "E_ARTIFACT"),
@@ -1983,6 +1984,10 @@ def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case,
     dangling.write_text(json.dumps({
         "concepts": [{"id": "a", "label": "a", "denoting_terms": ["a"]}],
         "subsumption": [["b", "a"]],
+    }), encoding="utf-8")
+    label_3 = tmp_path / "label_3.json"
+    label_3.write_text(json.dumps({
+        "concepts": [{"id": "a", "label": 3, "denoting_terms": ["a"]}], "subsumption": [],
     }), encoding="utf-8")
     cyclic = tmp_path / "cyclic.json"
     cyclic.write_text(json.dumps({
@@ -2048,6 +2053,7 @@ def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case,
                                               "--taxonomy", str(taxonomy), "--dsl", dsl,
                                               "--concept", "relais"],
         "align-dangling-taxonomy-edge": ["align", "--taxonomy", str(dangling), "--dsl", dsl],
+        "align-taxonomy-label-an-int": ["align", "--taxonomy", str(label_3), "--dsl", dsl],
         "query-cyclic-taxonomy": ["query", "--index", str(projected_side), "--structure",
                                   "projected", "--concept", "c", "--taxonomy", str(cyclic)],
         "project-deeply-nested": ["project", "--lexnet", str(deep)],
@@ -2070,6 +2076,17 @@ def test_cli_input_failures_are_exit_2_without_traceback(tmp_path, capsys, case,
     err = capsys.readouterr().err
     assert err.startswith(f"ontoterm: {code}: ")
     assert "Traceback" not in err
+    # a value that is not a string is refused naming its field
+    lexnet_field = "a term's label or head, or a relation's source or target"
+    field = {
+        "align-taxonomy-label-an-int": "a concept id, label or denoting term",
+        "compare-recall-integer-doc-ids":
+            "a doc_id, concept, unannotated_docs or skipped_ambiguous entry",
+        "net-candidate-lemmas-a-nested-list": "row 1: a lemma, pattern_id or head",
+        "net-candidate-head-a-list": "row 1: a lemma, pattern_id or head",
+    }.get(case, lexnet_field if "-lexnet-" in case else None)
+    if field:
+        assert f"{field} is not a string" in err, err
     if case == "query-cyclic-taxonomy":
         assert "subsumption cycle: a -> b -> a" in err
     if case == "compare-recall-integer-doc-ids":
@@ -2121,19 +2138,26 @@ def test_cli_commands_refuse_fuzzed_artifacts_without_a_traceback(tmp_path, caps
     out = run_pipeline(load_config(write_config(tmp_path))).output_dir
     fuzzed, written = tmp_path / "fuzzed.json", str(tmp_path / "written.json")
     dsl = ["--dsl", str(data / "relais.dsl"), "--stopwords", str(data / "stopwords.txt")]
-    commands = {
-        "candidates.json": ["net", "--candidates", str(fuzzed), "--corpus", str(data / "corpus"),
-                            "--lexicon", str(data / "lexicon.tsv"), "--out", written],
-        "lexnet.json": ["validate", "--lexnet", str(fuzzed),
-                        "--decisions", str(data / "decisions.txt"), "--out", written],
-        "lexnet_validated.json": ["project", "--lexnet", str(fuzzed), "--out", written],
-        "taxonomy.json": ["align", "--taxonomy", str(fuzzed), *dsl, "--out", written],
-        "doc_index.json": ["compare-recall", "--index", str(fuzzed), *dsl, "--taxonomy",
-                           str(out / "taxonomy.json"), "--concept", "relais à seuil"],
-    }
+    taxonomy, label = ["--taxonomy", str(out / "taxonomy.json")], ["--concept", "relais à seuil"]
+    index = ["index", "--corpus", str(data / "corpus"), *dsl, "--out", written]
+    commands = [
+        ("candidates.json", ["net", "--candidates", str(fuzzed), "--corpus", str(data / "corpus"),
+                             "--lexicon", str(data / "lexicon.tsv"), "--out", written]),
+        ("lexnet.json", ["validate", "--lexnet", str(fuzzed),
+                         "--decisions", str(data / "decisions.txt"), "--out", written]),
+        ("lexnet_validated.json", ["project", "--lexnet", str(fuzzed), "--out", written]),
+        ("taxonomy.json", ["align", "--taxonomy", str(fuzzed), *dsl, "--out", written]),
+        ("doc_index.json", ["compare-recall", "--index", str(fuzzed), *dsl, *taxonomy, *label]),
+        ("doc_index.json", ["query", "--index", str(fuzzed), "--structure", "projected",
+                            *taxonomy, *label]),
+        ("doc_index.json", ["query", "--index", str(fuzzed), "--structure", "ok", *dsl, *label]),
+        ("candidates.json", [*index, "--candidates", str(fuzzed), *taxonomy]),
+        ("taxonomy.json", [*index, "--candidates", str(out / "candidates.json"),
+                           "--taxonomy", str(fuzzed)]),
+    ]
     rng = random.Random(32)
     escapes = []
-    for artifact, argv in commands.items():
+    for artifact, argv in commands:
         refusals = ("ontoterm: E_ARTIFACT: ",)
         if argv[0] == "validate":
             refusals += ("ontoterm: E_UNKNOWN_REF: ",)
